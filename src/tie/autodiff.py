@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
 Shape discipline is strict: unless an op documents otherwise, operand shapes
-must match exactly. The single sanctioned broadcast is the trailing-axis bias
-add. Every op checks its result for NaN/Inf and raises instead of propagating
-garbage. Ops record onto the innermost active ``Tape`` only when some input
-requires gradients; with no active tape they are plain numpy computations, so
-evaluation-time forwards are side-effect free and safe to run concurrently.
+must match exactly. The sanctioned broadcasts are the trailing-axis bias add
+and the leading (batch) axes of ``matmul``. Every op checks its result for
+NaN/Inf and raises instead of propagating garbage. Ops record onto the
+innermost active ``Tape`` only when some input requires gradients; with no
+active tape they are plain numpy computations, so evaluation-time forwards
+are side-effect free and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -25,16 +26,11 @@ __all__ = [
     "add_bias",
     "mul",
     "scale",
-    "concat_last_dim",
-    "pairwise_concat",
     "embedding_lookup",
     "layer_norm",
     "gelu",
     "transpose",
     "reshape",
-    "slice_rows",
-    "slice_cols",
-    "dot",
     "sum_all",
     "softmax_rows",
     "sigmoid",
@@ -93,9 +89,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -107,7 +100,10 @@ class Tape:
     """Execution-ordered record of differentiable ops for one backward pass.
 
     Records are appended as ops execute, so parents always precede their
-    consumers and a single reverse sweep visits each node exactly once.
+    consumers and a single reverse sweep visits each node exactly once. The
+    sweep drops each record once it has run: a record's closure and output
+    tensor refer back to the tape, and cycles left for the garbage collector
+    would hold every step's intermediates until a full collection.
     """
 
     def __init__(self):
@@ -123,9 +119,6 @@ class Tape:
         popped = _tape_stack.pop()
         assert popped is self
         return False
-
-    def __len__(self):
-        return len(self._records)
 
     def _touch(self, t: Tensor) -> int:
         if t._tape is not self or t.node_id is None:
@@ -148,7 +141,8 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
         loss.grad[...] = 1.0
-        for out, _parent_ids, fn in reversed(self._records):
+        while self._records:
+            out, _parent_ids, fn = self._records.pop()
             fn(out.grad)
 
 
@@ -188,19 +182,34 @@ def _make(data, op: str, parents, backward_fn) -> Tensor:
     return out
 
 
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum a gradient over the axes along which an operand of ``shape`` was
+    broadcast to ``g.shape``."""
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes of two >= 2-D tensors; leading
+    (batch) axes broadcast as in numpy, and backward sums over them."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of 2 or more axes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"matmul batch axes do not broadcast: {a.shape} vs {b.shape}") from None
     out_data = a.data @ b.data
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g @ b.data.T
+            a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
     return _make(out_data, "matmul", (a, b), bw)
 
@@ -259,57 +268,21 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, "scale", (a,), bw)
 
 
-def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the trailing axis; leading shapes must match."""
-    if a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"concat_last_dim leading shapes disagree: {a.shape} vs {b.shape}")
-    na = a.shape[-1]
-
-    def bw(g):
-        if a.requires_grad:
-            a.grad += g[..., :na]
-        if b.requires_grad:
-            b.grad += g[..., na:]
-
-    return _make(np.concatenate([a.data, b.data], axis=-1), "concat_last_dim", (a, b), bw)
-
-
-def pairwise_concat(head: Tensor, tail: Tensor) -> Tensor:
-    """All-pairs row concatenation: out[i, j] = [head[i]; tail[j]].
-
-    head and tail are (n, d); the result is (n, n, 2d).
-    """
-    if head.data.ndim != 2 or head.shape != tail.shape:
-        raise ShapeError(f"pairwise_concat needs equal 2-D shapes: {head.shape} vs {tail.shape}")
-    n, d = head.shape
-    out = np.empty((n, n, 2 * d))
-    out[:, :, :d] = head.data[:, None, :]
-    out[:, :, d:] = tail.data[None, :, :]
-
-    def bw(g):
-        if head.requires_grad:
-            head.grad += g[:, :, :d].sum(axis=1)
-        if tail.requires_grad:
-            tail.grad += g[:, :, d:].sum(axis=0)
-
-    return _make(out, "pairwise_concat", (head, tail), bw)
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D table; gradients scatter-add into those rows."""
+    """Gather rows of a 2-D table by an N-d id array; the result has shape
+    ``ids.shape + (d,)`` and gradients scatter-add into those rows."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup needs a 2-D table, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"embedding_lookup needs a flat id list, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(
             f"row id out of range [0, {table.shape[0]}) in embedding_lookup"
         )
+    d = table.shape[1]
 
     def bw(g):
         if table.requires_grad:
-            np.add.at(table.grad, idx, g)
+            np.add.at(table.grad, idx.reshape(-1), g.reshape(-1, d))
 
     return _make(table.data[idx], "embedding_lookup", (table,), bw)
 
@@ -382,50 +355,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), "reshape", (a,), bw)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along axis 0."""
-    n = a.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_rows [{start}:{stop}] invalid for {n} rows")
-
-    def bw(g):
-        if a.requires_grad:
-            a.grad[start:stop] += g
-
-    return _make(a.data[start:stop].copy(), "slice_rows", (a,), bw)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the trailing axis of a 2-D tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-D tensor, got {a.shape}")
-    n = a.shape[1]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_cols [{start}:{stop}] invalid for {n} columns")
-
-    def bw(g):
-        if a.requires_grad:
-            a.grad[:, start:stop] += g
-
-    return _make(a.data[:, start:stop].copy(), "slice_cols", (a,), bw)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Flat inner product of two equal-size tensors; scalar result."""
-    if a.size != b.size:
-        raise ShapeError(f"dot sizes disagree: {a.shape} vs {b.shape}")
-    fa = a.data.reshape(-1)
-    fb = b.data.reshape(-1)
-
-    def bw(g):
-        if a.requires_grad:
-            a.grad += (g * fb).reshape(a.shape)
-        if b.requires_grad:
-            b.grad += (g * fa).reshape(b.shape)
-
-    return _make(np.asarray(fa @ fb), "dot", (a, b), bw)
-
-
 def sum_all(a: Tensor) -> Tensor:
     """Sum of all entries; scalar result."""
 
@@ -437,16 +366,14 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, max-subtracted for stability."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis, max-subtracted for stability."""
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
         if a.requires_grad:
-            s = (g * out).sum(axis=1, keepdims=True)
+            s = (g * out).sum(axis=-1, keepdims=True)
             a.grad += (g - s) * out
 
     return _make(out, "softmax_rows", (a,), bw)
@@ -471,10 +398,11 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, "sigmoid", (a,), bw)
 
 
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy against {0,1} targets, in stable form.
+def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
+    """Binary cross-entropy against {0,1} targets, in stable form.
 
-    Per cell: max(z, 0) - z*t + log(1 + exp(-|z|)), averaged over all cells.
+    Per cell: max(z, 0) - z*t + log(1 + exp(-|z|)); the mean over all cells,
+    or the sum under same-shape per-cell ``weights``.
     """
     t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
     if logits.shape != t.shape:
@@ -483,13 +411,20 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         raise ValueError("bce_with_logits targets must be exactly 0 or 1")
     z = logits.data
     per_cell = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    n = per_cell.size
+    if weights is None:
+        w = 1.0 / per_cell.size
+        value = per_cell.mean()
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != z.shape:
+            raise ShapeError(f"bce weights shape {w.shape} vs logits {z.shape}")
+        value = (per_cell * w).sum()
 
     def bw(g):
         if logits.requires_grad:
-            logits.grad += (_sigmoid(z) - t) * (float(g) / n)
+            logits.grad += (_sigmoid(z) - t) * (w * float(g))
 
-    return _make(np.asarray(per_cell.mean()), "bce_with_logits", (logits,), bw)
+    return _make(np.asarray(value), "bce_with_logits", (logits,), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

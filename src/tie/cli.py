@@ -16,14 +16,12 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import autodiff as ad
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .codec import decode
 from .data import DataError, build_vocab, load_jsonl, load_manifest
-from .evaluate import evaluate_split
+from .evaluate import evaluate_split, predict_instances
 from .gradcheck import run_gradcheck
 from .instructions import InstructionError, InstructionPool, parse_template
-from .model import ModelConfig, Parameters, forward
+from .model import ModelConfig, Parameters
 from .synth import SYNTH_KINDS, write_synth
 from .trainer import TrainConfig, TrainState, rng_for
 from . import trainer
@@ -340,15 +338,10 @@ def cmd_decode(config: RunConfig, checkpoint_path: str | None, input_path: str) 
                                     lowercase=config.lowercase)
     if dropped:
         log("warn", "dropped_long_sentences", count=dropped)
-    instruction = pool.first(target.id)
-    slots = instruction.slot_positions(target.label_space)
+    preds = predict_instances(ckpt.state.params, ckpt.vocab, pool, target, instances,
+                              config.train.threshold)
     rows = []
-    for inst in instances:
-        state = forward(ckpt.state.params, ckpt.vocab.encode(inst.tokens),
-                        instruction.token_ids, slots)
-        probs = ad.sigmoid(state.logits).data
-        pred = decode(probs, target.label_space, config.train.threshold,
-                      target.task_kind)
+    for inst, pred in zip(instances, preds):
         rows.append({
             "tokens": inst.tokens,
             "entities": [

@@ -27,7 +27,6 @@ __all__ = [
     "Prediction",
     "encode",
     "decode",
-    "lift",
     "gold_entity_set",
     "gold_link_set",
 ]
@@ -110,12 +109,6 @@ def encode(instance: Instance, label_space: LabelSpace) -> GoldMatrix:
             claimed.add(cell)
             grid[cell] = 1.0
     return GoldMatrix(data=grid, collisions=collisions)
-
-
-def lift(gold: GoldMatrix | np.ndarray) -> np.ndarray:
-    """Map a binary grid to well-separated probabilities {0 -> .01, 1 -> .99}."""
-    data = gold.data if isinstance(gold, GoldMatrix) else gold
-    return np.where(data > 0.5, 0.99, 0.01)
 
 
 def _decode_entities(scores, label_space, tau):

@@ -3,6 +3,10 @@
 Evaluation always renders the first instruction of the dataset's pool, so
 repeated runs are bit-identical; training is where instruction choice is
 randomized.
+
+Batching can move a score in its last bits, so every inference caller
+(``predict_split``, ``tie eval``, ``tie decode``) goes through
+``predict_instances``.
 """
 
 from __future__ import annotations
@@ -12,22 +16,38 @@ from .codec import decode
 from .data import Dataset, Vocabulary
 from .instructions import InstructionPool
 from .metrics import headline_f1, task_metric
-from .model import Parameters, forward
+from .model import Parameters, forward, make_batch
 
-__all__ = ["predict_split", "evaluate_split"]
+__all__ = ["INFER_CHUNK", "predict_instances", "predict_split", "evaluate_split"]
+
+INFER_CHUNK = 32   # instances per forward; bounds the (chunk, n, n, K) grids held
+
+
+def predict_instances(params: Parameters, vocab: Vocabulary, pool: InstructionPool,
+                      dataset: Dataset, instances, tau: float):
+    """Decoded predictions for ``instances`` of ``dataset``, in input order;
+    forwards run on length-sorted chunks of INFER_CHUNK instances."""
+    instruction = pool.first(dataset.id)
+    slots = instruction.slot_positions(dataset.label_space)
+    ids = [vocab.encode(inst.tokens) for inst in instances]
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    preds = [None] * len(ids)
+    for lo in range(0, len(order), INFER_CHUNK):
+        chunk = order[lo:lo + INFER_CHUNK]
+        batch = make_batch([ids[i] for i in chunk], [instruction.token_ids] * len(chunk),
+                           [slots] * len(chunk))
+        probs = ad.sigmoid(forward(params, batch).logits).data
+        for b, i in enumerate(chunk):
+            n = len(ids[i])
+            preds[i] = decode(probs[b, :n, :n], dataset.label_space, tau, dataset.task_kind)
+    return preds
 
 
 def predict_split(params: Parameters, vocab: Vocabulary, pool: InstructionPool,
                   dataset: Dataset, split: str, tau: float):
-    """Decode predictions for every instance of one split."""
-    instruction = pool.first(dataset.id)
-    slots = instruction.slot_positions(dataset.label_space)
-    preds = []
-    for inst in getattr(dataset.splits, split):
-        state = forward(params, vocab.encode(inst.tokens), instruction.token_ids, slots)
-        probs = ad.sigmoid(state.logits).data
-        preds.append(decode(probs, dataset.label_space, tau, dataset.task_kind))
-    return preds
+    """Decode predictions for every instance of one split, in split order."""
+    return predict_instances(params, vocab, pool, dataset,
+                             getattr(dataset.splits, split), tau)
 
 
 def evaluate_split(params: Parameters, vocab: Vocabulary, pool: InstructionPool,

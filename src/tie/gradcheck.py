@@ -1,7 +1,8 @@
 """Whole-model gradient verification against central finite differences.
 
-Builds a small model, runs one taped forward/backward of the training loss,
-then re-derives every parameter element's gradient by perturbing it +/- h and
+Builds a small model and a padded batch of two instances of different
+lengths, runs one taped forward/backward of the weighted training loss, then
+re-derives every parameter element's gradient by perturbing it +/- h and
 re-running the (untaped) forward. The two routes must agree within a relative
 tolerance, elementwise, with a small absolute floor for near-zero gradients.
 """
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import ModelConfig, Parameters, forward
+from .model import ModelConfig, Parameters, forward, make_batch
+from .trainer import loss
 
 __all__ = ["GradcheckReport", "run_gradcheck"]
 
@@ -46,7 +48,8 @@ def _rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
 def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4,
                   n_instr: int = 8, num_channels: int = 3, seed: int = 0,
                   tolerance: float = 1e-3, step: float = 1e-5) -> GradcheckReport:
-    """Check every trainable parameter of a toy model end to end."""
+    """Check every trainable parameter of a toy model end to end, on a
+    padded batch of an ``n_tokens``/``n_instr`` instance and a shorter one."""
     rng = np.random.default_rng(seed)
     vocab_size = 12
     config = ModelConfig(
@@ -56,19 +59,20 @@ def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4
     )
     params = Parameters(config, num_channels, rng)
 
-    token_ids = rng.integers(0, vocab_size, size=n_tokens).tolist()
-    instr_ids = rng.integers(0, vocab_size, size=n_instr).tolist()
-    slot_positions = rng.choice(n_instr, size=num_channels, replace=False).tolist()
-    gold = (rng.random((n_tokens, n_tokens, num_channels)) < 0.3).astype(float)
+    lengths = [(n_tokens, n_instr), (max(1, n_tokens - 2), max(num_channels, n_instr - 3))]
+    batch = make_batch(
+        [rng.integers(0, vocab_size, size=n).tolist() for n, _ in lengths],
+        [rng.integers(0, vocab_size, size=m).tolist() for _, m in lengths],
+        [rng.choice(m, size=num_channels, replace=False).tolist() for _, m in lengths])
+    targets, weights = batch.loss_targets(
+        [(rng.random((n, n, num_channels)) < 0.3).astype(float) for n, _ in lengths])
 
     def loss_value() -> float:
-        state = forward(params, token_ids, instr_ids, slot_positions)
-        return ad.bce_with_logits(state.logits, gold).item()
+        return loss(forward(params, batch).logits, targets, weights).item()
 
     params.zero_grads()
     with ad.Tape():
-        state = forward(params, token_ids, instr_ids, slot_positions)
-        ad.backward(ad.bce_with_logits(state.logits, gold))
+        ad.backward(loss(forward(params, batch).logits, targets, weights))
 
     report = GradcheckReport(passed=True, tolerance=tolerance, worst_rel_err=0.0,
                              worst_tensor="", n_elements=0)

@@ -5,7 +5,9 @@ encoder; run the instruction through a causal decoder that cross-attends to
 the sentence; pull out the K decoder states at the label slot positions;
 re-represent every sentence token as an attention mixture over projected
 slot states; score all token pairs per channel with a biaffine form plus a
-per-cell linear layer. Output logits are (|x|, |x|, K).
+per-cell linear layer. Output logits are (|x|, |x|, K) per instance; a
+forward runs B instances padded into one batch (``make_batch``), and
+attention masks padded keys so that no real position sees padding.
 
 All parameters are named, and names are partitioned into groups (one per
 layer-like unit); the trainer's update gate operates on those groups.
@@ -20,12 +22,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import PAD_ID
 
 __all__ = [
     "ModelConfig",
     "Parameters",
     "ForwardState",
     "CHANNEL_GROUPS",
+    "Batch",
+    "make_batch",
     "encode_sentence",
     "decode_instruction",
     "gather_slots",
@@ -229,48 +234,90 @@ class Parameters:
         self._channel_params(rng)
 
 
+@dataclass(frozen=True)
+class Batch:
+    """B instances padded with ``PAD_ID`` to common lengths: one forward's input."""
+
+    tokens: np.ndarray   # (B, n_max) sentence ids
+    instr: np.ndarray    # (B, m_max) instruction ids
+    slots: np.ndarray    # (B, K) slot positions into each instance's own instruction
+    n: np.ndarray        # (B,) sentence lengths
+    m: np.ndarray        # (B,) instruction lengths
+
+    def loss_targets(self, golds):
+        """Padded gold grids (B, n_max, n_max, K) and per-cell loss weights:
+        1/(B * n_b^2 * K) on instance b's real cells, 0 on padding, so the
+        weighted sum is the mean over each grid, then over the batch."""
+        size, n_max = self.tokens.shape
+        k = golds[0].shape[-1]
+        targets = np.zeros((size, n_max, n_max, k))
+        weights = np.zeros((size, n_max, n_max, k))
+        for b, (gold, n) in enumerate(zip(golds, self.n)):
+            targets[b, :n, :n] = gold
+            weights[b, :n, :n] = 1.0 / (size * n * n * k)
+        return targets, weights
+
+
+def _pad(rows):
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    out = np.full((len(rows), lengths.max()), PAD_ID, dtype=np.int64)
+    for b, r in enumerate(rows):
+        out[b, :len(r)] = r
+    return out, lengths
+
+
+def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
+    """Pad aligned per-instance lists of sentence ids, instruction ids and
+    slot positions into a ``Batch``."""
+    if min(map(len, [*token_ids, *instr_ids]), default=0) < 1:
+        raise ValueError("a batch needs instances with non-empty sentences and instructions")
+    tokens, n = _pad(token_ids)
+    instr, m = _pad(instr_ids)
+    slots = np.array(slot_positions, dtype=np.int64)   # ragged slot lists raise here
+    if len(m) != len(n) or slots.ndim != 2 or len(slots) != len(n) \
+            or np.any(slots < 0) or np.any(slots >= m[:, None]):
+        raise ValueError("every instance needs K slot positions inside its own instruction")
+    return Batch(tokens=tokens, instr=instr, slots=slots, n=n, m=m)
+
+
 @dataclass
 class ForwardState:
-    h_enc: Tensor    # (|x|, d)
-    h_dec: Tensor    # (|u|, d)
-    h_slot: Tensor   # (K, d)
-    h_x: Tensor      # (|x|, d)
-    h_head: Tensor   # (|x|, d)
-    h_tail: Tensor   # (|x|, d)
-    m_x: Tensor      # (|x|, |x|, K)
-    logits: Tensor   # (|x|, |x|, K)
+    h_enc: Tensor    # (B, n_max, d)
+    h_dec: Tensor    # (B, m_max, d)
+    h_slot: Tensor   # (B, K, d)
+    h_x: Tensor      # (B, n_max, d)
+    h_head: Tensor   # (B, n_max, d)
+    h_tail: Tensor   # (B, n_max, d)
+    m_x: Tensor      # (B, n_max, n_max, K)
+    logits: Tensor   # (B, n_max, n_max, K)
 
 
 def _linear(x, w, b):
     return ad.add_bias(ad.matmul(x, w), b)
 
 
-def _split_heads(x: Tensor, heads: int):
-    d = x.shape[1]
-    dh = d // heads
-    return [ad.slice_cols(x, h * dh, (h + 1) * dh) for h in range(heads)]
-
-
 def _attention(params, prefix, x_q, x_kv, heads, mask=None, train=False, rng=None):
+    """(B, n_q, d) queries over (B, n_k, d) keys; ``mask`` is additive and
+    broadcastable to the (B, heads, n_q, n_k) scores, or None."""
     rate = params.config.dropout if train else 0.0
+    size, n_q, d = x_q.shape
+    n_k = x_kv.shape[1]
+    dh = d // heads
     q = _linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = _linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = _linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    dh = params.config.d // heads
-    outs = []
-    for qh, kh, vh in zip(_split_heads(q, heads), _split_heads(k, heads),
-                          _split_heads(v, heads)):
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
-        if mask is not None:
-            scores = ad.add(scores, mask)
-        att = ad.softmax_rows(scores)
-        if rate:
-            att = ad.dropout(att, rate, rng)
-        outs.append(ad.matmul(att, vh))
-    cat = outs[0]
-    for o in outs[1:]:
-        cat = ad.concat_last_dim(cat, o)
-    return _linear(cat, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    q = ad.transpose(ad.reshape(q, (size, n_q, heads, dh)), (0, 2, 1, 3))
+    k_t = ad.transpose(ad.reshape(k, (size, n_k, heads, dh)), (0, 2, 3, 1))
+    v = ad.transpose(ad.reshape(v, (size, n_k, heads, dh)), (0, 2, 1, 3))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))   # (B, h, n_q, n_k)
+    if mask is not None:
+        scores = ad.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
+    att = ad.softmax_rows(scores)
+    if rate:
+        att = ad.dropout(att, rate, rng)
+    out = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))            # (B, n_q, h, dh)
+    out = ad.reshape(out, (size, n_q, d))
+    return _linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(params, prefix, x, train=False, rng=None):
@@ -285,72 +332,83 @@ def _ln(params, prefix, x):
     return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _causal_mask(n: int) -> Tensor:
-    m = np.zeros((n, n))
-    m[np.triu_indices(n, k=1)] = _MASKED
-    return Tensor(m)
+def _mask(lengths, n: int, causal: bool = False):
+    """Additive mask broadcastable to (B, heads, n_q, n) scores that hides
+    keys past each instance's length and, if causal, keys after the query;
+    None when it hides nothing."""
+    hide = np.arange(n) >= lengths[:, None, None, None]
+    if causal:
+        hide = hide | np.triu(np.ones((n, n), dtype=bool), k=1)
+    return np.where(hide, _MASKED, 0.0) if hide.any() else None
 
 
 def _embed(params, table_name, ids, pos_table):
-    ids = list(ids)
+    size, n = ids.shape
     tok = ad.embedding_lookup(params[table_name], ids)
-    pos = ad.embedding_lookup(params[pos_table], list(range(len(ids))))
+    pos = ad.embedding_lookup(params[pos_table], np.broadcast_to(np.arange(n), (size, n)))
     return ad.add(tok, pos)
 
 
-def encode_sentence(params: Parameters, token_ids, train: bool = False,
+def encode_sentence(params: Parameters, batch: Batch, train: bool = False,
                     rng=None) -> Tensor:
-    """Sentence token ids -> (|x|, d) hidden states."""
-    n = len(token_ids)
+    """Padded sentence ids -> (B, n_max, d) hidden states; no token attends
+    to a padded one."""
     cfg = params.config
-    if not 1 <= n <= cfg.max_len:
-        raise ValueError(f"sentence length {n} outside [1, {cfg.max_len}]")
-    x = _embed(params, "embed.tok", token_ids, "embed.pos_x")
+    n_max = batch.tokens.shape[1]
+    if n_max > cfg.max_len:
+        raise ValueError(f"sentence length {n_max} outside [1, {cfg.max_len}]")
+    mask = _mask(batch.n, n_max)
+    x = _embed(params, "embed.tok", batch.tokens, "embed.pos_x")
     for i in range(cfg.layers_enc):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
         x = ad.add(x, _attention(params, f"{p}.attn", normed, normed, cfg.heads,
-                                 train=train, rng=rng))
+                                 mask=mask, train=train, rng=rng))
         x = ad.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x),
                            train=train, rng=rng))
     return _ln(params, "enc.norm", x)
 
 
-def decode_instruction(params: Parameters, h_enc: Tensor, instr_ids,
+def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
                        train: bool = False, rng=None) -> Tensor:
-    """Instruction ids -> (|u|, d) sentence-aware states.
+    """Padded instruction ids -> (B, m_max, d) sentence-aware states.
 
-    Self-attention over the instruction is causal; every layer cross-attends
-    to the full sentence encoding.
+    Self-attention over the instruction is causal and skips padded
+    positions; every layer cross-attends to the real sentence tokens.
     """
-    m = len(instr_ids)
     cfg = params.config
-    if not 1 <= m <= cfg.max_instr_len:
-        raise ValueError(f"instruction length {m} outside [1, {cfg.max_instr_len}]")
-    mask = _causal_mask(m)
-    u = _embed(params, "embed.tok", instr_ids, "embed.pos_u")
+    m_max = batch.instr.shape[1]
+    if m_max > cfg.max_instr_len:
+        raise ValueError(f"instruction length {m_max} outside [1, {cfg.max_instr_len}]")
+    self_mask = _mask(batch.m, m_max, causal=True)
+    cross_mask = _mask(batch.n, h_enc.shape[1])
+    u = _embed(params, "embed.tok", batch.instr, "embed.pos_u")
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.ln1", u)
         u = ad.add(u, _attention(params, f"{p}.self", normed, normed, cfg.heads,
-                                 mask=mask, train=train, rng=rng))
+                                 mask=self_mask, train=train, rng=rng))
         u = ad.add(u, _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u),
-                                 h_enc, cfg.heads, train=train, rng=rng))
+                                 h_enc, cfg.heads, mask=cross_mask, train=train, rng=rng))
         u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u),
                            train=train, rng=rng))
     return _ln(params, "dec.norm", u)
 
 
 def gather_slots(h_dec: Tensor, slot_positions) -> Tensor:
-    """Rows of the decoder output at the label slot positions, (K, d)."""
-    return ad.embedding_lookup(h_dec, list(slot_positions))
+    """Rows of each instance's decoder output at its (B, K) slot positions,
+    (B, K, d)."""
+    size, m_max, d = h_dec.shape
+    rows = np.asarray(slot_positions) + m_max * np.arange(size)[:, None]
+    return ad.embedding_lookup(ad.reshape(h_dec, (size * m_max, d)), rows)
 
 
 def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """Each token becomes a convex mixture of the projected slot states."""
+    """Each token becomes a convex mixture of its instance's projected slot
+    states."""
     proj_x = ad.matmul(h_enc, w1)
     proj_slot = ad.matmul(h_slot, w2)
-    att = ad.softmax_rows(ad.matmul(proj_x, ad.transpose(proj_slot)))
+    att = ad.softmax_rows(ad.matmul(proj_x, ad.transpose(proj_slot, (0, 2, 1))))
     return ad.matmul(att, proj_slot)
 
 
@@ -360,42 +418,51 @@ def _mlp(params, prefix, x):
 
 
 def biaffine_score(h_x: Tensor, params: Parameters):
-    """Token-pair logits: bilinear head/tail interaction plus a linear term
-    on the concatenated pair, then a per-cell K -> K linear map."""
-    n, d = h_x.shape
+    """Token-pair logits for (B, n, d) token states: bilinear head/tail
+    interaction plus a linear term ``W4 [h_head_i; h_tail_j]``, then a
+    per-cell K -> K linear map. The linear term is a head part per row plus
+    a tail part per column, broadcast over the grid by an outer product with
+    ones, so no (B, n, n, 2d) pair tensor is built."""
+    size, n, d = h_x.shape
     k = params.num_channels
     h_head = _mlp(params, "head_mlp", h_x)
     h_tail = _mlp(params, "tail_mlp", h_x)
 
     w3 = params["biaffine.w3"]
-    a = ad.matmul(h_head, ad.reshape(w3, (d, k * d)))          # (n, k*d)
-    b = ad.matmul(ad.reshape(a, (n * k, d)), ad.transpose(h_tail))  # (n*k, n)
-    bilinear = ad.transpose(ad.reshape(b, (n, k, n)), (0, 2, 1))    # (n, n, k)
+    a = ad.matmul(h_head, ad.reshape(w3, (d, k * d)))                   # (B, n, k*d)
+    b = ad.matmul(ad.reshape(a, (size, n * k, d)), ad.transpose(h_tail, (0, 2, 1)))
+    bilinear = ad.transpose(ad.reshape(b, (size, n, k, n)), (0, 1, 3, 2))
 
-    pairs = ad.reshape(ad.pairwise_concat(h_head, h_tail), (n * n, 2 * d))
-    linear = ad.reshape(ad.matmul(pairs, ad.transpose(params["biaffine.w4"])), (n, n, k))
+    w4_t = ad.transpose(params["biaffine.w4"])                           # (2d, k)
+    lin_head = ad.matmul(h_head, ad.embedding_lookup(w4_t, np.arange(d)))
+    lin_tail = ad.matmul(h_tail, ad.embedding_lookup(w4_t, np.arange(d, 2 * d)))
+    ones = Tensor(np.ones((n, 1)))
+    over_cols = ad.matmul(ones, ad.reshape(lin_head, (size, n, 1, k)))  # [b,i,j] = head[b,i]
+    over_rows = ad.reshape(ad.matmul(ones, ad.reshape(lin_tail, (size, 1, n * k))),
+                           (size, n, n, k))                             # [b,i,j] = tail[b,j]
 
-    m_x = ad.add(bilinear, linear)
-    flat = ad.matmul(ad.reshape(m_x, (n * n, k)), ad.transpose(params["score.w"]))
-    logits = ad.reshape(ad.add_bias(flat, params["score.b"]), (n, n, k))
+    m_x = ad.add(ad.add(bilinear, over_cols), over_rows)
+    logits = ad.add_bias(ad.matmul(m_x, ad.transpose(params["score.w"])), params["score.b"])
     return h_head, h_tail, m_x, logits
 
 
-def forward(params: Parameters, token_ids, instr_ids, slot_positions,
-            train: bool = False, rng=None) -> ForwardState:
-    """Full pipeline; deterministic whenever train is False."""
-    if len(slot_positions) != params.num_channels:
+def forward(params: Parameters, batch: Batch, train: bool = False,
+            rng=None) -> ForwardState:
+    """Full pipeline over a padded batch; deterministic whenever train is
+    False. Each instance's real cells equal its own B=1 forward up to float
+    rounding."""
+    if batch.slots.shape[1] != params.num_channels:
         raise ValueError(
-            f"{len(slot_positions)} slots for a {params.num_channels}-channel model"
+            f"{batch.slots.shape[1]} slots for a {params.num_channels}-channel model"
         )
-    h_enc = encode_sentence(params, token_ids, train=train, rng=rng)
-    h_dec = decode_instruction(params, h_enc, instr_ids, train=train, rng=rng)
-    h_slot = gather_slots(h_dec, slot_positions)
+    h_enc = encode_sentence(params, batch, train=train, rng=rng)
+    h_dec = decode_instruction(params, h_enc, batch, train=train, rng=rng)
+    h_slot = gather_slots(h_dec, batch.slots)
     h_x = label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"])
     if params.config.residual_label_attn:
         h_x = ad.add(h_enc, h_x)
     h_head, h_tail, m_x, logits = biaffine_score(h_x, params)
-    n, k = len(token_ids), params.num_channels
-    assert logits.shape == (n, n, k)
+    size, n_max = batch.tokens.shape
+    assert logits.shape == (size, n_max, n_max, params.num_channels)
     return ForwardState(h_enc=h_enc, h_dec=h_dec, h_slot=h_slot, h_x=h_x,
                         h_head=h_head, h_tail=h_tail, m_x=m_x, logits=logits)

@@ -26,7 +26,7 @@ from .codec import encode
 from .data import Dataset, Vocabulary
 from .evaluate import evaluate_split
 from .instructions import InstructionPool, select
-from .model import Parameters, forward
+from .model import Parameters, forward, make_batch
 
 __all__ = [
     "TrainConfig",
@@ -87,9 +87,10 @@ class TrainConfig:
         return self
 
 
-def loss(logits, gold):
-    """Mean binary cross-entropy over all grid cells (scalar tensor)."""
-    return ad.bce_with_logits(logits, gold)
+def loss(logits, gold, weights=None):
+    """Binary cross-entropy over grid cells (scalar tensor): the mean, or
+    the sum under per-cell ``weights`` (``Batch.loss_targets``)."""
+    return ad.bce_with_logits(logits, gold, weights)
 
 
 @dataclass
@@ -177,6 +178,19 @@ class Adam:
         self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
         self.t = {g: 0 for g in params.groups}
+        self._owners = dict(params.tensors)   # the tensors the moments belong to
+
+    def sync(self, params: Parameters):
+        """Fresh moments and step count for every group whose tensors were
+        re-created since this optimizer saw them (``reinit_channels``)."""
+        for group, names in params.groups.items():
+            if all(self._owners[n] is params[n] for n in names):
+                continue
+            for name in names:
+                self.m[name] = np.zeros_like(params[name].data)
+                self.v[name] = np.zeros_like(params[name].data)
+                self._owners[name] = params[name]
+            self.t[group] = 0
 
     def update_group(self, params: Parameters, group: str, grads: dict):
         self.t[group] += 1
@@ -282,17 +296,15 @@ def _train_step(state: TrainState, dataset: Dataset, token_ids, golds,
     rng_instr = rng_for(seed, "instr", epoch, batch_idx)
     rng_drop = rng_for(seed, "drop", epoch, batch_idx)
     params = state.params
+    instructions = [select(pool, dataset.id, rng_instr) for _ in batch_indices]
+    batch = make_batch([token_ids[i] for i in batch_indices],
+                       [ins.token_ids for ins in instructions],
+                       [ins.slot_positions(dataset.label_space) for ins in instructions])
+    targets, weights = batch.loss_targets([golds[i] for i in batch_indices])
     params.zero_grads()
     with ad.Tape():
-        total = None
-        for inst_idx in batch_indices:
-            instruction = select(pool, dataset.id, rng_instr)
-            slots = instruction.slot_positions(dataset.label_space)
-            fwd = forward(params, token_ids[inst_idx], instruction.token_ids,
-                          slots, train=True, rng=rng_drop)
-            inst_loss = loss(fwd.logits, golds[inst_idx])
-            total = inst_loss if total is None else ad.add(total, inst_loss)
-        batch_loss = ad.scale(total, 1.0 / len(batch_indices))
+        fwd = forward(params, batch, train=True, rng=rng_drop)
+        batch_loss = loss(fwd.logits, targets, weights)
         ad.backward(batch_loss)
     grads = params.grads()
     decisions = gated_step(params, state.snapshot, grads, state.optimizer,
@@ -375,6 +387,7 @@ def finetune(state: TrainState, target: Dataset, pool: InstructionPool,
     if cfg.reset_optimizer_on_finetune:
         state = TrainState.fresh(state.params, cfg.lr)
     else:
+        state.optimizer.sync(state.params)
         state = TrainState(params=state.params, optimizer=state.optimizer,
                            snapshot=GradientSnapshot(), step=0)
     ids, golds = _prepared(target, vocab)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tie.cli import main
-from tie.codec import decode, encode, gold_entity_set, gold_link_set, lift
+from tie.codec import decode, encode, gold_entity_set, gold_link_set
 from tie.data import Instance, LabelSpace, Link, Mention, build_vocab
 from tie.instructions import InstructionPool, parse_template
 from tie.metrics import arg_f1, ent_f1, rel_f1, senti_triplet_f1, trig_f1
@@ -23,6 +23,8 @@ from tie.synth import FUZZ_SPACES, fuzz_instance, make_synth
 from tie import trainer as T
 from tie.evaluate import predict_split
 from tie.trainer import Adam, GradientSnapshot, TrainConfig, TrainState, gated_step
+
+from grids import lift
 
 
 _live_capsys = None

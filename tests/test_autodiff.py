@@ -138,6 +138,32 @@ def test_nonfinite_raises():
             ad.mul(big, big)
 
 
+def test_matmul_batch_axes_must_broadcast():
+    with pytest.raises(ad.ShapeError) as err:
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    assert "(2, 3, 4)" in str(err.value)
+
+
+def test_matmul_broadcast_matches_per_matrix_products():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(3, 2, 4))
+    b = rng.normal(size=(4, 5))
+    out = ad.matmul(Tensor(a), Tensor(b))
+    for i in range(3):
+        np.testing.assert_allclose(out.data[i], a[i] @ b, atol=1e-12)
+
+
+def test_bce_weighted_is_weighted_sum_and_checks_shape():
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(2, 3))
+    t = (rng.random((2, 3)) < 0.5).astype(float)
+    uniform = np.full((2, 3), 1.0 / 6.0)
+    assert ad.bce_with_logits(Tensor(z), t, uniform).item() == pytest.approx(
+        ad.bce_with_logits(Tensor(z), t).item(), abs=1e-12)
+    with pytest.raises(ad.ShapeError):
+        ad.bce_with_logits(Tensor(z), t, np.ones((3, 2)))
+
+
 def test_embedding_lookup_bounds():
     table = Tensor(np.arange(6.0).reshape(3, 2))
     with pytest.raises(ad.ShapeError):
@@ -182,16 +208,23 @@ def _op_cases(rng):
     bias = rng.normal(size=(n,))
     cases.append(("add_bias", [x, bias], lambda t: ad.add_bias(t[0], t[1])))
 
-    z = rng.normal(size=(m, k))
-    cases.append(("concat_last_dim", [x, z], lambda t: ad.concat_last_dim(t[0], t[1])))
-
-    h = rng.normal(size=(m, k))
-    t2 = rng.normal(size=(m, k))
-    cases.append(("pairwise_concat", [h, t2], lambda t: ad.pairwise_concat(t[0], t[1])))
+    batched = rng.normal(size=(2, m, k))
+    cases.append(("matmul_batched_2d", [batched, b], lambda t: ad.matmul(t[0], t[1])))
+    stacked = rng.normal(size=(2, k, n))
+    cases.append(("matmul_batched_batched", [batched, stacked],
+                  lambda t: ad.matmul(t[0], t[1])))
+    left = rng.normal(size=(2, 1, m, k))
+    right = rng.normal(size=(1, 3, k, n))
+    cases.append(("matmul_broadcast_batch_axes", [left, right],
+                  lambda t: ad.matmul(t[0], t[1])))
+    cases.append(("matmul_2d_batched", [a, stacked], lambda t: ad.matmul(t[0], t[1])))
 
     table = rng.normal(size=(5, k))
     ids = rng.integers(0, 5, size=m)
     cases.append(("embedding_lookup", [table], lambda t: ad.embedding_lookup(t[0], ids)))
+    ids_2d = rng.integers(0, 5, size=(2, m))
+    cases.append(("embedding_lookup_nd", [table],
+                  lambda t: ad.embedding_lookup(t[0], ids_2d)))
 
     g = rng.normal(size=(n,)) + 1.0
     bb = rng.normal(size=(n,))
@@ -204,19 +237,15 @@ def _op_cases(rng):
     cases.append(("transpose3", [cube], lambda t: ad.transpose(t[0], (1, 2, 0))))
     cases.append(("reshape", [cube], lambda t: ad.reshape(t[0], (m * n, k))))
 
-    rows = rng.normal(size=(m + 2, n))
-    cases.append(("slice_rows", [rows], lambda t: ad.slice_rows(t[0], 1, m + 1)))
-
-    cols = rng.normal(size=(m, n + 2))
-    cases.append(("slice_cols", [cols], lambda t: ad.slice_cols(t[0], 1, n + 1)))
-
-    cases.append(("dot", [x, y], lambda t: ad.dot(t[0], t[1])))
     cases.append(("sum_all", [x], lambda t: ad.sum_all(t[0])))
     cases.append(("softmax_rows", [x], lambda t: ad.softmax_rows(t[0])))
+    cases.append(("softmax_rows_nd", [cube], lambda t: ad.softmax_rows(t[0])))
     cases.append(("sigmoid", [x], lambda t: ad.sigmoid(t[0])))
 
     targ = (rng.random((m, n)) < 0.5).astype(float)
     cases.append(("bce", [x], lambda t: ad.bce_with_logits(t[0], targ)))
+    cell_w = rng.random((m, n)) * (rng.random((m, n)) < 0.7)
+    cases.append(("bce_weighted", [x], lambda t: ad.bce_with_logits(t[0], targ, cell_w)))
     return cases
 
 

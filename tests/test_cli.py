@@ -115,10 +115,10 @@ def test_missing_checkpoint_nonzero_exit(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
-def test_finetune_onto_target_with_different_channel_count(tmp_path):
-    from tie.checkpoint import load_checkpoint
-
-    cfg_path, config = make_config(tmp_path)  # aligned pair, K=3
+def _absa_retarget(tmp_path, train=None):
+    """Pretrain a 3-channel model, then write a config targeting the
+    5-channel synth ABSA set; returns (pretrained out dir, new config path)."""
+    cfg_path, config = make_config(tmp_path, train=train)  # aligned pair, K=3
     out = Path(config["out"])
     assert main(["pretrain", "--config", str(cfg_path)]) == 0
 
@@ -132,6 +132,13 @@ def test_finetune_onto_target_with_different_channel_count(tmp_path):
     config2["train"] = {**config["train"], "finetune_epochs": 1}
     cfg2 = tmp_path / "config2.json"
     cfg2.write_text(json.dumps(config2), encoding="utf-8")
+    return out, cfg2
+
+
+def test_finetune_onto_target_with_different_channel_count(tmp_path):
+    from tie.checkpoint import load_checkpoint
+
+    out, cfg2 = _absa_retarget(tmp_path)
 
     # eval with the 3-channel checkpoint on the 5-channel target must refuse
     assert main(["eval", "--config", str(cfg2), "--out", str(tmp_path / "ev5"),
@@ -143,6 +150,20 @@ def test_finetune_onto_target_with_different_channel_count(tmp_path):
     ckpt = load_checkpoint(ft_out / "finetuned.ckpt")
     assert ckpt.num_channels == 5
     assert ckpt.state.params.tensors["biaffine.w4"].shape == (5, 16)
+
+
+def test_finetune_keeping_optimizer_onto_different_channel_count(tmp_path):
+    from tie.checkpoint import load_checkpoint
+
+    out, cfg2 = _absa_retarget(tmp_path, train={"reset_optimizer_on_finetune": False})
+    ft_out = tmp_path / "ft5"
+    assert main(["finetune", "--config", str(cfg2), "--out", str(ft_out),
+                 "--checkpoint", str(out / "pretrained.ckpt")]) == 0
+    ckpt = load_checkpoint(ft_out / "finetuned.ckpt")
+    assert ckpt.num_channels == 5
+    assert ckpt.state.optimizer.m["biaffine.w4"].shape == (5, 16)
+    assert ckpt.state.optimizer.t["biaffine"] == ckpt.state.step
+    assert ckpt.state.optimizer.t["enc.0"] > ckpt.state.step
 
 
 def test_eval_table_shows_perfect_scores_for_gold_predictions():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tie import codec
-from tie.codec import decode, encode, gold_entity_set, gold_link_set, lift
+from tie.codec import decode, encode, gold_entity_set, gold_link_set
 from tie.data import Instance, LabelSpace, Link, Mention
 from tie.synth import FUZZ_SPACES, fuzz_instance
+
+from grids import lift
 
 CONLL_LIKE = LabelSpace(["PER", "ORG", "LOC", "MISC"], [])
 

@@ -5,7 +5,8 @@ from tie import autodiff as ad
 from tie.autodiff import Tape, Tensor
 from tie.gradcheck import run_gradcheck
 from tie import model as M
-from tie.model import ModelConfig, Parameters
+from tie.model import ModelConfig, Parameters, make_batch
+from tie.trainer import loss
 
 from fdcheck import central_diff, max_rel_err
 
@@ -14,6 +15,11 @@ def toy_params(d=8, heads=2, layers=1, vocab=10, k=3, seed=0, **kw):
     cfg = ModelConfig(d=d, layers_enc=layers, layers_dec=layers, heads=heads,
                       max_len=8, max_instr_len=10, vocab_size=vocab, **kw)
     return Parameters(cfg, k, np.random.default_rng(seed))
+
+
+def one(tokens, instr=(1,), slots=(0,)):
+    """A batch holding a single instance."""
+    return make_batch([list(tokens)], [list(instr)], [list(slots)])
 
 
 def test_config_validation():
@@ -27,23 +33,23 @@ def test_config_validation():
 
 def test_encode_sentence_shape():
     p = toy_params()
-    h = M.encode_sentence(p, [1, 2, 3, 4])
-    assert h.shape == (4, 8)
+    h = M.encode_sentence(p, one([1, 2, 3, 4]))
+    assert h.shape == (1, 4, 8)
 
 
 def test_encode_sentence_deterministic_in_eval():
     p = toy_params()
-    a = M.encode_sentence(p, [1, 2, 3])
-    b = M.encode_sentence(p, [1, 2, 3])
+    a = M.encode_sentence(p, one([1, 2, 3]))
+    b = M.encode_sentence(p, one([1, 2, 3]))
     assert np.array_equal(a.data, b.data)
 
 
 def test_encode_sentence_length_bounds():
     p = toy_params()
     with pytest.raises(ValueError):
-        M.encode_sentence(p, list(range(9)))
+        M.encode_sentence(p, one(range(9)))
     with pytest.raises(ValueError):
-        M.encode_sentence(p, [])
+        M.encode_sentence(p, one([]))
 
 
 def test_encode_sentence_permutation_oracle():
@@ -54,16 +60,17 @@ def test_encode_sentence_permutation_oracle():
     perm = rng.permutation(10)
     p2.tensors["embed.tok"].data[perm] = p1.tensors["embed.tok"].data
     ids = [0, 7, 3, 3, 9]
-    out1 = M.encode_sentence(p1, ids)
-    out2 = M.encode_sentence(p2, [int(perm[i]) for i in ids])
+    out1 = M.encode_sentence(p1, one(ids))
+    out2 = M.encode_sentence(p2, one([int(perm[i]) for i in ids]))
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
 def test_decode_instruction_shape():
     p = toy_params()
-    h_enc = M.encode_sentence(p, [1, 2, 3, 4])
-    h_dec = M.decode_instruction(p, h_enc, [5, 6, 7, 8, 9, 1])
-    assert h_dec.shape == (6, 8)
+    batch = one([1, 2, 3, 4], [5, 6, 7, 8, 9, 1])
+    h_enc = M.encode_sentence(p, batch)
+    h_dec = M.decode_instruction(p, h_enc, batch)
+    assert h_dec.shape == (1, 6, 8)
 
 
 def test_decode_instruction_zeroed_cross_attention_ignores_sentence():
@@ -72,48 +79,50 @@ def test_decode_instruction_zeroed_cross_attention_ignores_sentence():
         p.tensors[f"dec.{i}.cross.wo"].data[...] = 0.0
         p.tensors[f"dec.{i}.cross.bo"].data[...] = 0.0
     instr = [5, 6, 7]
-    out1 = M.decode_instruction(p, M.encode_sentence(p, [1, 2, 3, 4]), instr)
-    out2 = M.decode_instruction(p, M.encode_sentence(p, [9, 8, 2]), instr)
+    b1, b2 = one([1, 2, 3, 4], instr), one([9, 8, 2], instr)
+    out1 = M.decode_instruction(p, M.encode_sentence(p, b1), b1)
+    out2 = M.decode_instruction(p, M.encode_sentence(p, b2), b2)
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
 def test_decode_instruction_causal_mask():
     p = toy_params()
-    h_enc = M.encode_sentence(p, [1, 2, 3])
-    out1 = M.decode_instruction(p, h_enc, [5, 6, 7, 8])
-    out2 = M.decode_instruction(p, h_enc, [5, 9, 1, 2])
-    np.testing.assert_allclose(out1.data[0], out2.data[0], atol=1e-12)
-    assert not np.allclose(out1.data[1:], out2.data[1:])
+    b1, b2 = one([1, 2, 3], [5, 6, 7, 8]), one([1, 2, 3], [5, 9, 1, 2])
+    h_enc = M.encode_sentence(p, b1)
+    out1 = M.decode_instruction(p, h_enc, b1)
+    out2 = M.decode_instruction(p, h_enc, b2)
+    np.testing.assert_allclose(out1.data[0, 0], out2.data[0, 0], atol=1e-12)
+    assert not np.allclose(out1.data[0, 1:], out2.data[0, 1:])
 
 
 def test_gather_slots_identity_and_single():
-    h = Tensor(np.arange(12.0).reshape(4, 3))
-    all_rows = M.gather_slots(h, [0, 1, 2, 3])
+    h = Tensor(np.arange(12.0).reshape(1, 4, 3))
+    all_rows = M.gather_slots(h, [[0, 1, 2, 3]])
     np.testing.assert_array_equal(all_rows.data, h.data)
-    one = M.gather_slots(h, [3])
-    np.testing.assert_array_equal(one.data, h.data[3:4])
+    single = M.gather_slots(h, [[3]])
+    np.testing.assert_array_equal(single.data, h.data[:, 3:4])
 
 
 def test_gather_slots_grad_only_through_gathered_rows():
-    h = Tensor(np.random.default_rng(0).normal(size=(5, 3)), requires_grad=True)
+    h = Tensor(np.random.default_rng(0).normal(size=(1, 5, 3)), requires_grad=True)
     with Tape():
-        out = M.gather_slots(h, [1, 3])
+        out = M.gather_slots(h, [[1, 3]])
         ad.backward(ad.sum_all(out))
-    assert np.all(h.grad[[0, 2, 4]] == 0.0)
-    assert np.all(h.grad[[1, 3]] == 1.0)
-    fd = central_diff(lambda: ad.sum_all(M.gather_slots(h, [1, 3])).item(), h.data)
+    assert np.all(h.grad[0, [0, 2, 4]] == 0.0)
+    assert np.all(h.grad[0, [1, 3]] == 1.0)
+    fd = central_diff(lambda: ad.sum_all(M.gather_slots(h, [[1, 3]])).item(), h.data)
     assert max_rel_err(fd, h.grad) < 1e-4
 
 
 def test_label_attention_k1_degenerate():
     rng = np.random.default_rng(5)
-    h_enc = Tensor(rng.normal(size=(4, 8)))
-    h_slot = Tensor(rng.normal(size=(1, 8)))
+    h_enc = Tensor(rng.normal(size=(1, 4, 8)))
+    h_slot = Tensor(rng.normal(size=(1, 1, 8)))
     w1 = Tensor(rng.normal(size=(8, 8)))
     w2 = Tensor(rng.normal(size=(8, 8)))
     out = M.label_attention(h_enc, h_slot, w1, w2)
-    projected = h_slot.data @ w2.data
-    for row in out.data:
+    projected = h_slot.data[0] @ w2.data
+    for row in out.data[0]:
         np.testing.assert_allclose(row, projected[0], atol=1e-12)
 
 
@@ -121,23 +130,23 @@ def test_label_attention_convex_hull_bounds():
     rng = np.random.default_rng(6)
     for _ in range(20):
         n, k, d = rng.integers(2, 6), rng.integers(1, 5), 8
-        h_enc = Tensor(rng.normal(size=(n, d)))
-        h_slot = Tensor(rng.normal(size=(k, d)))
+        h_enc = Tensor(rng.normal(size=(1, n, d)))
+        h_slot = Tensor(rng.normal(size=(1, k, d)))
         w1 = Tensor(rng.normal(size=(d, d)))
         w2 = Tensor(rng.normal(size=(d, d)))
         out = M.label_attention(h_enc, h_slot, w1, w2)
-        projected = h_slot.data @ w2.data
+        projected = h_slot.data[0] @ w2.data
         lo = projected.min(axis=0) - 1e-9
         hi = projected.max(axis=0) + 1e-9
-        assert np.all(out.data >= lo) and np.all(out.data <= hi)
+        assert np.all(out.data[0] >= lo) and np.all(out.data[0] <= hi)
 
 
 def test_biaffine_shape():
     p = toy_params(k=2)
-    h_x = Tensor(np.random.default_rng(7).normal(size=(3, 8)))
+    h_x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 8)))
     _, _, m_x, logits = M.biaffine_score(h_x, p)
-    assert m_x.shape == (3, 3, 2)
-    assert logits.shape == (3, 3, 2)
+    assert m_x.shape == (1, 3, 3, 2)
+    assert logits.shape == (1, 3, 3, 2)
 
 
 def test_biaffine_constructed_weights_gram_matrix():
@@ -151,28 +160,29 @@ def test_biaffine_constructed_weights_gram_matrix():
     p.tensors["score.b"].data[...] = 0.0
     for w in ("w1", "b1", "w2", "b2"):
         p.tensors[f"tail_mlp.{w}"].data[...] = p.tensors[f"head_mlp.{w}"].data
-    h_x = Tensor(np.random.default_rng(9).normal(size=(4, d)))
+    h_x = Tensor(np.random.default_rng(9).normal(size=(1, 4, d)))
     h_head, h_tail, m_x, logits = M.biaffine_score(h_x, p)
     np.testing.assert_array_equal(h_head.data, h_tail.data)
-    expected = h_head.data @ h_head.data.T
-    np.testing.assert_allclose(m_x.data[:, :, 0], expected, atol=1e-12)
-    np.testing.assert_allclose(logits.data[:, :, 0], logits.data[:, :, 0].T, atol=1e-12)
+    expected = h_head.data[0] @ h_head.data[0].T
+    np.testing.assert_allclose(m_x.data[0, :, :, 0], expected, atol=1e-12)
+    np.testing.assert_allclose(logits.data[0, :, :, 0], logits.data[0, :, :, 0].T,
+                               atol=1e-12)
 
 
 def test_forward_shapes_and_state():
     p = toy_params(k=3)
-    state = M.forward(p, [1, 2, 3, 4], [5, 6, 7, 8, 9], [1, 2, 4])
-    assert state.h_enc.shape == (4, 8)
-    assert state.h_dec.shape == (5, 8)
-    assert state.h_slot.shape == (3, 8)
-    assert state.h_x.shape == (4, 8)
-    assert state.logits.shape == (4, 4, 3)
+    state = M.forward(p, one([1, 2, 3, 4], [5, 6, 7, 8, 9], [1, 2, 4]))
+    assert state.h_enc.shape == (1, 4, 8)
+    assert state.h_dec.shape == (1, 5, 8)
+    assert state.h_slot.shape == (1, 3, 8)
+    assert state.h_x.shape == (1, 4, 8)
+    assert state.logits.shape == (1, 4, 4, 3)
 
 
 def test_forward_instruction_changes_logits_not_shapes():
     p = toy_params(k=2)
-    s1 = M.forward(p, [1, 2, 3], [5, 6, 7, 8], [0, 2])
-    s2 = M.forward(p, [1, 2, 3], [8, 6, 5, 9], [1, 3])
+    s1 = M.forward(p, one([1, 2, 3], [5, 6, 7, 8], [0, 2]))
+    s2 = M.forward(p, one([1, 2, 3], [8, 6, 5, 9], [1, 3]))
     assert s1.logits.shape == s2.logits.shape
     assert not np.array_equal(s1.logits.data, s2.logits.data)
 
@@ -180,19 +190,19 @@ def test_forward_instruction_changes_logits_not_shapes():
 def test_forward_slot_count_must_match_channels():
     p = toy_params(k=3)
     with pytest.raises(ValueError):
-        M.forward(p, [1, 2], [3, 4], [0])
+        M.forward(p, one([1, 2], [3, 4], [0]))
 
 
 def test_residual_label_attention_flag():
     base = toy_params(k=2, seed=11, residual_label_attn=False)
     res = toy_params(k=2, seed=11, residual_label_attn=True)
-    s_base = M.forward(base, [1, 2, 3], [4, 5, 6], [0, 2])
-    s_res = M.forward(res, [1, 2, 3], [4, 5, 6], [0, 2])
+    s_base = M.forward(base, one([1, 2, 3], [4, 5, 6], [0, 2]))
+    s_res = M.forward(res, one([1, 2, 3], [4, 5, 6], [0, 2]))
     np.testing.assert_allclose(s_res.h_x.data, s_base.h_x.data + s_base.h_enc.data)
     # mixture-only rows stay inside the projected-slot convex hull
-    proj = s_base.h_slot.data @ base.tensors["label_attn.w2"].data
-    assert np.all(s_base.h_x.data <= proj.max(axis=0) + 1e-9)
-    assert np.all(s_base.h_x.data >= proj.min(axis=0) - 1e-9)
+    proj = s_base.h_slot.data[0] @ base.tensors["label_attn.w2"].data
+    assert np.all(s_base.h_x.data[0] <= proj.max(axis=0) + 1e-9)
+    assert np.all(s_base.h_x.data[0] >= proj.min(axis=0) - 1e-9)
 
 
 def test_group_partition_covers_all_params():
@@ -219,13 +229,12 @@ def test_reinit_channels_touches_only_channel_groups():
 def test_dropout_only_active_in_training_mode():
     p = toy_params(k=2, dropout=0.5)
     rng = np.random.default_rng(14)
-    eval1 = M.forward(p, [1, 2, 3], [4, 5], [0, 1])
-    eval2 = M.forward(p, [1, 2, 3], [4, 5], [0, 1])
+    batch = one([1, 2, 3], [4, 5], [0, 1])
+    eval1 = M.forward(p, batch)
+    eval2 = M.forward(p, batch)
     assert np.array_equal(eval1.logits.data, eval2.logits.data)
-    train1 = M.forward(p, [1, 2, 3], [4, 5], [0, 1], train=True,
-                       rng=np.random.default_rng(1))
-    train2 = M.forward(p, [1, 2, 3], [4, 5], [0, 1], train=True,
-                       rng=np.random.default_rng(2))
+    train1 = M.forward(p, batch, train=True, rng=np.random.default_rng(1))
+    train2 = M.forward(p, batch, train=True, rng=np.random.default_rng(2))
     assert not np.array_equal(train1.logits.data, train2.logits.data)
 
 
@@ -233,3 +242,64 @@ def test_small_gradcheck():
     report = run_gradcheck(d=4, layers=1, heads=2, n_tokens=3, n_instr=4,
                            num_channels=2, seed=1)
     assert report.passed, f"worst {report.worst_rel_err:.2e} at {report.worst_tensor}"
+
+
+# --- padded batches -----------------------------------------------------
+
+# Sentence lengths 1, max_len (8) and 4; instruction lengths 3, 7 and 5;
+# each instance with its own slot positions.
+MIXED = [
+    ([4], [5, 6, 7], [2, 0, 1]),
+    ([1, 2, 3, 4, 5, 6, 7, 8], [9, 8, 7, 6, 5, 4, 3], [6, 1, 3]),
+    ([3, 1, 4, 1], [2, 7, 1, 8, 2], [0, 4, 2]),
+]
+
+
+def _mixed_batch():
+    return make_batch(*[list(col) for col in zip(*MIXED)])
+
+
+def test_mixed_length_batch_matches_single_instance_forwards():
+    p = toy_params(k=3, seed=15)
+    batch = _mixed_batch()
+    logits = M.forward(p, batch).logits.data
+    assert logits.shape == (3, 8, 8, 3)
+    for b, (tokens, instr, slots) in enumerate(MIXED):
+        n = len(tokens)
+        alone = M.forward(p, one(tokens, instr, slots)).logits.data[0]
+        np.testing.assert_allclose(logits[b, :n, :n], alone, rtol=0, atol=1e-10)
+
+
+def test_batch_loss_gradient_is_mean_of_instance_gradients():
+    p = toy_params(k=3, seed=16)
+    rng = np.random.default_rng(17)
+    golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t, _, _ in MIXED]
+
+    expected = {name: np.zeros_like(t.data) for name, t in p.tensors.items()}
+    for (tokens, instr, slots), gold in zip(MIXED, golds):
+        p.zero_grads()
+        with Tape():
+            ad.backward(loss(M.forward(p, one(tokens, instr, slots)).logits, gold[None]))
+        for name, t in p.tensors.items():
+            expected[name] += t.grad / len(MIXED)
+
+    batch = _mixed_batch()
+    targets, weights = batch.loss_targets(golds)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    p.zero_grads()
+    with Tape():
+        ad.backward(loss(M.forward(p, batch).logits, targets, weights))
+    for name, t in p.tensors.items():
+        np.testing.assert_allclose(t.grad, expected[name], rtol=0, atol=1e-9,
+                                   err_msg=name)
+
+
+def test_make_batch_pads_and_validates():
+    batch = _mixed_batch()
+    assert batch.tokens.shape == (3, 8) and batch.instr.shape == (3, 7)
+    assert list(batch.n) == [1, 8, 4] and list(batch.m) == [3, 7, 5]
+    assert np.all(batch.tokens[0, 1:] == 0) and np.all(batch.instr[2, 5:] == 0)
+    with pytest.raises(ValueError):
+        make_batch([[1, 2]], [[3, 4]], [[2]])       # slot past its instruction
+    with pytest.raises(ValueError):
+        make_batch([[1], [2]], [[3], [4]], [[0], [0, 0]])   # ragged slot lists

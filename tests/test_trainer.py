@@ -292,6 +292,32 @@ def test_finetune_keeps_best_dev_params():
     assert result.best_dev_f1 == pytest.approx(best)
 
 
+def test_finetune_keeping_optimizer_onto_different_channel_count():
+    (a, b, _t), vocab, pool, params = small_run(size=8)
+    pre = TrainConfig(batch_size=4, pretrain_epochs=1)
+    state = TrainState.fresh(params, pre.lr)
+    T.pretrain(state, [a, b], pool, vocab, pre, seed=3, eval_dev=False)
+    enc_steps = state.optimizer.t["enc.0"]
+
+    target, templates = make_synth("re", 8, 4)[0]
+    for t in templates:
+        pool.add(parse_template(t, target.label_space, vocab, dataset_id=target.id))
+    k = target.label_space.num_channels
+    assert k != params.num_channels
+    params.reinit_channels(k, rng_for(3, "reinit"))
+    ft = TrainConfig(batch_size=4, finetune_epochs=1, reset_optimizer_on_finetune=False)
+    result = T.finetune(state, target, pool, vocab, ft, seed=3, eval_dev=False)
+
+    steps = len(result.step_reports)
+    optimizer = result.state.optimizer
+    assert steps == 2 and optimizer is state.optimizer
+    for name in params.groups["biaffine"] + params.groups["score"]:
+        assert optimizer.m[name].shape == params[name].shape
+    assert optimizer.t["biaffine"] == optimizer.t["score"] == steps
+    # groups whose tensors were kept keep their moments and step counts
+    assert optimizer.t["enc.0"] == enc_steps + steps
+
+
 def test_skip_rate_helper():
     reports = [
         T.StepReport(0, "a", 1.0, True, {"g1": {"dot": None, "updated": True}}),
