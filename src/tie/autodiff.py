@@ -57,8 +57,12 @@ class TapeError(RuntimeError):
 class Tensor:
     """A dense float64 array plus an optional same-shape gradient buffer.
 
-    ``grad`` exists exactly when ``requires_grad`` is set; it accumulates
-    across backward calls until explicitly zeroed. ``node_id`` is assigned
+    A tensor made with ``requires_grad=True`` (a leaf, e.g. a parameter)
+    gets a zero gradient buffer at once; it accumulates across backward
+    calls until explicitly zeroed, and reads zeros if no gradient reached
+    it. An op output starts with ``grad = None``; backward allocates its
+    buffer, with the strides of its data, when the first gradient arrives,
+    so an output off the loss path never gets one. ``node_id`` is assigned
     when the tensor is first touched by a tape.
     """
 
@@ -100,10 +104,12 @@ class Tape:
     """Execution-ordered record of differentiable ops for one backward pass.
 
     Records are appended as ops execute, so parents always precede their
-    consumers and a single reverse sweep visits each node exactly once. The
-    sweep drops each record once it has run: a record's closure and output
-    tensor refer back to the tape, and cycles left for the garbage collector
-    would hold every step's intermediates until a full collection.
+    consumers and a single reverse sweep visits each node exactly once. A
+    record runs only if its output received a gradient; the others lie off
+    the loss path and are skipped. The sweep drops each record once it has
+    been visited: a record's closure and output tensor refer back to the
+    tape, and cycles left for the garbage collector would hold every step's
+    intermediates until a full collection.
     """
 
     def __init__(self):
@@ -140,10 +146,11 @@ class Tape:
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
-        loss.grad[...] = 1.0
+        _accumulate(loss, np.ones_like(loss.data))
         while self._records:
             out, _parent_ids, fn = self._records.pop()
-            fn(out.grad)
+            if out.grad is not None:
+                fn(out.grad)
 
 
 def _active_tape():
@@ -154,7 +161,8 @@ def backward(loss: Tensor):
     """Accumulate gradients of a scalar loss into every requires-grad leaf.
 
     A loss with no tape attachment (a constant) is a no-op: untouched leaves
-    keep their zero gradients.
+    keep their zero gradients. Op outputs off the path to the loss keep
+    ``grad = None``.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -174,12 +182,25 @@ def _ensure_finite(arr, op: str):
 
 def _make(data, op: str, parents, backward_fn) -> Tensor:
     _ensure_finite(data, op)
+    out = Tensor(data)
     tape = _active_tape()
-    track = tape is not None and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track)
-    if track:
+    if tape is not None and any(p.requires_grad for p in parents):
+        out.requires_grad = True   # grad stays None until backward reaches it
         tape.record(out, parents, backward_fn)
     return out
+
+
+def _accumulate(t: Tensor, g):
+    """Add one gradient contribution into ``t.grad``. The first contribution
+    to an op output allocates the buffer with ``empty_like``, which keeps the
+    strides of ``t.data`` (a transposed output gets a transposed gradient,
+    so later products take the same BLAS path), and assigns into it; the
+    buffer never aliases ``g``."""
+    if t.grad is None:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -207,9 +228,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out_data, "matmul", (a, b), bw)
 
@@ -221,9 +242,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
         if b.requires_grad:
-            b.grad += g
+            _accumulate(b, g)
 
     return _make(a.data + b.data, "add", (a, b), bw)
 
@@ -236,9 +257,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            x.grad += g
+            _accumulate(x, g)
         if b.requires_grad:
-            b.grad += g.reshape(-1, n).sum(axis=0)
+            _accumulate(b, g.reshape(-1, n).sum(axis=0))
 
     return _make(x.data + b.data, "add_bias", (x, b), bw)
 
@@ -250,9 +271,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * b.data
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            b.grad += g * a.data
+            _accumulate(b, g * a.data)
 
     return _make(a.data * b.data, "mul", (a, b), bw)
 
@@ -263,7 +284,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * c
+            _accumulate(a, g * c)
 
     return _make(a.data * c, "scale", (a,), bw)
 
@@ -282,6 +303,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def bw(g):
         if table.requires_grad:
+            if table.grad is None:   # an op output used as a table
+                table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx.reshape(-1), g.reshape(-1, d))
 
     return _make(table.data[idx], "embedding_lookup", (table,), bw)
@@ -303,14 +326,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bw(g):
         if gain.requires_grad:
-            gain.grad += (g * xhat).reshape(-1, n).sum(axis=0)
+            _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0))
         if bias.requires_grad:
-            bias.grad += g.reshape(-1, n).sum(axis=0)
+            _accumulate(bias, g.reshape(-1, n).sum(axis=0))
         if x.requires_grad:
             gy = g * gain.data
             m1 = gy.mean(axis=-1, keepdims=True)
             m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            x.grad += (gy - m1 - xhat * m2) * inv
+            _accumulate(x, (gy - m1 - xhat * m2) * inv)
 
     return _make(out, "layer_norm", (x, gain, bias), bw)
 
@@ -323,7 +346,7 @@ def gelu(x: Tensor) -> Tensor:
     def bw(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            x.grad += g * (cdf + x.data * pdf)
+            _accumulate(x, g * (cdf + x.data * pdf))
 
     return _make(out, "gelu", (x,), bw)
 
@@ -337,7 +360,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g.transpose(inverse)
+            _accumulate(a, g.transpose(inverse))
 
     return _make(a.data.transpose(perm), "transpose", (a,), bw)
 
@@ -350,7 +373,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g.reshape(old)
+            _accumulate(a, g.reshape(old))
 
     return _make(a.data.reshape(shape), "reshape", (a,), bw)
 
@@ -360,7 +383,7 @@ def sum_all(a: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
 
     return _make(np.asarray(a.data.sum()), "sum_all", (a,), bw)
 
@@ -374,7 +397,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
             s = (g * out).sum(axis=-1, keepdims=True)
-            a.grad += (g - s) * out
+            _accumulate(a, (g - s) * out)
 
     return _make(out, "softmax_rows", (a,), bw)
 
@@ -393,7 +416,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * out * (1.0 - out)
+            _accumulate(a, g * out * (1.0 - out))
 
     return _make(out, "sigmoid", (a,), bw)
 
@@ -422,7 +445,7 @@ def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
 
     def bw(g):
         if logits.requires_grad:
-            logits.grad += (_sigmoid(z) - t) * (w * float(g))
+            _accumulate(logits, (_sigmoid(z) - t) * (w * float(g)))
 
     return _make(np.asarray(value), "bce_with_logits", (logits,), bw)
 
@@ -437,6 +460,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * mask
+            _accumulate(a, g * mask)
 
     return _make(a.data * mask, "dropout", (a,), bw)

@@ -123,45 +123,90 @@ def load_checkpoint(path) -> Checkpoint:
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) != crc:
         raise CheckpointError(f"{path}: payload CRC mismatch")
+    try:
+        return _restore(path, header, payload)
+    except CheckpointError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError, OverflowError) as exc:
+        # a key missing from the header, or a value of the wrong type or range
+        raise CheckpointError(
+            f"{path}: malformed header ({type(exc).__name__}: {exc})"
+        ) from None
 
+
+def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
     arrays = {}
     for entry in header["manifest"]:
+        if entry["dtype"] != "f8":
+            raise CheckpointError(f"{path}: tensor {entry['name']} has dtype {entry['dtype']!r}")
         dims = tuple(entry["dims"])
         count = int(np.prod(dims, dtype=np.int64)) if dims else 1
         start = entry["offset"]
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(dims).astype(np.float64)
 
-    config = ModelConfig.from_json(header["model_config"])
-    num_channels = int(header["num_channels"])
-    params = Parameters(config, num_channels, np.random.default_rng(0))
-    for name in params.names():
-        key = f"param/{name}"
+    def take(key, shape):
         if key not in arrays:
             raise CheckpointError(f"{path}: missing tensor {key}")
-        params.tensors[name].data[...] = arrays[key]
+        if arrays[key].shape != shape:
+            raise CheckpointError(
+                f"{path}: tensor {key} has shape {arrays[key].shape}, expected {shape}"
+            )
+        return arrays[key]
+
+    stored = header["model_config"]
+    if set(stored) != set(ModelConfig().to_json()):
+        # a missing field would silently take its default, e.g. another head count
+        raise CheckpointError(f"{path}: model_config fields {sorted(stored)} do not match "
+                              f"the model's")
+    config = ModelConfig.from_json(stored)
+    num_channels = int(header["num_channels"])
+    params = Parameters(config, num_channels, np.random.default_rng(0))
+    for name, t in params.tensors.items():
+        t.data[...] = take(f"param/{name}", t.shape)
 
     adam_meta = header["adam"]
-    optimizer = Adam(params, lr=adam_meta["lr"], beta1=adam_meta["beta1"],
-                     beta2=adam_meta["beta2"], eps=adam_meta["eps"])
-    optimizer.t = {g: int(v) for g, v in adam_meta["t"].items()}
-    for name in params.names():
-        optimizer.m[name][...] = arrays[f"adam.m/{name}"]
-        optimizer.v[name][...] = arrays[f"adam.v/{name}"]
+    lr, beta1, beta2, eps = (float(adam_meta[k]) for k in ("lr", "beta1", "beta2", "eps"))
+    if not (lr > 0 and eps > 0 and 0 <= beta1 < 1 and 0 <= beta2 < 1):
+        raise CheckpointError(f"{path}: Adam settings out of range: "
+                              f"lr={lr} beta1={beta1} beta2={beta2} eps={eps}")
+    optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    steps = {g: _count(path, adam_meta["t"], g) for g in adam_meta["t"]}
+    if set(steps) != set(params.groups):
+        raise CheckpointError(f"{path}: Adam step counts do not cover the model's groups")
+    optimizer.t = steps
+    for name, t in params.tensors.items():
+        optimizer.m[name][...] = take(f"adam.m/{name}", t.shape)
+        optimizer.v[name][...] = take(f"adam.v/{name}", t.shape)
 
     snapshot = GradientSnapshot()
-    snapshot.prev = {
-        entry["name"][len("snapshot/"):]: arrays[entry["name"]].copy()
-        for entry in header["manifest"] if entry["name"].startswith("snapshot/")
-    }
+    for name in arrays:
+        if name.startswith("snapshot/"):
+            group = name[len("snapshot/"):]
+            if group not in params.groups:
+                raise CheckpointError(f"{path}: snapshot of unknown group {group!r}")
+            snapshot.prev[group] = take(name, (params.group_size(group),)).copy()
 
-    state = TrainState(params=params, optimizer=optimizer, snapshot=snapshot,
-                       step=int(header["step"]))
+    tokens = header["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointError(f"{path}: vocab must be a list of strings")
+    step = _count(path, header, "step")
+    state = TrainState(params=params, optimizer=optimizer, snapshot=snapshot, step=step)
     return Checkpoint(
         config=config,
         num_channels=num_channels,
-        seed=int(header["seed"]),
-        step=int(header["step"]),
-        vocab=Vocabulary.from_json(header["vocab"]),
+        seed=_count(path, header, "seed"),
+        step=step,
+        vocab=Vocabulary.from_json(tokens),
         state=state,
     )
+
+
+def _count(path: Path, fields: dict, key: str) -> int:
+    """A header field that must be a non-negative JSON integer."""
+    value = fields[key]
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"{path}: header field {key!r} must be a non-negative "
+                              f"integer, got {value!r}")
+    return value

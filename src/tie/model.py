@@ -216,7 +216,21 @@ class Parameters:
         return {name: t.grad.copy() for name, t in self.tensors.items()}
 
     def flat_group(self, group: str, arrays: dict) -> np.ndarray:
+        """The group's arrays, in group order and each flattened, as one vector."""
         return np.concatenate([arrays[n].reshape(-1) for n in self.groups[group]])
+
+    def group_size(self, group: str) -> int:
+        return sum(self.tensors[n].size for n in self.groups[group])
+
+    def split_group(self, group: str, flat: np.ndarray) -> dict:
+        """Views into a ``flat_group``-layout vector, one per tensor of the
+        group, each with that tensor's shape."""
+        views, lo = {}, 0
+        for name in self.groups[group]:
+            t = self.tensors[name]
+            views[name] = flat[lo:lo + t.size].reshape(t.shape)
+            lo += t.size
+        return views
 
     def copy_values(self) -> dict:
         return {name: t.data.copy() for name, t in self.tensors.items()}

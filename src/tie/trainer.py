@@ -162,12 +162,21 @@ class GradientSnapshot:
         self.prev: dict[str, np.ndarray] = {}
 
     def store(self, flat_by_group: dict):
-        self.prev = {g: a.copy() for g, a in flat_by_group.items()}
+        """Keep the given per-group vectors; the caller hands them over and
+        must not write to them afterwards."""
+        self.prev = dict(flat_by_group)
 
 
 class Adam:
     """Adaptive update with per-group step counters so frozen groups keep
-    their moments and bias correction untouched."""
+    their moments and bias correction untouched.
+
+    Each group's moments live in one flat vector (``m_flat[group]``,
+    ``v_flat[group]``), laid out like ``Parameters.flat_group``: the group's
+    tensors in order, each flattened. ``m[name]`` and ``v[name]`` are
+    views into those vectors with the tensor's shape, so writing through
+    them (as checkpoint loading does) sets the optimizer state.
+    """
 
     def __init__(self, params: Parameters, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -175,33 +184,48 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
-        self.t = {g: 0 for g in params.groups}
-        self._owners = dict(params.tensors)   # the tensors the moments belong to
+        self.m_flat: dict[str, np.ndarray] = {}
+        self.v_flat: dict[str, np.ndarray] = {}
+        self.m = dict.fromkeys(params.tensors)   # views, in parameter order
+        self.v = dict.fromkeys(params.tensors)
+        self.t: dict[str, int] = {}
+        self._owners = {}   # the tensors the moments belong to
+        for group in params.groups:
+            self._fresh_group(params, group)
+
+    def _fresh_group(self, params: Parameters, group: str):
+        for flat, views in ((self.m_flat, self.m), (self.v_flat, self.v)):
+            flat[group] = np.zeros(params.group_size(group))
+            views.update(params.split_group(group, flat[group]))
+        for name in params.groups[group]:
+            self._owners[name] = params[name]
+        self.t[group] = 0
 
     def sync(self, params: Parameters):
         """Fresh moments and step count for every group whose tensors were
         re-created since this optimizer saw them (``reinit_channels``)."""
         for group, names in params.groups.items():
-            if all(self._owners[n] is params[n] for n in names):
-                continue
-            for name in names:
-                self.m[name] = np.zeros_like(params[name].data)
-                self.v[name] = np.zeros_like(params[name].data)
-                self._owners[name] = params[name]
-            self.t[group] = 0
+            if any(self._owners[n] is not params[n] for n in names):
+                self._fresh_group(params, group)
 
-    def update_group(self, params: Parameters, group: str, grads: dict):
+    def update_group(self, params: Parameters, group: str, flat_grad: np.ndarray):
+        """One Adam step for ``group`` from its flat gradient
+        (``Parameters.flat_group`` layout); ``flat_grad`` is only read."""
         self.t[group] += 1
         t = self.t[group]
-        for name in params.groups[group]:
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1 ** t)
-            v_hat = self.v[name] / (1 - self.beta2 ** t)
-            params[name].data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m_flat[group], self.v_flat[group]
+        m *= self.beta1
+        m += (1 - self.beta1) * flat_grad
+        v *= self.beta2
+        v += (1 - self.beta2) * flat_grad * flat_grad
+        step = m / (1 - self.beta1 ** t)
+        step *= self.lr
+        denom = v / (1 - self.beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        for name, delta in params.split_group(group, step).items():
+            params[name].data -= delta
 
 
 @dataclass
@@ -235,11 +259,12 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
     current gradients for every group, updated or not. Returns per-group
     decisions {"dot", "updated"}.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in {name}")
-
     flat = {g: params.flat_group(g, grads) for g in params.groups}
+    for group, vec in flat.items():
+        # the sum screens; an overflowing sum of finite values is rechecked
+        if not np.isfinite(vec.sum()) and not np.isfinite(vec).all():
+            name = next(n for n in params.groups[group] if not np.isfinite(grads[n]).all())
+            raise TrainingDiverged(f"non-finite gradient in {name}")
     decisions = {}
 
     if gate and granularity == "global":
@@ -253,7 +278,7 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
         for group in params.groups:
             decisions[group] = {"dot": dot, "updated": update_all}
             if update_all:
-                optimizer.update_group(params, group, grads)
+                optimizer.update_group(params, group, flat[group])
     else:
         for group in params.groups:
             if not gate:
@@ -265,7 +290,7 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
                 dot, updated = None, True
             decisions[group] = {"dot": dot, "updated": updated}
             if updated:
-                optimizer.update_group(params, group, grads)
+                optimizer.update_group(params, group, flat[group])
 
     snapshot.store(flat)
     return decisions

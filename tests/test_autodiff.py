@@ -175,6 +175,49 @@ def test_dropout_zero_rate_is_identity():
     assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
 
+def test_op_output_grad_is_lazy_and_keeps_strides():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)))
+    with Tape():
+        xt = ad.transpose(x)
+        out = ad.matmul(xt, w)
+        assert xt.grad is None and out.grad is None
+        ad.backward(ad.sum_all(out))
+    assert not xt.data.flags.c_contiguous
+    assert xt.grad.strides == xt.data.strides
+    np.testing.assert_array_equal(xt.grad, np.ones((5, 2)) @ w.data.T)
+
+
+def test_branch_off_the_loss_path_is_skipped():
+    x = Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    unused = Tensor(np.ones(3), requires_grad=True)
+    calls = []
+    with Tape():
+        side = ad._make(x.data * 3.0, "probe", (x,), calls.append)
+        touched = ad.add(side, unused)   # consumes the leaf, but off the path too
+        ad.backward(ad.sum_all(ad.mul(x, x)))
+    assert side.grad is None and touched.grad is None
+    assert calls == []
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+    # a leaf that got no gradient still reads zeros
+    np.testing.assert_array_equal(unused.grad, np.zeros(3))
+
+
+def test_tensor_reached_twice_gets_exact_sum_in_its_own_buffer():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = rng.normal(size=(2, 3))
+    with Tape():
+        y = ad.scale(x, 0.7)
+        z = ad.add(y, y)
+        ad.backward(ad.sum_all(ad.mul(z, Tensor(w))))
+    np.testing.assert_array_equal(z.grad, w)   # not doubled in place by y's second add
+    np.testing.assert_array_equal(y.grad, w + w)
+    assert not np.shares_memory(y.grad, z.grad)
+    np.testing.assert_array_equal(x.grad, (w + w) * 0.7)
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 4))
@@ -225,6 +268,9 @@ def _op_cases(rng):
     ids_2d = rng.integers(0, 5, size=(2, m))
     cases.append(("embedding_lookup_nd", [table],
                   lambda t: ad.embedding_lookup(t[0], ids_2d)))
+    # a table that is itself an op output gets its gradient buffer from the scatter
+    cases.append(("embedding_lookup_of_op_output", [b],
+                  lambda t: ad.embedding_lookup(ad.transpose(t[0]), ids % n)))
 
     g = rng.normal(size=(n,)) + 1.0
     bb = rng.normal(size=(n,))

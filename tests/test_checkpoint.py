@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -114,3 +117,97 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def _split_header(raw: bytes):
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + header_len]), raw[12 + header_len:]
+
+
+def _with_header(raw: bytes, header) -> bytes:
+    """The same file with its JSON header replaced; payload and CRC kept."""
+    _, rest = _split_header(raw)
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(body)) + body + rest
+
+
+def _header_mutants(header, rng):
+    """(label, mutated header) pairs: deleted keys, null or wrong-typed
+    values, dropped or damaged manifest entries, non-object headers."""
+    wrong = [None, "x", [], {}, -1, 0, 1.5, True]
+    adam_keys = list(header["adam"])
+    for key in list(header):
+        yield f"del {key}", {k: v for k, v in header.items() if k != key}
+        for value in wrong:
+            yield f"{key}={value!r}", {**header, key: value}
+    for key in adam_keys:
+        yield f"del adam.{key}", {**header, "adam": {k: v for k, v in header["adam"].items()
+                                                      if k != key}}
+        for value in wrong:
+            yield f"adam.{key}={value!r}", {**header, "adam": {**header["adam"], key: value}}
+    for group in header["adam"]["t"]:
+        t = {g: v for g, v in header["adam"]["t"].items() if g != group}
+        yield f"del adam.t.{group}", {**header, "adam": {**header["adam"], "t": t}}
+    for key in header["model_config"]:
+        cfg = {k: v for k, v in header["model_config"].items() if k != key}
+        yield f"del model_config.{key}", {**header, "model_config": cfg}
+        value = wrong[int(rng.integers(len(wrong)))]
+        yield (f"model_config.{key}={value!r}",
+               {**header, "model_config": {**header["model_config"], key: value}})
+    manifest = header["manifest"]
+    for i in rng.choice(len(manifest), size=40, replace=False):
+        kept = manifest[:i] + manifest[i + 1:]
+        yield f"drop {manifest[i]['name']}", {**header, "manifest": kept}
+        field = ["name", "dims", "offset", "dtype"][int(rng.integers(4))]
+        value = wrong[int(rng.integers(len(wrong)))]
+        entry = {**manifest[i], field: value}
+        yield (f"{manifest[i]['name']}.{field}={value!r}",
+               {**header, "manifest": manifest[:i] + [entry] + manifest[i + 1:]})
+    for value in wrong[:5]:
+        yield f"header={value!r}", value
+
+
+def test_malformed_header_fuzz_loads_or_raises_checkpoint_error(tmp_path):
+    (a, b, _t), vocab, pool, params, cfg, k = fixture()
+    tcfg = TrainConfig(batch_size=4, pretrain_epochs=1, pretrain_max_steps=2)
+    state = TrainState.fresh(params, tcfg.lr)
+    T.pretrain(state, [a, b], pool, vocab, tcfg, seed=4, eval_dev=False)
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, Checkpoint(config=cfg, num_channels=k, seed=4, step=state.step,
+                                     vocab=vocab, state=state))
+    raw = path.read_bytes()
+    header, _ = _split_header(raw)
+    rng = np.random.default_rng(11)
+    cases = list(_header_mutants(header, rng))
+    cases += [(f"truncate to {n}", raw[:n])
+              for n in sorted(rng.integers(0, len(raw), size=40))]
+
+    outcomes = {"loaded": 0, "rejected": 0}
+    bad = tmp_path / "bad.ckpt"
+    for label, mutant in cases:
+        bad.write_bytes(mutant if isinstance(mutant, bytes) else _with_header(raw, mutant))
+        try:
+            load_checkpoint(bad)
+        except CheckpointError:
+            outcomes["rejected"] += 1
+        except Exception as exc:  # noqa: BLE001 - the assertion is that none escape
+            pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 0.5 * len(cases)
+    # the named fault cases are rejected, not loaded
+    for key in ("adam", "step", "seed", "vocab", "manifest", "num_channels"):
+        bad.write_bytes(_with_header(raw, {k: v for k, v in header.items() if k != key}))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+    heads = {k: v for k, v in header["model_config"].items() if k != "heads"}
+    bad.write_bytes(_with_header(raw, {**header, "model_config": heads}))
+    with pytest.raises(CheckpointError, match="model_config"):
+        load_checkpoint(bad)
+    bad.write_bytes(_with_header(raw, {**header, "step": None}))
+    with pytest.raises(CheckpointError, match="step"):
+        load_checkpoint(bad)
+    dropped = [e for e in header["manifest"] if not e["name"].startswith("adam.m/")]
+    bad.write_bytes(_with_header(raw, {**header, "manifest": dropped}))
+    with pytest.raises(CheckpointError, match="adam.m/"):
+        load_checkpoint(bad)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 from tie.cli import main
 
+from test_checkpoint import _split_header, _with_header
+
 
 def make_config(tmp_path, kind="aligned_pair", size=8, seed=5, train=None, model=None):
     data_dir = tmp_path / "data"
@@ -113,6 +115,20 @@ def test_missing_checkpoint_nonzero_exit(tmp_path, capsys):
                "--checkpoint", str(tmp_path / "does-not-exist.ckpt")])
     assert rc == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_header_exits_2(tmp_path, capsys):
+    cfg_path, config = make_config(tmp_path)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    ckpt = Path(config["out"]) / "pretrained.ckpt"
+    raw = ckpt.read_bytes()
+    header, _ = _split_header(raw)
+    del header["adam"]
+    ckpt.write_bytes(_with_header(raw, header))
+    rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "ev"),
+               "--checkpoint", str(ckpt)])
+    assert rc == 2
+    assert "malformed header" in capsys.readouterr().err
 
 
 def _absa_retarget(tmp_path, train=None):

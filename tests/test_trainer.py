@@ -217,6 +217,96 @@ def test_gate_nan_gradient_aborts():
         gated_step(p, snap, bad, adam)
 
 
+def test_gate_nan_in_the_middle_of_a_large_group_is_named():
+    p = tiny_params()
+    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    bad = ones_grads(p)
+    bad["dec.0.cross.wv"][1, 2] = np.inf
+    names = p.groups["dec.0"]
+    assert 0 < names.index("dec.0.cross.wv") < len(names) - 1
+    with pytest.raises(TrainingDiverged, match=r"dec\.0\.cross\.wv"):
+        gated_step(p, snap, bad, adam)
+
+
+def test_gate_accepts_finite_gradients_whose_sum_overflows():
+    p = tiny_params()
+    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    big = ones_grads(p)
+    big["score.w"][...] = 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(p.flat_group("score", big).sum())
+        decisions = gated_step(p, snap, big, adam)
+    assert decisions["score"]["updated"]
+    assert np.isfinite(p["score.w"].data).all()
+
+
+# --- Adam ---------------------------------------------------------------
+
+
+def test_flat_adam_matches_per_tensor_formula_bit_for_bit():
+    p = tiny_params(seed=1)
+    adam = Adam(p, lr=3e-3)
+    ref_p = p.copy_values()
+    ref_m = {n: np.zeros_like(a) for n, a in ref_p.items()}
+    ref_v = {n: np.zeros_like(a) for n, a in ref_p.items()}
+    ref_t = {g: 0 for g in p.groups}
+    rng = np.random.default_rng(2)
+    for step in range(5):
+        grads = {n: rng.normal(size=t.shape) for n, t in p.tensors.items()}
+        for group, names in p.groups.items():
+            if group == "dec.0" and step == 2:
+                continue   # frozen this step
+            adam.update_group(p, group, p.flat_group(group, grads))
+            ref_t[group] += 1
+            t = ref_t[group]
+            for n in names:   # the per-tensor formula
+                g = grads[n]
+                ref_m[n] = adam.beta1 * ref_m[n] + (1 - adam.beta1) * g
+                ref_v[n] = adam.beta2 * ref_v[n] + (1 - adam.beta2) * g * g
+                m_hat = ref_m[n] / (1 - adam.beta1 ** t)
+                v_hat = ref_v[n] / (1 - adam.beta2 ** t)
+                ref_p[n] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+    assert adam.t == ref_t and adam.t["dec.0"] == 4
+    for n, t in p.tensors.items():
+        assert np.array_equal(t.data, ref_p[n]), n
+        assert np.array_equal(adam.m[n], ref_m[n]), n
+        assert np.array_equal(adam.v[n], ref_v[n]), n
+
+
+def test_adam_moment_views_share_the_group_vector():
+    p = tiny_params()
+    adam = Adam(p, lr=1e-3)
+    gated_step(p, GradientSnapshot(), ones_grads(p), adam)
+    for group, names in p.groups.items():
+        for n in names:
+            assert adam.m[n].shape == p[n].shape
+            assert np.shares_memory(adam.m[n], adam.m_flat[group])
+            assert np.shares_memory(adam.v[n], adam.v_flat[group])
+        np.testing.assert_array_equal(adam.m_flat[group], p.flat_group(group, adam.m))
+    assert list(adam.m) == p.names()
+
+
+def test_adam_sync_rebuilds_views_of_recreated_groups():
+    p = tiny_params(k=2)
+    adam = Adam(p, lr=1e-3)
+    gated_step(p, GradientSnapshot(), ones_grads(p), adam)
+    kept = adam.m_flat["enc.0"]
+    old = adam.m_flat["biaffine"]
+    p.reinit_channels(3, np.random.default_rng(1))
+    adam.sync(p)
+    assert adam.m_flat["enc.0"] is kept and adam.t["enc.0"] == 1
+    for group in ("biaffine", "score"):
+        assert adam.t[group] == 0
+        assert not adam.m_flat[group].any() and not adam.v_flat[group].any()
+        for n in p.groups[group]:
+            assert adam.m[n].shape == adam.v[n].shape == p[n].shape
+            assert np.shares_memory(adam.m[n], adam.m_flat[group])
+            assert np.shares_memory(adam.v[n], adam.v_flat[group])
+            assert not np.shares_memory(adam.m[n], old)
+    gated_step(p, GradientSnapshot(), ones_grads(p), adam)
+    assert adam.m["biaffine.w3"].any()
+
+
 # --- end-to-end training ------------------------------------------------
 
 
