@@ -62,18 +62,17 @@ class Tensor:
     calls until explicitly zeroed, and reads zeros if no gradient reached
     it. An op output starts with ``grad = None``; backward allocates its
     buffer, with the strides of its data, when the first gradient arrives,
-    so an output off the loss path never gets one. ``node_id`` is assigned
-    when the tensor is first touched by a tape.
+    so an output off the loss path never gets one. ``_tape`` is the tape
+    that recorded the op making this tensor, if any.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_tape")
+    __slots__ = ("data", "grad", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if self.requires_grad else None
-        self.node_id = None
         self._tape = None
 
     @property
@@ -113,9 +112,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (out tensor, parent node ids, backward closure)
+        self._records = []  # (out tensor, backward closure)
         self._consumed = False
-        self._n_nodes = 0
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -126,17 +124,11 @@ class Tape:
         assert popped is self
         return False
 
-    def _touch(self, t: Tensor) -> int:
-        if t._tape is not self or t.node_id is None:
-            t.node_id = self._n_nodes
-            self._n_nodes += 1
-        return t.node_id
-
     def record(self, out: Tensor, parents, backward_fn):
-        parent_ids = tuple(self._touch(p) for p in parents)
-        self._touch(out)
+        """Append the op that made ``out``; ``backward_fn(out.grad)`` passes
+        its gradient on to ``parents``, which the closure holds itself."""
         out._tape = self
-        self._records.append((out, parent_ids, backward_fn))
+        self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor):
         if self._consumed:
@@ -148,7 +140,7 @@ class Tape:
         self._consumed = True
         _accumulate(loss, np.ones_like(loss.data))
         while self._records:
-            out, _parent_ids, fn = self._records.pop()
+            out, fn = self._records.pop()
             if out.grad is not None:
                 fn(out.grad)
 

@@ -136,15 +136,19 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
+    if _count(path, header, "format_version") != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: header format_version {header['format_version']} "
+                              f"does not match the file's {FORMAT_VERSION}")
     arrays = {}
+    extents = []   # (name, offset, bytes) in manifest order
     for entry in header["manifest"]:
         if entry["dtype"] != "f8":
             raise CheckpointError(f"{path}: tensor {entry['name']} has dtype {entry['dtype']!r}")
         dims = tuple(entry["dims"])
         count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=entry["offset"])
         arrays[entry["name"]] = arr.reshape(dims).astype(np.float64)
+        extents.append((entry["name"], entry["offset"], arr.nbytes))
 
     def take(key, shape):
         if key not in arrays:
@@ -187,6 +191,19 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
             if group not in params.groups:
                 raise CheckpointError(f"{path}: snapshot of unknown group {group!r}")
             snapshot.prev[group] = take(name, (params.group_size(group),)).copy()
+    if snapshot.prev and set(snapshot.prev) != set(params.groups):
+        # the gate stores every group's gradient at once, so a real snapshot
+        # is empty (before the first step) or complete
+        raise CheckpointError(f"{path}: snapshot covers only groups {sorted(snapshot.prev)}")
+
+    # checked once every tensor was found, so a missing one is named as such
+    offset = 0
+    for name, start, size in extents:
+        if start != offset:   # tensors lie back to back in manifest order
+            raise CheckpointError(f"{path}: tensor {name} at offset {start}, expected {offset}")
+        offset += size
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: manifest covers {offset} payload bytes of {len(payload)}")
 
     tokens = header["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):

@@ -20,10 +20,10 @@ from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_check
 from .data import DataError, build_vocab, load_jsonl, load_manifest
 from .evaluate import evaluate_split, predict_instances
 from .gradcheck import run_gradcheck
-from .instructions import InstructionError, InstructionPool, parse_template
+from .instructions import InstructionError, build_pool, read_templates
 from .model import ModelConfig, Parameters
 from .synth import SYNTH_KINDS, write_synth
-from .trainer import TrainConfig, TrainState, rng_for
+from .trainer import TrainConfig, TrainResult, TrainState, rng_for
 from . import trainer
 
 __all__ = ["main", "RunConfig", "ConfigError"]
@@ -70,6 +70,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict, base: Path) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config: top level must be a JSON object")
+        for key in ("model", "train"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(f"{key}: must be a JSON object")
         if overrides.get("seed") is not None:
             raw["seed"] = overrides["seed"]
         if overrides.get("out") is not None:
@@ -82,6 +87,10 @@ class RunConfig:
         if "out" not in raw:
             raise ConfigError("out: required field is missing")
         try:
+            seed = int(raw["seed"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"seed: must be an integer, got {raw['seed']!r}") from None
+        try:
             model = ModelConfig.from_json(raw.get("model", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from None
@@ -90,23 +99,24 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"train: {exc}") from None
 
-        def resolve(p):
-            p = Path(p)
-            return p if p.is_absolute() else base / p
+        def resolve(where, p):
+            if not isinstance(p, str):
+                raise ConfigError(f"{where}: must be a path string, got {p!r}")
+            p = Path(p) if Path(p).is_absolute() else base / p
+            if not p.exists():
+                raise ConfigError(f"{where}: path not found: {p}")
+            return str(p)
 
-        sources = [str(resolve(p)) for p in raw.get("sources", [])]
-        target = str(resolve(raw["target"])) if raw.get("target") else None
-        instructions = [str(resolve(p)) for p in raw.get("instructions", [])]
-        for i, p in enumerate(sources):
-            if not Path(p).exists():
-                raise ConfigError(f"sources[{i}]: path not found: {p}")
-        if target and not Path(target).exists():
-            raise ConfigError(f"target: path not found: {target}")
-        for i, p in enumerate(instructions):
-            if not Path(p).exists():
-                raise ConfigError(f"instructions[{i}]: path not found: {p}")
+        def resolve_list(key):
+            paths = raw.get(key, [])
+            if not isinstance(paths, list):
+                raise ConfigError(f"{key}: must be a list of paths, got {paths!r}")
+            return [resolve(f"{key}[{i}]", p) for i, p in enumerate(paths)]
 
-        return cls(seed=int(raw["seed"]), out=str(raw["out"]), model=model,
+        sources = resolve_list("sources")
+        target = resolve("target", raw["target"]) if raw.get("target") else None
+        instructions = resolve_list("instructions")
+        return cls(seed=seed, out=str(raw["out"]), model=model,
                    train=train, sources=sources, target=target,
                    instructions=instructions, lowercase=bool(raw.get("lowercase", False)))
 
@@ -155,28 +165,6 @@ class _OutDir:
         )
 
 
-def _raw_templates(paths) -> dict:
-    """instruction file path list -> {dataset id: [template strings]}"""
-    out = {}
-    for p in paths:
-        spec = json.loads(Path(p).read_text(encoding="utf-8"))
-        for key in ("dataset", "templates"):
-            if key not in spec:
-                raise ConfigError(f"instructions: {p} missing field {key!r}")
-        out.setdefault(spec["dataset"], []).extend(spec["templates"])
-    return out
-
-
-def _build_pool(datasets, templates_by_id, vocab, max_instr_len) -> InstructionPool:
-    pool = InstructionPool()
-    for ds in datasets:
-        for template in templates_by_id.get(ds.id, []):
-            pool.add(parse_template(template, ds.label_space, vocab,
-                                    dataset_id=ds.id, max_instr_len=max_instr_len))
-    pool.require([ds.id for ds in datasets])
-    return pool
-
-
 def _load_datasets(paths, config: RunConfig):
     return [load_manifest(p, max_len=config.model.max_len, lowercase=config.lowercase)
             for p in paths]
@@ -204,12 +192,37 @@ def _score_table(reports: dict) -> str:
     return "\n".join(rows)
 
 
+def _fresh_start(config: RunConfig, datasets, templates: dict, num_channels: int):
+    """Vocabulary and untrained state for a run without a checkpoint."""
+    flat = [t for ts in templates.values() for t in ts]
+    vocab = build_vocab(datasets, min_count=config.train.min_count, extra_texts=flat)
+    model_cfg = ModelConfig(**{**config.model.to_json(), "vocab_size": len(vocab)})
+    params = Parameters(model_cfg, num_channels, rng_for(config.seed, "init"))
+    return vocab, TrainState.fresh(params, config.train.lr)
+
+
+def _write_training(out: _OutDir, config: RunConfig, result: TrainResult, vocab,
+                    ckpt_name: str) -> Path:
+    """Step reports, epoch metrics, the checkpoint and the echoed config."""
+    out.write_jsonl("step_reports.jsonl", [r.to_json() for r in result.step_reports])
+    out.write_jsonl("epoch_metrics.jsonl", result.epoch_metrics)
+    ckpt_path = out.path(ckpt_name)
+    params = result.state.params
+    save_checkpoint(ckpt_path, Checkpoint(
+        config=params.config, num_channels=params.num_channels, seed=config.seed,
+        step=result.state.step, vocab=vocab, state=result.state,
+    ))
+    out.write_json("config.json", config.to_json())
+    out.finish()
+    return ckpt_path
+
+
 def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
     out = _OutDir(config.out)
     sources = _load_datasets(config.sources, config)
     if len(sources) < 2:
         raise ConfigError("sources: pretraining needs at least 2 source datasets")
-    templates = _raw_templates(config.instructions)
+    templates = read_templates(config.instructions)
 
     if checkpoint_path:
         ckpt = load_checkpoint(checkpoint_path)
@@ -217,29 +230,14 @@ def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
             raise ConfigError(
                 f"seed: checkpoint was trained with seed {ckpt.seed}, config has {config.seed}"
             )
-        vocab, model_cfg, state = ckpt.vocab, ckpt.config, ckpt.state
-        num_channels = ckpt.num_channels
+        vocab, state = ckpt.vocab, ckpt.state
         log("info", "resume", step=state.step)
     else:
-        flat = [t for ts in templates.values() for t in ts]
-        vocab = build_vocab(sources, min_count=config.train.min_count, extra_texts=flat)
-        num_channels = _shared_channels(sources)
-        model_cfg = ModelConfig(**{**config.model.to_json(), "vocab_size": len(vocab)})
-        params = Parameters(model_cfg, num_channels, rng_for(config.seed, "init"))
-        state = TrainState.fresh(params, config.train.lr)
+        vocab, state = _fresh_start(config, sources, templates, _shared_channels(sources))
 
-    pool = _build_pool(sources, templates, vocab, model_cfg.max_instr_len)
+    pool = build_pool(sources, templates, vocab, state.params.config.max_instr_len)
     result = trainer.pretrain(state, sources, pool, vocab, config.train, config.seed)
-
-    out.write_jsonl("step_reports.jsonl", [r.to_json() for r in result.step_reports])
-    out.write_jsonl("epoch_metrics.jsonl", result.epoch_metrics)
-    ckpt_path = out.path("pretrained.ckpt")
-    save_checkpoint(ckpt_path, Checkpoint(
-        config=model_cfg, num_channels=num_channels, seed=config.seed,
-        step=state.step, vocab=vocab, state=state,
-    ))
-    out.write_json("config.json", config.to_json())
-    out.finish()
+    ckpt_path = _write_training(out, config, result, vocab, "pretrained.ckpt")
     log("info", "pretrain_done", steps=state.step,
         skip_rate=trainer.skip_rate(result.step_reports))
     print(f"pretrained {state.step} steps over {len(sources)} sources -> {ckpt_path}")
@@ -251,38 +249,21 @@ def cmd_finetune(config: RunConfig, checkpoint_path: str | None) -> int:
     if not config.target:
         raise ConfigError("target: required for finetune")
     target = _load_datasets([config.target], config)[0]
-    templates = _raw_templates(config.instructions)
+    num_channels = target.label_space.num_channels
+    templates = read_templates(config.instructions)
 
     if checkpoint_path:
         ckpt = load_checkpoint(checkpoint_path)
-        vocab, model_cfg = ckpt.vocab, ckpt.config
-        params = ckpt.state.params
-        if target.label_space.num_channels != ckpt.num_channels:
-            log("info", "reinit_channels", old=ckpt.num_channels,
-                new=target.label_space.num_channels)
-            params.reinit_channels(target.label_space.num_channels,
-                                   rng_for(config.seed, "reinit"))
-        state = ckpt.state
+        vocab, state = ckpt.vocab, ckpt.state
+        if num_channels != ckpt.num_channels:
+            log("info", "reinit_channels", old=ckpt.num_channels, new=num_channels)
+            state.params.reinit_channels(num_channels, rng_for(config.seed, "reinit"))
     else:
-        flat = [t for ts in templates.values() for t in ts]
-        vocab = build_vocab([target], min_count=config.train.min_count, extra_texts=flat)
-        model_cfg = ModelConfig(**{**config.model.to_json(), "vocab_size": len(vocab)})
-        params = Parameters(model_cfg, target.label_space.num_channels,
-                            rng_for(config.seed, "init"))
-        state = TrainState.fresh(params, config.train.lr)
+        vocab, state = _fresh_start(config, [target], templates, num_channels)
 
-    pool = _build_pool([target], templates, vocab, model_cfg.max_instr_len)
+    pool = build_pool([target], templates, vocab, state.params.config.max_instr_len)
     result = trainer.finetune(state, target, pool, vocab, config.train, config.seed)
-
-    out.write_jsonl("step_reports.jsonl", [r.to_json() for r in result.step_reports])
-    out.write_jsonl("epoch_metrics.jsonl", result.epoch_metrics)
-    ckpt_path = out.path("finetuned.ckpt")
-    save_checkpoint(ckpt_path, Checkpoint(
-        config=model_cfg, num_channels=target.label_space.num_channels,
-        seed=config.seed, step=result.state.step, vocab=vocab, state=result.state,
-    ))
-    out.write_json("config.json", config.to_json())
-    out.finish()
+    ckpt_path = _write_training(out, config, result, vocab, "finetuned.ckpt")
     best = result.best_dev_f1 if result.best_dev_f1 is not None else float("nan")
     log("info", "finetune_done", steps=result.state.step, best_dev_f1=best)
     print(f"finetuned on {target.id}: best dev F1 {best:.4f} -> {ckpt_path}")
@@ -304,8 +285,8 @@ def _load_for_inference(config: RunConfig, checkpoint_path: str | None):
             f"target: dataset has {target.label_space.num_channels} channels, "
             f"checkpoint was built for {ckpt.num_channels}"
         )
-    templates = _raw_templates(config.instructions)
-    pool = _build_pool([target], templates, ckpt.vocab, ckpt.config.max_instr_len)
+    pool = build_pool([target], read_templates(config.instructions), ckpt.vocab,
+                      ckpt.config.max_instr_len)
     return ckpt, target, pool
 
 

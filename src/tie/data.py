@@ -159,8 +159,23 @@ def _parse_ref(raw, n_entities: int, where: str):
             raise DataError(f"{where}: mention index {raw} out of range")
         return raw
     if isinstance(raw, dict) and "start" in raw and "end" in raw:
-        return (int(raw["start"]), int(raw["end"]))
+        return _span(raw, where)
     raise DataError(f"{where}: mention ref must be an index or {{start,end}} span")
+
+
+def _span(raw: dict, where: str):
+    try:
+        return int(raw["start"]), int(raw["end"])
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"{where}: 'start' and 'end' must be integers") from None
+
+
+def _objects(obj: dict, key: str, where: str) -> list:
+    """The JSON objects listed under ``key`` (absent means none)."""
+    items = obj.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise DataError(f"{where}: {key!r} must be a list of objects")
+    return items
 
 
 def _check_span(start: int, end: int, n_tokens: int, where: str):
@@ -171,22 +186,24 @@ def _check_span(start: int, end: int, n_tokens: int, where: str):
 
 
 def parse_instance(obj: dict, label_space: LabelSpace, dataset_id: str, where: str) -> Instance:
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: an instance must be a JSON object")
     tokens = obj.get("tokens")
     if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
         raise DataError(f"{where}: 'tokens' must be a non-empty list of strings")
     n = len(tokens)
 
     entities = []
-    for j, ent in enumerate(obj.get("entities", [])):
+    for j, ent in enumerate(_objects(obj, "entities", where)):
         t = ent.get("type")
         if t not in label_space.entity_types:
             raise DataError(f"{where}: unknown entity type {t!r}")
-        start, end = int(ent["start"]), int(ent["end"])
+        start, end = _span(ent, f"{where} entity {j}")
         _check_span(start, end, n, f"{where} entity {j}")
         entities.append(Mention(t, start, end))
 
     links = []
-    for j, lk in enumerate(obj.get("links", [])):
+    for j, lk in enumerate(_objects(obj, "links", where)):
         t = lk.get("type")
         if t not in label_space.relation_types:
             raise DataError(f"{where}: unknown relation type {t!r}")
@@ -252,9 +269,17 @@ def load_manifest(path, *, max_len: int = 128, lowercase: bool = False) -> Datas
         spec = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
+    if not isinstance(spec, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
     for key in ("id", "task", "entity_types", "relation_types", "train", "dev", "test"):
         if key not in spec:
             raise DataError(f"{path}: manifest missing field {key!r}")
+    for key in ("id", "train", "dev", "test"):
+        if not isinstance(spec[key], str):
+            raise DataError(f"{path}: manifest field {key!r} must be a string")
+    for key in ("entity_types", "relation_types"):
+        if not isinstance(spec[key], list) or not all(isinstance(t, str) for t in spec[key]):
+            raise DataError(f"{path}: manifest field {key!r} must be a list of strings")
     space = LabelSpace(spec["entity_types"], spec["relation_types"])
     _check_task_shape(spec["task"], space)
 

@@ -26,7 +26,8 @@ __all__ = [
     "InstructionError",
     "parse_template",
     "select",
-    "load_instruction_file",
+    "read_templates",
+    "build_pool",
     "surface_form",
 ]
 
@@ -118,11 +119,12 @@ class InstructionPool:
     def add(self, instruction: Instruction):
         self._by_dataset.setdefault(instruction.dataset_id, []).append(instruction)
 
-    def instructions(self, dataset_id: str):
-        return list(self._by_dataset.get(dataset_id, []))
-
-    def size(self, dataset_id: str) -> int:
-        return len(self._by_dataset.get(dataset_id, ()))
+    def instructions(self, dataset_id: str) -> list:
+        """The dataset's instructions in the order added (not a copy)."""
+        items = self._by_dataset.get(dataset_id)
+        if not items:
+            raise InstructionError(f"no instructions for dataset {dataset_id!r}")
+        return items
 
     def require(self, dataset_ids):
         missing = [d for d in dataset_ids if not self._by_dataset.get(d)]
@@ -131,34 +133,46 @@ class InstructionPool:
 
     def first(self, dataset_id: str) -> Instruction:
         """Deterministic choice used at evaluation and decode time."""
-        items = self._by_dataset.get(dataset_id)
-        if not items:
-            raise InstructionError(f"no instructions for dataset {dataset_id!r}")
-        return items[0]
+        return self.instructions(dataset_id)[0]
 
 
 def select(pool: InstructionPool, dataset_id: str, rng: np.random.Generator) -> Instruction:
     """Uniform draw from the dataset's instructions on the given RNG stream."""
-    items = pool._by_dataset.get(dataset_id)
-    if not items:
-        raise InstructionError(f"no instructions for dataset {dataset_id!r}")
+    items = pool.instructions(dataset_id)
     return items[int(rng.integers(len(items)))]
 
 
-def load_instruction_file(path, label_space: LabelSpace, vocab: Vocabulary,
-                          *, max_instr_len: int = 64) -> list:
-    """Parse every template of one instruction file against one dataset."""
-    path = Path(path)
-    spec = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("dataset", "templates"):
-        if key not in spec:
-            raise InstructionError(f"{path}: instruction file missing field {key!r}")
-    if not spec["templates"]:
-        raise InstructionError(f"{path}: empty template list")
-    return [
-        parse_template(
-            t, label_space, vocab,
-            dataset_id=spec["dataset"], max_instr_len=max_instr_len,
-        )
-        for t in spec["templates"]
-    ]
+def read_templates(paths) -> dict:
+    """Instruction files -> {dataset id: [template, ...]}. Files naming the
+    same dataset merge in path order."""
+    templates = {}
+    for path in map(Path, paths):
+        try:
+            spec = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InstructionError(f"{path}: malformed instruction file ({exc})") from None
+        if not isinstance(spec, dict):
+            raise InstructionError(f"{path}: instruction file must be a JSON object")
+        for key in ("dataset", "templates"):
+            if key not in spec:
+                raise InstructionError(f"{path}: instruction file missing field {key!r}")
+        dataset, texts = spec["dataset"], spec["templates"]
+        if not isinstance(dataset, str):
+            raise InstructionError(f"{path}: 'dataset' must be a string, got {dataset!r}")
+        if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
+            raise InstructionError(f"{path}: 'templates' must be a non-empty list of strings")
+        templates.setdefault(dataset, []).extend(texts)
+    return templates
+
+
+def build_pool(datasets, templates_by_id: dict, vocab: Vocabulary,
+               max_instr_len: int) -> InstructionPool:
+    """Parse each dataset's templates against its label space; every dataset
+    must end up with at least one instruction."""
+    pool = InstructionPool()
+    for ds in datasets:
+        for template in templates_by_id.get(ds.id, []):
+            pool.add(parse_template(template, ds.label_space, vocab,
+                                    dataset_id=ds.id, max_instr_len=max_instr_len))
+    pool.require([ds.id for ds in datasets])
+    return pool

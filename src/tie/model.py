@@ -213,7 +213,9 @@ class Parameters:
             t.zero_grad()
 
     def grads(self) -> dict:
-        return {name: t.grad.copy() for name, t in self.tensors.items()}
+        """The live gradient buffers by name, not copies: valid until the
+        next ``zero_grads`` or backward pass writes into them."""
+        return {name: t.grad for name, t in self.tensors.items()}
 
     def flat_group(self, group: str, arrays: dict) -> np.ndarray:
         """The group's arrays, in group order and each flattened, as one vector."""

@@ -103,23 +103,16 @@ class BatchPlan:
         return len(self.batches)
 
 
-def _dataset_sizes(datasets) -> dict:
-    if isinstance(datasets, dict):
-        return dict(datasets)
-    return {ds.id: len(ds.splits.train) for ds in datasets}
-
-
-def plan_epoch(datasets, batch_size: int, rng: np.random.Generator,
+def plan_epoch(sizes: dict, batch_size: int, rng: np.random.Generator,
                interleave: bool = True) -> BatchPlan:
-    """One epoch's batches: single-dataset batches covering every training
-    instance exactly once.
+    """One epoch's batches over ``sizes`` (dataset id -> training instance
+    count): single-dataset batches covering every training instance once.
 
     With interleaving, the next dataset is drawn (weighted by remaining
     batches) among datasets other than the previous one; when only the
     previous dataset has batches left, the adjacency violation is permitted
     and recorded rather than dropping data.
     """
-    sizes = _dataset_sizes(datasets)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if any(n < 1 for n in sizes.values()):
@@ -265,35 +258,29 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
         if not np.isfinite(vec.sum()) and not np.isfinite(vec).all():
             name = next(n for n in params.groups[group] if not np.isfinite(grads[n]).all())
             raise TrainingDiverged(f"non-finite gradient in {name}")
-    decisions = {}
 
-    if gate and granularity == "global":
-        if all(g in snapshot.prev for g in params.groups):
-            current = np.concatenate([flat[g] for g in params.groups])
-            previous = np.concatenate([snapshot.prev[g] for g in params.groups])
-            dot = float(current @ previous)
-            update_all = dot > 0.0
+    # a gate unit is one group, or all groups together under "global"
+    units = ([[g] for g in params.groups] if granularity == "group"
+             else [list(params.groups)])
+    decisions = {}
+    for unit in units:
+        if gate and all(g in snapshot.prev for g in unit):
+            dot = float(_joined(flat, unit) @ _joined(snapshot.prev, unit))
+            updated = dot > 0.0
         else:
-            dot, update_all = None, True
-        for group in params.groups:
-            decisions[group] = {"dot": dot, "updated": update_all}
-            if update_all:
-                optimizer.update_group(params, group, flat[group])
-    else:
-        for group in params.groups:
-            if not gate:
-                dot, updated = None, True
-            elif group in snapshot.prev:
-                dot = float(flat[group] @ snapshot.prev[group])
-                updated = dot > 0.0
-            else:
-                dot, updated = None, True
+            dot, updated = None, True
+        for group in unit:
             decisions[group] = {"dot": dot, "updated": updated}
             if updated:
                 optimizer.update_group(params, group, flat[group])
 
     snapshot.store(flat)
     return decisions
+
+
+def _joined(flat: dict, unit: list) -> np.ndarray:
+    """The unit's flat group vectors as one vector (no copy for one group)."""
+    return flat[unit[0]] if len(unit) == 1 else np.concatenate([flat[g] for g in unit])
 
 
 @dataclass
@@ -338,10 +325,6 @@ def _train_step(state: TrainState, dataset: Dataset, token_ids, golds,
     return float(batch_loss.data), decisions
 
 
-def _steps_per_epoch(sizes: dict, batch_size: int) -> int:
-    return sum(-(-n // batch_size) for n in sizes.values())
-
-
 @dataclass
 class TrainResult:
     state: TrainState
@@ -351,48 +334,53 @@ class TrainResult:
     best_epoch: int | None = None
 
 
+def _epochs(result: TrainResult, datasets: list, pool: InstructionPool,
+            vocab: Vocabulary, cfg: TrainConfig, seed: int, epochs: int,
+            max_steps: int | None, gate: bool):
+    """Train ``result.state`` up to ``epochs`` epochs (or ``max_steps``
+    steps), yielding ``(epoch, complete)`` after each epoch's last step.
+
+    The gated phase plans interleaved epochs on the "plan" stream, the plain
+    phase single-dataset epochs on "ft-plan". Resumable: the plan of epoch e
+    and every in-step draw depend only on (seed, e, batch index), so a state
+    loaded at step t continues exactly as the uninterrupted run would.
+    """
+    state = result.state
+    by_id = {ds.id: ds for ds in datasets}
+    prepared = {ds.id: _prepared(ds, vocab) for ds in datasets}
+    sizes = {ds.id: len(ds.splits.train) for ds in datasets}
+    bpe = sum(-(-n // cfg.batch_size) for n in sizes.values())
+    total = epochs * bpe if max_steps is None else min(epochs * bpe, max_steps)
+    while state.step < total:
+        epoch, start = divmod(state.step, bpe)
+        plan = plan_epoch(sizes, cfg.batch_size,
+                          rng_for(seed, "plan" if gate else "ft-plan", epoch),
+                          interleave=gate)
+        for batch_idx in range(start, min(bpe, start + total - state.step)):
+            ds_id, indices = plan.batches[batch_idx]
+            value, decisions = _train_step(state, by_id[ds_id], *prepared[ds_id], indices,
+                                           pool, cfg, seed, epoch, batch_idx, gate)
+            result.step_reports.append(StepReport(
+                step=state.step, dataset_id=ds_id, loss_value=value, gated=gate,
+                decisions=decisions, forced_adjacent=batch_idx in plan.forced_adjacent,
+            ))
+        yield epoch, state.step % bpe == 0
+
+
 def pretrain(state: TrainState, sources: list, pool: InstructionPool,
              vocab: Vocabulary, cfg: TrainConfig, seed: int,
              eval_dev: bool = True) -> TrainResult:
-    """Gated interleaved training over >= 2 source datasets.
-
-    Resumable: the plan of epoch e and every in-step draw depend only on
-    (seed, e, batch index), so a state loaded at step t continues exactly as
-    the uninterrupted run would.
+    """Gated interleaved training over >= 2 source datasets, with a dev
+    evaluation of every source after each full epoch. Resumable (``_epochs``).
     """
     cfg.validate()
     if len(sources) < 2:
         raise ValueError("pretraining needs at least 2 source datasets")
     pool.require([ds.id for ds in sources])
-    by_id = {ds.id: ds for ds in sources}
-    prepared = {ds.id: _prepared(ds, vocab) for ds in sources}
-    sizes = _dataset_sizes(sources)
-    bpe = _steps_per_epoch(sizes, cfg.batch_size)
-    total = cfg.pretrain_epochs * bpe
-    if cfg.pretrain_max_steps is not None:
-        total = min(total, cfg.pretrain_max_steps)
-
     result = TrainResult(state=state)
-    while state.step < total:
-        epoch = state.step // bpe
-        plan = plan_epoch(sizes, cfg.batch_size, rng_for(seed, "plan", epoch))
-        forced = set(plan.forced_adjacent)
-        start = state.step % bpe
-        for batch_idx in range(start, len(plan.batches)):
-            if state.step >= total:
-                break
-            ds_id, indices = plan.batches[batch_idx]
-            ids, golds = prepared[ds_id]
-            value, decisions = _train_step(
-                state, by_id[ds_id], ids, golds, indices, pool, cfg,
-                seed, epoch, batch_idx, gate=True,
-            )
-            result.step_reports.append(StepReport(
-                step=state.step, dataset_id=ds_id, loss_value=value,
-                gated=True, decisions=decisions,
-                forced_adjacent=batch_idx in forced,
-            ))
-        if eval_dev and state.step % bpe == 0:
+    for epoch, complete in _epochs(result, sources, pool, vocab, cfg, seed,
+                                   cfg.pretrain_epochs, cfg.pretrain_max_steps, gate=True):
+        if eval_dev and complete:
             for ds in sources:
                 _, f1 = evaluate_split(state.params, vocab, pool, ds, "dev",
                                        cfg.threshold)
@@ -413,34 +401,11 @@ def finetune(state: TrainState, target: Dataset, pool: InstructionPool,
         state = TrainState.fresh(state.params, cfg.lr)
     else:
         state.optimizer.sync(state.params)
-        state = TrainState(params=state.params, optimizer=state.optimizer,
-                           snapshot=GradientSnapshot(), step=0)
-    ids, golds = _prepared(target, vocab)
-    sizes = {target.id: len(target.splits.train)}
-    bpe = _steps_per_epoch(sizes, cfg.batch_size)
-    total = cfg.finetune_epochs * bpe
-    if cfg.finetune_max_steps is not None:
-        total = min(total, cfg.finetune_max_steps)
-
+        state = TrainState(state.params, state.optimizer, GradientSnapshot())
     result = TrainResult(state=state)
     best = None
-    while state.step < total:
-        epoch = state.step // bpe
-        plan = plan_epoch(sizes, cfg.batch_size,
-                          rng_for(seed, "ft-plan", epoch), interleave=False)
-        start = state.step % bpe
-        for batch_idx in range(start, len(plan.batches)):
-            if state.step >= total:
-                break
-            _, indices = plan.batches[batch_idx]
-            value, decisions = _train_step(
-                state, target, ids, golds, indices, pool, cfg,
-                seed, epoch, batch_idx, gate=False,
-            )
-            result.step_reports.append(StepReport(
-                step=state.step, dataset_id=target.id, loss_value=value,
-                gated=False, decisions=decisions,
-            ))
+    for epoch, _ in _epochs(result, [target], pool, vocab, cfg, seed,
+                            cfg.finetune_epochs, cfg.finetune_max_steps, gate=False):
         if eval_dev:
             _, f1 = evaluate_split(state.params, vocab, pool, target, "dev",
                                    cfg.threshold)
@@ -449,7 +414,7 @@ def finetune(state: TrainState, target: Dataset, pool: InstructionPool,
             )
             if best is None or f1 > best[0]:
                 best = (f1, epoch, state.params.copy_values())
-    if eval_dev and best is not None:
+    if best is not None:
         result.best_dev_f1, result.best_epoch, values = best
         state.params.load_values(values)
     return result

@@ -16,7 +16,7 @@ import pytest
 from tie.cli import main
 from tie.codec import decode, encode, gold_entity_set, gold_link_set
 from tie.data import Instance, LabelSpace, Link, Mention, build_vocab
-from tie.instructions import InstructionPool, parse_template
+from tie.instructions import build_pool
 from tie.metrics import arg_f1, ent_f1, rel_f1, senti_triplet_f1, trig_f1
 from tie.model import ModelConfig, Parameters
 from tie.synth import FUZZ_SPACES, fuzz_instance, make_synth
@@ -322,11 +322,9 @@ def test_capacity():
     t0 = time.time()
     ds, templates = make_synth("ner", 8, 11)[0]
     vocab = build_vocab([ds], extra_texts=templates)
-    pool = InstructionPool()
-    for t in templates:
-        pool.add(parse_template(t, ds.label_space, vocab, dataset_id=ds.id))
     cfg = ModelConfig(d=32, layers_enc=1, layers_dec=1, heads=4, max_len=16,
                       max_instr_len=24, vocab_size=len(vocab))
+    pool = build_pool([ds], {ds.id: templates}, vocab, cfg.max_instr_len)
     params = Parameters(cfg, ds.label_space.num_channels, T.rng_for(11, "init"))
     tcfg = TrainConfig(batch_size=8, finetune_epochs=500, finetune_max_steps=500,
                        lr=1e-3)
@@ -348,12 +346,10 @@ def _pair_run(kind, seed, lr=2e-3, epochs=5):
     sources = [ds for ds, _ in datasets][:2]
     target = [ds for ds, _ in datasets][2]
     vocab = build_vocab(sources, extra_texts=templates)
-    pool = InstructionPool()
-    for ds, ts in datasets:
-        for t in ts:
-            pool.add(parse_template(t, ds.label_space, vocab, dataset_id=ds.id))
     cfg = ModelConfig(d=24, layers_enc=1, layers_dec=1, heads=2, max_len=16,
                       max_instr_len=24, vocab_size=len(vocab))
+    pool = build_pool([ds for ds, _ in datasets], {ds.id: ts for ds, ts in datasets},
+                      vocab, cfg.max_instr_len)
     params = Parameters(cfg, target.label_space.num_channels, T.rng_for(seed, "init"))
     ptcfg = TrainConfig(batch_size=16, pretrain_epochs=epochs, lr=lr)
     result = T.pretrain(TrainState.fresh(params, lr), sources, pool, vocab,

@@ -6,7 +6,7 @@ import pytest
 
 from tie.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from tie.data import build_vocab
-from tie.instructions import InstructionPool, parse_template
+from tie.instructions import build_pool
 from tie.model import ModelConfig, Parameters
 from tie.synth import make_synth
 from tie import trainer as T
@@ -17,12 +17,10 @@ def fixture(size=12, seed=4):
     datasets = make_synth("aligned_pair", size, seed)
     templates = [t for _, ts in datasets for t in ts]
     vocab = build_vocab([ds for ds, _ in datasets], extra_texts=templates)
-    pool = InstructionPool()
-    for ds, ts in datasets:
-        for t in ts:
-            pool.add(parse_template(t, ds.label_space, vocab, dataset_id=ds.id))
     cfg = ModelConfig(d=8, layers_enc=1, layers_dec=1, heads=2, max_len=16,
                       max_instr_len=24, vocab_size=len(vocab))
+    pool = build_pool([ds for ds, _ in datasets], {ds.id: ts for ds, ts in datasets},
+                      vocab, cfg.max_instr_len)
     k = datasets[0][0].label_space.num_channels
     params = Parameters(cfg, k, rng_for(seed, "init"))
     return [ds for ds, _ in datasets], vocab, pool, params, cfg, k
@@ -210,4 +208,22 @@ def test_malformed_header_fuzz_loads_or_raises_checkpoint_error(tmp_path):
     dropped = [e for e in header["manifest"] if not e["name"].startswith("adam.m/")]
     bad.write_bytes(_with_header(raw, {**header, "manifest": dropped}))
     with pytest.raises(CheckpointError, match="adam.m/"):
+        load_checkpoint(bad)
+    # an offset off the running one would read another tensor's bytes
+    moved = [dict(e) for e in header["manifest"]]
+    moved[3]["offset"] = 0
+    bad.write_bytes(_with_header(raw, {**header, "manifest": moved}))
+    with pytest.raises(CheckpointError, match="offset"):
+        load_checkpoint(bad)
+    bad.write_bytes(_with_header(raw, {**header, "manifest": header["manifest"][:-1]}))
+    with pytest.raises(CheckpointError, match="covers"):
+        load_checkpoint(bad)
+    bad.write_bytes(_with_header(raw, {**header, "format_version": 2}))
+    with pytest.raises(CheckpointError, match="format_version"):
+        load_checkpoint(bad)
+    # a snapshot missing one group would make the gate skip its dot once
+    del state.snapshot.prev["enc.0"]
+    save_checkpoint(bad, Checkpoint(config=cfg, num_channels=k, seed=4, step=state.step,
+                                    vocab=vocab, state=state))
+    with pytest.raises(CheckpointError, match="snapshot"):
         load_checkpoint(bad)

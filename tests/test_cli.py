@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from tie.cli import main
 
@@ -107,6 +108,56 @@ def test_bad_source_path_is_field_path_error(tmp_path, capsys):
     rc = main(["pretrain", "--config", str(bad)])
     assert rc == 2
     assert "sources[0]" in capsys.readouterr().err
+
+
+def _write(path, text, config):
+    Path(path).write_text(text, encoding="utf-8")
+    return config
+
+
+def _append_line(path, line, config):
+    with Path(path).open("a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    return config
+
+
+# case -> (turns (config dir, config) into the config to write, after
+# damaging a file the config names where it needs to; text the error names)
+MALFORMED_INPUTS = {
+    "config is a string": (lambda d, c: "seed out", "top level"),
+    "seed is a list": (lambda d, c: {**c, "seed": [1]}, "seed"),
+    "sources is a number": (lambda d, c: {**c, "sources": 5}, "sources"),
+    "instructions entry is a number": (lambda d, c: {**c, "instructions": [3]},
+                                       "instructions[0]"),
+    "instruction file is a string": (lambda d, c: _write(
+        d / c["instructions"][0], '"dataset templates"', c), "JSON object"),
+    "template is a number": (lambda d, c: _write(
+        d / c["instructions"][0], '{"dataset": "aligned-a", "templates": [5]}', c),
+        "list of strings"),
+    "templates is a string": (lambda d, c: _write(
+        d / c["instructions"][0], '{"dataset": "aligned-a", "templates": "{Animal}"}', c),
+        "list of strings"),
+    "dataset is a list": (lambda d, c: _write(
+        d / c["instructions"][0], '{"dataset": ["x"], "templates": ["{Animal}"]}', c),
+        "'dataset'"),
+    "instruction file is not JSON": (lambda d, c: _write(d / c["instructions"][0], "{", c),
+                                     "instructions.json"),
+    "JSONL line is a list": (lambda d, c: _append_line(
+        (d / c["sources"][0]).parent / "train.jsonl", "[1]", c), "train.jsonl:"),
+    "entity is a number": (lambda d, c: _append_line(
+        (d / c["sources"][0]).parent / "train.jsonl", '{"tokens": ["a"], "entities": [5]}', c),
+        "train.jsonl:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_run_input_exits_2(tmp_path, capsys, case):
+    cfg_path, config = make_config(tmp_path)
+    damage, named = MALFORMED_INPUTS[case]
+    cfg_path.write_text(json.dumps(damage(tmp_path, config)), encoding="utf-8")
+    assert main(["pretrain", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and named in err
 
 
 def test_missing_checkpoint_nonzero_exit(tmp_path, capsys):

@@ -97,6 +97,22 @@ def test_link_refs_index_and_span(tmp_path):
     assert inst.resolve(inst.links[1].object) == ((4, 6), None)
 
 
+@pytest.mark.parametrize("line", [
+    "[1]",
+    '"tokens"',
+    '{"tokens": ["a"], "entities": [5]}',
+    '{"tokens": ["a"], "entities": {"type": "PER"}}',
+    '{"tokens": ["a"], "entities": [{"type": "PER", "start": 0}]}',
+    '{"tokens": ["a"], "entities": [{"type": "PER", "start": [0], "end": 0}]}',
+    '{"tokens": ["a"], "links": [7]}',
+])
+def test_load_jsonl_rejects_malformed_instance(tmp_path, line):
+    p = tmp_path / "x.jsonl"
+    p.write_text('{"tokens": ["ok"]}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"x\.jsonl:2\b"):
+        data.load_jsonl(p, CONLL_LIKE)
+
+
 def test_link_ref_out_of_range(tmp_path):
     space = LabelSpace(["PER"], ["R"])
     p = tmp_path / "re.jsonl"
@@ -158,6 +174,24 @@ def test_ner_manifest_requires_empty_relations(tmp_path):
         "train": "train.jsonl", "dev": "dev.jsonl", "test": "test.jsonl",
     }), encoding="utf-8")
     with pytest.raises(DataError, match="NER"):
+        data.load_manifest(manifest)
+
+
+@pytest.mark.parametrize("spec", [
+    5,
+    {"id": 5, "task": "NER", "entity_types": ["PER"], "relation_types": [],
+     "train": "train.jsonl", "dev": "dev.jsonl", "test": "test.jsonl"},
+    {"id": "d", "task": "NER", "entity_types": "PER", "relation_types": [],
+     "train": "train.jsonl", "dev": "dev.jsonl", "test": "test.jsonl"},
+    {"id": "d", "task": "NER", "entity_types": ["PER"], "relation_types": [],
+     "train": ["train.jsonl"], "dev": "dev.jsonl", "test": "test.jsonl"},
+])
+def test_load_manifest_rejects_malformed_spec(tmp_path, spec):
+    manifest = tmp_path / "m.json"
+    for split in ("train", "dev", "test"):
+        (tmp_path / f"{split}.jsonl").write_text("", encoding="utf-8")
+    manifest.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(DataError, match="m.json"):
         data.load_manifest(manifest)
 
 

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from tie.data import SLOT_ID, UNK_ID, LabelSpace, Vocabulary
+from tie.data import SLOT_ID, UNK_ID, Dataset, LabelSpace, Splits, Vocabulary
 from tie import instructions as instr
-from tie.instructions import InstructionError, InstructionPool, parse_template, select
+from tie.instructions import (
+    InstructionError, InstructionPool, build_pool, parse_template, read_templates, select,
+)
 
 ABSA_SPACE = LabelSpace(["Expression", "Aspect"], ["Positive", "Negative", "Neutral"])
 
@@ -96,13 +98,14 @@ def test_slot_positions_follow_channel_order():
                    ["Expression", "Aspect", "Positive", "Negative", "Neutral"]]
 
 
+def _dataset(dataset_id="d"):
+    return Dataset(dataset_id, "NER", LabelSpace(["X"], []), Splits([], [], []))
+
+
 def _pool(n, dataset="d"):
-    space = LabelSpace(["X"], [])
     vocab = Vocabulary(["x", "variant"] + [f"w{i}" for i in range(n)])
-    pool = InstructionPool()
-    for i in range(n):
-        pool.add(parse_template(f"variant w{i} {{X}}", space, vocab, dataset_id=dataset))
-    return pool
+    templates = [f"variant w{i} {{X}}" for i in range(n)]
+    return build_pool([_dataset(dataset)], {dataset: templates}, vocab, 64)
 
 
 def test_select_single_instruction():
@@ -150,12 +153,35 @@ def test_pool_require():
         pool.require(["d", "other"])
 
 
-def test_load_instruction_file(tmp_path):
-    f = tmp_path / "ins.json"
-    f.write_text(json.dumps({"dataset": "d", "templates": ["{X} here", "find {X}"]}),
-                 encoding="utf-8")
-    space = LabelSpace(["X"], [])
-    vocab = Vocabulary(["x", "here", "find"])
-    parsed = instr.load_instruction_file(f, space, vocab)
-    assert [i.dataset_id for i in parsed] == ["d", "d"]
+def test_read_templates_and_build_pool(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps({"dataset": "d", "templates": ["{X} here", "find {X}"]}),
+                     encoding="utf-8")
+    second.write_text(json.dumps({"dataset": "d", "templates": ["{X} again"]}),
+                      encoding="utf-8")
+    templates = read_templates([first, second])
+    assert templates == {"d": ["{X} here", "find {X}", "{X} again"]}  # path order
+
+    pool = build_pool([_dataset()], templates, Vocabulary(["x", "here", "find"]), 64)
+    parsed = pool.instructions("d")
+    assert [i.dataset_id for i in parsed] == ["d", "d", "d"]
     assert parsed[1].slot_index == {"X": 1}
+    with pytest.raises(InstructionError, match="other"):
+        build_pool([_dataset(), _dataset("other")], templates, Vocabulary(["x"]), 64)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"just a string"', "JSON object"),
+    ('{"dataset": "d", "templates": [5]}', "list of strings"),
+    ('{"dataset": "d", "templates": "{X} here"}', "list of strings"),
+    ('{"dataset": "d", "templates": []}', "list of strings"),
+    ('{"dataset": ["x"], "templates": ["{X}"]}', "'dataset' must be a string"),
+    ('{"templates": ["{X}"]}', "missing field 'dataset'"),
+    ('{"dataset": "d", "templates": [', "malformed"),
+])
+def test_read_templates_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "bad-instructions.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InstructionError, match=message) as info:
+        read_templates([path])
+    assert "bad-instructions.json" in str(info.value)

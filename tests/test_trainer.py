@@ -3,7 +3,7 @@ import pytest
 
 from tie.autodiff import Tensor
 from tie.data import build_vocab
-from tie.instructions import InstructionPool, parse_template
+from tie.instructions import build_pool
 from tie.model import ModelConfig, Parameters
 from tie.synth import make_synth
 from tie import trainer as T
@@ -314,12 +314,10 @@ def small_run(size=12, seed=3):
     datasets = make_synth("aligned_pair", size, seed)
     templates = [t for _, ts in datasets for t in ts]
     vocab = build_vocab([ds for ds, _ in datasets], extra_texts=templates)
-    pool = InstructionPool()
-    for ds, ts in datasets:
-        for t in ts:
-            pool.add(parse_template(t, ds.label_space, vocab, dataset_id=ds.id))
     cfg = ModelConfig(d=8, layers_enc=1, layers_dec=1, heads=2, max_len=16,
                       max_instr_len=24, vocab_size=len(vocab))
+    pool = build_pool([ds for ds, _ in datasets], {ds.id: ts for ds, ts in datasets},
+                      vocab, cfg.max_instr_len)
     k = datasets[0][0].label_space.num_channels
     params = Parameters(cfg, k, rng_for(seed, "init"))
     return [ds for ds, _ in datasets], vocab, pool, params
@@ -390,8 +388,7 @@ def test_finetune_keeping_optimizer_onto_different_channel_count():
     enc_steps = state.optimizer.t["enc.0"]
 
     target, templates = make_synth("re", 8, 4)[0]
-    for t in templates:
-        pool.add(parse_template(t, target.label_space, vocab, dataset_id=target.id))
+    pool = build_pool([target], {target.id: templates}, vocab, params.config.max_instr_len)
     k = target.label_space.num_channels
     assert k != params.num_channels
     params.reinit_channels(k, rng_for(3, "reinit"))
