@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
 Shape discipline is strict: unless an op documents otherwise, operand shapes
-must match exactly. The sanctioned broadcasts are the trailing-axis bias add
-and the leading (batch) axes of ``matmul``. Every op checks its result for
-NaN/Inf and raises instead of propagating garbage. Ops record onto the
-innermost active ``Tape`` only when some input requires gradients; with no
-active tape they are plain numpy computations, so evaluation-time forwards
-are side-effect free and safe to run concurrently.
+must match exactly. The sanctioned broadcasts are numpy broadcasting in
+``add`` and over the leading (batch) axes of ``matmul``; backward sums each
+operand's gradient over the axes it was broadcast along. Every op checks its
+result for NaN/Inf and raises instead of propagating garbage. Ops record onto
+the innermost active ``Tape`` only when some input requires gradients; with
+no active tape they are plain numpy computations, so evaluation-time
+forwards are side-effect free and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "add_bias",
-    "mul",
     "scale",
     "embedding_lookup",
     "layer_norm",
     "gelu",
     "transpose",
     "reshape",
-    "sum_all",
     "softmax_rows",
     "sigmoid",
     "bce_with_logits",
@@ -228,46 +226,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes disagree: {a.shape} vs {b.shape}")
+    """Elementwise sum; shapes broadcast as in numpy, and backward sums each
+    operand's gradient over the axes it was broadcast along."""
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"add shapes do not broadcast: {a.shape} vs {b.shape}") from None
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, g)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, g)
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(a.data + b.data, "add", (a, b), bw)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D bias along the trailing axis (the one sanctioned broadcast)."""
-    if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias needs trailing-dim bias: {x.shape} vs {b.shape}")
-    n = b.shape[0]
-
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, g)
-        if b.requires_grad:
-            _accumulate(b, g.reshape(-1, n).sum(axis=0))
-
-    return _make(x.data + b.data, "add_bias", (x, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes disagree: {a.shape} vs {b.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _make(a.data * b.data, "mul", (a, b), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -370,16 +342,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), "reshape", (a,), bw)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all entries; scalar result."""
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-
-    return _make(np.asarray(a.data.sum()), "sum_all", (a,), bw)
-
-
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability."""
     z = a.data - a.data.max(axis=-1, keepdims=True)
@@ -394,7 +356,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(out, "softmax_rows", (a,), bw)
 
 
-def _sigmoid(z):
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function on a plain array, in stable form (untaped)."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -403,43 +366,27 @@ def _sigmoid(z):
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * out * (1.0 - out))
-
-    return _make(out, "sigmoid", (a,), bw)
-
-
-def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
+def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
     """Binary cross-entropy against {0,1} targets, in stable form.
 
-    Per cell: max(z, 0) - z*t + log(1 + exp(-|z|)); the mean over all cells,
-    or the sum under same-shape per-cell ``weights``.
+    Per cell: max(z, 0) - z*t + log(1 + exp(-|z|)); the result is the sum
+    under same-shape per-cell ``weights``.
     """
-    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
-    if logits.shape != t.shape:
-        raise ShapeError(f"bce shapes disagree: {logits.shape} vs {t.shape}")
+    t = np.asarray(targets, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if logits.shape != t.shape or logits.shape != w.shape:
+        raise ShapeError(f"bce shapes disagree: logits {logits.shape}, "
+                         f"targets {t.shape}, weights {w.shape}")
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ValueError("bce_with_logits targets must be exactly 0 or 1")
     z = logits.data
     per_cell = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    if weights is None:
-        w = 1.0 / per_cell.size
-        value = per_cell.mean()
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != z.shape:
-            raise ShapeError(f"bce weights shape {w.shape} vs logits {z.shape}")
-        value = (per_cell * w).sum()
 
     def bw(g):
         if logits.requires_grad:
-            _accumulate(logits, (_sigmoid(z) - t) * (w * float(g)))
+            _accumulate(logits, (sigmoid(z) - t) * (w * float(g)))
 
-    return _make(np.asarray(value), "bce_with_logits", (logits,), bw)
+    return _make(np.asarray((per_cell * w).sum()), "bce_with_logits", (logits,), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
@@ -44,6 +44,27 @@ def log(level: str, event: str, **fields):
     if _LEVELS[level] >= _log_level():
         line = {"level": level, "event": event, **fields}
         print(json.dumps(line, sort_keys=True), file=sys.stderr)
+
+
+# JSON types a config value may have, by the annotation of the field it sets;
+# a boolean is never taken for a number.
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _check_types(where: str, cls, values: dict):
+    """Raise ConfigError for a value whose JSON type does not fit the
+    annotation of the ``cls`` field it sets; ``null`` fits only ``X | None``
+    fields. Unknown names and other annotations are left to ``cls``."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    for name, value in values.items():
+        base, _, optional = annotations.get(name, "").partition(" | ")
+        if base not in _JSON_TYPES or (value is None and optional == "None"):
+            continue
+        expected, described = _JSON_TYPES[base]
+        if isinstance(value, bool) != (base == "bool") or not isinstance(value, expected):
+            raise ConfigError(f"{where}{name}: must be {described}"
+                              f"{' or null' if optional else ''}, got {value!r}")
 
 
 @dataclass
@@ -86,10 +107,9 @@ class RunConfig:
             raise ConfigError("seed: required field is missing")
         if "out" not in raw:
             raise ConfigError("out: required field is missing")
-        try:
-            seed = int(raw["seed"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"seed: must be an integer, got {raw['seed']!r}") from None
+        _check_types("", cls, raw)
+        _check_types("model.", ModelConfig, raw.get("model", {}))
+        _check_types("train.", TrainConfig, raw.get("train", {}))
         try:
             model = ModelConfig.from_json(raw.get("model", {}))
         except (TypeError, ValueError) as exc:
@@ -116,9 +136,9 @@ class RunConfig:
         sources = resolve_list("sources")
         target = resolve("target", raw["target"]) if raw.get("target") else None
         instructions = resolve_list("instructions")
-        return cls(seed=seed, out=str(raw["out"]), model=model,
+        return cls(seed=raw["seed"], out=raw["out"], model=model,
                    train=train, sources=sources, target=target,
-                   instructions=instructions, lowercase=bool(raw.get("lowercase", False)))
+                   instructions=instructions, lowercase=raw.get("lowercase", False))
 
     def to_json(self) -> dict:
         return {

@@ -77,9 +77,14 @@ def parse_template(template: str, label_space: LabelSpace, vocab: Vocabulary,
             )
         if name in slot_index:
             raise InstructionError(f"duplicate placeholder {{{name}}}")
+        surface = surface_form(name).split()
+        if not surface:
+            raise InstructionError(
+                f"label channel {name!r} of dataset {dataset_id!r} has no surface word"
+            )
         tokens.extend(template[pos:match.start()].split())
         slot_index[name] = len(tokens)
-        tokens.extend(surface_form(name).split())
+        tokens.extend(surface)
         seen.append(name)
         pos = match.end()
     tokens.extend(template[pos:].split())

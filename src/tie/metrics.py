@@ -98,13 +98,13 @@ def _pooled(name, preds, golds, pred_tuples, gold_tuples) -> ScoreReport:
     return report
 
 
+def _span_tuples(inst):
+    return {(e.type, e.start, e.end) for e in inst.entities}
+
+
 def ent_f1(preds, golds) -> ScoreReport:
     """A predicted entity counts iff type and both offsets match a gold one."""
-    return _pooled(
-        "ent_f1", preds, golds,
-        lambda p: {(e.type, e.start, e.end) for e in p.entities},
-        lambda g: {(m.type, m.start, m.end) for m in g.entities},
-    )
+    return _pooled("ent_f1", preds, golds, _span_tuples, _span_tuples)
 
 
 def _gold_rel_tuples(inst):
@@ -129,11 +129,7 @@ def rel_f1(preds, golds) -> ScoreReport:
 def trig_f1(preds, golds) -> ScoreReport:
     """Event type and trigger offsets must match (triggers live in the
     entity channels of EE datasets)."""
-    return _pooled(
-        "trig_f1", preds, golds,
-        lambda p: {(e.type, e.start, e.end) for e in p.entities},
-        lambda g: {(m.type, m.start, m.end) for m in g.entities},
-    )
+    return _pooled("trig_f1", preds, golds, _span_tuples, _span_tuples)
 
 
 def arg_f1(preds, golds, require_trigger_offsets: bool = False) -> ScoreReport:

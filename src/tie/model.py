@@ -64,11 +64,11 @@ class ModelConfig:
     residual_label_attn: bool = True
 
     def validate(self):
-        if self.d < 1 or self.d % self.heads != 0:
-            raise ValueError(f"hidden size {self.d} must be a positive multiple of heads {self.heads}")
         for name in ("layers_enc", "layers_dec", "heads", "max_len", "max_instr_len", "ffn_mult"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d < 1 or self.d % self.heads != 0:
+            raise ValueError(f"hidden size {self.d} must be a positive multiple of heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.vocab_size < 3:
@@ -118,7 +118,7 @@ class Parameters:
                                     requires_grad=True)
 
     def _ones(self, name, shape):
-        self.tensors[name] = Tensor(np.ones(shape), requires_grad=True)
+        self.tensors[name] = Tensor(np.full(shape, 1.0), requires_grad=True)
 
     def _zeros(self, name, shape):
         self.tensors[name] = Tensor(np.zeros(shape), requires_grad=True)
@@ -309,7 +309,7 @@ class ForwardState:
 
 
 def _linear(x, w, b):
-    return ad.add_bias(ad.matmul(x, w), b)
+    return ad.add(ad.matmul(x, w), b)
 
 
 def _attention(params, prefix, x_q, x_kv, heads, mask=None, train=False, rng=None):
@@ -327,7 +327,7 @@ def _attention(params, prefix, x_q, x_kv, heads, mask=None, train=False, rng=Non
     v = ad.transpose(ad.reshape(v, (size, n_k, heads, dh)), (0, 2, 1, 3))
     scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))   # (B, h, n_q, n_k)
     if mask is not None:
-        scores = ad.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
+        scores = ad.add(scores, Tensor(mask))
     att = ad.softmax_rows(scores)
     if rate:
         att = ad.dropout(att, rate, rng)
@@ -349,19 +349,19 @@ def _ln(params, prefix, x):
 
 
 def _mask(lengths, n: int, causal: bool = False):
-    """Additive mask broadcastable to (B, heads, n_q, n) scores that hides
-    keys past each instance's length and, if causal, keys after the query;
-    None when it hides nothing."""
-    hide = np.arange(n) >= lengths[:, None, None, None]
+    """Additive (B, 1, 1|n, n) mask, broadcast by ``add`` over the
+    (B, heads, n_q, n) scores, that hides keys past each instance's length
+    and, if causal, keys after the query; None when it hides nothing."""
+    keys = np.arange(n)
+    hide = keys >= lengths[:, None, None, None]
     if causal:
-        hide = hide | np.triu(np.ones((n, n), dtype=bool), k=1)
+        hide = hide | (keys > keys[:, None])
     return np.where(hide, _MASKED, 0.0) if hide.any() else None
 
 
 def _embed(params, table_name, ids, pos_table):
-    size, n = ids.shape
-    tok = ad.embedding_lookup(params[table_name], ids)
-    pos = ad.embedding_lookup(params[pos_table], np.broadcast_to(np.arange(n), (size, n)))
+    tok = ad.embedding_lookup(params[table_name], ids)                   # (B, n, d)
+    pos = ad.embedding_lookup(params[pos_table], np.arange(ids.shape[1]))  # (n, d)
     return ad.add(tok, pos)
 
 
@@ -428,21 +428,16 @@ def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Te
     return ad.matmul(att, proj_slot)
 
 
-def _mlp(params, prefix, x):
-    h = ad.gelu(_linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return _linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-
-
 def biaffine_score(h_x: Tensor, params: Parameters):
     """Token-pair logits for (B, n, d) token states: bilinear head/tail
     interaction plus a linear term ``W4 [h_head_i; h_tail_j]``, then a
     per-cell K -> K linear map. The linear term is a head part per row plus
-    a tail part per column, broadcast over the grid by an outer product with
-    ones, so no (B, n, n, 2d) pair tensor is built."""
+    a tail part per column, each broadcast over the grid by ``add``, so no
+    (B, n, n, 2d) pair tensor is built."""
     size, n, d = h_x.shape
     k = params.num_channels
-    h_head = _mlp(params, "head_mlp", h_x)
-    h_tail = _mlp(params, "tail_mlp", h_x)
+    h_head = _ffn(params, "head_mlp", h_x)
+    h_tail = _ffn(params, "tail_mlp", h_x)
 
     w3 = params["biaffine.w3"]
     a = ad.matmul(h_head, ad.reshape(w3, (d, k * d)))                   # (B, n, k*d)
@@ -452,13 +447,9 @@ def biaffine_score(h_x: Tensor, params: Parameters):
     w4_t = ad.transpose(params["biaffine.w4"])                           # (2d, k)
     lin_head = ad.matmul(h_head, ad.embedding_lookup(w4_t, np.arange(d)))
     lin_tail = ad.matmul(h_tail, ad.embedding_lookup(w4_t, np.arange(d, 2 * d)))
-    ones = Tensor(np.ones((n, 1)))
-    over_cols = ad.matmul(ones, ad.reshape(lin_head, (size, n, 1, k)))  # [b,i,j] = head[b,i]
-    over_rows = ad.reshape(ad.matmul(ones, ad.reshape(lin_tail, (size, 1, n * k))),
-                           (size, n, n, k))                             # [b,i,j] = tail[b,j]
-
-    m_x = ad.add(ad.add(bilinear, over_cols), over_rows)
-    logits = ad.add_bias(ad.matmul(m_x, ad.transpose(params["score.w"])), params["score.b"])
+    m_x = ad.add(ad.add(bilinear, ad.reshape(lin_head, (size, n, 1, k))),  # [b,i,j] += head[b,i]
+                 ad.reshape(lin_tail, (size, 1, n, k)))                     # [b,i,j] += tail[b,j]
+    logits = _linear(m_x, ad.transpose(params["score.w"]), params["score.b"])
     return h_head, h_tail, m_x, logits
 
 

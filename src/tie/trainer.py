@@ -87,9 +87,9 @@ class TrainConfig:
         return self
 
 
-def loss(logits, gold, weights=None):
-    """Binary cross-entropy over grid cells (scalar tensor): the mean, or
-    the sum under per-cell ``weights`` (``Batch.loss_targets``)."""
+def loss(logits, gold, weights):
+    """Binary cross-entropy over grid cells (scalar tensor): the sum under
+    per-cell ``weights`` (``Batch.loss_targets``)."""
     return ad.bce_with_logits(logits, gold, weights)
 
 

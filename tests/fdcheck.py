@@ -1,12 +1,31 @@
-"""Central finite-difference oracle shared by gradient tests.
+"""Central finite-difference oracle shared by gradient tests, and the taped
+scalar probes and uniform loss weights they build losses from.
 
-Independent of the tape: it re-runs a closure over raw parameter arrays with
-per-element +/- h perturbations.
+The oracle is independent of the tape: it re-runs a closure over raw
+parameter arrays with per-element +/- h perturbations.
 """
 
 import numpy as np
 
+from tie import autodiff as ad
+from tie.autodiff import Tensor
+
 STEP = 1e-5
+
+
+def inner(a: Tensor, b) -> Tensor:
+    """sum(a * b) over all entries as a (1, 1) tensor, taped through
+    ``reshape`` and ``matmul`` alone; ``b`` is a tensor or a same-size array
+    of constant weights."""
+    if not isinstance(b, Tensor):
+        b = Tensor(b)
+    return ad.matmul(ad.reshape(a, (1, a.size)), ad.reshape(b, (b.size, 1)))
+
+
+def mean_weights(shape) -> np.ndarray:
+    """Per-cell weights of 1/size: ``bce_with_logits`` under them is the
+    mean over all cells."""
+    return np.full(shape, 1.0 / np.prod(shape))
 
 
 def central_diff(f, arr: np.ndarray, h: float = STEP) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from tie import autodiff as ad
 from tie.autodiff import Tape, Tensor
 
-from fdcheck import central_diff, max_rel_err
+from fdcheck import central_diff, inner, max_rel_err, mean_weights
 
 
 def test_matmul_identity():
@@ -32,11 +32,11 @@ def test_matmul_grad_of_sum_is_ones_times_bt():
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)))
     with Tape():
-        loss = ad.sum_all(ad.matmul(a, b))
+        loss = inner(ad.matmul(a, b), np.ones((3, 2)))
         ad.backward(loss)
     expected = np.ones((3, 2)) @ b.data.T
     np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
-    fd = central_diff(lambda: ad.sum_all(ad.matmul(a, b)).item(), a.data)
+    fd = central_diff(lambda: inner(ad.matmul(a, b), np.ones((3, 2))).item(), a.data)
     assert max_rel_err(fd, expected) < 1e-4
 
 
@@ -58,12 +58,12 @@ def test_softmax_rows_sum_to_one_property():
 
 
 def test_bce_analytic_values():
-    loss = ad.bce_with_logits(Tensor(np.zeros((2, 2))), np.ones((2, 2)))
+    loss = ad.bce_with_logits(Tensor(np.zeros((2, 2))), np.ones((2, 2)), mean_weights((2, 2)))
     assert abs(loss.item() - np.log(2.0)) < 1e-12
 
     t = np.array([[1.0, 0.0], [0.0, 1.0]])
     z = np.where(t == 1.0, 30.0, -30.0)
-    sat = ad.bce_with_logits(Tensor(z), t)
+    sat = ad.bce_with_logits(Tensor(z), t, mean_weights((2, 2)))
     assert 0.0 <= sat.item() < 1e-9
 
 
@@ -71,7 +71,7 @@ def test_bce_matches_direct_formula():
     rng = np.random.default_rng(2)
     z = rng.normal(scale=3.0, size=(3, 3, 2))
     t = (rng.random((3, 3, 2)) < 0.4).astype(float)
-    loss = ad.bce_with_logits(Tensor(z), t)
+    loss = ad.bce_with_logits(Tensor(z), t, mean_weights(z.shape))
     s = 1.0 / (1.0 + np.exp(-z))
     direct = -(t * np.log(s) + (1 - t) * np.log(1 - s)).mean()
     assert abs(loss.item() - direct) < 1e-10
@@ -82,20 +82,20 @@ def test_bce_nonnegative_property():
     for _ in range(100):
         z = rng.normal(scale=rng.uniform(0.1, 20.0), size=(3, 4))
         t = (rng.random((3, 4)) < 0.5).astype(float)
-        assert ad.bce_with_logits(Tensor(z), t).item() >= 0.0
+        assert ad.bce_with_logits(Tensor(z), t, mean_weights(z.shape)).item() >= 0.0
 
 
 def test_bce_rejects_bad_targets():
     with pytest.raises(ValueError):
-        ad.bce_with_logits(Tensor(np.zeros(3)), np.array([0.0, 0.5, 1.0]))
+        ad.bce_with_logits(Tensor(np.zeros(3)), np.array([0.0, 0.5, 1.0]), mean_weights((3,)))
     with pytest.raises(ad.ShapeError):
-        ad.bce_with_logits(Tensor(np.zeros((2, 2))), np.zeros((2, 3)))
+        ad.bce_with_logits(Tensor(np.zeros((2, 2))), np.zeros((2, 3)), mean_weights((2, 2)))
 
 
 def test_backward_square():
     x = Tensor(np.array(3.0), requires_grad=True)
     with Tape():
-        y = ad.mul(x, x)
+        y = inner(x, x)
         ad.backward(y)
     assert x.grad == pytest.approx(6.0)
 
@@ -111,7 +111,7 @@ def test_backward_constant_leaves_unused_leaf_zero():
 def test_backward_twice_errors():
     x = Tensor(np.array(2.0), requires_grad=True)
     with Tape():
-        y = ad.mul(x, x)
+        y = inner(x, x)
         ad.backward(y)
         with pytest.raises(ad.TapeError):
             ad.backward(y)
@@ -120,14 +120,14 @@ def test_backward_twice_errors():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape():
-        y = ad.mul(x, x)
+        y = ad.add(x, x)
         with pytest.raises(ad.ShapeError):
             ad.backward(y)
 
 
 def test_no_tape_means_no_tracking():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = ad.mul(x, x)
+    y = ad.add(x, x)
     assert not y.requires_grad and y._tape is None
 
 
@@ -135,7 +135,7 @@ def test_nonfinite_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(ad.NonFiniteError):
             big = Tensor(np.full((2, 2), 1e308))
-            ad.mul(big, big)
+            ad.add(big, big)
 
 
 def test_matmul_batch_axes_must_broadcast():
@@ -157,11 +157,18 @@ def test_bce_weighted_is_weighted_sum_and_checks_shape():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(2, 3))
     t = (rng.random((2, 3)) < 0.5).astype(float)
-    uniform = np.full((2, 3), 1.0 / 6.0)
-    assert ad.bce_with_logits(Tensor(z), t, uniform).item() == pytest.approx(
-        ad.bce_with_logits(Tensor(z), t).item(), abs=1e-12)
+    w = rng.random((2, 3))
+    s = 1.0 / (1.0 + np.exp(-z))
+    direct = -(w * (t * np.log(s) + (1 - t) * np.log(1 - s))).sum()
+    assert ad.bce_with_logits(Tensor(z), t, w).item() == pytest.approx(direct, abs=1e-12)
     with pytest.raises(ad.ShapeError):
         ad.bce_with_logits(Tensor(z), t, np.ones((3, 2)))
+
+
+def test_add_shapes_must_broadcast():
+    with pytest.raises(ad.ShapeError) as err:
+        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
 
 
 def test_embedding_lookup_bounds():
@@ -183,7 +190,7 @@ def test_op_output_grad_is_lazy_and_keeps_strides():
         xt = ad.transpose(x)
         out = ad.matmul(xt, w)
         assert xt.grad is None and out.grad is None
-        ad.backward(ad.sum_all(out))
+        ad.backward(inner(out, np.ones(out.shape)))
     assert not xt.data.flags.c_contiguous
     assert xt.grad.strides == xt.data.strides
     np.testing.assert_array_equal(xt.grad, np.ones((5, 2)) @ w.data.T)
@@ -196,7 +203,7 @@ def test_branch_off_the_loss_path_is_skipped():
     with Tape():
         side = ad._make(x.data * 3.0, "probe", (x,), calls.append)
         touched = ad.add(side, unused)   # consumes the leaf, but off the path too
-        ad.backward(ad.sum_all(ad.mul(x, x)))
+        ad.backward(inner(x, x))
     assert side.grad is None and touched.grad is None
     assert calls == []
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
@@ -211,7 +218,7 @@ def test_tensor_reached_twice_gets_exact_sum_in_its_own_buffer():
     with Tape():
         y = ad.scale(x, 0.7)
         z = ad.add(y, y)
-        ad.backward(ad.sum_all(ad.mul(z, Tensor(w))))
+        ad.backward(inner(z, w))
     np.testing.assert_array_equal(z.grad, w)   # not doubled in place by y's second add
     np.testing.assert_array_equal(y.grad, w + w)
     assert not np.shares_memory(y.grad, z.grad)
@@ -230,10 +237,6 @@ def test_determinism():
 # shapes, weighted-sum loss so non-uniform output gradients are exercised.
 
 
-def _weighted_loss(out: Tensor, weights: np.ndarray) -> Tensor:
-    return ad.sum_all(ad.mul(out, Tensor(weights)))
-
-
 def _op_cases(rng):
     m, k, n = rng.integers(2, 5, size=3)
     cases = []
@@ -245,11 +248,18 @@ def _op_cases(rng):
     x = rng.normal(size=(m, n))
     y = rng.normal(size=(m, n))
     cases.append(("add", [x, y], lambda t: ad.add(t[0], t[1])))
-    cases.append(("mul", [x, y], lambda t: ad.mul(t[0], t[1])))
     cases.append(("scale", [x], lambda t: ad.scale(t[0], 0.37)))
 
-    bias = rng.normal(size=(n,))
-    cases.append(("add_bias", [x, bias], lambda t: ad.add_bias(t[0], t[1])))
+    # add broadcasts: a bias onto a batch, both operands over a pair grid,
+    # and a size-1 leading axis
+    bias = rng.normal(size=(k,))
+    batch = rng.normal(size=(2, m, k))
+    cases.append(("add_bias_broadcast", [batch, bias], lambda t: ad.add(t[0], t[1])))
+    rows = rng.normal(size=(2, m, 1, k))
+    cols = rng.normal(size=(2, 1, m, k))
+    cases.append(("add_both_broadcast", [rows, cols], lambda t: ad.add(t[0], t[1])))
+    lead = rng.normal(size=(1, m, k))
+    cases.append(("add_size1_leading", [lead, batch], lambda t: ad.add(t[0], t[1])))
 
     batched = rng.normal(size=(2, m, k))
     cases.append(("matmul_batched_2d", [batched, b], lambda t: ad.matmul(t[0], t[1])))
@@ -283,13 +293,10 @@ def _op_cases(rng):
     cases.append(("transpose3", [cube], lambda t: ad.transpose(t[0], (1, 2, 0))))
     cases.append(("reshape", [cube], lambda t: ad.reshape(t[0], (m * n, k))))
 
-    cases.append(("sum_all", [x], lambda t: ad.sum_all(t[0])))
     cases.append(("softmax_rows", [x], lambda t: ad.softmax_rows(t[0])))
     cases.append(("softmax_rows_nd", [cube], lambda t: ad.softmax_rows(t[0])))
-    cases.append(("sigmoid", [x], lambda t: ad.sigmoid(t[0])))
 
     targ = (rng.random((m, n)) < 0.5).astype(float)
-    cases.append(("bce", [x], lambda t: ad.bce_with_logits(t[0], targ)))
     cell_w = rng.random((m, n)) * (rng.random((m, n)) < 0.7)
     cases.append(("bce_weighted", [x], lambda t: ad.bce_with_logits(t[0], targ, cell_w)))
     return cases
@@ -305,11 +312,11 @@ def test_gradients_match_finite_differences():
             weights = rng.normal(size=out_probe.shape)
 
             with Tape():
-                loss = _weighted_loss(build(tensors), weights)
+                loss = inner(build(tensors), weights)
                 ad.backward(loss)
 
             def value():
-                return _weighted_loss(build(tensors), weights).item()
+                return inner(build(tensors), weights).item()
 
             for tensor in tensors:
                 fd = central_diff(value, tensor.data)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tie.cli import main
+from tie.cli import RunConfig, main
 
 from test_checkpoint import _split_header, _with_header
 
@@ -121,11 +121,29 @@ def _append_line(path, line, config):
     return config
 
 
+def _set(section, key, value):
+    return lambda d, c: {**c, section: {**c[section], key: value}}
+
+
 # case -> (turns (config dir, config) into the config to write, after
 # damaging a file the config names where it needs to; text the error names)
 MALFORMED_INPUTS = {
     "config is a string": (lambda d, c: "seed out", "top level"),
     "seed is a list": (lambda d, c: {**c, "seed": [1]}, "seed"),
+    "seed is a float": (lambda d, c: {**c, "seed": 7.9}, "seed: must be an integer"),
+    "lowercase is a string": (lambda d, c: {**c, "lowercase": "no"}, "lowercase"),
+    "d is a float": (_set("model", "d", 32.0), "model.d: must be an integer"),
+    "dropout is a string": (_set("model", "dropout", "0.1"), "model.dropout: must be a number"),
+    "heads is 0": (_set("model", "heads", 0), "heads must be >= 1"),
+    "batch_size is a float": (_set("train", "batch_size", 4.0), "train.batch_size"),
+    "pretrain_epochs is a float": (_set("train", "pretrain_epochs", 1.5),
+                                   "train.pretrain_epochs"),
+    "epochs is a boolean": (_set("train", "finetune_epochs", True), "train.finetune_epochs"),
+    "lr is a boolean": (_set("train", "lr", False), "train.lr: must be a number"),
+    "max steps is a float": (_set("train", "pretrain_max_steps", 2.0),
+                             "train.pretrain_max_steps: must be an integer or null"),
+    "reset_optimizer_on_finetune is a string": (
+        _set("train", "reset_optimizer_on_finetune", "no"), "train.reset_optimizer_on_finetune"),
     "sources is a number": (lambda d, c: {**c, "sources": 5}, "sources"),
     "instructions entry is a number": (lambda d, c: {**c, "instructions": [3]},
                                        "instructions[0]"),
@@ -158,6 +176,14 @@ def test_malformed_run_input_exits_2(tmp_path, capsys, case):
     assert main(["pretrain", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "error: " in err and named in err
+
+
+def test_config_accepts_integer_for_float_and_null_max_steps(tmp_path):
+    cfg_path, config = make_config(tmp_path, train={"lr": 1, "pretrain_max_steps": None,
+                                                    "finetune_max_steps": None})
+    loaded = RunConfig.load(cfg_path)
+    assert loaded.train.lr == 1 and loaded.train.pretrain_max_steps is None
+    assert loaded.lowercase is False
 
 
 def test_missing_checkpoint_nonzero_exit(tmp_path, capsys):

@@ -61,6 +61,17 @@ def test_duplicate_placeholder_rejected():
         parse_template("{X} then {X}", LabelSpace(["X"], []), Vocabulary(["x", "then"]))
 
 
+@pytest.mark.parametrize("entities, links, template", [
+    (["_"], [], "find {_}"),
+    (["A_", "__"], [], "find {A_} and {__} here"),
+    (["X"], ["_"], "{X} {_}"),
+])
+def test_channel_without_surface_word_rejected(entities, links, template):
+    vocab = Vocabulary(["find", "a", "and", "here", "x"])
+    with pytest.raises(InstructionError, match="no surface word"):
+        parse_template(template, LabelSpace(entities, links), vocab, dataset_id="d")
+
+
 def test_multi_token_label_slot_is_first_token():
     space = LabelSpace(["PER"], ["Work_For"])
     vocab = Vocabulary(["find", "work", "for", "per"])

@@ -18,6 +18,8 @@ from tie.trainer import (
     rng_for,
 )
 
+from fdcheck import mean_weights
+
 
 # --- loss ---------------------------------------------------------------
 
@@ -25,13 +27,14 @@ from tie.trainer import (
 def test_loss_saturated_zero():
     logits = Tensor(np.full((3, 3, 2), -30.0))
     gold = np.zeros((3, 3, 2))
-    assert T.loss(logits, gold).item() < 1e-9
+    assert T.loss(logits, gold, mean_weights(gold.shape)).item() < 1e-9
 
 
 def test_loss_zero_logits_ln2():
     logits = Tensor(np.zeros((3, 3, 2)))
     gold = (np.random.default_rng(0).random((3, 3, 2)) < 0.5).astype(float)
-    assert T.loss(logits, gold).item() == pytest.approx(np.log(2.0), abs=1e-12)
+    assert T.loss(logits, gold, mean_weights(gold.shape)).item() == pytest.approx(
+        np.log(2.0), abs=1e-12)
 
 
 def test_loss_matches_formula():
@@ -40,7 +43,7 @@ def test_loss_matches_formula():
     g = (rng.random((4, 4, 3)) < 0.3).astype(float)
     s = 1.0 / (1.0 + np.exp(-z))
     direct = -(g * np.log(s) + (1 - g) * np.log(1 - s)).mean()
-    assert T.loss(Tensor(z), g).item() == pytest.approx(direct, abs=1e-10)
+    assert T.loss(Tensor(z), g, mean_weights(g.shape)).item() == pytest.approx(direct, abs=1e-10)
 
 
 # --- epoch planning -----------------------------------------------------
