@@ -3,11 +3,18 @@
 Shape discipline is strict: unless an op documents otherwise, operand shapes
 must match exactly. The sanctioned broadcasts are numpy broadcasting in
 ``add`` and over the leading (batch) axes of ``matmul``; backward sums each
-operand's gradient over the axes it was broadcast along. Every op checks its
-result for NaN/Inf and raises instead of propagating garbage. Ops record onto
-the innermost active ``Tape`` only when some input requires gradients; with
-no active tape they are plain numpy computations, so evaluation-time
-forwards are side-effect free and safe to run concurrently.
+operand's gradient over the axes it was broadcast along. Ops record onto the
+innermost active ``Tape`` only when some input requires gradients; with no
+active tape they are plain numpy computations, so evaluation-time forwards
+are side-effect free and safe to run concurrently.
+
+Ten taped ops: ``matmul``, ``add``, ``embedding_lookup``, ``layer_norm``,
+``gelu``, ``transpose``, ``reshape``, ``attention`` (multi-head scores,
+mask, softmax, dropout and value mix as one record), ``bce_with_logits``
+and ``dropout``. Ops do not check their results: NaN/Inf propagate to the
+forward/backward boundary, where ``check_finite`` screens the model's logits
+and ``Tape.backward`` the loss, naming the first recorded op whose output is
+non-finite. The trainer screens the gradients.
 """
 
 from __future__ import annotations
@@ -24,13 +31,13 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "scale",
     "embedding_lookup",
     "layer_norm",
     "gelu",
     "transpose",
     "reshape",
-    "softmax_rows",
+    "attention",
+    "check_finite",
     "sigmoid",
     "bce_with_logits",
     "dropout",
@@ -135,6 +142,7 @@ class Tape:
             )
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        check_finite(loss, "loss")
         self._consumed = True
         _accumulate(loss, np.ones_like(loss.data))
         while self._records:
@@ -161,17 +169,20 @@ def backward(loss: Tensor):
     loss._tape.backward(loss)
 
 
-def _ensure_finite(arr, op: str):
-    # A float64 sum stays finite iff no element is NaN/Inf (inf-inf gives
-    # NaN, NaN propagates); the cheap sum screens, the elementwise check
-    # only runs to rule out overflow-of-the-sum false alarms.
-    if not np.isfinite(arr.sum()):
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{op} produced non-finite values")
+def check_finite(t: Tensor, what: str):
+    """Raise ``NonFiniteError`` if ``t`` holds NaN or Inf, naming the first
+    non-finite op output on ``t``'s tape if it has one."""
+    # a float64 sum is finite iff no element is NaN/Inf, barring overflow of
+    # the sum itself, which the elementwise check rules out
+    if np.isfinite(t.data.sum()) or np.isfinite(t.data).all():
+        return
+    # an op's backward closure is defined inside it: its qualname starts with the op's name
+    first = next((fn.__qualname__.split(".")[0] for out, fn in getattr(t._tape, "_records", ())
+                  if not np.isfinite(out.data).all()), None)
+    raise NonFiniteError(f"{what} is non-finite" + (f", first from {first}" if first else ""))
 
 
-def _make(data, op: str, parents, backward_fn) -> Tensor:
-    _ensure_finite(data, op)
+def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
@@ -222,7 +233,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-    return _make(out_data, "matmul", (a, b), bw)
+    return _make(out_data, (a, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -239,18 +250,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, "add", (a, b), bw)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a Python scalar constant."""
-    c = float(c)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * c)
-
-    return _make(a.data * c, "scale", (a,), bw)
+    return _make(a.data + b.data, (a, b), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -271,7 +271,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx.reshape(-1), g.reshape(-1, d))
 
-    return _make(table.data[idx], "embedding_lookup", (table,), bw)
+    return _make(table.data[idx], (table,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -299,7 +299,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             m2 = (gy * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, (gy - m1 - xhat * m2) * inv)
 
-    return _make(out, "layer_norm", (x, gain, bias), bw)
+    return _make(out, (x, gain, bias), bw)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -312,7 +312,7 @@ def gelu(x: Tensor) -> Tensor:
             pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
             _accumulate(x, g * (cdf + x.data * pdf))
 
-    return _make(out, "gelu", (x,), bw)
+    return _make(out, (x,), bw)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -326,7 +326,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g.transpose(inverse))
 
-    return _make(a.data.transpose(perm), "transpose", (a,), bw)
+    return _make(a.data.transpose(perm), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -339,21 +339,52 @@ def reshape(a: Tensor, shape) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g.reshape(old))
 
-    return _make(a.data.reshape(shape), "reshape", (a,), bw)
+    return _make(a.data.reshape(shape), (a,), bw)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
+              scale: float = 1.0, rate: float = 0.0, rng=None) -> Tensor:
+    """Multi-head attention of (B, n_q, d) queries over (B, n_k, d) keys and
+    values, as one op: split heads, score ``(q_h @ k_h^T) * scale``, add
+    ``mask`` (an additive array broadcastable to (B, heads, n_q, n_k)) if
+    given, take the softmax over keys, apply inverted dropout at ``rate``
+    with draws from ``rng``, mix the v_h rows, and merge the heads back to
+    (B, n_q, d). Backward reuses the forward's softmax."""
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape \
+            or q.shape[::2] != k.shape[::2] or q.shape[2] % heads:
+        raise ShapeError(f"attention needs (B, n_q, d) q and (B, n_k, d) k, v with {heads} heads "
+                         f"dividing d, got {q.shape}, {k.shape} and {v.shape}")
+    size, n_q, d = q.shape
+    n_k, dh = k.shape[1], d // heads
+    qh = q.data.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
+    k_t = k.data.reshape(size, n_k, heads, dh).transpose(0, 2, 3, 1)
+    vh = v.data.reshape(size, n_k, heads, dh).transpose(0, 2, 1, 3)
+    scores = (qh @ k_t) * scale                                  # (B, h, n_q, n_k)
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    keep = (rng.random(att.shape) >= rate) / (1.0 - rate) if rate else None
+    att_d = att * keep if rate else att
+    out = (att_d @ vh).transpose(0, 2, 1, 3).reshape(size, n_q, d)
 
     def bw(g):
-        if a.requires_grad:
-            s = (g * out).sum(axis=-1, keepdims=True)
-            _accumulate(a, (g - s) * out)
+        g_o = g.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
+        g_att = g_o @ np.swapaxes(vh, -1, -2)
+        if rate:
+            g_att = g_att * keep
+        g_s = ((g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att) * scale
+        if q.requires_grad:
+            g_q = g_s @ np.swapaxes(k_t, -1, -2)
+            _accumulate(q, g_q.transpose(0, 2, 1, 3).reshape(size, n_q, d))
+        if k.requires_grad:
+            g_k = np.swapaxes(qh, -1, -2) @ g_s
+            _accumulate(k, g_k.transpose(0, 3, 1, 2).reshape(size, n_k, d))
+        if v.requires_grad:
+            g_v = np.swapaxes(att_d, -1, -2) @ g_o
+            _accumulate(v, g_v.transpose(0, 2, 1, 3).reshape(size, n_k, d))
 
-    return _make(out, "softmax_rows", (a,), bw)
+    return _make(out, (q, k, v), bw)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -386,7 +417,7 @@ def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
         if logits.requires_grad:
             _accumulate(logits, (sigmoid(z) - t) * (w * float(g)))
 
-    return _make(np.asarray((per_cell * w).sum()), "bce_with_logits", (logits,), bw)
+    return _make(np.asarray((per_cell * w).sum()), (logits,), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -401,4 +432,4 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g * mask)
 
-    return _make(a.data * mask, "dropout", (a,), bw)
+    return _make(a.data * mask, (a,), bw)

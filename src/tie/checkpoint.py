@@ -147,6 +147,8 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
         dims = tuple(entry["dims"])
         count = int(np.prod(dims, dtype=np.int64)) if dims else 1
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=entry["offset"])
+        if not np.isfinite(arr).all():   # the CRC matches NaNs that were saved
+            raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
         arrays[entry["name"]] = arr.reshape(dims).astype(np.float64)
         extents.append((entry["name"], entry["offset"], arr.nbytes))
 

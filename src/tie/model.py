@@ -316,23 +316,11 @@ def _attention(params, prefix, x_q, x_kv, heads, mask=None, train=False, rng=Non
     """(B, n_q, d) queries over (B, n_k, d) keys; ``mask`` is additive and
     broadcastable to the (B, heads, n_q, n_k) scores, or None."""
     rate = params.config.dropout if train else 0.0
-    size, n_q, d = x_q.shape
-    n_k = x_kv.shape[1]
-    dh = d // heads
     q = _linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = _linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = _linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    q = ad.transpose(ad.reshape(q, (size, n_q, heads, dh)), (0, 2, 1, 3))
-    k_t = ad.transpose(ad.reshape(k, (size, n_k, heads, dh)), (0, 2, 3, 1))
-    v = ad.transpose(ad.reshape(v, (size, n_k, heads, dh)), (0, 2, 1, 3))
-    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))   # (B, h, n_q, n_k)
-    if mask is not None:
-        scores = ad.add(scores, Tensor(mask))
-    att = ad.softmax_rows(scores)
-    if rate:
-        att = ad.dropout(att, rate, rng)
-    out = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))            # (B, n_q, h, dh)
-    out = ad.reshape(out, (size, n_q, d))
+    out = ad.attention(q, k, v, heads, mask=mask, scale=1.0 / math.sqrt(q.shape[2] // heads),
+                       rate=rate, rng=rng)
     return _linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -349,7 +337,7 @@ def _ln(params, prefix, x):
 
 
 def _mask(lengths, n: int, causal: bool = False):
-    """Additive (B, 1, 1|n, n) mask, broadcast by ``add`` over the
+    """Additive (B, 1, 1|n, n) mask, broadcast by ``ad.attention`` over the
     (B, heads, n_q, n) scores, that hides keys past each instance's length
     and, if causal, keys after the query; None when it hides nothing."""
     keys = np.arange(n)
@@ -424,8 +412,7 @@ def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Te
     states."""
     proj_x = ad.matmul(h_enc, w1)
     proj_slot = ad.matmul(h_slot, w2)
-    att = ad.softmax_rows(ad.matmul(proj_x, ad.transpose(proj_slot, (0, 2, 1))))
-    return ad.matmul(att, proj_slot)
+    return ad.attention(proj_x, proj_slot, proj_slot, 1)
 
 
 def biaffine_score(h_x: Tensor, params: Parameters):
@@ -471,5 +458,6 @@ def forward(params: Parameters, batch: Batch, train: bool = False,
     h_head, h_tail, m_x, logits = biaffine_score(h_x, params)
     size, n_max = batch.tokens.shape
     assert logits.shape == (size, n_max, n_max, params.num_channels)
+    ad.check_finite(logits, "forward logits")
     return ForwardState(h_enc=h_enc, h_dec=h_dec, h_slot=h_slot, h_x=h_x,
                         h_head=h_head, h_tail=h_tail, m_x=m_x, logits=logits)

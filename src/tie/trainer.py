@@ -78,8 +78,10 @@ class TrainConfig:
     def validate(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "pretrain_epochs", "finetune_epochs", "min_count",
+                     "pretrain_max_steps", "finetune_max_steps"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.gate_granularity not in ("group", "global"):
             raise ValueError(f"unknown gate granularity {self.gate_granularity!r}")
         if not 0.0 < self.threshold < 1.0:

@@ -40,21 +40,93 @@ def test_matmul_grad_of_sum_is_ones_times_bt():
     assert max_rel_err(fd, expected) < 1e-4
 
 
-def test_softmax_rows_uniform_and_stability():
-    out = ad.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
-    big = ad.softmax_rows(Tensor([[1000.0, 0.0]]))
+def test_attention_uniform_and_stability():
+    # equal scores average the value rows; huge scores put all weight on one key
+    v = Tensor([[[1.0, -2.0], [3.0, 0.5], [-4.0, 6.0]]])
+    out = ad.attention(Tensor(np.zeros((1, 2, 2))), Tensor(np.ones((1, 3, 2))), v, 2)
+    np.testing.assert_allclose(out.data, np.repeat(v.data.mean(axis=1, keepdims=True), 2, 1),
+                               atol=1e-12)
+    eye = Tensor(np.eye(2)[None])
+    big = ad.attention(Tensor([[[1000.0, 0.0]]]), eye, eye, 1)
     assert np.isfinite(big.data).all()
-    np.testing.assert_allclose(big.data, [[1.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(big.data, [[[1.0, 0.0]]], atol=1e-12)
 
 
-def test_softmax_rows_sum_to_one_property():
+def test_attention_rows_sum_to_one_property():
+    # with identity values the output rows are the attention rows
     rng = np.random.default_rng(1)
     for _ in range(50):
         m, n = rng.integers(1, 6, size=2)
-        x = Tensor(rng.normal(scale=rng.uniform(0.1, 50.0), size=(m, n)))
-        out = ad.softmax_rows(x)
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(m), atol=1e-9)
+        q = Tensor(rng.normal(scale=rng.uniform(0.1, 50.0), size=(1, m, n)))
+        k = Tensor(rng.normal(scale=rng.uniform(0.1, 50.0), size=(1, n, n)))
+        out = ad.attention(q, k, Tensor(np.eye(n)[None]), 1)
+        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones((1, m)), atol=1e-9)
+
+
+def _unfused_attention(q, k, v, heads, mask, scale, keep, g):
+    """The attention chain as separate numpy steps, each gradient stored
+    contiguously as a tape of single ops would keep it: (output, dq, dk, dv)
+    for upstream gradient ``g``."""
+    size, n_q, d = q.shape
+    n_k, dh = k.shape[1], d // heads
+    qh = q.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
+    k_t = k.reshape(size, n_k, heads, dh).transpose(0, 2, 3, 1)
+    vh = v.reshape(size, n_k, heads, dh).transpose(0, 2, 1, 3)
+    scores = (qh @ k_t) * scale
+    if mask is not None:
+        scores = scores + mask
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    att = e / e.sum(axis=-1, keepdims=True)
+    att_d = att if keep is None else att * keep
+    out = (att_d @ vh).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+
+    g_o = np.ascontiguousarray(g.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3))
+    g_att = g_o @ np.swapaxes(vh, -1, -2)
+    if keep is not None:
+        g_att = g_att * keep
+    g_s = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
+    g_s = g_s * scale
+    dq = (g_s @ np.swapaxes(k_t, -1, -2)).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+    dk = (np.swapaxes(qh, -1, -2) @ g_s).transpose(0, 3, 1, 2).reshape(size, n_k, d)
+    dv = (np.swapaxes(att_d, -1, -2) @ g_o).transpose(0, 2, 1, 3).reshape(size, n_k, d)
+    return out, dq, dk, dv
+
+
+def test_attention_matches_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(8)
+    size, n_q, n_k, d = 3, 5, 4, 8
+    mask = np.where(np.arange(n_k) >= np.array([4, 2, 3])[:, None, None, None], -1e30, 0.0)
+    for heads, use_mask, rate in ((2, True, 0.0), (4, False, 0.25), (1, True, 0.5)):
+        arrays = [rng.normal(size=(size, n, d)) for n in (n_q, n_k, n_k)]
+        g = rng.normal(size=(size, n_q, d))
+        m = mask if use_mask else None
+        keep = ((np.random.default_rng(9).random((size, heads, n_q, n_k)) >= rate)
+                / (1.0 - rate)) if rate else None
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        with Tape():
+            out = ad.attention(q, k, v, heads, mask=m, scale=0.3, rate=rate,
+                               rng=np.random.default_rng(9))
+            ad.backward(inner(out, g))
+        expected = _unfused_attention(*arrays, heads, m, 0.3, keep, g)
+        for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
+            assert np.array_equal(got, want)
+    # k is v (label attention): one gradient buffer gets both parts
+    q, kv = Tensor(arrays[0], requires_grad=True), Tensor(arrays[1], requires_grad=True)
+    with Tape():
+        ad.backward(inner(ad.attention(q, kv, kv, 1), g))
+    _, dq, dk, dv = _unfused_attention(arrays[0], arrays[1], arrays[1], 1, None, 1.0, None, g)
+    dv += dk
+    assert np.array_equal(q.grad, dq) and np.array_equal(kv.grad, dv)
+
+
+def test_attention_shape_errors():
+    with pytest.raises(ad.ShapeError):
+        ad.attention(Tensor(np.zeros((1, 2, 6))), Tensor(np.zeros((1, 3, 6))),
+                     Tensor(np.zeros((1, 3, 6))), 4)
+    with pytest.raises(ad.ShapeError):
+        ad.attention(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 3, 4))),
+                     Tensor(np.zeros((1, 2, 4))), 2)
 
 
 def test_bce_analytic_values():
@@ -131,11 +203,12 @@ def test_no_tape_means_no_tracking():
     assert not y.requires_grad and y._tape is None
 
 
-def test_nonfinite_raises():
-    with np.errstate(over="ignore"):
-        with pytest.raises(ad.NonFiniteError):
-            big = Tensor(np.full((2, 2), 1e308))
-            ad.add(big, big)
+def test_backward_names_the_op_that_overflowed():
+    big = Tensor(np.full((2, 2), 1e308), requires_grad=True)
+    with np.errstate(over="ignore"), Tape():
+        loss = inner(ad.add(big, big), np.ones((2, 2)))
+        with pytest.raises(ad.NonFiniteError, match=r"loss.*\badd\b"):
+            ad.backward(loss)
 
 
 def test_matmul_batch_axes_must_broadcast():
@@ -201,7 +274,7 @@ def test_branch_off_the_loss_path_is_skipped():
     unused = Tensor(np.ones(3), requires_grad=True)
     calls = []
     with Tape():
-        side = ad._make(x.data * 3.0, "probe", (x,), calls.append)
+        side = ad._make(x.data * 3.0, (x,), calls.append)
         touched = ad.add(side, unused)   # consumes the leaf, but off the path too
         ad.backward(inner(x, x))
     assert side.grad is None and touched.grad is None
@@ -213,10 +286,10 @@ def test_branch_off_the_loss_path_is_skipped():
 
 def test_tensor_reached_twice_gets_exact_sum_in_its_own_buffer():
     rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    w = rng.normal(size=(2, 3))
+    x = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    w = rng.normal(size=(3, 1))
     with Tape():
-        y = ad.scale(x, 0.7)
+        y = ad.matmul(x, Tensor([[0.7]]))
         z = ad.add(y, y)
         ad.backward(inner(z, w))
     np.testing.assert_array_equal(z.grad, w)   # not doubled in place by y's second add
@@ -227,9 +300,9 @@ def test_tensor_reached_twice_gets_exact_sum_in_its_own_buffer():
 
 def test_determinism():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 4))
-    a = ad.softmax_rows(ad.gelu(Tensor(x)))
-    b = ad.softmax_rows(ad.gelu(Tensor(x)))
+    x = rng.normal(size=(1, 4, 4))
+    a = ad.attention(*[ad.gelu(Tensor(x))] * 3, 2)
+    b = ad.attention(*[ad.gelu(Tensor(x))] * 3, 2)
     assert np.array_equal(a.data, b.data)
 
 
@@ -248,7 +321,6 @@ def _op_cases(rng):
     x = rng.normal(size=(m, n))
     y = rng.normal(size=(m, n))
     cases.append(("add", [x, y], lambda t: ad.add(t[0], t[1])))
-    cases.append(("scale", [x], lambda t: ad.scale(t[0], 0.37)))
 
     # add broadcasts: a bias onto a batch, both operands over a pair grid,
     # and a size-1 leading axis
@@ -293,8 +365,25 @@ def _op_cases(rng):
     cases.append(("transpose3", [cube], lambda t: ad.transpose(t[0], (1, 2, 0))))
     cases.append(("reshape", [cube], lambda t: ad.reshape(t[0], (m * n, k))))
 
-    cases.append(("softmax_rows", [x], lambda t: ad.softmax_rows(t[0])))
-    cases.append(("softmax_rows_nd", [cube], lambda t: ad.softmax_rows(t[0])))
+    # attention: 2 heads of width k over m queries and n keys, batch 2
+    q = rng.normal(size=(2, m, 2 * k))
+    kv = [rng.normal(size=(2, n, 2 * k)) for _ in range(2)]
+    cases.append(("attention", [q, *kv],
+                  lambda t: ad.attention(t[0], t[1], t[2], 2, scale=0.6)))
+    pad = np.where(np.arange(n) >= np.array([n, n - 1])[:, None, None, None], -1e30, 0.0)
+    cases.append(("attention_padded_keys", [q, *kv],
+                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=pad, scale=0.6)))
+    keys = np.arange(m)
+    causal = np.where((keys > keys[:, None]) | (keys >= np.array([m, m - 1])[:, None, None, None]),
+                      -1e30, 0.0)
+    square = [rng.normal(size=(2, m, 2 * k)) for _ in range(2)]
+    cases.append(("attention_causal_padded", [q, *square],
+                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=causal, scale=0.6)))
+    cases.append(("attention_dropout", [q, *kv],
+                  lambda t: ad.attention(t[0], t[1], t[2], 2, rate=0.3,
+                                         rng=np.random.default_rng(3))))
+    cases.append(("attention_one_head_k_is_v", [q, kv[0]],
+                  lambda t: ad.attention(t[0], t[1], t[1], 1)))
 
     targ = (rng.random((m, n)) < 0.5).astype(float)
     cell_w = rng.random((m, n)) * (rng.random((m, n)) < 0.7)

@@ -165,6 +165,26 @@ def _header_mutants(header, rng):
         yield f"header={value!r}", value
 
 
+def test_non_finite_tensor_is_rejected_by_name(tmp_path):
+    # the CRC covers the payload as written, NaNs included
+    state = run_pretrain(2, tmp_path)
+    (_a, _b, _t), vocab, _pool, _params, cfg, k = fixture()
+    targets = {"param/score.b": state.params["score.b"].data,
+               "adam.m/enc.0.attn.wq": state.optimizer.m["enc.0.attn.wq"],
+               "adam.v/dec.norm.g": state.optimizer.v["dec.norm.g"],
+               "snapshot/score": state.snapshot.prev["score"]}
+    path = tmp_path / "x.ckpt"
+    for name, arr in targets.items():
+        for bad in (np.nan, np.inf):
+            kept = arr.flat[0]
+            arr.flat[0] = bad
+            save_checkpoint(path, Checkpoint(config=cfg, num_channels=k, seed=4,
+                                             step=state.step, vocab=vocab, state=state))
+            arr.flat[0] = kept
+            with pytest.raises(CheckpointError, match=f"tensor {name} holds NaN or Inf"):
+                load_checkpoint(path)
+
+
 def test_malformed_header_fuzz_loads_or_raises_checkpoint_error(tmp_path):
     (a, b, _t), vocab, pool, params, cfg, k = fixture()
     tcfg = TrainConfig(batch_size=4, pretrain_epochs=1, pretrain_max_steps=2)

@@ -142,6 +142,13 @@ MALFORMED_INPUTS = {
     "lr is a boolean": (_set("train", "lr", False), "train.lr: must be a number"),
     "max steps is a float": (_set("train", "pretrain_max_steps", 2.0),
                              "train.pretrain_max_steps: must be an integer or null"),
+    "pretrain_epochs is 0": (_set("train", "pretrain_epochs", 0),
+                             "train: pretrain_epochs must be >= 1"),
+    "finetune_epochs is negative": (_set("train", "finetune_epochs", -2),
+                                    "train: finetune_epochs must be >= 1"),
+    "min_count is 0": (_set("train", "min_count", 0), "train: min_count must be >= 1"),
+    "max steps is 0": (_set("train", "finetune_max_steps", 0),
+                       "train: finetune_max_steps must be >= 1"),
     "reset_optimizer_on_finetune is a string": (
         _set("train", "reset_optimizer_on_finetune", "no"), "train.reset_optimizer_on_finetune"),
     "sources is a number": (lambda d, c: {**c, "sources": 5}, "sources"),
@@ -206,6 +213,21 @@ def test_malformed_checkpoint_header_exits_2(tmp_path, capsys):
                "--checkpoint", str(ckpt)])
     assert rc == 2
     assert "malformed header" in capsys.readouterr().err
+
+
+def test_checkpoint_with_nan_parameter_exits_2(tmp_path, capsys):
+    from tie.checkpoint import load_checkpoint, save_checkpoint
+
+    cfg_path, config = make_config(tmp_path)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    ckpt = Path(config["out"]) / "pretrained.ckpt"
+    loaded = load_checkpoint(ckpt)
+    loaded.state.params["score.b"].data[0] = float("nan")
+    save_checkpoint(ckpt, loaded)
+    rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "ev"),
+               "--checkpoint", str(ckpt)])
+    assert rc == 2
+    assert "param/score.b holds NaN" in capsys.readouterr().err
 
 
 def _absa_retarget(tmp_path, train=None):

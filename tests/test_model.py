@@ -239,6 +239,22 @@ def test_dropout_only_active_in_training_mode():
     assert not np.array_equal(train1.logits.data, train2.logits.data)
 
 
+def test_one_attention_block_is_nine_tape_records():
+    # q, k and v linears (2 each), the attention op, the output linear (2)
+    p = toy_params(heads=2)
+    x = Tensor(np.random.default_rng(18).normal(size=(2, 3, 8)), requires_grad=True)
+    with Tape() as tape:
+        M._attention(p, "enc.0.attn", x, x, 2, mask=M._mask(np.array([3, 2]), 3))
+    assert len(tape._records) == 9
+
+
+def test_untaped_forward_with_infinite_parameter_raises():
+    p = toy_params(k=2)
+    p.tensors["score.b"].data[0] = np.inf
+    with pytest.raises(ad.NonFiniteError, match="logits"):
+        M.forward(p, one([1, 2, 3], [4, 5], [0, 1]))
+
+
 def test_small_gradcheck():
     report = run_gradcheck(d=4, layers=1, heads=2, n_tokens=3, n_instr=4,
                            num_channels=2, seed=1)
