@@ -2,22 +2,28 @@
 
 Shape discipline is strict: unless an op documents otherwise, operand shapes
 must match exactly. The sanctioned broadcasts are numpy broadcasting in
-``add`` and over the leading (batch) axes of ``matmul``; backward sums each
-operand's gradient over the axes it was broadcast along. Ops record onto the
-innermost active ``Tape`` only when some input requires gradients; with no
-active tape they are plain numpy computations, so evaluation-time forwards
-are side-effect free and safe to run concurrently.
+``add``, whose backward sums each operand's gradient over the axes it was
+broadcast along, and a ``linear`` layer's weight and bias over the leading
+axes of its input. Ops record onto the innermost active ``Tape`` only when
+some input requires gradients; with no active tape they are plain numpy
+computations, so evaluation-time forwards are side-effect free and safe to
+run concurrently.
 
-Ten taped ops: ``matmul``, ``add``, ``embedding_lookup``, ``layer_norm``,
-``gelu``, ``transpose``, ``reshape``, ``attention`` (multi-head scores,
-mask, softmax, dropout and value mix as one record), ``bce_with_logits``
-and ``dropout``. Ops do not check their results: NaN/Inf propagate to the
-forward/backward boundary, where ``check_finite`` screens the model's logits
-and ``Tape.backward`` the loss, naming the first recorded op whose output is
-non-finite. The trainer screens the gradients.
+Eleven taped ops: ``matmul`` (equal batch axes), ``linear``, ``add``,
+``embedding_lookup``, ``layer_norm``, ``gelu``, ``transpose``, ``reshape``,
+``attention`` (multi-head scores, mask, softmax, dropout and value mix as
+one record), ``bce_with_logits`` and ``dropout``. ``linear(x, w, b=None)``
+is a whole dense layer as one record: ``x @ w (+ b)`` for an N-d ``x``, a
+2-D ``w`` and an optional ``(out,)`` bias, whose backward gives ``w`` one
+GEMM over every leading row of ``x``. Ops do not check their results:
+NaN/Inf propagate to the forward/backward boundary, where ``check_finite``
+screens the model's logits and ``Tape.backward`` the loss, naming the first
+recorded op whose output is non-finite. The trainer screens the gradients.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -30,6 +36,7 @@ __all__ = [
     "TapeError",
     "backward",
     "matmul",
+    "linear",
     "add",
     "embedding_lookup",
     "layer_norm",
@@ -215,32 +222,50 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes of two >= 2-D tensors; leading
-    (batch) axes broadcast as in numpy, and backward sums over them."""
+    """Matrix product over the last two axes of two >= 2-D tensors whose
+    leading (batch) axes match."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs operands of 2 or more axes, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul batch axes do not broadcast: {a.shape} vs {b.shape}") from None
-    out_data = a.data @ b.data
+    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul needs matching batch axes and inner dims: {a.shape} vs {b.shape}")
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    return _make(out_data, (a, b), bw)
+    return _make(a.data @ b.data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer ``x @ w (+ b)`` over the last axis of an N-d ``x``, for a
+    2-D (in, out) ``w`` and an optional (out,) bias, as one op; backward
+    takes ``w``'s gradient as one product over all leading rows of ``x``."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] \
+            or (b is not None and b.shape != w.shape[1:]):
+        raise ShapeError(f"linear needs (..., in) x, (in, out) w and (out,) b, got {x.shape}, "
+                         f"{w.shape} and {None if b is None else b.shape}")
+    out = x.data @ w.data
+    if b is not None:
+        out += b.data
+
+    def bw(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
+        if b is not None and b.requires_grad:
+            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))))
+
+    return _make(out, (x, w) if b is None else (x, w, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; shapes broadcast as in numpy, and backward sums each
     operand's gradient over the axes it was broadcast along."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add shapes do not broadcast: {a.shape} vs {b.shape}") from None
 
@@ -250,7 +275,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, (a, b), bw)
+    return _make(out, (a, b), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -281,9 +306,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm affine params must be ({n},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -295,8 +320,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accumulate(bias, g.reshape(-1, n).sum(axis=0))
         if x.requires_grad:
             gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+            m1 = gy.sum(axis=-1, keepdims=True) / n
+            m2 = (gy * xhat).sum(axis=-1, keepdims=True) / n
             _accumulate(x, (gy - m1 - xhat * m2) * inv)
 
     return _make(out, (x, gain, bias), bw)
@@ -331,7 +356,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
 
@@ -387,14 +412,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     return _make(out, (q, k, v), bw)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """The logistic function on a plain array, in stable form (untaped)."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def sigmoid(z: np.ndarray, e=None) -> np.ndarray:
+    """The logistic function on a plain array, in stable form (untaped);
+    ``e`` is ``exp(-|z|)`` when the caller has it already."""
+    if e is None:
+        e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
@@ -411,11 +434,12 @@ def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ValueError("bce_with_logits targets must be exactly 0 or 1")
     z = logits.data
-    per_cell = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))
+    per_cell = np.maximum(z, 0.0) - z * t + np.log1p(e)
 
     def bw(g):
         if logits.requires_grad:
-            _accumulate(logits, (sigmoid(z) - t) * (w * float(g)))
+            _accumulate(logits, (sigmoid(z, e) - t) * (w * float(g)))
 
     return _make(np.asarray((per_cell * w).sum()), (logits,), bw)
 

@@ -4,7 +4,8 @@ Configuration is one JSON document; a handful of flags override individual
 fields and the effective merged config is echoed into the output directory,
 alongside a manifest of every file the command produced. Logs are JSON lines
 on stderr (filtered by TIE_LOG = debug|info|warn); human-readable tables go
-to stdout. Exit code 0 means the command completed.
+to stdout. Exit code 0 means the command completed; 2 means bad input or a
+run whose numbers went non-finite, reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .autodiff import NonFiniteError
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, build_vocab, load_jsonl, load_manifest
 from .evaluate import evaluate_split, predict_instances
@@ -452,7 +454,8 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(config)
         raise AssertionError(f"unreachable command {args.command}")
-    except (ConfigError, DataError, InstructionError, CheckpointError, ValueError) as exc:
+    except (ConfigError, DataError, InstructionError, CheckpointError, ValueError,
+            NonFiniteError, trainer.TrainingDiverged) as exc:
         log("warn", "error", kind=type(exc).__name__, message=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2

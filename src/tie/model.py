@@ -308,28 +308,24 @@ class ForwardState:
     logits: Tensor   # (B, n_max, n_max, K)
 
 
-def _linear(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
-
-
 def _attention(params, prefix, x_q, x_kv, heads, mask=None, train=False, rng=None):
     """(B, n_q, d) queries over (B, n_k, d) keys; ``mask`` is additive and
     broadcastable to the (B, heads, n_q, n_k) scores, or None."""
     rate = params.config.dropout if train else 0.0
-    q = _linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = _linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = _linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    q = ad.linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    k = ad.linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    v = ad.linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     out = ad.attention(q, k, v, heads, mask=mask, scale=1.0 / math.sqrt(q.shape[2] // heads),
                        rate=rate, rng=rng)
-    return _linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(params, prefix, x, train=False, rng=None):
     rate = params.config.dropout if train else 0.0
-    h = ad.gelu(_linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    h = ad.gelu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     if rate:
         h = ad.dropout(h, rate, rng)
-    return _linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _ln(params, prefix, x):
@@ -410,33 +406,34 @@ def gather_slots(h_dec: Tensor, slot_positions) -> Tensor:
 def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """Each token becomes a convex mixture of its instance's projected slot
     states."""
-    proj_x = ad.matmul(h_enc, w1)
-    proj_slot = ad.matmul(h_slot, w2)
+    proj_x = ad.linear(h_enc, w1)
+    proj_slot = ad.linear(h_slot, w2)
     return ad.attention(proj_x, proj_slot, proj_slot, 1)
 
 
 def biaffine_score(h_x: Tensor, params: Parameters):
     """Token-pair logits for (B, n, d) token states: bilinear head/tail
     interaction plus a linear term ``W4 [h_head_i; h_tail_j]``, then a
-    per-cell K -> K linear map. The linear term is a head part per row plus
-    a tail part per column, each broadcast over the grid by ``add``, so no
-    (B, n, n, 2d) pair tensor is built."""
+    per-cell K -> K linear map, one ``ad.linear`` over the whole grid. The
+    linear term is a head part per row plus a tail part per column, each an
+    ``ad.linear`` with its half of W4, broadcast over the grid by ``add``,
+    so no (B, n, n, 2d) pair tensor is built."""
     size, n, d = h_x.shape
     k = params.num_channels
     h_head = _ffn(params, "head_mlp", h_x)
     h_tail = _ffn(params, "tail_mlp", h_x)
 
     w3 = params["biaffine.w3"]
-    a = ad.matmul(h_head, ad.reshape(w3, (d, k * d)))                   # (B, n, k*d)
+    a = ad.linear(h_head, ad.reshape(w3, (d, k * d)))                   # (B, n, k*d)
     b = ad.matmul(ad.reshape(a, (size, n * k, d)), ad.transpose(h_tail, (0, 2, 1)))
     bilinear = ad.transpose(ad.reshape(b, (size, n, k, n)), (0, 1, 3, 2))
 
     w4_t = ad.transpose(params["biaffine.w4"])                           # (2d, k)
-    lin_head = ad.matmul(h_head, ad.embedding_lookup(w4_t, np.arange(d)))
-    lin_tail = ad.matmul(h_tail, ad.embedding_lookup(w4_t, np.arange(d, 2 * d)))
+    lin_head = ad.linear(h_head, ad.embedding_lookup(w4_t, np.arange(d)))
+    lin_tail = ad.linear(h_tail, ad.embedding_lookup(w4_t, np.arange(d, 2 * d)))
     m_x = ad.add(ad.add(bilinear, ad.reshape(lin_head, (size, n, 1, k))),  # [b,i,j] += head[b,i]
                  ad.reshape(lin_tail, (size, 1, n, k)))                     # [b,i,j] += tail[b,j]
-    logits = _linear(m_x, ad.transpose(params["score.w"]), params["score.b"])
+    logits = ad.linear(m_x, ad.transpose(params["score.w"]), params["score.b"])
     return h_head, h_tail, m_x, logits
 
 

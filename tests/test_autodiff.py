@@ -211,19 +211,83 @@ def test_backward_names_the_op_that_overflowed():
             ad.backward(loss)
 
 
-def test_matmul_batch_axes_must_broadcast():
+def test_matmul_batch_axes_must_match():
     with pytest.raises(ad.ShapeError) as err:
         ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
     assert "(2, 3, 4)" in str(err.value)
 
 
-def test_matmul_broadcast_matches_per_matrix_products():
+def test_linear_matches_per_matrix_products():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 2, 4))
     b = rng.normal(size=(4, 5))
-    out = ad.matmul(Tensor(a), Tensor(b))
+    out = ad.linear(Tensor(a), Tensor(b))
     for i in range(3):
         np.testing.assert_allclose(out.data[i], a[i] @ b, atol=1e-12)
+
+
+def _matmul_then_add(x, w, b, g):
+    """A dense layer as the two-record chain ``add(matmul(x, w), b)`` with
+    ``w`` broadcast over the batch axes of ``x``, in plain numpy: (output,
+    dx, dw, db) for upstream gradient ``g``. ``dw`` is a product per leading
+    index, summed over the leading axes."""
+    lead = tuple(range(x.ndim - 1))
+    return (x @ w + b, g.copy() @ w.T, (np.swapaxes(x, -1, -2) @ g).sum(axis=lead[:-1]),
+            g.sum(axis=lead))
+
+
+def test_linear_matches_matmul_then_add():
+    rng = np.random.default_rng(6)
+    for shape in ((6, 4), (3, 5, 4), (2, 3, 3, 4)):
+        arrays = [rng.normal(size=shape), rng.normal(size=(4, 7)), rng.normal(size=(7,))]
+        g = rng.normal(size=shape[:-1] + (7,))
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        with Tape():
+            out = ad.linear(x, w, b)
+            ad.backward(inner(out, g))
+        want, dx, dw, db = _matmul_then_add(*arrays, g)
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(x.grad, dx) and np.array_equal(b.grad, db)
+        np.testing.assert_allclose(w.grad, dw, rtol=1e-13, atol=0)
+        if len(shape) == 2:   # the taped chain itself, at no batch axes
+            x2, w2, b2 = (Tensor(a, requires_grad=True) for a in arrays)
+            with Tape():
+                chain = ad.add(ad.matmul(x2, w2), b2)
+                ad.backward(inner(chain, g))
+            for got, ref in zip((out.data, x.grad, w.grad, b.grad),
+                                (chain.data, x2.grad, w2.grad, b2.grad)):
+                assert np.array_equal(got, ref)
+
+
+def test_linear_shape_error_names_all_three_shapes():
+    with pytest.raises(ad.ShapeError) as err:
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((5,))))
+    assert all(s in str(err.value) for s in ("(2, 3)", "(3, 4)", "(5,)"))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 4))))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3, 4))))
+
+
+def _masked_sigmoid(z):
+    """The logistic function as two masked branches, one exp per element:
+    the reference form for ``ad.sigmoid``."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    rng = np.random.default_rng(13)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0, 1e308, -1e308])
+    z = np.concatenate([edges, rng.normal(scale=10.0, size=500),
+                        rng.uniform(-800.0, 800.0, size=500)])
+    assert np.array_equal(ad.sigmoid(z), _masked_sigmoid(z))
+    grid = z[:600].reshape(2, 3, 10, 10)
+    assert np.array_equal(ad.sigmoid(grid), _masked_sigmoid(grid))
 
 
 def test_bce_weighted_is_weighted_sum_and_checks_shape():
@@ -334,15 +398,21 @@ def _op_cases(rng):
     cases.append(("add_size1_leading", [lead, batch], lambda t: ad.add(t[0], t[1])))
 
     batched = rng.normal(size=(2, m, k))
-    cases.append(("matmul_batched_2d", [batched, b], lambda t: ad.matmul(t[0], t[1])))
     stacked = rng.normal(size=(2, k, n))
     cases.append(("matmul_batched_batched", [batched, stacked],
                   lambda t: ad.matmul(t[0], t[1])))
-    left = rng.normal(size=(2, 1, m, k))
-    right = rng.normal(size=(1, 3, k, n))
-    cases.append(("matmul_broadcast_batch_axes", [left, right],
-                  lambda t: ad.matmul(t[0], t[1])))
-    cases.append(("matmul_2d_batched", [a, stacked], lambda t: ad.matmul(t[0], t[1])))
+
+    # linear: a bias over a batch, no bias, a (B, n, n, K) grid like the
+    # score layer, and a weight that is an op output
+    out_bias = rng.normal(size=(n,))
+    cases.append(("linear_batched_bias", [batched, b, out_bias],
+                  lambda t: ad.linear(t[0], t[1], t[2])))
+    cases.append(("linear_2d_no_bias", [a, b], lambda t: ad.linear(t[0], t[1])))
+    grid = rng.normal(size=(2, m, m, k))
+    cases.append(("linear_grid_bias", [grid, b, out_bias],
+                  lambda t: ad.linear(t[0], t[1], t[2])))
+    cases.append(("linear_op_output_weight", [batched, b.T.copy()],
+                  lambda t: ad.linear(t[0], ad.transpose(t[1]))))
 
     table = rng.normal(size=(5, k))
     ids = rng.integers(0, 5, size=m)

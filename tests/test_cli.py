@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tie.cli import RunConfig, main
@@ -228,6 +229,25 @@ def test_checkpoint_with_nan_parameter_exits_2(tmp_path, capsys):
                "--checkpoint", str(ckpt)])
     assert rc == 2
     assert "param/score.b holds NaN" in capsys.readouterr().err
+
+
+def test_eval_whose_logits_overflow_exits_2(tmp_path, capsys):
+    # every weight is finite, so the checkpoint loads; the forward overflows
+    from tie.checkpoint import load_checkpoint, save_checkpoint
+
+    cfg_path, config = make_config(tmp_path)
+    ft_out = tmp_path / "ft"
+    assert main(["finetune", "--config", str(cfg_path), "--out", str(ft_out)]) == 0
+    ckpt = ft_out / "finetuned.ckpt"
+    loaded = load_checkpoint(ckpt)
+    loaded.state.params["score.w"].data[...] = 1e308
+    loaded.state.params["biaffine.w4"].data[...] = 1e10
+    save_checkpoint(ckpt, loaded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "ev"),
+                   "--checkpoint", str(ckpt)])
+    assert rc == 2
+    assert "error: forward logits is non-finite" in capsys.readouterr().err
 
 
 def _absa_retarget(tmp_path, train=None):

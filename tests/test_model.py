@@ -239,13 +239,13 @@ def test_dropout_only_active_in_training_mode():
     assert not np.array_equal(train1.logits.data, train2.logits.data)
 
 
-def test_one_attention_block_is_nine_tape_records():
-    # q, k and v linears (2 each), the attention op, the output linear (2)
+def test_one_attention_block_is_five_tape_records():
+    # q, k and v linears, the attention op, the output linear
     p = toy_params(heads=2)
     x = Tensor(np.random.default_rng(18).normal(size=(2, 3, 8)), requires_grad=True)
     with Tape() as tape:
         M._attention(p, "enc.0.attn", x, x, 2, mask=M._mask(np.array([3, 2]), 3))
-    assert len(tape._records) == 9
+    assert len(tape._records) == 5
 
 
 def test_untaped_forward_with_infinite_parameter_raises():
