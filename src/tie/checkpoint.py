@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Vocabulary
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, check_types
 from .trainer import Adam, GradientSnapshot, TrainState
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
@@ -50,17 +50,20 @@ class Checkpoint:
     state: TrainState
 
 
-def _payload_tensors(state: TrainState) -> list:
-    items = [(f"param/{n}", t.data) for n, t in state.params.tensors.items()]
-    items += [(f"adam.m/{n}", a) for n, a in state.optimizer.m.items()]
-    items += [(f"adam.v/{n}", a) for n, a in state.optimizer.v.items()]
-    items += [(f"snapshot/{g}", a) for g, a in state.snapshot.prev.items()]
-    return items
+def _per_tensor(params: Parameters, optimizer: Adam) -> list:
+    """(manifest name, view) for every parameter and Adam moment: the views
+    that ``split_group`` gives into the per-group vectors, in parameter order."""
+    return [(f"{key}/{name}", view)
+            for key, vectors in (("param", params.flat), ("adam.m", optimizer.m),
+                                 ("adam.v", optimizer.v))
+            for group in params.groups
+            for name, view in params.split_group(group, vectors[group]).items()]
 
 
 def save_checkpoint(path, checkpoint: Checkpoint):
     state = checkpoint.state
-    tensors = _payload_tensors(state)
+    tensors = _per_tensor(state.params, state.optimizer) + [
+        (f"snapshot/{g}", a) for g, a in state.snapshot.prev.items()]
     manifest = []
     offset = 0
     blobs = []
@@ -166,25 +169,25 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
         # a missing field would silently take its default, e.g. another head count
         raise CheckpointError(f"{path}: model_config fields {sorted(stored)} do not match "
                               f"the model's")
+    check_types("model_config.", ModelConfig, stored)
     config = ModelConfig.from_json(stored)
-    num_channels = int(header["num_channels"])
+    num_channels = _count(path, header, "num_channels")
     params = Parameters(config, num_channels, np.random.default_rng(0))
-    for name, t in params.tensors.items():
-        t.data[...] = take(f"param/{name}", t.shape)
 
     adam_meta = header["adam"]
-    lr, beta1, beta2, eps = (float(adam_meta[k]) for k in ("lr", "beta1", "beta2", "eps"))
-    if not (lr > 0 and eps > 0 and 0 <= beta1 < 1 and 0 <= beta2 < 1):
-        raise CheckpointError(f"{path}: Adam settings out of range: "
-                              f"lr={lr} beta1={beta1} beta2={beta2} eps={eps}")
+    lr, beta1, beta2, eps = (adam_meta[k] for k in ("lr", "beta1", "beta2", "eps"))
+    if not (all(type(x) in (int, float) for x in (lr, beta1, beta2, eps))   # no booleans
+            and lr > 0 and eps > 0 and 0 <= beta1 < 1 and 0 <= beta2 < 1):
+        raise CheckpointError(f"{path}: Adam settings must be numbers in range: "
+                              f"lr={lr!r} beta1={beta1!r} beta2={beta2!r} eps={eps!r}")
+    lr, beta1, beta2, eps = map(float, (lr, beta1, beta2, eps))
     optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     steps = {g: _count(path, adam_meta["t"], g) for g in adam_meta["t"]}
     if set(steps) != set(params.groups):
         raise CheckpointError(f"{path}: Adam step counts do not cover the model's groups")
     optimizer.t = steps
-    for name, t in params.tensors.items():
-        optimizer.m[name][...] = take(f"adam.m/{name}", t.shape)
-        optimizer.v[name][...] = take(f"adam.v/{name}", t.shape)
+    for name, view in _per_tensor(params, optimizer):
+        view[...] = take(name, view.shape)
 
     snapshot = GradientSnapshot()
     for name in arrays:
@@ -192,7 +195,7 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
             group = name[len("snapshot/"):]
             if group not in params.groups:
                 raise CheckpointError(f"{path}: snapshot of unknown group {group!r}")
-            snapshot.prev[group] = take(name, (params.group_size(group),)).copy()
+            snapshot.prev[group] = take(name, params.flat[group].shape).copy()
     if snapshot.prev and set(snapshot.prev) != set(params.groups):
         # the gate stores every group's gradient at once, so a real snapshot
         # is empty (before the first step) or complete

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .autodiff import NonFiniteError
@@ -23,7 +23,7 @@ from .data import DataError, build_vocab, load_jsonl, load_manifest
 from .evaluate import evaluate_split, predict_instances
 from .gradcheck import run_gradcheck
 from .instructions import InstructionError, build_pool, read_templates
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, check_types
 from .synth import SYNTH_KINDS, write_synth
 from .trainer import TrainConfig, TrainResult, TrainState, rng_for
 from . import trainer
@@ -46,27 +46,6 @@ def log(level: str, event: str, **fields):
     if _LEVELS[level] >= _log_level():
         line = {"level": level, "event": event, **fields}
         print(json.dumps(line, sort_keys=True), file=sys.stderr)
-
-
-# JSON types a config value may have, by the annotation of the field it sets;
-# a boolean is never taken for a number.
-_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-               "bool": (bool, "true or false"), "str": (str, "a string")}
-
-
-def _check_types(where: str, cls, values: dict):
-    """Raise ConfigError for a value whose JSON type does not fit the
-    annotation of the ``cls`` field it sets; ``null`` fits only ``X | None``
-    fields. Unknown names and other annotations are left to ``cls``."""
-    annotations = {f.name: f.type for f in fields(cls)}
-    for name, value in values.items():
-        base, _, optional = annotations.get(name, "").partition(" | ")
-        if base not in _JSON_TYPES or (value is None and optional == "None"):
-            continue
-        expected, described = _JSON_TYPES[base]
-        if isinstance(value, bool) != (base == "bool") or not isinstance(value, expected):
-            raise ConfigError(f"{where}{name}: must be {described}"
-                              f"{' or null' if optional else ''}, got {value!r}")
 
 
 @dataclass
@@ -109,9 +88,12 @@ class RunConfig:
             raise ConfigError("seed: required field is missing")
         if "out" not in raw:
             raise ConfigError("out: required field is missing")
-        _check_types("", cls, raw)
-        _check_types("model.", ModelConfig, raw.get("model", {}))
-        _check_types("train.", TrainConfig, raw.get("train", {}))
+        try:
+            check_types("", cls, raw)
+            check_types("model.", ModelConfig, raw.get("model", {}))
+            check_types("train.", TrainConfig, raw.get("train", {}))
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
         try:
             model = ModelConfig.from_json(raw.get("model", {}))
         except (TypeError, ValueError) as exc:

@@ -10,13 +10,14 @@ forward runs B instances padded into one batch (``make_batch``), and
 attention masks padded keys so that no real position sees padding.
 
 All parameters are named, and names are partitioned into groups (one per
-layer-like unit); the trainer's update gate operates on those groups.
+layer-like unit); the trainer's update gate operates on those groups, and
+each group's tensors live in one flat vector (``Parameters``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .data import PAD_ID
 
 __all__ = [
     "ModelConfig",
+    "check_types",
     "Parameters",
     "ForwardState",
     "CHANNEL_GROUPS",
@@ -44,6 +46,28 @@ _MASKED = -1e30  # finite stand-in for -inf so masked logits stay checkable
 # Groups whose parameter shapes depend on the channel count K; retargeting a
 # model to a dataset with a different K re-instantiates exactly these.
 CHANNEL_GROUPS = ("biaffine", "score")
+
+
+# JSON types a config value may have, by the annotation of the field it sets;
+# a boolean is never taken for a number.
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def check_types(where: str, cls, values: dict):
+    """Raise TypeError for a value whose JSON type does not fit the
+    annotation of the dataclass ``cls`` field it sets; ``null`` fits only
+    ``X | None`` fields. Unknown names and other annotations are left to
+    ``cls``."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    for name, value in values.items():
+        base, _, optional = annotations.get(name, "").partition(" | ")
+        if base not in _JSON_TYPES or (value is None and optional == "None"):
+            continue
+        expected, described = _JSON_TYPES[base]
+        if isinstance(value, bool) != (base == "bool") or not isinstance(value, expected):
+            raise TypeError(f"{where}{name}: must be {described}"
+                            f"{' or null' if optional else ''}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +92,8 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.d < 1 or self.d % self.heads != 0:
-            raise ValueError(f"hidden size {self.d} must be a positive multiple of heads {self.heads}")
+            raise ValueError(f"d (hidden size) {self.d} must be a positive multiple of "
+                             f"heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.vocab_size < 3:
@@ -96,10 +121,16 @@ def _ln_names(prefix):
 
 
 class Parameters:
-    """Named parameter tensors plus their group partition.
+    """Named parameter tensors, laid out in one flat vector per group.
 
     Every trainable tensor belongs to exactly one group; groups are the unit
-    the training gate freezes or updates.
+    the training gate freezes or updates. Each group owns one data vector
+    ``flat[group]`` and one gradient vector ``flat_grad[group]``: its
+    tensors in group order, each flattened. Every tensor's ``data`` and
+    ``grad`` are views into them with the tensor's shape, so a backward pass
+    accumulates straight into the group's gradient vector and one in-place
+    update of ``flat[group]`` moves all of the group's tensors.
+    ``split_group`` is the one map from a group vector to its tensors.
     """
 
     def __init__(self, config: ModelConfig, num_channels: int, rng: np.random.Generator):
@@ -110,6 +141,8 @@ class Parameters:
         self.num_channels = num_channels
         self.tensors: dict[str, Tensor] = {}
         self.groups: dict[str, list[str]] = {}
+        self.flat: dict[str, np.ndarray] = {}
+        self.flat_grad: dict[str, np.ndarray] = {}
         self._build(rng)
 
     def _uniform(self, name, shape, rng):
@@ -146,6 +179,17 @@ class Parameters:
         self._uniform("biaffine.w4", (k, 2 * d), rng)
         self._uniform("score.w", (k, k), rng)
         self._uniform("score.b", (k,), rng)
+        self._lay_out("biaffine", ["biaffine.w3", "biaffine.w4"])
+        self._lay_out("score", ["score.w", "score.b"])
+
+    def _lay_out(self, group, names):
+        """Move the group's tensors into fresh flat data and gradient vectors."""
+        self.groups[group] = names
+        self.flat[group] = np.concatenate([self.tensors[n].data.reshape(-1) for n in names])
+        self.flat_grad[group] = np.zeros_like(self.flat[group])
+        grads = self.split_group(group, self.flat_grad[group])
+        for name, data in self.split_group(group, self.flat[group]).items():
+            self.tensors[name].data, self.tensors[name].grad = data, grads[name]
 
     def _build(self, rng):
         cfg = self.config
@@ -153,7 +197,7 @@ class Parameters:
         self._uniform("embed.tok", (cfg.vocab_size, d), rng)
         self._uniform("embed.pos_x", (cfg.max_len, d), rng)
         self._uniform("embed.pos_u", (cfg.max_instr_len, d), rng)
-        self.groups["embed"] = ["embed.tok", "embed.pos_x", "embed.pos_u"]
+        self._lay_out("embed", ["embed.tok", "embed.pos_x", "embed.pos_u"])
 
         for i in range(cfg.layers_enc):
             p = f"enc.{i}"
@@ -161,12 +205,10 @@ class Parameters:
             self._attn_params(f"{p}.attn", rng)
             self._layer_norm_params(f"{p}.ln2")
             self._ffn_params(f"{p}.ffn", rng)
-            self.groups[p] = (
-                _ln_names(f"{p}.ln1") + _attn_names(f"{p}.attn")
-                + _ln_names(f"{p}.ln2") + _ffn_names(f"{p}.ffn")
-            )
+            self._lay_out(p, _ln_names(f"{p}.ln1") + _attn_names(f"{p}.attn")
+                          + _ln_names(f"{p}.ln2") + _ffn_names(f"{p}.ffn"))
         self._layer_norm_params("enc.norm")
-        self.groups["enc.norm"] = _ln_names("enc.norm")
+        self._lay_out("enc.norm", _ln_names("enc.norm"))
 
         for i in range(cfg.layers_dec):
             p = f"dec.{i}"
@@ -176,57 +218,43 @@ class Parameters:
             self._attn_params(f"{p}.cross", rng)
             self._layer_norm_params(f"{p}.ln3")
             self._ffn_params(f"{p}.ffn", rng)
-            self.groups[p] = (
-                _ln_names(f"{p}.ln1") + _attn_names(f"{p}.self")
-                + _ln_names(f"{p}.ln2") + _attn_names(f"{p}.cross")
-                + _ln_names(f"{p}.ln3") + _ffn_names(f"{p}.ffn")
-            )
+            self._lay_out(p, _ln_names(f"{p}.ln1") + _attn_names(f"{p}.self")
+                          + _ln_names(f"{p}.ln2") + _attn_names(f"{p}.cross")
+                          + _ln_names(f"{p}.ln3") + _ffn_names(f"{p}.ffn"))
         self._layer_norm_params("dec.norm")
-        self.groups["dec.norm"] = _ln_names("dec.norm")
+        self._lay_out("dec.norm", _ln_names("dec.norm"))
 
         self._uniform("label_attn.w1", (d, d), rng)
         self._uniform("label_attn.w2", (d, d), rng)
-        self.groups["label_attn"] = ["label_attn.w1", "label_attn.w2"]
+        self._lay_out("label_attn", ["label_attn.w1", "label_attn.w2"])
 
         for mlp in ("head_mlp", "tail_mlp"):
             self._uniform(f"{mlp}.w1", (d, d), rng)
             self._uniform(f"{mlp}.b1", (d,), rng)
             self._uniform(f"{mlp}.w2", (d, d), rng)
             self._uniform(f"{mlp}.b2", (d,), rng)
-            self.groups[mlp] = _ffn_names(mlp)
+            self._lay_out(mlp, _ffn_names(mlp))
 
         self._channel_params(rng)
-        self.groups["biaffine"] = ["biaffine.w3", "biaffine.w4"]
-        self.groups["score"] = ["score.w", "score.b"]
 
-        covered = [n for names in self.groups.values() for n in names]
-        assert sorted(covered) == sorted(self.tensors)
+        # tensor order is group-concatenation order, which checkpoints rely on
+        assert [n for names in self.groups.values() for n in names] == list(self.tensors)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def names(self):
-        return list(self.tensors)
-
     def zero_grads(self):
-        for t in self.tensors.values():
-            t.zero_grad()
+        for grad in self.flat_grad.values():
+            grad[...] = 0.0
 
     def grads(self) -> dict:
-        """The live gradient buffers by name, not copies: valid until the
+        """The live per-group gradient vectors, not copies: valid until the
         next ``zero_grads`` or backward pass writes into them."""
-        return {name: t.grad for name, t in self.tensors.items()}
-
-    def flat_group(self, group: str, arrays: dict) -> np.ndarray:
-        """The group's arrays, in group order and each flattened, as one vector."""
-        return np.concatenate([arrays[n].reshape(-1) for n in self.groups[group]])
-
-    def group_size(self, group: str) -> int:
-        return sum(self.tensors[n].size for n in self.groups[group])
+        return dict(self.flat_grad)
 
     def split_group(self, group: str, flat: np.ndarray) -> dict:
-        """Views into a ``flat_group``-layout vector, one per tensor of the
-        group, each with that tensor's shape."""
+        """Views into a vector laid out like ``flat[group]``, one per tensor
+        of the group, each with that tensor's shape."""
         views, lo = {}, 0
         for name in self.groups[group]:
             t = self.tensors[name]
@@ -245,7 +273,8 @@ class Parameters:
             t.data[...] = values[name]
 
     def reinit_channels(self, num_channels: int, rng: np.random.Generator):
-        """Re-instantiate only the channel-width-dependent tensors for a new K."""
+        """Re-instantiate only the channel-width-dependent tensors for a new K,
+        in new group vectors; every other group keeps its vectors."""
         self.num_channels = num_channels
         self._channel_params(rng)
 
@@ -304,7 +333,6 @@ class ForwardState:
     h_x: Tensor      # (B, n_max, d)
     h_head: Tensor   # (B, n_max, d)
     h_tail: Tensor   # (B, n_max, d)
-    m_x: Tensor      # (B, n_max, n_max, K)
     logits: Tensor   # (B, n_max, n_max, K)
 
 
@@ -434,7 +462,7 @@ def biaffine_score(h_x: Tensor, params: Parameters):
     m_x = ad.add(ad.add(bilinear, ad.reshape(lin_head, (size, n, 1, k))),  # [b,i,j] += head[b,i]
                  ad.reshape(lin_tail, (size, 1, n, k)))                     # [b,i,j] += tail[b,j]
     logits = ad.linear(m_x, ad.transpose(params["score.w"]), params["score.b"])
-    return h_head, h_tail, m_x, logits
+    return h_head, h_tail, logits
 
 
 def forward(params: Parameters, batch: Batch, train: bool = False,
@@ -452,9 +480,9 @@ def forward(params: Parameters, batch: Batch, train: bool = False,
     h_x = label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"])
     if params.config.residual_label_attn:
         h_x = ad.add(h_enc, h_x)
-    h_head, h_tail, m_x, logits = biaffine_score(h_x, params)
+    h_head, h_tail, logits = biaffine_score(h_x, params)
     size, n_max = batch.tokens.shape
     assert logits.shape == (size, n_max, n_max, params.num_channels)
     ad.check_finite(logits, "forward logits")
     return ForwardState(h_enc=h_enc, h_dec=h_dec, h_slot=h_slot, h_x=h_x,
-                        h_head=h_head, h_tail=h_tail, m_x=m_x, logits=logits)
+                        h_head=h_head, h_tail=h_tail, logits=logits)

@@ -83,7 +83,8 @@ class TrainConfig:
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.gate_granularity not in ("group", "global"):
-            raise ValueError(f"unknown gate granularity {self.gate_granularity!r}")
+            raise ValueError(f"gate_granularity must be 'group' or 'global', "
+                             f"got {self.gate_granularity!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
         return self
@@ -151,26 +152,26 @@ def plan_epoch(sizes: dict, batch_size: int, rng: np.random.Generator,
 
 
 class GradientSnapshot:
-    """Per-group flat gradients of the previous batch (g at t-1)."""
+    """Per-group flat gradients of the previous batch (g at t-1), laid out
+    like ``Parameters.flat_grad``."""
 
     def __init__(self):
         self.prev: dict[str, np.ndarray] = {}
 
     def store(self, flat_by_group: dict):
-        """Keep the given per-group vectors; the caller hands them over and
-        must not write to them afterwards."""
-        self.prev = dict(flat_by_group)
+        """Keep copies of the given per-group vectors: they are the live
+        gradient buffers, which the next step's backward overwrites."""
+        self.prev = {group: vec.copy() for group, vec in flat_by_group.items()}
 
 
 class Adam:
     """Adaptive update with per-group step counters so frozen groups keep
     their moments and bias correction untouched.
 
-    Each group's moments live in one flat vector (``m_flat[group]``,
-    ``v_flat[group]``), laid out like ``Parameters.flat_group``: the group's
-    tensors in order, each flattened. ``m[name]`` and ``v[name]`` are
-    views into those vectors with the tensor's shape, so writing through
-    them (as checkpoint loading does) sets the optimizer state.
+    Each group's moments ``m[group]`` and ``v[group]`` are flat vectors laid
+    out like ``Parameters.flat[group]`` (``Parameters.split_group`` gives
+    their per-tensor views), and a step is one in-place update of that
+    group vector.
     """
 
     def __init__(self, params: Parameters, lr: float,
@@ -179,36 +180,32 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m_flat: dict[str, np.ndarray] = {}
-        self.v_flat: dict[str, np.ndarray] = {}
-        self.m = dict.fromkeys(params.tensors)   # views, in parameter order
-        self.v = dict.fromkeys(params.tensors)
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
-        self._owners = {}   # the tensors the moments belong to
+        self._owners = {}   # the group vectors the moments belong to
         for group in params.groups:
             self._fresh_group(params, group)
 
     def _fresh_group(self, params: Parameters, group: str):
-        for flat, views in ((self.m_flat, self.m), (self.v_flat, self.v)):
-            flat[group] = np.zeros(params.group_size(group))
-            views.update(params.split_group(group, flat[group]))
-        for name in params.groups[group]:
-            self._owners[name] = params[name]
+        self.m[group] = np.zeros_like(params.flat[group])
+        self.v[group] = np.zeros_like(params.flat[group])
+        self._owners[group] = params.flat[group]
         self.t[group] = 0
 
     def sync(self, params: Parameters):
-        """Fresh moments and step count for every group whose tensors were
-        re-created since this optimizer saw them (``reinit_channels``)."""
-        for group, names in params.groups.items():
-            if any(self._owners[n] is not params[n] for n in names):
+        """Fresh moments and step count for every group laid out anew since
+        this optimizer saw it (``reinit_channels``)."""
+        for group, flat in params.flat.items():
+            if self._owners[group] is not flat:
                 self._fresh_group(params, group)
 
     def update_group(self, params: Parameters, group: str, flat_grad: np.ndarray):
-        """One Adam step for ``group`` from its flat gradient
-        (``Parameters.flat_group`` layout); ``flat_grad`` is only read."""
+        """One Adam step for ``group`` from its flat gradient (laid out like
+        ``params.flat[group]``); ``flat_grad`` is only read."""
         self.t[group] += 1
         t = self.t[group]
-        m, v = self.m_flat[group], self.v_flat[group]
+        m, v = self.m[group], self.v[group]
         m *= self.beta1
         m += (1 - self.beta1) * flat_grad
         v *= self.beta2
@@ -219,8 +216,7 @@ class Adam:
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
-        for name, delta in params.split_group(group, step).items():
-            params[name].data -= delta
+        params.flat[group] -= step
 
 
 @dataclass
@@ -248,17 +244,18 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
                granularity: str = "group") -> dict:
     """Apply one optimizer step under the gradient-agreement gate.
 
-    A group updates iff the flat inner product of its current gradient with
-    the previous batch's gradient is strictly positive; with no previous
-    gradient (first step) it always updates. The snapshot then stores the
-    current gradients for every group, updated or not. Returns per-group
+    ``grads`` holds each group's flat gradient vector (``Parameters.grads``).
+    A group updates iff the inner product of its current gradient with the
+    previous batch's gradient is strictly positive; with no previous
+    gradient (first step) it always updates. The snapshot then stores a copy
+    of the current gradients for every group, updated or not. Returns per-group
     decisions {"dot", "updated"}.
     """
-    flat = {g: params.flat_group(g, grads) for g in params.groups}
-    for group, vec in flat.items():
+    for group, vec in grads.items():
         # the sum screens; an overflowing sum of finite values is rechecked
         if not np.isfinite(vec.sum()) and not np.isfinite(vec).all():
-            name = next(n for n in params.groups[group] if not np.isfinite(grads[n]).all())
+            name = next(n for n, g in params.split_group(group, vec).items()
+                        if not np.isfinite(g).all())
             raise TrainingDiverged(f"non-finite gradient in {name}")
 
     # a gate unit is one group, or all groups together under "global"
@@ -267,16 +264,16 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
     decisions = {}
     for unit in units:
         if gate and all(g in snapshot.prev for g in unit):
-            dot = float(_joined(flat, unit) @ _joined(snapshot.prev, unit))
+            dot = float(_joined(grads, unit) @ _joined(snapshot.prev, unit))
             updated = dot > 0.0
         else:
             dot, updated = None, True
         for group in unit:
             decisions[group] = {"dot": dot, "updated": updated}
             if updated:
-                optimizer.update_group(params, group, flat[group])
+                optimizer.update_group(params, group, grads[group])
 
-    snapshot.store(flat)
+    snapshot.store(grads)
     return decisions
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,8 +63,9 @@ def test_roundtrip_preserves_everything(tmp_path):
     assert loaded.vocab.id_to_token == vocab.id_to_token
     for name, t in state.params.tensors.items():
         assert np.array_equal(loaded.state.params.tensors[name].data, t.data)
-        assert np.array_equal(loaded.state.optimizer.m[name], state.optimizer.m[name])
-        assert np.array_equal(loaded.state.optimizer.v[name], state.optimizer.v[name])
+    for group in state.params.groups:
+        assert np.array_equal(loaded.state.optimizer.m[group], state.optimizer.m[group])
+        assert np.array_equal(loaded.state.optimizer.v[group], state.optimizer.v[group])
     assert loaded.state.optimizer.t == state.optimizer.t
     assert set(loaded.state.snapshot.prev) == set(state.snapshot.prev)
     for g, arr in state.snapshot.prev.items():
@@ -92,9 +95,43 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert direct.step == resumed.step == 51
     for name, t in direct.params.tensors.items():
         assert np.array_equal(t.data, resumed.params.tensors[name].data), name
-    for name in direct.optimizer.m:
-        assert np.array_equal(direct.optimizer.m[name], resumed.optimizer.m[name])
+    for group in direct.optimizer.m:
+        assert np.array_equal(direct.optimizer.m[group], resumed.optimizer.m[group])
+        assert np.array_equal(direct.optimizer.v[group], resumed.optimizer.v[group])
     assert direct.optimizer.t == resumed.optimizer.t
+
+
+# A TIE1 file written by an earlier version of this code: synth aligned_pair
+# (size 4, seed 5), ModelConfig(d=4, heads=2, max_len=12, max_instr_len=20,
+# ffn_mult=1), two gated pretraining steps of batch 2 at seed 5.
+TWO_GATED_STEPS = Path(__file__).parent / "fixtures" / "two_gated_steps.ckpt"
+
+
+def test_committed_checkpoint_loads_its_bytes_and_resaves_them(tmp_path):
+    raw = TWO_GATED_STEPS.read_bytes()
+    header, payload = _split_header(raw)
+    stored = {e["name"]: np.frombuffer(payload, dtype="<f8", count=math.prod(e["dims"]),
+                                       offset=e["offset"]).reshape(e["dims"])
+              for e in header["manifest"]}
+    loaded = load_checkpoint(TWO_GATED_STEPS)
+    state = loaded.state
+    params, optimizer = state.params, state.optimizer
+    assert loaded.step == 2 and set(optimizer.t.values()) == {2}
+    found = {}
+    for group in params.groups:
+        found[f"snapshot/{group}"] = state.snapshot.prev[group]
+        assert state.snapshot.prev[group].any(), group
+        for key, vec in (("param", params.flat[group]), ("adam.m", optimizer.m[group]),
+                         ("adam.v", optimizer.v[group])):
+            assert vec.any(), (key, group)   # two steps made the moments non-zero
+            found.update({f"{key}/{n}": view
+                          for n, view in params.split_group(group, vec).items()})
+    assert found.keys() == stored.keys()
+    for name, arr in found.items():
+        assert np.array_equal(arr, stored[name]), name
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == raw
 
 
 def test_crc_mismatch_detected(tmp_path):
@@ -169,9 +206,12 @@ def test_non_finite_tensor_is_rejected_by_name(tmp_path):
     # the CRC covers the payload as written, NaNs included
     state = run_pretrain(2, tmp_path)
     (_a, _b, _t), vocab, _pool, _params, cfg, k = fixture()
-    targets = {"param/score.b": state.params["score.b"].data,
-               "adam.m/enc.0.attn.wq": state.optimizer.m["enc.0.attn.wq"],
-               "adam.v/dec.norm.g": state.optimizer.v["dec.norm.g"],
+    params = state.params
+    targets = {"param/score.b": params["score.b"].data,
+               "adam.m/enc.0.attn.wq":
+                   params.split_group("enc.0", state.optimizer.m["enc.0"])["enc.0.attn.wq"],
+               "adam.v/dec.norm.g":
+                   params.split_group("dec.norm", state.optimizer.v["dec.norm"])["dec.norm.g"],
                "snapshot/score": state.snapshot.prev["score"]}
     path = tmp_path / "x.ckpt"
     for name, arr in targets.items():
@@ -225,6 +265,18 @@ def test_malformed_header_fuzz_loads_or_raises_checkpoint_error(tmp_path):
     bad.write_bytes(_with_header(raw, {**header, "step": None}))
     with pytest.raises(CheckpointError, match="step"):
         load_checkpoint(bad)
+    # type-wrong values that a lenient reader would coerce: the channel count
+    # read as k, lr as 1.0 and a 2-head model loaded as a 1-head one
+    assert header["num_channels"] == k and header["model_config"]["heads"] == 2
+    for label, mutant in (
+            ("num_channels", {**header, "num_channels": str(k)}),
+            ("num_channels", {**header, "num_channels": k + 0.9}),
+            ("Adam settings", {**header, "adam": {**header["adam"], "lr": True}}),
+            ("model_config.heads", {**header, "model_config": {**header["model_config"],
+                                                                "heads": True}})):
+        bad.write_bytes(_with_header(raw, mutant))
+        with pytest.raises(CheckpointError, match=label):
+            load_checkpoint(bad)
     dropped = [e for e in header["manifest"] if not e["name"].startswith("adam.m/")]
     bad.write_bytes(_with_header(raw, {**header, "manifest": dropped}))
     with pytest.raises(CheckpointError, match="adam.m/"):

@@ -152,6 +152,13 @@ MALFORMED_INPUTS = {
                        "train: finetune_max_steps must be >= 1"),
     "reset_optimizer_on_finetune is a string": (
         _set("train", "reset_optimizer_on_finetune", "no"), "train.reset_optimizer_on_finetune"),
+    "gate_granularity is layer": (_set("train", "gate_granularity", "layer"),
+                                  "train: gate_granularity"),
+    "threshold is 1": (_set("train", "threshold", 1.0), "train: threshold"),
+    "lr is 0": (_set("train", "lr", 0), "train: lr"),
+    "dropout is 1": (_set("model", "dropout", 1.0), "model: dropout"),
+    "d is no multiple of heads": (lambda d, c: {**c, "model": {**c["model"], "d": 30, "heads": 4}},
+                                  "model: d "),
     "sources is a number": (lambda d, c: {**c, "sources": 5}, "sources"),
     "instructions entry is a number": (lambda d, c: {**c, "instructions": [3]},
                                        "instructions[0]"),
@@ -296,7 +303,8 @@ def test_finetune_keeping_optimizer_onto_different_channel_count(tmp_path):
                  "--checkpoint", str(out / "pretrained.ckpt")]) == 0
     ckpt = load_checkpoint(ft_out / "finetuned.ckpt")
     assert ckpt.num_channels == 5
-    assert ckpt.state.optimizer.m["biaffine.w4"].shape == (5, 16)
+    moments = ckpt.state.params.split_group("biaffine", ckpt.state.optimizer.m["biaffine"])
+    assert moments["biaffine.w4"].shape == (5, 16)
     assert ckpt.state.optimizer.t["biaffine"] == ckpt.state.step
     assert ckpt.state.optimizer.t["enc.0"] > ckpt.state.step
 

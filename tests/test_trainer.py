@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tie.autodiff import Tensor
+from tie.autodiff import Tape, Tensor, backward
 from tie.data import build_vocab
 from tie.instructions import build_pool
-from tie.model import ModelConfig, Parameters
+from tie.model import CHANNEL_GROUPS, ModelConfig, Parameters, forward, make_batch
 from tie.synth import make_synth
 from tie import trainer as T
 from tie.trainer import (
@@ -116,7 +116,10 @@ def tiny_params(k=2, seed=0):
 
 
 def ones_grads(params, sign=1.0):
-    return {n: sign * np.ones_like(t.data) for n, t in params.tensors.items()}
+    """Every gradient of ``params`` set to ``sign``: the live per-group vectors."""
+    for grad in params.flat_grad.values():
+        grad[...] = sign
+    return params.grads()
 
 
 def test_gate_first_step_always_updates():
@@ -126,6 +129,15 @@ def test_gate_first_step_always_updates():
     decisions = gated_step(p, snap, ones_grads(p), adam)
     assert all(d["updated"] and d["dot"] is None for d in decisions.values())
     assert set(snap.prev) == set(p.groups)
+
+
+def test_snapshot_keeps_copies_of_the_live_gradients():
+    p = tiny_params()
+    snap = GradientSnapshot()
+    gated_step(p, snap, ones_grads(p), Adam(p, lr=1e-3))
+    p.zero_grads()
+    for group, vec in snap.prev.items():
+        assert vec is not p.flat_grad[group] and np.all(vec == 1.0)
 
 
 def test_gate_equal_gradients_update_all():
@@ -151,8 +163,9 @@ def test_gate_negated_gradients_freeze_all():
     # frozen means bit-identical parameters and optimizer state
     for name, t in p.tensors.items():
         assert np.array_equal(t.data, before[name])
-        assert np.array_equal(adam.m[name], m_before[name])
-        assert np.array_equal(adam.v[name], v_before[name])
+    for group in p.groups:
+        assert np.array_equal(adam.m[group], m_before[group])
+        assert np.array_equal(adam.v[group], v_before[group])
     assert adam.t == t_before
     # but the snapshot still stores the new gradients
     assert all(np.all(a == -1.0) for a in snap.prev.values())
@@ -161,11 +174,9 @@ def test_gate_negated_gradients_freeze_all():
 def test_gate_mixed_groups():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    g0 = ones_grads(p)
-    gated_step(p, snap, g0, adam)
+    gated_step(p, snap, ones_grads(p), adam)
     g1 = ones_grads(p)
-    for name in p.groups["embed"]:
-        g1[name] = -g1[name]
+    g1["embed"] *= -1.0
     before = p.copy_values()
     decisions = gated_step(p, snap, g1, adam)
     assert not decisions["embed"]["updated"] and decisions["embed"]["dot"] < 0
@@ -178,7 +189,7 @@ def test_gate_mixed_groups():
 def test_gate_zero_previous_gradient_skips():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, {n: np.zeros_like(t.data) for n, t in p.tensors.items()}, adam)
+    gated_step(p, snap, ones_grads(p, sign=0.0), adam)
     decisions = gated_step(p, snap, ones_grads(p), adam)
     for d in decisions.values():
         assert d["dot"] == 0.0 and not d["updated"]
@@ -187,13 +198,11 @@ def test_gate_zero_previous_gradient_skips():
 def test_gate_global_granularity():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    g0 = ones_grads(p)
-    gated_step(p, snap, g0, adam, granularity="global")
+    gated_step(p, snap, ones_grads(p), adam, granularity="global")
     # embed dominates the global dot; flip everything else
-    g1 = {n: -a for n, a in ones_grads(p).items()}
-    for name in p.groups["embed"]:
-        g1[name] = np.ones_like(g1[name])
-    sizes = {g: sum(p.tensors[n].size for n in names) for g, names in p.groups.items()}
+    g1 = ones_grads(p, sign=-1.0)
+    g1["embed"][...] = 1.0
+    sizes = {g: vec.size for g, vec in p.flat.items()}
     embed_size = sizes["embed"]
     rest = sum(s for g, s in sizes.items() if g != "embed")
     expected = embed_size - rest > 0
@@ -215,7 +224,7 @@ def test_gate_nan_gradient_aborts():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
     bad = ones_grads(p)
-    bad["score.w"][0, 0] = np.nan
+    p["score.w"].grad[0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="score.w"):
         gated_step(p, snap, bad, adam)
 
@@ -224,7 +233,7 @@ def test_gate_nan_in_the_middle_of_a_large_group_is_named():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
     bad = ones_grads(p)
-    bad["dec.0.cross.wv"][1, 2] = np.inf
+    p["dec.0.cross.wv"].grad[1, 2] = np.inf
     names = p.groups["dec.0"]
     assert 0 < names.index("dec.0.cross.wv") < len(names) - 1
     with pytest.raises(TrainingDiverged, match=r"dec\.0\.cross\.wv"):
@@ -235,9 +244,9 @@ def test_gate_accepts_finite_gradients_whose_sum_overflows():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
     big = ones_grads(p)
-    big["score.w"][...] = 1e308
+    p["score.w"].grad[...] = 1e308
     with np.errstate(over="ignore"):
-        assert not np.isfinite(p.flat_group("score", big).sum())
+        assert not np.isfinite(big["score"].sum())
         decisions = gated_step(p, snap, big, adam)
     assert decisions["score"]["updated"]
     assert np.isfinite(p["score.w"].data).all()
@@ -259,7 +268,7 @@ def test_flat_adam_matches_per_tensor_formula_bit_for_bit():
         for group, names in p.groups.items():
             if group == "dec.0" and step == 2:
                 continue   # frozen this step
-            adam.update_group(p, group, p.flat_group(group, grads))
+            adam.update_group(p, group, np.concatenate([grads[n].reshape(-1) for n in names]))
             ref_t[group] += 1
             t = ref_t[group]
             for n in names:   # the per-tensor formula
@@ -270,44 +279,58 @@ def test_flat_adam_matches_per_tensor_formula_bit_for_bit():
                 v_hat = ref_v[n] / (1 - adam.beta2 ** t)
                 ref_p[n] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
     assert adam.t == ref_t and adam.t["dec.0"] == 4
-    for n, t in p.tensors.items():
-        assert np.array_equal(t.data, ref_p[n]), n
-        assert np.array_equal(adam.m[n], ref_m[n]), n
-        assert np.array_equal(adam.v[n], ref_v[n]), n
+    for group in p.groups:
+        m, v = p.split_group(group, adam.m[group]), p.split_group(group, adam.v[group])
+        for n in p.groups[group]:
+            assert np.array_equal(p[n].data, ref_p[n]), n
+            assert np.array_equal(m[n], ref_m[n]), n
+            assert np.array_equal(v[n], ref_v[n]), n
 
 
-def test_adam_moment_views_share_the_group_vector():
+def test_parameter_views_share_the_group_vectors():
     p = tiny_params()
-    adam = Adam(p, lr=1e-3)
-    gated_step(p, GradientSnapshot(), ones_grads(p), adam)
+    assert list(p.tensors) == [n for names in p.groups.values() for n in names]
     for group, names in p.groups.items():
+        assert sum(p[n].size for n in names) == p.flat[group].size == p.flat_grad[group].size
         for n in names:
-            assert adam.m[n].shape == p[n].shape
-            assert np.shares_memory(adam.m[n], adam.m_flat[group])
-            assert np.shares_memory(adam.v[n], adam.v_flat[group])
-        np.testing.assert_array_equal(adam.m_flat[group], p.flat_group(group, adam.m))
-    assert list(adam.m) == p.names()
+            assert np.shares_memory(p[n].data, p.flat[group])
+            assert np.shares_memory(p[n].grad, p.flat_grad[group])
+    batch = make_batch([[3, 4, 5]], [[3, 6, 7]], [[1, 2]])
+    with Tape():
+        fwd = forward(p, batch)
+        backward(T.loss(fwd.logits, np.zeros((1, 3, 3, 2)), mean_weights((1, 3, 3, 2))))
+    grads = p.grads()
+    for group, names in p.groups.items():
+        assert grads[group] is p.flat_grad[group]
+        np.testing.assert_array_equal(
+            grads[group], np.concatenate([p[n].grad.reshape(-1) for n in names]))
+    assert grads["enc.0"].any() and grads["score"].any()
+    p.zero_grads()
+    assert not any(vec.any() for vec in p.grads().values())
 
 
-def test_adam_sync_rebuilds_views_of_recreated_groups():
+def test_adam_sync_keeps_other_groups_vectors():
     p = tiny_params(k=2)
     adam = Adam(p, lr=1e-3)
     gated_step(p, GradientSnapshot(), ones_grads(p), adam)
-    kept = adam.m_flat["enc.0"]
-    old = adam.m_flat["biaffine"]
+    kept = {g: (p.flat[g], p.flat_grad[g], adam.m[g], adam.v[g])
+            for g in p.groups if g not in CHANNEL_GROUPS}
+    old = {g: p.flat[g] for g in CHANNEL_GROUPS}
     p.reinit_channels(3, np.random.default_rng(1))
     adam.sync(p)
-    assert adam.m_flat["enc.0"] is kept and adam.t["enc.0"] == 1
-    for group in ("biaffine", "score"):
-        assert adam.t[group] == 0
-        assert not adam.m_flat[group].any() and not adam.v_flat[group].any()
+    for g, vectors in kept.items():
+        now = (p.flat[g], p.flat_grad[g], adam.m[g], adam.v[g])
+        assert all(a is b for a, b in zip(now, vectors)), g
+        assert adam.t[g] == 1
+    for group in CHANNEL_GROUPS:
+        assert p.flat[group] is not old[group] and adam.t[group] == 0
+        assert not adam.m[group].any() and not adam.v[group].any()
+        assert adam.m[group].shape == adam.v[group].shape == p.flat[group].shape
         for n in p.groups[group]:
-            assert adam.m[n].shape == adam.v[n].shape == p[n].shape
-            assert np.shares_memory(adam.m[n], adam.m_flat[group])
-            assert np.shares_memory(adam.v[n], adam.v_flat[group])
-            assert not np.shares_memory(adam.m[n], old)
+            assert np.shares_memory(p[n].data, p.flat[group])
+            assert np.shares_memory(p[n].grad, p.flat_grad[group])
     gated_step(p, GradientSnapshot(), ones_grads(p), adam)
-    assert adam.m["biaffine.w3"].any()
+    assert adam.m["biaffine"].any()
 
 
 # --- end-to-end training ------------------------------------------------
@@ -401,8 +424,8 @@ def test_finetune_keeping_optimizer_onto_different_channel_count():
     steps = len(result.step_reports)
     optimizer = result.state.optimizer
     assert steps == 2 and optimizer is state.optimizer
-    for name in params.groups["biaffine"] + params.groups["score"]:
-        assert optimizer.m[name].shape == params[name].shape
+    for group in ("biaffine", "score"):
+        assert optimizer.m[group].shape == params.flat[group].shape
     assert optimizer.t["biaffine"] == optimizer.t["score"] == steps
     # groups whose tensors were kept keep their moments and step counts
     assert optimizer.t["enc.0"] == enc_steps + steps
