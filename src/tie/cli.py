@@ -274,7 +274,8 @@ def cmd_finetune(config: RunConfig, checkpoint_path: str | None) -> int:
     return 0
 
 
-def _load_for_inference(config: RunConfig, checkpoint_path: str | None):
+def _load_for_inference(config: RunConfig, checkpoint_path: str | None, splits):
+    """The checkpoint, the target with only ``splits`` parsed, and its pool."""
     if not checkpoint_path:
         raise ConfigError("checkpoint: required for this command")
     if not Path(checkpoint_path).exists():
@@ -283,7 +284,7 @@ def _load_for_inference(config: RunConfig, checkpoint_path: str | None):
         raise ConfigError("target: required for this command")
     ckpt = load_checkpoint(checkpoint_path)
     target = load_manifest(config.target, max_len=ckpt.config.max_len,
-                           lowercase=config.lowercase)
+                           lowercase=config.lowercase, splits=splits)
     if target.label_space.num_channels != ckpt.num_channels:
         raise ConfigError(
             f"target: dataset has {target.label_space.num_channels} channels, "
@@ -296,7 +297,7 @@ def _load_for_inference(config: RunConfig, checkpoint_path: str | None):
 
 def cmd_eval(config: RunConfig, checkpoint_path: str | None, split: str) -> int:
     out = _OutDir(config.out)
-    ckpt, target, pool = _load_for_inference(config, checkpoint_path)
+    ckpt, target, pool = _load_for_inference(config, checkpoint_path, (split,))
     reports, headline = evaluate_split(ckpt.state.params, ckpt.vocab, pool,
                                        target, split, config.train.threshold)
     out.write_json("metrics.json", {
@@ -315,7 +316,7 @@ def cmd_eval(config: RunConfig, checkpoint_path: str | None, split: str) -> int:
 
 def cmd_decode(config: RunConfig, checkpoint_path: str | None, input_path: str) -> int:
     out = _OutDir(config.out)
-    ckpt, target, pool = _load_for_inference(config, checkpoint_path)
+    ckpt, target, pool = _load_for_inference(config, checkpoint_path, ())
     if not Path(input_path).exists():
         raise ConfigError(f"input: file not found: {input_path}")
     instances, dropped = load_jsonl(input_path, target.label_space,

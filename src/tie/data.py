@@ -11,7 +11,8 @@ where a ref is either an integer index into "entities" or a raw span
 
 A dataset manifest is a JSON object {"id", "task", "entity_types",
 "relation_types", "train", "dev", "test"} with split paths resolved relative
-to the manifest file.
+to the manifest file. A caller may parse only the splits it reads; the
+others are left ``None``.
 """
 
 from __future__ import annotations
@@ -133,9 +134,11 @@ class Instance:
 
 @dataclass
 class Splits:
-    train: list
-    dev: list
-    test: list
+    """Each split's instances; ``None`` for a split that was not loaded."""
+
+    train: list | None
+    dev: list | None
+    test: list | None
 
 
 @dataclass
@@ -262,8 +265,15 @@ def _check_task_shape(task: str, space: LabelSpace):
         )
 
 
-def load_manifest(path, *, max_len: int = 128, lowercase: bool = False) -> Dataset:
-    """Load a dataset manifest and all three splits."""
+SPLITS = ("train", "dev", "test")
+
+
+def load_manifest(path, *, max_len: int = 128, lowercase: bool = False,
+                  splits=SPLITS) -> Dataset:
+    """Load a dataset manifest and parse the named ``splits`` (default all
+    three). The manifest is validated and every split file must exist
+    whichever splits are named; a split not named is ``None``, not ``[]``,
+    so a reader of it fails rather than seeing an empty split."""
     path = Path(path)
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
@@ -284,19 +294,20 @@ def load_manifest(path, *, max_len: int = 128, lowercase: bool = False) -> Datas
     _check_task_shape(spec["task"], space)
 
     base = path.parent
-    splits = {}
-    for split in ("train", "dev", "test"):
+    loaded = dict.fromkeys(SPLITS)
+    for split in SPLITS:
         split_path = base / spec[split]
         if not split_path.exists():
             raise DataError(f"{path}: {split} split not found at {split_path}")
-        splits[split], _ = load_jsonl(
-            split_path, space, dataset_id=spec["id"], max_len=max_len, lowercase=lowercase
-        )
+        if split in splits:
+            loaded[split], _ = load_jsonl(
+                split_path, space, dataset_id=spec["id"], max_len=max_len, lowercase=lowercase
+            )
     return Dataset(
         id=spec["id"],
         task_kind=spec["task"],
         label_space=space,
-        splits=Splits(**splits),
+        splits=Splits(**loaded),
     )
 
 

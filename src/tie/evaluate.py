@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import autodiff as ad
 from .codec import decode
-from .data import Dataset, Vocabulary
+from .data import DataError, Dataset, Vocabulary
 from .instructions import InstructionPool
 from .metrics import headline_f1, task_metric
 from .model import Parameters, forward, make_batch
@@ -43,17 +43,25 @@ def predict_instances(params: Parameters, vocab: Vocabulary, pool: InstructionPo
     return preds
 
 
+def _instances(dataset: Dataset, split: str) -> list:
+    """The split's instances; a split that ``load_manifest`` was not asked
+    to parse is an error, never an empty score."""
+    instances = getattr(dataset.splits, split)
+    if instances is None:
+        raise DataError(f"dataset {dataset.id}: {split} split was not loaded")
+    return instances
+
+
 def predict_split(params: Parameters, vocab: Vocabulary, pool: InstructionPool,
                   dataset: Dataset, split: str, tau: float):
     """Decode predictions for every instance of one split, in split order."""
-    return predict_instances(params, vocab, pool, dataset,
-                             getattr(dataset.splits, split), tau)
+    return predict_instances(params, vocab, pool, dataset, _instances(dataset, split), tau)
 
 
 def evaluate_split(params: Parameters, vocab: Vocabulary, pool: InstructionPool,
                    dataset: Dataset, split: str, tau: float):
     """Returns ({metric name: ScoreReport}, headline F1) for one split."""
     preds = predict_split(params, vocab, pool, dataset, split, tau)
-    golds = getattr(dataset.splits, split)
+    golds = _instances(dataset, split)
     reports = task_metric(dataset.task_kind, preds, golds)
     return reports, headline_f1(reports, dataset.task_kind)

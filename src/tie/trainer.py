@@ -16,6 +16,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -76,8 +77,8 @@ class TrainConfig:
     reset_optimizer_on_finetune: bool = True
 
     def validate(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
         for name in ("batch_size", "pretrain_epochs", "finetune_epochs", "min_count",
                      "pretrain_max_steps", "finetune_max_steps"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
@@ -171,7 +172,7 @@ class Adam:
     Each group's moments ``m[group]`` and ``v[group]`` are flat vectors laid
     out like ``Parameters.flat[group]`` (``Parameters.split_group`` gives
     their per-tensor views), and a step is one in-place update of that
-    group vector.
+    group vector, computed in two scratch vectors the group keeps.
     """
 
     def __init__(self, params: Parameters, lr: float,
@@ -184,6 +185,7 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
         self._owners = {}   # the group vectors the moments belong to
+        self._scratch = {}  # two group-sized work vectors per group
         for group in params.groups:
             self._fresh_group(params, group)
 
@@ -191,6 +193,8 @@ class Adam:
         self.m[group] = np.zeros_like(params.flat[group])
         self.v[group] = np.zeros_like(params.flat[group])
         self._owners[group] = params.flat[group]
+        self._scratch[group] = (np.empty_like(params.flat[group]),
+                                np.empty_like(params.flat[group]))
         self.t[group] = 0
 
     def sync(self, params: Parameters):
@@ -206,13 +210,17 @@ class Adam:
         self.t[group] += 1
         t = self.t[group]
         m, v = self.m[group], self.v[group]
+        step, denom = self._scratch[group]
         m *= self.beta1
-        m += (1 - self.beta1) * flat_grad
+        np.multiply(flat_grad, 1 - self.beta1, out=step)
+        m += step
         v *= self.beta2
-        v += (1 - self.beta2) * flat_grad * flat_grad
-        step = m / (1 - self.beta1 ** t)
+        np.multiply(flat_grad, 1 - self.beta2, out=step)
+        step *= flat_grad
+        v += step
+        np.divide(m, 1 - self.beta1 ** t, out=step)
         step *= self.lr
-        denom = v / (1 - self.beta2 ** t)
+        np.divide(v, 1 - self.beta2 ** t, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom

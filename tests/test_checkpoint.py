@@ -134,6 +134,19 @@ def test_committed_checkpoint_loads_its_bytes_and_resaves_them(tmp_path):
     assert again.read_bytes() == raw
 
 
+@pytest.mark.parametrize("key,value", [("eps", math.inf), ("lr", math.inf),
+                                       ("beta1", math.nan), ("beta2", -math.inf)])
+def test_non_finite_adam_setting_is_rejected(tmp_path, key, value):
+    # JSON headers may spell these Infinity and NaN; an infinite eps would
+    # make every later Adam step zero
+    raw = TWO_GATED_STEPS.read_bytes()
+    header, _ = _split_header(raw)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(raw, {**header, "adam": {**header["adam"], key: value}}))
+    with pytest.raises(CheckpointError, match="Adam settings must be finite"):
+        load_checkpoint(bad)
+
+
 def test_crc_mismatch_detected(tmp_path):
     (a, b, _t), vocab, pool, params, cfg, k = fixture()
     state = TrainState.fresh(params, 1e-3)

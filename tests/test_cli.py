@@ -156,6 +156,7 @@ MALFORMED_INPUTS = {
                                   "train: gate_granularity"),
     "threshold is 1": (_set("train", "threshold", 1.0), "train: threshold"),
     "lr is 0": (_set("train", "lr", 0), "train: lr"),
+    "lr is Infinity": (_set("train", "lr", float("inf")), "train: lr"),
     "dropout is 1": (_set("model", "dropout", 1.0), "model: dropout"),
     "d is no multiple of heads": (lambda d, c: {**c, "model": {**c["model"], "d": 30, "heads": 4}},
                                   "model: d "),
@@ -350,3 +351,65 @@ def test_threshold_flag_overrides_config(tmp_path):
     assert metrics["threshold"] == 0.9
     echoed = json.loads((ev_out / "config.json").read_text())
     assert echoed["train"]["threshold"] == 0.9
+
+
+def _finetuned_target(tmp_path):
+    """A config, a checkpoint finetuned on its target, and the target's
+    directory; the checkpoint is made before any target file is damaged."""
+    cfg_path, config = make_config(tmp_path)
+    assert main(["finetune", "--config", str(cfg_path), "--out", str(tmp_path / "ft")]) == 0
+    return cfg_path, config, tmp_path / "ft" / "finetuned.ckpt", tmp_path / "data" / "aligned-target"
+
+
+def test_eval_and_decode_parse_only_the_split_they_read(tmp_path):
+    from tie.checkpoint import load_checkpoint
+    from tie.data import load_manifest
+    from tie.evaluate import evaluate_split, predict_split
+    from tie.instructions import build_pool, read_templates
+    from tie.trainer import TrainConfig
+
+    cfg_path, config, ckpt_path, target_dir = _finetuned_target(tmp_path)
+    ckpt = load_checkpoint(ckpt_path)
+    target = load_manifest(target_dir / "manifest.json", max_len=ckpt.config.max_len)
+    assert target.splits.train and target.splits.test
+    pool = build_pool([target], read_templates([tmp_path / p for p in config["instructions"]]),
+                      ckpt.vocab, ckpt.config.max_instr_len)
+    args = (ckpt.state.params, ckpt.vocab, pool, target, "test", TrainConfig().threshold)
+    reports, headline = evaluate_split(*args)
+    preds = predict_split(*args)
+
+    _append_line(target_dir / "train.jsonl", "[1]", config)
+    common = ["--config", str(cfg_path), "--checkpoint", str(ckpt_path)]
+    assert main(["eval", *common, "--split", "test", "--out", str(tmp_path / "ev")]) == 0
+    metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+    assert metrics["headline_f1"] == headline
+    assert metrics["reports"] == {k: v.to_json() for k, v in reports.items()}
+    assert main(["decode", *common, "--input", str(target_dir / "test.jsonl"),
+                 "--out", str(tmp_path / "dec")]) == 0
+    rows = [json.loads(l) for l in (tmp_path / "dec" / "predictions.jsonl").read_text().splitlines()]
+    assert len(rows) == len(preds)
+    for row, pred in zip(rows, preds):
+        got = ([(e["type"], e["start"], e["end"], e["score"]) for e in row["entities"]],
+               [(l["type"], (l["subject"]["start"], l["subject"]["end"]),
+                 (l["object"]["start"], l["object"]["end"]), l["score"]) for l in row["links"]])
+        assert got == ([(e.type, e.start, e.end, e.score) for e in pred.entities],
+                       [(l.type, tuple(l.subject), tuple(l.object), l.score) for l in pred.links])
+
+
+def test_eval_of_a_malformed_split_exits_2_naming_its_file(tmp_path, capsys):
+    cfg_path, config, ckpt_path, target_dir = _finetuned_target(tmp_path)
+    _append_line(target_dir / "dev.jsonl", "[1]", config)
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt_path),
+                 "--split", "dev", "--out", str(tmp_path / "ev")]) == 2
+    assert "dev.jsonl" in capsys.readouterr().err
+
+
+def test_eval_and_decode_still_need_every_split_file(tmp_path, capsys):
+    cfg_path, config, ckpt_path, target_dir = _finetuned_target(tmp_path)
+    (target_dir / "train.jsonl").unlink()
+    common = ["--config", str(cfg_path), "--checkpoint", str(ckpt_path)]
+    assert main(["eval", *common, "--out", str(tmp_path / "ev")]) == 2
+    assert "train split not found" in capsys.readouterr().err
+    assert main(["decode", *common, "--input", str(target_dir / "test.jsonl"),
+                 "--out", str(tmp_path / "dec")]) == 2
+    assert "train split not found" in capsys.readouterr().err

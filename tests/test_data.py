@@ -195,6 +195,28 @@ def test_load_manifest_rejects_malformed_spec(tmp_path, spec):
         data.load_manifest(manifest)
 
 
+def test_load_manifest_parses_only_the_named_splits(tmp_path):
+    from tie.evaluate import evaluate_split, predict_split
+
+    manifest = tmp_path / "m.json"
+    for split in ("train", "dev", "test"):
+        write_jsonl(tmp_path / f"{split}.jsonl", [{"tokens": ["a", split]}])
+    (tmp_path / "train.jsonl").write_text("[1]\n", encoding="utf-8")   # never parsed
+    manifest.write_text(json.dumps({
+        "id": "d", "task": "NER", "entity_types": ["PER"], "relation_types": [],
+        "train": "train.jsonl", "dev": "dev.jsonl", "test": "test.jsonl",
+    }), encoding="utf-8")
+    none = data.load_manifest(manifest, splits=())
+    assert none.splits == data.Splits(train=None, dev=None, test=None)
+    test_only = data.load_manifest(manifest, splits=("test",))
+    assert test_only.splits.dev is None and test_only.splits.test[0].tokens == ["a", "test"]
+    for score in (evaluate_split, predict_split):
+        with pytest.raises(DataError, match="dev split was not loaded"):
+            score(None, None, None, test_only, "dev", 0.5)
+    with pytest.raises(DataError, match="train.jsonl:1"):
+        data.load_manifest(manifest)
+
+
 def _ds(sentences):
     insts = [Instance(tokens=s.split()) for s in sentences]
     return data.Dataset(

@@ -287,6 +287,42 @@ def test_flat_adam_matches_per_tensor_formula_bit_for_bit():
             assert np.array_equal(v[n], ref_v[n]), n
 
 
+def test_adam_in_place_step_matches_the_group_formula_across_a_relayout():
+    # the step runs in per-group scratch vectors; it must equal the plain
+    # expression with temporaries, operation for operation, also for the
+    # groups that reinit_channels lays out anew
+    p = tiny_params(k=2, seed=3)
+    adam = Adam(p, lr=2e-3)
+    ref = {"m": {}, "v": {}, "t": {}}
+    rng = np.random.default_rng(4)
+
+    def reference_step(group, g):
+        adam_t = ref["t"][group] = ref["t"].get(group, 0) + 1
+        m = ref["m"][group] = ref["m"].get(group, np.zeros_like(g)) * adam.beta1 \
+            + (1 - adam.beta1) * g
+        v = ref["v"][group] = ref["v"].get(group, np.zeros_like(g)) * adam.beta2 \
+            + (1 - adam.beta2) * g * g
+        step = m / (1 - adam.beta1 ** adam_t) * adam.lr
+        denom = np.sqrt(v / (1 - adam.beta2 ** adam_t)) + adam.eps
+        return step / denom
+
+    for step in range(6):
+        if step == 3:
+            p.reinit_channels(3, np.random.default_rng(5))
+            adam.sync(p)
+            for group in CHANNEL_GROUPS:
+                for key in ("m", "v", "t"):
+                    ref[key].pop(group)
+        for group in p.groups:
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.flat[group].size)
+            expected = p.flat[group] - reference_step(group, g)
+            adam.update_group(p, group, g)
+            assert np.array_equal(p.flat[group], expected), (step, group)
+            assert np.array_equal(adam.m[group], ref["m"][group]), (step, group)
+            assert np.array_equal(adam.v[group], ref["v"][group]), (step, group)
+    assert adam.t == ref["t"]
+
+
 def test_parameter_views_share_the_group_vectors():
     p = tiny_params()
     assert list(p.tensors) == [n for names in p.groups.values() for n in names]
