@@ -22,13 +22,13 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import Vocabulary
-from .model import ModelConfig, Parameters, check_types
+from .model import ModelConfig, Parameters
 from .trainer import Adam, GradientSnapshot, TrainState
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
@@ -81,7 +81,7 @@ def save_checkpoint(path, checkpoint: Checkpoint):
 
     header = {
         "format_version": FORMAT_VERSION,
-        "model_config": checkpoint.config.to_json(),
+        "model_config": asdict(checkpoint.config),
         "num_channels": checkpoint.num_channels,
         "seed": checkpoint.seed,
         "step": checkpoint.step,
@@ -176,12 +176,14 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
         return arrays[key]
 
     stored = header["model_config"]
-    if set(stored) != set(ModelConfig().to_json()):
+    if set(stored) != {f.name for f in fields(ModelConfig)}:
         # a missing field would silently take its default, e.g. another head count
         raise CheckpointError(f"{path}: model_config fields {sorted(stored)} do not match "
                               f"the model's")
-    check_types("model_config.", ModelConfig, stored)
-    config = ModelConfig.from_json(stored)
+    try:
+        config = ModelConfig(**stored)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: model_config.{exc}") from None
     num_channels = _count(path, header, "num_channels")
     params = Parameters(config, num_channels, np.random.default_rng(0))
 
@@ -237,9 +239,9 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
     )
 
 
-def _count(path: Path, fields: dict, key: str) -> int:
+def _count(path: Path, header: dict, key: str) -> int:
     """A header field that must be a non-negative JSON integer."""
-    value = fields[key]
+    value = header[key]
     if type(value) is not int or value < 0:
         raise CheckpointError(f"{path}: header field {key!r} must be a non-negative "
                               f"integer, got {value!r}")

@@ -2,10 +2,14 @@
 
 Configuration is one JSON document; a handful of flags override individual
 fields and the effective merged config is echoed into the output directory,
-alongside a manifest of every file the command produced. Logs are JSON lines
-on stderr (filtered by TIE_LOG = debug|info|warn); human-readable tables go
-to stdout. Exit code 0 means the command completed; 2 means bad input or a
-run whose numbers went non-finite, reported as one ``error:`` line on stderr.
+alongside a manifest of every file the command produced. Every field is
+type- and range-checked as the config is built; an error names its path
+(``model.heads: must be >= 1, got 0``). Each command parses only the dataset
+splits it reads: training reads train and dev, eval one split, decode none.
+Logs are JSON lines on stderr (filtered by TIE_LOG = debug|info|warn);
+human-readable tables go to stdout. Exit code 0 means the command completed;
+2 means bad input or a run whose numbers went non-finite, reported as one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .autodiff import NonFiniteError
@@ -23,7 +27,7 @@ from .data import DataError, build_vocab, load_jsonl, load_manifest
 from .evaluate import evaluate_split, predict_instances
 from .gradcheck import run_gradcheck
 from .instructions import InstructionError, build_pool, read_templates
-from .model import ModelConfig, Parameters, check_types
+from .model import ModelConfig, Parameters, check_fields
 from .synth import SYNTH_KINDS, write_synth
 from .trainer import TrainConfig, TrainResult, TrainState, rng_for
 from . import trainer
@@ -88,20 +92,14 @@ class RunConfig:
             raise ConfigError("seed: required field is missing")
         if "out" not in raw:
             raise ConfigError("out: required field is missing")
-        try:
-            check_types("", cls, raw)
-            check_types("model.", ModelConfig, raw.get("model", {}))
-            check_types("train.", TrainConfig, raw.get("train", {}))
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-        try:
-            model = ModelConfig.from_json(raw.get("model", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"model: {exc}") from None
-        try:
-            train = TrainConfig(**raw.get("train", {})).validate()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"train: {exc}") from None
+        sections = {}
+        for key, section in (("model", ModelConfig), ("train", TrainConfig)):
+            try:
+                sections[key] = section(**raw.get(key, {}))
+            except TypeError as exc:   # a field the section does not have
+                raise ConfigError(f"{key}: {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"{key}.{exc}") from None
 
         def resolve(where, p):
             if not isinstance(p, str):
@@ -120,21 +118,18 @@ class RunConfig:
         sources = resolve_list("sources")
         target = resolve("target", raw["target"]) if raw.get("target") else None
         instructions = resolve_list("instructions")
-        return cls(seed=raw["seed"], out=raw["out"], model=model,
-                   train=train, sources=sources, target=target,
-                   instructions=instructions, lowercase=raw.get("lowercase", False))
+        try:
+            return cls(seed=raw["seed"], out=raw["out"], **sections, sources=sources,
+                       target=target, instructions=instructions,
+                       lowercase=raw.get("lowercase", False))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out": self.out,
-            "model": self.model.to_json(),
-            "train": vars(self.train).copy(),
-            "sources": list(self.sources),
-            "target": self.target,
-            "instructions": list(self.instructions),
-            "lowercase": self.lowercase,
-        }
+        return asdict(self)
 
 
 class _OutDir:
@@ -170,7 +165,10 @@ class _OutDir:
 
 
 def _load_datasets(paths, config: RunConfig):
-    return [load_manifest(p, max_len=config.model.max_len, lowercase=config.lowercase)
+    """The training datasets with their train and dev splits; no command
+    that trains reads a test split."""
+    return [load_manifest(p, max_len=config.model.max_len, lowercase=config.lowercase,
+                          splits=("train", "dev"))
             for p in paths]
 
 
@@ -200,8 +198,8 @@ def _fresh_start(config: RunConfig, datasets, templates: dict, num_channels: int
     """Vocabulary and untrained state for a run without a checkpoint."""
     flat = [t for ts in templates.values() for t in ts]
     vocab = build_vocab(datasets, min_count=config.train.min_count, extra_texts=flat)
-    model_cfg = ModelConfig(**{**config.model.to_json(), "vocab_size": len(vocab)})
-    params = Parameters(model_cfg, num_channels, rng_for(config.seed, "init"))
+    params = Parameters(replace(config.model, vocab_size=len(vocab)), num_channels,
+                        rng_for(config.seed, "init"))
     return vocab, TrainState.fresh(params, config.train.lr)
 
 

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .model import ModelConfig, Parameters, forward, make_batch
 from .trainer import loss
 
-__all__ = ["GradcheckReport", "run_gradcheck"]
+__all__ = ["GradcheckReport", "run_gradcheck", "central_diff", "max_rel_err"]
 
 
 @dataclass
@@ -40,7 +40,23 @@ class GradcheckReport:
         }
 
 
-def _rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
+def central_diff(f, arr: np.ndarray, h: float) -> np.ndarray:
+    """d f / d arr, one central difference per element. Mutates arr in place
+    during evaluation and restores it afterwards."""
+    out = np.zeros_like(arr)
+    flat, grad = arr.reshape(-1), out.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = f()
+        flat[i] = orig - h
+        grad[i] = (hi - f()) / (2.0 * h)
+        flat[i] = orig
+    return out
+
+
+def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
+    """Worst-case elementwise relative error with a small absolute floor."""
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
@@ -77,20 +93,9 @@ def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4
     report = GradcheckReport(passed=True, tolerance=tolerance, worst_rel_err=0.0,
                              worst_tensor="", n_elements=0)
     for name, tensor in params.tensors.items():
-        fd = np.zeros_like(tensor.data)
-        flat = tensor.data.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = loss_value()
-            flat[i] = orig - step
-            lo = loss_value()
-            flat[i] = orig
-            fd_flat[i] = (hi - lo) / (2.0 * step)
-        err = _rel_err(fd, tensor.grad)
+        err = max_rel_err(central_diff(loss_value, tensor.data, step), tensor.grad)
         report.per_tensor[name] = err
-        report.n_elements += flat.size
+        report.n_elements += tensor.size
         if err > report.worst_rel_err:
             report.worst_rel_err = err
             report.worst_tensor = name

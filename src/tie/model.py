@@ -11,13 +11,16 @@ attention masks padded keys so that no real position sees padding.
 
 All parameters are named, and names are partitioned into groups (one per
 layer-like unit); the trainer's update gate operates on those groups, and
-each group's tensors live in one flat vector (``Parameters``).
+each group's tensors live in one flat vector (``Parameters``); a group is
+the tensors made since the previous group was laid out. A config field
+declares its rule in ``field(metadata=...)``, and ``check_fields`` checks
+type and rule when a config is built, so every config object is valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +30,9 @@ from .data import PAD_ID
 
 __all__ = [
     "ModelConfig",
-    "check_types",
+    "check_fields",
+    "rule",
+    "at_least",
     "Parameters",
     "ForwardState",
     "CHANNEL_GROUPS",
@@ -54,70 +59,61 @@ _JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
-def check_types(where: str, cls, values: dict):
-    """Raise TypeError for a value whose JSON type does not fit the
-    annotation of the dataclass ``cls`` field it sets; ``null`` fits only
-    ``X | None`` fields. Unknown names and other annotations are left to
-    ``cls``."""
-    annotations = {f.name: f.type for f in fields(cls)}
-    for name, value in values.items():
-        base, _, optional = annotations.get(name, "").partition(" | ")
-        if base not in _JSON_TYPES or (value is None and optional == "None"):
+def rule(check, described: str) -> dict:
+    """Field metadata for ``check_fields``: the value must pass ``check``;
+    ``described`` completes "must be ..." in the error."""
+    return {"rule": (check, described)}
+
+
+def at_least(low: int) -> dict:
+    return rule(lambda v: v >= low, f">= {low}")
+
+
+def check_fields(obj):
+    """Raise ValueError ``<field>: must be <rule>, got <value>`` for the
+    first field of the dataclass ``obj`` whose value has the wrong JSON type
+    for its annotation, or breaks the rule declared in its metadata.
+    ``null`` fits only ``X | None`` fields and skips the rule; other
+    annotations are not type-checked."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        base, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
             continue
-        expected, described = _JSON_TYPES[base]
-        if isinstance(value, bool) != (base == "bool") or not isinstance(value, expected):
-            raise TypeError(f"{where}{name}: must be {described}"
-                            f"{' or null' if optional else ''}, got {value!r}")
+        if base in _JSON_TYPES:
+            expected, described = _JSON_TYPES[base]
+            if isinstance(value, bool) != (base == "bool") or not isinstance(value, expected):
+                raise ValueError(f"{f.name}: must be {described}"
+                                 f"{' or null' if optional else ''}, got {value!r}")
+        check, described = f.metadata.get("rule", (None, ""))
+        if check and not check(value):
+            raise ValueError(f"{f.name}: must be {described}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d: int = 32
-    layers_enc: int = 1
-    layers_dec: int = 1
-    heads: int = 4
-    max_len: int = 128
-    max_instr_len: int = 64
-    dropout: float = 0.0
-    vocab_size: int = 3
-    ffn_mult: int = 4
+    """Model shape; a built instance has passed its rules and ``d % heads == 0``."""
+
+    d: int = field(default=32, metadata=at_least(1))
+    layers_enc: int = field(default=1, metadata=at_least(1))
+    layers_dec: int = field(default=1, metadata=at_least(1))
+    heads: int = field(default=4, metadata=at_least(1))
+    max_len: int = field(default=128, metadata=at_least(1))
+    max_instr_len: int = field(default=64, metadata=at_least(1))
+    dropout: float = field(default=0.0, metadata=rule(lambda v: 0 <= v < 1, "in [0, 1)"))
+    # ids 0-2 are reserved (padding, unknown, slot marker)
+    vocab_size: int = field(default=3, metadata=at_least(3))
+    ffn_mult: int = field(default=4, metadata=at_least(1))
     # Feeding the label-attention mixture alone starves the pair scorer of
     # token identity (rows live on a K-corner simplex) and stalls training
     # at small d; the residual keeps both. Set False for the mixture-only
     # variant.
     residual_label_attn: bool = True
 
-    def validate(self):
-        for name in ("layers_enc", "layers_dec", "heads", "max_len", "max_instr_len", "ffn_mult"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.d < 1 or self.d % self.heads != 0:
-            raise ValueError(f"d (hidden size) {self.d} must be a positive multiple of "
-                             f"heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.vocab_size < 3:
-            raise ValueError("vocab_size must cover the 3 reserved ids")
-        return self
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj).validate()
-
-
-def _attn_names(prefix):
-    return [f"{prefix}.{w}" for w in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-
-
-def _ffn_names(prefix):
-    return [f"{prefix}.{w}" for w in ("w1", "b1", "w2", "b2")]
-
-
-def _ln_names(prefix):
-    return [f"{prefix}.g", f"{prefix}.b"]
+    def __post_init__(self):
+        check_fields(self)
+        if self.d % self.heads:
+            raise ValueError(f"d: must be a multiple of heads {self.heads}, got {self.d}")
 
 
 class Parameters:
@@ -134,7 +130,6 @@ class Parameters:
     """
 
     def __init__(self, config: ModelConfig, num_channels: int, rng: np.random.Generator):
-        config.validate()
         if num_channels < 1:
             raise ValueError("num_channels must be >= 1")
         self.config = config
@@ -143,22 +138,20 @@ class Parameters:
         self.groups: dict[str, list[str]] = {}
         self.flat: dict[str, np.ndarray] = {}
         self.flat_grad: dict[str, np.ndarray] = {}
+        self._unplaced: list[str] = []   # added since the last _lay_out, in order
         self._build(rng)
+
+    def _add(self, name, data):
+        self.tensors[name] = Tensor(data, requires_grad=True)
+        self._unplaced.append(name)
 
     def _uniform(self, name, shape, rng):
         bound = 1.0 / math.sqrt(self.config.d)
-        self.tensors[name] = Tensor(rng.uniform(-bound, bound, size=shape),
-                                    requires_grad=True)
-
-    def _ones(self, name, shape):
-        self.tensors[name] = Tensor(np.full(shape, 1.0), requires_grad=True)
-
-    def _zeros(self, name, shape):
-        self.tensors[name] = Tensor(np.zeros(shape), requires_grad=True)
+        self._add(name, rng.uniform(-bound, bound, size=shape))
 
     def _layer_norm_params(self, prefix):
-        self._ones(f"{prefix}.g", (self.config.d,))
-        self._zeros(f"{prefix}.b", (self.config.d,))
+        self._add(f"{prefix}.g", np.ones(self.config.d))
+        self._add(f"{prefix}.b", np.zeros(self.config.d))
 
     def _attn_params(self, prefix, rng):
         d = self.config.d
@@ -166,8 +159,8 @@ class Parameters:
             self._uniform(f"{prefix}.{w}", (d, d), rng)
             self._uniform(f"{prefix}.{b}", (d,), rng)
 
-    def _ffn_params(self, prefix, rng):
-        d, hid = self.config.d, self.config.d * self.config.ffn_mult
+    def _ffn_params(self, prefix, hid, rng):
+        d = self.config.d
         self._uniform(f"{prefix}.w1", (d, hid), rng)
         self._uniform(f"{prefix}.b1", (hid,), rng)
         self._uniform(f"{prefix}.w2", (hid, d), rng)
@@ -177,13 +170,16 @@ class Parameters:
         d, k = self.config.d, self.num_channels
         self._uniform("biaffine.w3", (d, k, d), rng)
         self._uniform("biaffine.w4", (k, 2 * d), rng)
+        self._lay_out("biaffine")
         self._uniform("score.w", (k, k), rng)
         self._uniform("score.b", (k,), rng)
-        self._lay_out("biaffine", ["biaffine.w3", "biaffine.w4"])
-        self._lay_out("score", ["score.w", "score.b"])
+        self._lay_out("score")
 
-    def _lay_out(self, group, names):
-        """Move the group's tensors into fresh flat data and gradient vectors."""
+    def _lay_out(self, group):
+        """Make the tensors added since the previous layout, in the order
+        they were added, the group's tensors, and move them into fresh flat
+        data and gradient vectors."""
+        names, self._unplaced = self._unplaced, []
         self.groups[group] = names
         self.flat[group] = np.concatenate([self.tensors[n].data.reshape(-1) for n in names])
         self.flat_grad[group] = np.zeros_like(self.flat[group])
@@ -197,18 +193,17 @@ class Parameters:
         self._uniform("embed.tok", (cfg.vocab_size, d), rng)
         self._uniform("embed.pos_x", (cfg.max_len, d), rng)
         self._uniform("embed.pos_u", (cfg.max_instr_len, d), rng)
-        self._lay_out("embed", ["embed.tok", "embed.pos_x", "embed.pos_u"])
+        self._lay_out("embed")
 
         for i in range(cfg.layers_enc):
             p = f"enc.{i}"
             self._layer_norm_params(f"{p}.ln1")
             self._attn_params(f"{p}.attn", rng)
             self._layer_norm_params(f"{p}.ln2")
-            self._ffn_params(f"{p}.ffn", rng)
-            self._lay_out(p, _ln_names(f"{p}.ln1") + _attn_names(f"{p}.attn")
-                          + _ln_names(f"{p}.ln2") + _ffn_names(f"{p}.ffn"))
+            self._ffn_params(f"{p}.ffn", d * cfg.ffn_mult, rng)
+            self._lay_out(p)
         self._layer_norm_params("enc.norm")
-        self._lay_out("enc.norm", _ln_names("enc.norm"))
+        self._lay_out("enc.norm")
 
         for i in range(cfg.layers_dec):
             p = f"dec.{i}"
@@ -217,23 +212,18 @@ class Parameters:
             self._layer_norm_params(f"{p}.ln2")
             self._attn_params(f"{p}.cross", rng)
             self._layer_norm_params(f"{p}.ln3")
-            self._ffn_params(f"{p}.ffn", rng)
-            self._lay_out(p, _ln_names(f"{p}.ln1") + _attn_names(f"{p}.self")
-                          + _ln_names(f"{p}.ln2") + _attn_names(f"{p}.cross")
-                          + _ln_names(f"{p}.ln3") + _ffn_names(f"{p}.ffn"))
+            self._ffn_params(f"{p}.ffn", d * cfg.ffn_mult, rng)
+            self._lay_out(p)
         self._layer_norm_params("dec.norm")
-        self._lay_out("dec.norm", _ln_names("dec.norm"))
+        self._lay_out("dec.norm")
 
         self._uniform("label_attn.w1", (d, d), rng)
         self._uniform("label_attn.w2", (d, d), rng)
-        self._lay_out("label_attn", ["label_attn.w1", "label_attn.w2"])
+        self._lay_out("label_attn")
 
         for mlp in ("head_mlp", "tail_mlp"):
-            self._uniform(f"{mlp}.w1", (d, d), rng)
-            self._uniform(f"{mlp}.b1", (d,), rng)
-            self._uniform(f"{mlp}.w2", (d, d), rng)
-            self._uniform(f"{mlp}.b2", (d,), rng)
-            self._lay_out(mlp, _ffn_names(mlp))
+            self._ffn_params(mlp, d, rng)
+            self._lay_out(mlp)
 
         self._channel_params(rng)
 

@@ -27,7 +27,7 @@ from .codec import encode
 from .data import Dataset, Vocabulary
 from .evaluate import evaluate_split
 from .instructions import InstructionPool, select
-from .model import Parameters, forward, make_batch
+from .model import Parameters, at_least, check_fields, forward, make_batch, rule
 
 __all__ = [
     "TrainConfig",
@@ -63,32 +63,25 @@ def rng_for(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-3
-    batch_size: int = 16
-    pretrain_epochs: int = 3
-    finetune_epochs: int = 10
-    pretrain_max_steps: int | None = None
-    finetune_max_steps: int | None = None
-    threshold: float = 0.5
-    min_count: int = 1
-    gate_granularity: str = "group"  # "group" or "global"
+    """Training settings; every instance that exists passes ``check_fields``."""
+
+    lr: float = field(default=1e-3, metadata=rule(lambda v: 0 < v < math.inf,
+                                                  "positive and finite"))
+    batch_size: int = field(default=16, metadata=at_least(1))
+    pretrain_epochs: int = field(default=3, metadata=at_least(1))
+    finetune_epochs: int = field(default=10, metadata=at_least(1))
+    pretrain_max_steps: int | None = field(default=None, metadata=at_least(1))
+    finetune_max_steps: int | None = field(default=None, metadata=at_least(1))
+    threshold: float = field(default=0.5, metadata=rule(lambda v: 0 < v < 1, "in (0, 1)"))
+    min_count: int = field(default=1, metadata=at_least(1))
+    gate_granularity: str = field(default="group", metadata=rule(
+        lambda v: v in ("group", "global"), "'group' or 'global'"))
     reset_optimizer_on_finetune: bool = True
 
-    def validate(self):
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
-        for name in ("batch_size", "pretrain_epochs", "finetune_epochs", "min_count",
-                     "pretrain_max_steps", "finetune_max_steps"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.gate_granularity not in ("group", "global"):
-            raise ValueError(f"gate_granularity must be 'group' or 'global', "
-                             f"got {self.gate_granularity!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
-        return self
+    def __post_init__(self):
+        check_fields(self)
 
 
 def loss(logits, gold, weights):
@@ -380,7 +373,6 @@ def pretrain(state: TrainState, sources: list, pool: InstructionPool,
     """Gated interleaved training over >= 2 source datasets, with a dev
     evaluation of every source after each full epoch. Resumable (``_epochs``).
     """
-    cfg.validate()
     if len(sources) < 2:
         raise ValueError("pretraining needs at least 2 source datasets")
     pool.require([ds.id for ds in sources])
@@ -402,7 +394,6 @@ def finetune(state: TrainState, target: Dataset, pool: InstructionPool,
              eval_dev: bool = True) -> TrainResult:
     """Plain (ungated) training on one dataset, keeping the parameters of
     the epoch with the best dev headline F1."""
-    cfg.validate()
     pool.require([target.id])
     if cfg.reset_optimizer_on_finetune:
         state = TrainState.fresh(state.params, cfg.lr)

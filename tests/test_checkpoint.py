@@ -147,6 +147,19 @@ def test_non_finite_adam_setting_is_rejected(tmp_path, key, value):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("change,named", [({"heads": 0}, "heads: must be >= 1"),
+                                          ({"dropout": 1.0}, "dropout: must be in"),
+                                          ({"d": 30, "heads": 4}, "d: must be a multiple")])
+def test_out_of_range_model_config_is_rejected_by_path(tmp_path, change, named):
+    raw = TWO_GATED_STEPS.read_bytes()
+    header, _ = _split_header(raw)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(raw, {**header,
+                                       "model_config": {**header["model_config"], **change}}))
+    with pytest.raises(CheckpointError, match=f"model_config.{named}"):
+        load_checkpoint(bad)
+
+
 def test_crc_mismatch_detected(tmp_path):
     (a, b, _t), vocab, pool, params, cfg, k = fixture()
     state = TrainState.fresh(params, 1e-3)

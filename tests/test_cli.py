@@ -135,7 +135,7 @@ MALFORMED_INPUTS = {
     "lowercase is a string": (lambda d, c: {**c, "lowercase": "no"}, "lowercase"),
     "d is a float": (_set("model", "d", 32.0), "model.d: must be an integer"),
     "dropout is a string": (_set("model", "dropout", "0.1"), "model.dropout: must be a number"),
-    "heads is 0": (_set("model", "heads", 0), "heads must be >= 1"),
+    "heads is 0": (_set("model", "heads", 0), "model.heads: must be >= 1, got 0"),
     "batch_size is a float": (_set("train", "batch_size", 4.0), "train.batch_size"),
     "pretrain_epochs is a float": (_set("train", "pretrain_epochs", 1.5),
                                    "train.pretrain_epochs"),
@@ -144,22 +144,25 @@ MALFORMED_INPUTS = {
     "max steps is a float": (_set("train", "pretrain_max_steps", 2.0),
                              "train.pretrain_max_steps: must be an integer or null"),
     "pretrain_epochs is 0": (_set("train", "pretrain_epochs", 0),
-                             "train: pretrain_epochs must be >= 1"),
+                             "train.pretrain_epochs: must be >= 1, got 0"),
     "finetune_epochs is negative": (_set("train", "finetune_epochs", -2),
-                                    "train: finetune_epochs must be >= 1"),
-    "min_count is 0": (_set("train", "min_count", 0), "train: min_count must be >= 1"),
+                                    "train.finetune_epochs: must be >= 1, got -2"),
+    "min_count is 0": (_set("train", "min_count", 0), "train.min_count: must be >= 1, got 0"),
     "max steps is 0": (_set("train", "finetune_max_steps", 0),
-                       "train: finetune_max_steps must be >= 1"),
+                       "train.finetune_max_steps: must be >= 1, got 0"),
     "reset_optimizer_on_finetune is a string": (
         _set("train", "reset_optimizer_on_finetune", "no"), "train.reset_optimizer_on_finetune"),
     "gate_granularity is layer": (_set("train", "gate_granularity", "layer"),
-                                  "train: gate_granularity"),
-    "threshold is 1": (_set("train", "threshold", 1.0), "train: threshold"),
-    "lr is 0": (_set("train", "lr", 0), "train: lr"),
-    "lr is Infinity": (_set("train", "lr", float("inf")), "train: lr"),
-    "dropout is 1": (_set("model", "dropout", 1.0), "model: dropout"),
+                                  "train.gate_granularity: must be 'group' or 'global', "
+                                  "got 'layer'"),
+    "threshold is 1": (_set("train", "threshold", 1.0),
+                       "train.threshold: must be in (0, 1), got 1.0"),
+    "lr is 0": (_set("train", "lr", 0), "train.lr: must be positive and finite, got 0"),
+    "lr is Infinity": (_set("train", "lr", float("inf")),
+                       "train.lr: must be positive and finite, got inf"),
+    "dropout is 1": (_set("model", "dropout", 1.0), "model.dropout: must be in [0, 1), got 1.0"),
     "d is no multiple of heads": (lambda d, c: {**c, "model": {**c["model"], "d": 30, "heads": 4}},
-                                  "model: d "),
+                                  "model.d: must be a multiple of heads 4, got 30"),
     "sources is a number": (lambda d, c: {**c, "sources": 5}, "sources"),
     "instructions entry is a number": (lambda d, c: {**c, "instructions": [3]},
                                        "instructions[0]"),
@@ -192,6 +195,34 @@ def test_malformed_run_input_exits_2(tmp_path, capsys, case):
     assert main(["pretrain", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "error: " in err and named in err
+
+
+def _written(out):
+    """Every file a command wrote, by name, with the echoed config's output
+    directory left out."""
+    files = json.loads((out / "files.json").read_text())["files"]
+    written = {name: (out / name).read_bytes() for name in files}
+    echoed = json.loads(written.pop("config.json"))
+    del echoed["out"]
+    return written, echoed
+
+
+def test_training_ignores_a_malformed_test_split(tmp_path):
+    # pretrain and finetune read only the train and dev splits
+    cfg_path, config = make_config(tmp_path)
+
+    def train(tag):
+        runs = {}
+        for command in ("pretrain", "finetune"):
+            out = tmp_path / tag / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            runs[command] = _written(out)
+        return runs
+
+    good = train("good")
+    for manifest in [*config["sources"], config["target"]]:
+        _append_line((tmp_path / manifest).parent / "test.jsonl", "[1]", config)
+    assert train("bad") == good
 
 
 def test_config_accepts_integer_for_float_and_null_max_steps(tmp_path):

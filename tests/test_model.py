@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,7 @@ from tie.autodiff import Tape, Tensor
 from tie.gradcheck import run_gradcheck
 from tie import model as M
 from tie.model import ModelConfig, Parameters, make_batch
-from tie.trainer import loss
+from tie.trainer import TrainConfig, loss
 
 from fdcheck import central_diff, inner, max_rel_err, mean_weights
 
@@ -22,13 +27,59 @@ def one(tokens, instr=(1,), slots=(0,)):
     return make_batch([list(tokens)], [list(instr)], [list(slots)])
 
 
+BELOW_1, ABOVE_0 = math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0)
+
+# (config class, field, a value on the rule's edge, the first value past it);
+# fields ruled on two sides have a row per side
+RULE_EDGES = [
+    (ModelConfig, "d", 1, 0),   # with heads=1 below
+    (ModelConfig, "layers_enc", 1, 0),
+    (ModelConfig, "layers_dec", 1, 0),
+    (ModelConfig, "heads", 1, 0),
+    (ModelConfig, "max_len", 1, 0),
+    (ModelConfig, "max_instr_len", 1, 0),
+    (ModelConfig, "dropout", 0.0, -math.ulp(0.0)),
+    (ModelConfig, "dropout", BELOW_1, 1.0),
+    (ModelConfig, "vocab_size", 3, 2),
+    (ModelConfig, "ffn_mult", 1, 0),
+    (TrainConfig, "lr", ABOVE_0, 0.0),
+    (TrainConfig, "lr", sys.float_info.max, math.inf),
+    (TrainConfig, "batch_size", 1, 0),
+    (TrainConfig, "pretrain_epochs", 1, 0),
+    (TrainConfig, "finetune_epochs", 1, 0),
+    (TrainConfig, "pretrain_max_steps", 1, 0),
+    (TrainConfig, "finetune_max_steps", 1, 0),
+    (TrainConfig, "threshold", ABOVE_0, 0.0),
+    (TrainConfig, "threshold", BELOW_1, 1.0),
+    (TrainConfig, "min_count", 1, 0),
+    (TrainConfig, "gate_granularity", "global", "layer"),
+]
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(d=9, heads=2).validate()
-    with pytest.raises(ValueError):
-        ModelConfig(dropout=1.0).validate()
-    with pytest.raises(ValueError):
-        ModelConfig(vocab_size=2).validate()
+    ruled = {(cls, f.name) for cls in (ModelConfig, TrainConfig)
+             for f in dataclasses.fields(cls) if "rule" in f.metadata}
+    assert {(cls, name) for cls, name, _, _ in RULE_EDGES} == ruled
+    for cls, name, edge, past in RULE_EDGES:
+        base = {"heads": 1} if name == "d" else {}
+        assert getattr(cls(**base, **{name: edge}), name) == edge
+        named = rf"^{name}: must be .*, got {re.escape(repr(past))}$"
+        with pytest.raises(ValueError, match=named):
+            cls(**base, **{name: past})
+
+
+def test_config_types_and_cross_field_rule():
+    assert ModelConfig(d=28, heads=4).d == 28
+    with pytest.raises(ValueError, match="^d: must be a multiple of heads 4, got 30$"):
+        ModelConfig(d=30, heads=4)
+    for bad in ({"d": True}, {"d": 32.0}, {"dropout": "0"}, {"residual_label_attn": 1}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))}: must be "):
+            ModelConfig(**bad)
+    assert TrainConfig(lr=1, pretrain_max_steps=None).lr == 1   # an integer is a number
+    with pytest.raises(ValueError, match="^pretrain_max_steps: must be an integer or null"):
+        TrainConfig(pretrain_max_steps=2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().lr = 1.0
 
 
 def test_encode_sentence_shape():
