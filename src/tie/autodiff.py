@@ -10,7 +10,8 @@ computations, so evaluation-time forwards are side-effect free and safe to
 run concurrently.
 
 Eleven taped ops: ``matmul`` (equal batch axes), ``linear``, ``add``,
-``embedding_lookup``, ``layer_norm``, ``gelu``, ``transpose``, ``reshape``,
+``embedding_lookup`` (rows of a table of 2 or more axes, its leading axes
+flattened), ``layer_norm``, ``gelu``, ``transpose``, ``reshape``,
 ``attention`` (multi-head scores, mask, softmax, dropout and value mix as
 one record), ``bce_with_logits`` and ``dropout``. ``linear(x, w, b=None)``
 is a whole dense layer as one record: ``x @ w (+ b)`` for an N-d ``x``, a
@@ -279,24 +280,28 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D table by an N-d id array; the result has shape
-    ``ids.shape + (d,)`` and gradients scatter-add into those rows."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_lookup needs a 2-D table, got {table.shape}")
+    """Gather rows of a table of 2 or more axes by an N-d id array. Row
+    ``r`` is row ``r`` of the table's leading axes flattened, so a (B, m, d)
+    table has B*m rows; the result has shape ``ids.shape + (d,)``.
+    Gradients scatter-add into those rows in place, whatever the strides of
+    the table's gradient buffer."""
+    if table.data.ndim < 2:
+        raise ShapeError(f"embedding_lookup needs a table of 2 or more axes, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(
-            f"row id out of range [0, {table.shape[0]}) in embedding_lookup"
-        )
-    d = table.shape[1]
+    rows = math.prod(table.shape[:-1])
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"row id out of range [0, {rows}) in embedding_lookup")
+    # one index array per leading axis: no reshape of the table or of its
+    # gradient, which would copy a strided buffer and lose the scatter
+    at = np.unravel_index(idx, table.shape[:-1])
 
     def bw(g):
         if table.requires_grad:
             if table.grad is None:   # an op output used as a table
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx.reshape(-1), g.reshape(-1, d))
+            np.add.at(table.grad, at, g)
 
-    return _make(table.data[idx], (table,), bw)
+    return _make(table.data[at], (table,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

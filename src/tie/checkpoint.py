@@ -159,8 +159,7 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
         if entry["dtype"] != "f8":
             raise CheckpointError(f"{path}: tensor {entry['name']} has dtype {entry['dtype']!r}")
         dims = tuple(entry["dims"])
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=entry["offset"])
+        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(dims), offset=entry["offset"])
         if not (finite and entry["offset"] % 8 == 0) and not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
         arrays[entry["name"]] = arr.reshape(dims)
@@ -185,7 +184,7 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
     except ValueError as exc:
         raise CheckpointError(f"{path}: model_config.{exc}") from None
     num_channels = _count(path, header, "num_channels")
-    params = Parameters(config, num_channels, np.random.default_rng(0))
+    params = Parameters(config, num_channels, None)   # every value is loaded below
 
     adam_meta = header["adam"]
     lr, beta1, beta2, eps = (adam_meta[k] for k in ("lr", "beta1", "beta2", "eps"))

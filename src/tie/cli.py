@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .autodiff import NonFiniteError
@@ -50,6 +50,13 @@ def log(level: str, event: str, **fields):
     if _LEVELS[level] >= _log_level():
         line = {"level": level, "event": event, **fields}
         print(json.dumps(line, sort_keys=True), file=sys.stderr)
+
+
+def _unknown_key(values: dict, cls):
+    """The first key of ``values`` that names no field of the dataclass
+    ``cls``, or None; a misspelt field would otherwise run with its default."""
+    names = {f.name for f in fields(cls)}
+    return next((key for key in values if key not in names), None)
 
 
 @dataclass
@@ -88,16 +95,21 @@ class RunConfig:
         if overrides.get("threshold") is not None:
             raw.setdefault("train", {})["threshold"] = overrides["threshold"]
 
+        unknown = _unknown_key(raw, cls)
+        if unknown is not None:
+            raise ConfigError(f"config: unknown field {unknown!r}")
         if "seed" not in raw:
             raise ConfigError("seed: required field is missing")
         if "out" not in raw:
             raise ConfigError("out: required field is missing")
         sections = {}
         for key, section in (("model", ModelConfig), ("train", TrainConfig)):
+            values = raw.get(key, {})
+            unknown = _unknown_key(values, section)
+            if unknown is not None:
+                raise ConfigError(f"{key}.{unknown}: unknown field")
             try:
-                sections[key] = section(**raw.get(key, {}))
-            except TypeError as exc:   # a field the section does not have
-                raise ConfigError(f"{key}: {exc}") from None
+                sections[key] = section(**values)
             except ValueError as exc:
                 raise ConfigError(f"{key}.{exc}") from None
 

@@ -2,9 +2,10 @@
 
 Forward pipeline: encode the sentence with a small pre-norm transformer
 encoder; run the instruction through a causal decoder that cross-attends to
-the sentence; pull out the K decoder states at the label slot positions;
-re-represent every sentence token as an attention mixture over projected
-slot states; score all token pairs per channel with a biaffine form plus a
+the sentence and whose last layer runs only at the K label slot positions,
+the rows the model reads, so that it returns the K slot states; re-represent
+every sentence token as an attention mixture over projected slot states;
+score all token pairs per channel with a biaffine form plus a
 per-cell linear layer. Output logits are (|x|, |x|, K) per instance; a
 forward runs B instances padded into one batch (``make_batch``), and
 attention masks padded keys so that no real position sees padding.
@@ -127,9 +128,12 @@ class Parameters:
     accumulates straight into the group's gradient vector and one in-place
     update of ``flat[group]`` moves all of the group's tensors.
     ``split_group`` is the one map from a group vector to its tensors.
+    With ``rng=None`` the tensors are laid out as zeros, without drawing an
+    initialisation, for a caller that loads every value next.
     """
 
-    def __init__(self, config: ModelConfig, num_channels: int, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, num_channels: int,
+                 rng: np.random.Generator | None):
         if num_channels < 1:
             raise ValueError("num_channels must be >= 1")
         self.config = config
@@ -147,7 +151,8 @@ class Parameters:
 
     def _uniform(self, name, shape, rng):
         bound = 1.0 / math.sqrt(self.config.d)
-        self._add(name, rng.uniform(-bound, bound, size=shape))
+        self._add(name, np.zeros(shape) if rng is None
+                  else rng.uniform(-bound, bound, size=shape))
 
     def _layer_norm_params(self, prefix):
         self._add(f"{prefix}.g", np.ones(self.config.d))
@@ -317,8 +322,10 @@ def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
 
 @dataclass
 class ForwardState:
+    """The taped intermediates of one forward; the decoder's only output is
+    its slot states ``h_slot``."""
+
     h_enc: Tensor    # (B, n_max, d)
-    h_dec: Tensor    # (B, m_max, d)
     h_slot: Tensor   # (B, K, d)
     h_x: Tensor      # (B, n_max, d)
     h_head: Tensor   # (B, n_max, d)
@@ -350,14 +357,16 @@ def _ln(params, prefix, x):
     return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _mask(lengths, n: int, causal: bool = False):
-    """Additive (B, 1, 1|n, n) mask, broadcast by ``ad.attention`` over the
+def _mask(lengths, n: int, queries=None):
+    """Additive (B, 1, 1|n_q, n) mask, broadcast by ``ad.attention`` over the
     (B, heads, n_q, n) scores, that hides keys past each instance's length
-    and, if causal, keys after the query; None when it hides nothing."""
+    and, given query positions ((n_q,) shared or (B, n_q) per instance),
+    causally hides each query's keys after its position; None when it hides
+    nothing."""
     keys = np.arange(n)
     hide = keys >= lengths[:, None, None, None]
-    if causal:
-        hide = hide | (keys > keys[:, None])
+    if queries is not None:
+        hide = hide | (keys > np.asarray(queries)[..., None, :, None])
     return np.where(hide, _MASKED, 0.0) if hide.any() else None
 
 
@@ -389,23 +398,33 @@ def encode_sentence(params: Parameters, batch: Batch, train: bool = False,
 
 def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
                        train: bool = False, rng=None) -> Tensor:
-    """Padded instruction ids -> (B, m_max, d) sentence-aware states.
+    """Padded instruction ids -> (B, K, d) sentence-aware states at each
+    instance's slot positions.
 
     Self-attention over the instruction is causal and skips padded
-    positions; every layer cross-attends to the real sentence tokens.
+    positions; every layer cross-attends to the real sentence tokens. Every
+    layer but the last runs over all m_max rows, which are the next layer's
+    keys and values. The last layer starts from the residual rows at the
+    slots (``gather_slots``): their ``ln1`` rows are its queries, ``ln1`` of
+    all rows its keys and values, each slot seeing the instruction up to its
+    own position. Its cross-attention, FFN and ``dec.norm`` run on the K
+    slot rows only, so nothing is computed that the model does not read.
     """
     cfg = params.config
     m_max = batch.instr.shape[1]
     if m_max > cfg.max_instr_len:
         raise ValueError(f"instruction length {m_max} outside [1, {cfg.max_instr_len}]")
-    self_mask = _mask(batch.m, m_max, causal=True)
     cross_mask = _mask(batch.n, h_enc.shape[1])
     u = _embed(params, "embed.tok", batch.instr, "embed.pos_u")
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.ln1", u)
-        u = ad.add(u, _attention(params, f"{p}.self", normed, normed, cfg.heads,
-                                 mask=self_mask, train=train, rng=rng))
+        queries, positions = normed, np.arange(m_max)
+        if i == cfg.layers_dec - 1:   # from here on only the slot rows
+            u = gather_slots(u, batch.slots)
+            queries, positions = _ln(params, f"{p}.ln1", u), batch.slots
+        u = ad.add(u, _attention(params, f"{p}.self", queries, normed, cfg.heads,
+                                 mask=_mask(batch.m, m_max, positions), train=train, rng=rng))
         u = ad.add(u, _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u),
                                  h_enc, cfg.heads, mask=cross_mask, train=train, rng=rng))
         u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u),
@@ -413,12 +432,11 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
     return _ln(params, "dec.norm", u)
 
 
-def gather_slots(h_dec: Tensor, slot_positions) -> Tensor:
-    """Rows of each instance's decoder output at its (B, K) slot positions,
-    (B, K, d)."""
-    size, m_max, d = h_dec.shape
-    rows = np.asarray(slot_positions) + m_max * np.arange(size)[:, None]
-    return ad.embedding_lookup(ad.reshape(h_dec, (size * m_max, d)), rows)
+def gather_slots(h: Tensor, slot_positions) -> Tensor:
+    """Rows of each instance's (B, m_max, d) states at its (B, K) slot
+    positions, (B, K, d), as one ``embedding_lookup`` over the B*m_max rows."""
+    size, m_max, _ = h.shape
+    return ad.embedding_lookup(h, np.asarray(slot_positions) + m_max * np.arange(size)[:, None])
 
 
 def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
@@ -465,8 +483,7 @@ def forward(params: Parameters, batch: Batch, train: bool = False,
             f"{batch.slots.shape[1]} slots for a {params.num_channels}-channel model"
         )
     h_enc = encode_sentence(params, batch, train=train, rng=rng)
-    h_dec = decode_instruction(params, h_enc, batch, train=train, rng=rng)
-    h_slot = gather_slots(h_dec, batch.slots)
+    h_slot = decode_instruction(params, h_enc, batch, train=train, rng=rng)
     h_x = label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"])
     if params.config.residual_label_attn:
         h_x = ad.add(h_enc, h_x)
@@ -474,5 +491,5 @@ def forward(params: Parameters, batch: Batch, train: bool = False,
     size, n_max = batch.tokens.shape
     assert logits.shape == (size, n_max, n_max, params.num_channels)
     ad.check_finite(logits, "forward logits")
-    return ForwardState(h_enc=h_enc, h_dec=h_dec, h_slot=h_slot, h_x=h_x,
+    return ForwardState(h_enc=h_enc, h_slot=h_slot, h_x=h_x,
                         h_head=h_head, h_tail=h_tail, logits=logits)

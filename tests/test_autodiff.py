@@ -312,6 +312,10 @@ def test_embedding_lookup_bounds():
     table = Tensor(np.arange(6.0).reshape(3, 2))
     with pytest.raises(ad.ShapeError):
         ad.embedding_lookup(table, [0, 3])
+    with pytest.raises(ad.ShapeError):
+        ad.embedding_lookup(Tensor(np.zeros((2, 3, 2))), [[0, 6]])
+    with pytest.raises(ad.ShapeError):
+        ad.embedding_lookup(Tensor(np.zeros(3)), [0])
 
 
 def test_dropout_zero_rate_is_identity():
@@ -423,6 +427,16 @@ def _op_cases(rng):
     # a table that is itself an op output gets its gradient buffer from the scatter
     cases.append(("embedding_lookup_of_op_output", [b],
                   lambda t: ad.embedding_lookup(ad.transpose(t[0]), ids % n)))
+    # a 3-D table gives rows of its two leading axes flattened, as the
+    # decoder's slot gather does; a transposed op output as that table keeps
+    # transposed strides in its gradient buffer, which no reshape may copy
+    states = rng.normal(size=(2, m, k))
+    slot_rows = rng.integers(0, 2 * m, size=(2, 3))
+    cases.append(("embedding_lookup_3d", [states],
+                  lambda t: ad.embedding_lookup(t[0], slot_rows)))
+    swapped = rng.normal(size=(m, 2, k))
+    cases.append(("embedding_lookup_3d_transposed_op_output", [swapped],
+                  lambda t: ad.embedding_lookup(ad.transpose(t[0], (1, 0, 2)), slot_rows)))
 
     g = rng.normal(size=(n,)) + 1.0
     bb = rng.normal(size=(n,))

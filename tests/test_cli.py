@@ -163,6 +163,10 @@ MALFORMED_INPUTS = {
     "dropout is 1": (_set("model", "dropout", 1.0), "model.dropout: must be in [0, 1), got 1.0"),
     "d is no multiple of heads": (lambda d, c: {**c, "model": {**c["model"], "d": 30, "heads": 4}},
                                   "model.d: must be a multiple of heads 4, got 30"),
+    "unknown top-level field": (lambda d, c: {**c, "lowercse": True},
+                                "config: unknown field 'lowercse'"),
+    "unknown model field": (_set("model", "dd", 8), "model.dd: unknown field"),
+    "unknown train field": (_set("train", "epochs", 2), "train.epochs: unknown field"),
     "sources is a number": (lambda d, c: {**c, "sources": 5}, "sources"),
     "instructions entry is a number": (lambda d, c: {**c, "instructions": [3]},
                                        "instructions[0]"),

@@ -118,10 +118,9 @@ def test_encode_sentence_permutation_oracle():
 
 def test_decode_instruction_shape():
     p = toy_params()
-    batch = one([1, 2, 3, 4], [5, 6, 7, 8, 9, 1])
-    h_enc = M.encode_sentence(p, batch)
-    h_dec = M.decode_instruction(p, h_enc, batch)
-    assert h_dec.shape == (1, 6, 8)
+    batch = one([1, 2, 3, 4], [5, 6, 7, 8, 9, 1], [0, 3, 5])
+    h_slot = M.decode_instruction(p, M.encode_sentence(p, batch), batch)
+    assert h_slot.shape == (1, 3, 8)
 
 
 def test_decode_instruction_zeroed_cross_attention_ignores_sentence():
@@ -137,13 +136,69 @@ def test_decode_instruction_zeroed_cross_attention_ignores_sentence():
 
 
 def test_decode_instruction_causal_mask():
-    p = toy_params()
-    b1, b2 = one([1, 2, 3], [5, 6, 7, 8]), one([1, 2, 3], [5, 9, 1, 2])
-    h_enc = M.encode_sentence(p, b1)
-    out1 = M.decode_instruction(p, h_enc, b1)
-    out2 = M.decode_instruction(p, h_enc, b2)
-    np.testing.assert_allclose(out1.data[0, 0], out2.data[0, 0], atol=1e-12)
-    assert not np.allclose(out1.data[0, 1:], out2.data[0, 1:])
+    # slot 2's state ignores the tokens after it and depends on each one
+    # before it; slot 4 sees them all
+    for layers in (1, 2):
+        p = toy_params(layers=layers)
+        h_enc = M.encode_sentence(p, one([1, 2, 3]))
+
+        def slots(instr):
+            batch = one([1, 2, 3], instr, [2, 4])
+            return M.decode_instruction(p, h_enc, batch).data[0]
+
+        base = slots([5, 6, 7, 8, 9])
+        later = slots([5, 6, 7, 1, 2])
+        np.testing.assert_allclose(later[0], base[0], rtol=0, atol=1e-12)
+        assert not np.allclose(later[1], base[1])
+        for before in ([1, 6, 7, 8, 9], [5, 1, 7, 8, 9]):
+            assert not np.allclose(slots(before)[0], base[0])
+
+
+def _full_row_decoder(params, h_enc, batch):
+    """The decoder that runs every layer and ``dec.norm`` over all m_max
+    instruction rows, then keeps the slot rows: the reference the slot-only
+    last layer must match."""
+    cfg = params.config
+    m_max = batch.instr.shape[1]
+    self_mask = M._mask(batch.m, m_max, np.arange(m_max))
+    cross_mask = M._mask(batch.n, h_enc.shape[1])
+    u = M._embed(params, "embed.tok", batch.instr, "embed.pos_u")
+    for i in range(cfg.layers_dec):
+        p = f"dec.{i}"
+        normed = M._ln(params, f"{p}.ln1", u)
+        u = ad.add(u, M._attention(params, f"{p}.self", normed, normed, cfg.heads,
+                                   mask=self_mask))
+        u = ad.add(u, M._attention(params, f"{p}.cross", M._ln(params, f"{p}.ln2", u),
+                                   h_enc, cfg.heads, mask=cross_mask))
+        u = ad.add(u, M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln3", u)))
+    return M.gather_slots(M._ln(params, "dec.norm", u), batch.slots)
+
+
+# padded: instruction lengths 3, 7 and 5; a repeated slot, a slot at each
+# instance's last position and one at the batch's last position
+SLOT_BATCH = ([[4, 2], [1, 2, 3, 4, 5], [3, 1, 4]],
+              [[5, 6, 7], [9, 8, 7, 6, 5, 4, 3], [2, 7, 1, 8, 2]],
+              [[2, 2, 0], [6, 1, 6], [4, 0, 3]])
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_slot_only_last_layer_matches_full_row_decoder(layers):
+    p = toy_params(layers=layers, seed=19)
+    batch = make_batch(*SLOT_BATCH)
+    weights = np.random.default_rng(20).normal(size=(3, 3, 8))
+    results = []
+    for decoder in (M.decode_instruction, _full_row_decoder):
+        p.zero_grads()
+        with Tape():
+            out = decoder(p, M.encode_sentence(p, batch), batch)
+            ad.backward(inner(out, weights))
+        results.append((out.data, {n: t.grad.copy() for n, t in p.tensors.items()}))
+    (slot, grads), (full, full_grads) = results
+    assert slot.shape == (3, 3, 8)
+    np.testing.assert_allclose(slot, full, rtol=0, atol=1e-12)
+    assert any(np.any(g != 0) for n, g in grads.items() if n.startswith(f"dec.{layers - 1}"))
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, full_grads[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_gather_slots_identity_and_single():
@@ -224,8 +279,8 @@ def test_forward_shapes_and_state():
     p = toy_params(k=3)
     state = M.forward(p, one([1, 2, 3, 4], [5, 6, 7, 8, 9], [1, 2, 4]))
     assert state.h_enc.shape == (1, 4, 8)
-    assert state.h_dec.shape == (1, 5, 8)
     assert state.h_slot.shape == (1, 3, 8)
+    assert not hasattr(state, "h_dec")   # the decoder keeps no other rows
     assert state.h_x.shape == (1, 4, 8)
     assert state.logits.shape == (1, 4, 4, 3)
 
@@ -263,6 +318,15 @@ def test_group_partition_covers_all_params():
     assert len(covered) == len(set(covered))
 
 
+def test_parameters_without_rng_are_laid_out_undrawn():
+    drawn, undrawn = toy_params(), Parameters(toy_params().config, 3, None)
+    assert drawn.groups == undrawn.groups
+    for name, t in undrawn.tensors.items():
+        assert t.shape == drawn[name].shape, name
+        assert np.array_equal(t.data, np.ones(t.shape) if name.endswith(".g")
+                              else np.zeros(t.shape)), name
+
+
 def test_reinit_channels_touches_only_channel_groups():
     p = toy_params(k=3, seed=12)
     before = {n: t.data.copy() for n, t in p.tensors.items()}
@@ -296,6 +360,23 @@ def test_one_attention_block_is_five_tape_records():
     with Tape() as tape:
         M._attention(p, "enc.0.attn", x, x, 2, mask=M._mask(np.array([3, 2]), 3))
     assert len(tape._records) == 5
+
+
+def test_training_step_tape_records_at_bench_shape():
+    # one training forward plus loss at the benchmark's short_pretrain shape
+    # (d=32, 4 heads, one layer each, K=3, batch 16): each op split in two or
+    # each added op shows up here, on every Python version
+    cfg = ModelConfig(d=32, heads=4, max_len=32, max_instr_len=32, vocab_size=40)
+    p = Parameters(cfg, 3, np.random.default_rng(0))
+    rng = np.random.default_rng(21)
+    tokens = [list(rng.integers(3, 40, size=rng.integers(3, 8))) for _ in range(16)]
+    instr = [list(rng.integers(3, 40, size=rng.integers(9, 13))) for _ in range(16)]
+    batch = make_batch(tokens, instr, [sorted(rng.choice(len(u), 3, replace=False))
+                                       for u in instr])
+    golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
+    with Tape() as tape:
+        loss(M.forward(p, batch, train=True, rng=rng).logits, *batch.loss_targets(golds))
+    assert len(tape._records) == 70
 
 
 def test_untaped_forward_with_infinite_parameter_raises():
