@@ -9,17 +9,18 @@ some input requires gradients; with no active tape they are plain numpy
 computations, so evaluation-time forwards are side-effect free and safe to
 run concurrently.
 
-Eleven taped ops: ``matmul`` (equal batch axes), ``linear``, ``add``,
-``embedding_lookup`` (rows of a table of 2 or more axes, its leading axes
-flattened), ``layer_norm``, ``gelu``, ``transpose``, ``reshape``,
-``attention`` (multi-head scores, mask, softmax, dropout and value mix as
-one record), ``bce_with_logits`` and ``dropout``. ``linear(x, w, b=None)``
-is a whole dense layer as one record: ``x @ w (+ b)`` for an N-d ``x``, a
-2-D ``w`` and an optional ``(out,)`` bias, whose backward gives ``w`` one
-GEMM over every leading row of ``x``. Ops do not check their results:
-NaN/Inf propagate to the forward/backward boundary, where ``check_finite``
-screens the model's logits and ``Tape.backward`` the loss, naming the first
-recorded op whose output is non-finite. The trainer screens the gradients.
+Nine taped ops: ``linear``, ``add``, ``embedding_lookup`` (rows of a
+table of 2 or more axes, its leading axes flattened), ``layer_norm``,
+``gelu``, ``attention`` (multi-head scores, mask, softmax, dropout and value
+mix as one record), ``pair_scores`` (the biaffine token-pair grid and its
+per-cell score layer as one record), ``bce_with_logits`` and ``dropout``.
+``linear(x, w, b=None)`` is a whole dense layer as one record: ``x @ w
+(+ b)`` for an N-d ``x``, a 2-D ``w`` and an optional ``(out,)`` bias, whose
+backward gives ``w`` one GEMM over every leading row of ``x``. Ops do not
+check their results: NaN/Inf propagate to the forward/backward boundary,
+where ``check_finite`` screens the model's logits and ``Tape.backward`` the
+loss, naming the first recorded op whose output is non-finite. The trainer
+screens the gradients.
 """
 
 from __future__ import annotations
@@ -36,15 +37,13 @@ __all__ = [
     "NonFiniteError",
     "TapeError",
     "backward",
-    "matmul",
     "linear",
     "add",
     "embedding_lookup",
     "layer_norm",
     "gelu",
-    "transpose",
-    "reshape",
     "attention",
+    "pair_scores",
     "check_finite",
     "sigmoid",
     "bce_with_logits",
@@ -137,9 +136,9 @@ class Tape:
         assert popped is self
         return False
 
-    def record(self, out: Tensor, parents, backward_fn):
+    def record(self, out: Tensor, backward_fn):
         """Append the op that made ``out``; ``backward_fn(out.grad)`` passes
-        its gradient on to ``parents``, which the closure holds itself."""
+        its gradient on to the op's inputs, which the closure holds itself."""
         out._tape = self
         self._records.append((out, backward_fn))
 
@@ -195,14 +194,14 @@ def _make(data, parents, backward_fn) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True   # grad stays None until backward reaches it
-        tape.record(out, parents, backward_fn)
+        tape.record(out, backward_fn)
     return out
 
 
 def _accumulate(t: Tensor, g):
     """Add one gradient contribution into ``t.grad``. The first contribution
     to an op output allocates the buffer with ``empty_like``, which keeps the
-    strides of ``t.data`` (a transposed output gets a transposed gradient,
+    strides of ``t.data`` (a strided output gets a strided gradient,
     so later products take the same BLAS path), and assigns into it; the
     buffer never aliases ``g``."""
     if t.grad is None:
@@ -220,23 +219,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         g = g.sum(axis=tuple(range(lead)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     return g.sum(axis=axes, keepdims=True) if axes else g
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes of two >= 2-D tensors whose
-    leading (batch) axes match."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs operands of 2 or more axes, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul needs matching batch axes and inner dims: {a.shape} vs {b.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
-
-    return _make(a.data @ b.data, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -345,33 +327,6 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out, (x,), bw)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute axes; default reverses them."""
-    perm = tuple(axes) if axes is not None else tuple(reversed(range(a.data.ndim)))
-    if sorted(perm) != list(range(a.data.ndim)):
-        raise ShapeError(f"transpose axes {perm} invalid for shape {a.shape}")
-    inverse = np.argsort(perm)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(inverse))
-
-    return _make(a.data.transpose(perm), (a,), bw)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    old = a.shape
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(old))
-
-    return _make(a.data.reshape(shape), (a,), bw)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
               scale: float = 1.0, rate: float = 0.0, rng=None) -> Tensor:
     """Multi-head attention of (B, n_q, d) queries over (B, n_k, d) keys and
@@ -415,6 +370,60 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
             _accumulate(v, g_v.transpose(0, 2, 1, 3).reshape(size, n_k, d))
 
     return _make(out, (q, k, v), bw)
+
+
+def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,
+                score_w: Tensor, score_b: Tensor) -> Tensor:
+    """Token-pair logits of the biaffine grid head, as one op. For (B, n, d)
+    head and tail states, a (d, K, d) bilinear ``w3``, a (K, 2d) linear
+    ``w4`` and a (K, K) score layer ``score_w``, ``score_b``, cell (i, j) is
+    ``m = [h_i w3[:, c, :] t_j]_c + w4[:, :d] h_i + w4[:, d:] t_j`` mapped to
+    ``score_w m + score_b``: (B, n, n, K) logits. The head term is added per
+    row and the tail term per column, so no (B, n, n, 2d) pair tensor is
+    built."""
+    d, k = h_head.shape[-1], w4.shape[0]
+    if h_head.data.ndim != 3 or h_tail.shape != h_head.shape or w3.shape != (d, k, d) \
+            or w4.shape != (k, 2 * d) or score_w.shape != (k, k) or score_b.shape != (k,):
+        raise ShapeError(f"pair_scores needs (B, n, d) heads and tails, (d, K, d) w3, (K, 2d) w4, "
+                         f"(K, K) score_w and (K,) score_b, got {h_head.shape}, {h_tail.shape}, "
+                         f"{w3.shape}, {w4.shape}, {score_w.shape} and {score_b.shape}")
+    size, n, _ = h_head.shape
+    hh, ht = h_head.data, h_tail.data
+    w3_2d = w3.data.reshape(d, k * d)
+    a = (hh @ w3_2d).reshape(size, n * k, d)                      # row (i, c): h_i w3[:, c, :]
+    bilinear = (a @ ht.transpose(0, 2, 1)).reshape(size, n, k, n).transpose(0, 1, 3, 2)
+    w4_t = np.ascontiguousarray(w4.data.T)   # (2d, K): C order fixes the BLAS path, so the bits
+    w4_head, w4_tail = w4_t[:d], w4_t[d:]
+    m = bilinear + (hh @ w4_head).reshape(size, n, 1, k) + (ht @ w4_tail).reshape(size, 1, n, k)
+    out = m @ score_w.data.T
+    out += score_b.data
+
+    def bw(g):
+        g_m = g @ score_w.data
+        # numpy's summation order follows memory layout: the head term's
+        # gradient is summed from a copy in the bilinear term's layout, the
+        # order that keeps same-seed runs bit-identical to earlier ones
+        g_grid = np.empty_like(bilinear)
+        g_grid[...] = g_m
+        g_head, g_tail = g_grid.sum(axis=2), g_m.sum(axis=1)     # (B, n, K) each
+        g_bil = g_grid.transpose(0, 1, 3, 2).reshape(size, n * k, n)
+        g_a = g_bil @ ht
+        if h_head.requires_grad:
+            _accumulate(h_head, g_head @ w4_head.T + g_a.reshape(size, n, k * d) @ w3_2d.T)
+        if h_tail.requires_grad:
+            _accumulate(h_tail, g_tail @ w4_tail.T
+                        + (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1))
+        if w3.requires_grad:
+            _accumulate(w3, (hh.reshape(-1, d).T @ g_a.reshape(-1, k * d)).reshape(d, k, d))
+        if w4.requires_grad:
+            _accumulate(w4, np.concatenate((hh.reshape(-1, d).T @ g_head.reshape(-1, k),
+                                            ht.reshape(-1, d).T @ g_tail.reshape(-1, k))).T)
+        if score_w.requires_grad:
+            _accumulate(score_w, (m.reshape(-1, k).T @ g.reshape(-1, k)).T)
+        if score_b.requires_grad:
+            _accumulate(score_b, g.sum(axis=(0, 1, 2)))
+
+    return _make(out, (h_head, h_tail, w3, w4, score_w, score_b), bw)
 
 
 def sigmoid(z: np.ndarray, e=None) -> np.ndarray:

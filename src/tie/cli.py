@@ -447,7 +447,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(config)
         raise AssertionError(f"unreachable command {args.command}")
-    except (ConfigError, DataError, InstructionError, CheckpointError, ValueError,
+    except (ConfigError, DataError, InstructionError, CheckpointError, ValueError, OSError,
             NonFiniteError, trainer.TrainingDiverged) as exc:
         log("warn", "error", kind=type(exc).__name__, message=str(exc))
         print(f"error: {exc}", file=sys.stderr)

@@ -167,10 +167,11 @@ def _parse_ref(raw, n_entities: int, where: str):
 
 
 def _span(raw: dict, where: str):
-    try:
-        return int(raw["start"]), int(raw["end"])
-    except (KeyError, TypeError, ValueError):
-        raise DataError(f"{where}: 'start' and 'end' must be integers") from None
+    # JSON integers only: a float, a string or a boolean is not coerced
+    start, end = raw.get("start"), raw.get("end")
+    if type(start) is not int or type(end) is not int:
+        raise DataError(f"{where}: 'start' and 'end' must be integers")
+    return start, end
 
 
 def _objects(obj: dict, key: str, where: str) -> list:

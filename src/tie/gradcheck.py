@@ -42,16 +42,17 @@ class GradcheckReport:
 
 def central_diff(f, arr: np.ndarray, h: float) -> np.ndarray:
     """d f / d arr, one central difference per element. Mutates arr in place
-    during evaluation and restores it afterwards."""
+    during evaluation and restores it afterwards. Elements are indexed in
+    place, so a strided ``arr`` is perturbed too (a flattening reshape of it
+    would perturb a copy)."""
     out = np.zeros_like(arr)
-    flat, grad = arr.reshape(-1), out.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + h
         hi = f()
-        flat[i] = orig - h
-        grad[i] = (hi - f()) / (2.0 * h)
-        flat[i] = orig
+        arr[i] = orig - h
+        out[i] = (hi - f()) / (2.0 * h)
+        arr[i] = orig
     return out
 
 

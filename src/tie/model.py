@@ -448,28 +448,14 @@ def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Te
 
 
 def biaffine_score(h_x: Tensor, params: Parameters):
-    """Token-pair logits for (B, n, d) token states: bilinear head/tail
-    interaction plus a linear term ``W4 [h_head_i; h_tail_j]``, then a
-    per-cell K -> K linear map, one ``ad.linear`` over the whole grid. The
-    linear term is a head part per row plus a tail part per column, each an
-    ``ad.linear`` with its half of W4, broadcast over the grid by ``add``,
-    so no (B, n, n, 2d) pair tensor is built."""
-    size, n, d = h_x.shape
-    k = params.num_channels
+    """Head and tail FFN states of (B, n, d) token states, and their
+    (B, n, n, K) token-pair logits: a bilinear head/tail interaction plus a
+    linear term ``W4 [h_head_i; h_tail_j]``, then a per-cell K -> K linear
+    map, all one ``ad.pair_scores`` op."""
     h_head = _ffn(params, "head_mlp", h_x)
     h_tail = _ffn(params, "tail_mlp", h_x)
-
-    w3 = params["biaffine.w3"]
-    a = ad.linear(h_head, ad.reshape(w3, (d, k * d)))                   # (B, n, k*d)
-    b = ad.matmul(ad.reshape(a, (size, n * k, d)), ad.transpose(h_tail, (0, 2, 1)))
-    bilinear = ad.transpose(ad.reshape(b, (size, n, k, n)), (0, 1, 3, 2))
-
-    w4_t = ad.transpose(params["biaffine.w4"])                           # (2d, k)
-    lin_head = ad.linear(h_head, ad.embedding_lookup(w4_t, np.arange(d)))
-    lin_tail = ad.linear(h_tail, ad.embedding_lookup(w4_t, np.arange(d, 2 * d)))
-    m_x = ad.add(ad.add(bilinear, ad.reshape(lin_head, (size, n, 1, k))),  # [b,i,j] += head[b,i]
-                 ad.reshape(lin_tail, (size, 1, n, k)))                     # [b,i,j] += tail[b,j]
-    logits = ad.linear(m_x, ad.transpose(params["score.w"]), params["score.b"])
+    logits = ad.pair_scores(h_head, h_tail, params["biaffine.w3"], params["biaffine.w4"],
+                            params["score.w"], params["score.b"])
     return h_head, h_tail, logits
 
 

@@ -21,12 +21,19 @@ def central_diff(f, arr: np.ndarray, h: float = STEP) -> np.ndarray:
 
 
 def inner(a: Tensor, b) -> Tensor:
-    """sum(a * b) over all entries as a (1, 1) tensor, taped through
-    ``reshape`` and ``matmul`` alone; ``b`` is a tensor or a same-size array
-    of constant weights."""
+    """sum(a * b) over all entries as a scalar tensor, taped as one record
+    of its own; ``b`` is a tensor or a same-shape array of constant
+    weights."""
     if not isinstance(b, Tensor):
         b = Tensor(b)
-    return ad.matmul(ad.reshape(a, (1, a.size)), ad.reshape(b, (b.size, 1)))
+
+    def bw(g):
+        if a.requires_grad:
+            ad._accumulate(a, g * b.data)
+        if b.requires_grad:
+            ad._accumulate(b, g * a.data)
+
+    return ad._make(np.asarray((a.data * b.data).sum()), (a, b), bw)
 
 
 def mean_weights(shape) -> np.ndarray:

@@ -7,39 +7,6 @@ from tie.autodiff import Tape, Tensor
 from fdcheck import central_diff, inner, max_rel_err, mean_weights
 
 
-def test_matmul_identity():
-    a = Tensor([[1.5, -2.0], [0.25, 4.0]])
-    eye = Tensor(np.eye(2))
-    out = ad.matmul(eye, a)
-    np.testing.assert_array_equal(out.data, a.data)
-
-
-def test_matmul_hand_case():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[0.0], [1.0]])
-    out = ad.matmul(a, b)
-    np.testing.assert_array_equal(out.data, [[2.0], [4.0]])
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ad.ShapeError) as err:
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    assert "(2, 3)" in str(err.value)
-
-
-def test_matmul_grad_of_sum_is_ones_times_bt():
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)))
-    with Tape():
-        loss = inner(ad.matmul(a, b), np.ones((3, 2)))
-        ad.backward(loss)
-    expected = np.ones((3, 2)) @ b.data.T
-    np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
-    fd = central_diff(lambda: inner(ad.matmul(a, b), np.ones((3, 2))).item(), a.data)
-    assert max_rel_err(fd, expected) < 1e-4
-
-
 def test_attention_uniform_and_stability():
     # equal scores average the value rows; huge scores put all weight on one key
     v = Tensor([[[1.0, -2.0], [3.0, 0.5], [-4.0, 6.0]]])
@@ -129,6 +96,72 @@ def test_attention_shape_errors():
                      Tensor(np.zeros((1, 2, 4))), 2)
 
 
+def _unfused_pair_scores(hh, ht, w3, w4, score_w, score_b, g):
+    """The grid head as the per-op chain it replaced (a bilinear product
+    from reshaped and transposed operands, the two halves of ``w4`` gathered
+    from its transpose, broadcast adds, a score layer), in plain numpy. A
+    gradient is first stored in a buffer with the strides of the output it
+    belongs to, as that chain's tape kept it. Returns (logits, d h_head,
+    d h_tail, d w3, d w4, d score_w, d score_b) for upstream gradient ``g``."""
+    size, n, d = hh.shape
+    k = score_b.shape[0]
+
+    def buffer(like, grad):
+        out = np.empty_like(like)
+        out[...] = grad
+        return out
+
+    w3_2d = w3.reshape(d, k * d)
+    a = (hh @ w3_2d).reshape(size, n * k, d)
+    bilinear = (a @ ht.transpose(0, 2, 1)).reshape(size, n, k, n).transpose(0, 1, 3, 2)
+    w4_t = w4.T
+    w4_head, w4_tail = w4_t[np.arange(d)], w4_t[np.arange(d, 2 * d)]
+    with_head = bilinear + (hh @ w4_head).reshape(size, n, 1, k)
+    m = with_head + (ht @ w4_tail).reshape(size, 1, n, k)
+    logits = m @ score_w.T + score_b
+
+    g_m = buffer(m, g @ score_w)
+    g_with_head = buffer(with_head, g_m)
+    g_head, g_tail = g_with_head.sum(axis=2), g_m.sum(axis=1)
+    g_bil = np.ascontiguousarray(buffer(bilinear, g_with_head).transpose(0, 1, 3, 2))
+    g_bil = g_bil.reshape(size, n * k, n)
+    g_a = g_bil @ ht
+    d_hh = g_head @ w4_head.T + g_a.reshape(size, n, k * d) @ w3_2d.T
+    d_ht = g_tail @ w4_tail.T + (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1)
+    d_w3 = (hh.reshape(-1, d).T @ g_a.reshape(-1, k * d)).reshape(d, k, d)
+    d_w4_t = np.zeros_like(w4_t)
+    d_w4_t[d:] += ht.reshape(-1, d).T @ g_tail.reshape(-1, k)
+    d_w4_t[:d] += hh.reshape(-1, d).T @ g_head.reshape(-1, k)
+    d_score_w = (m.reshape(-1, k).T @ g.reshape(-1, k)).T
+    return logits, d_hh, d_ht, d_w3, d_w4_t.T, d_score_w, g.sum(axis=(0, 1, 2))
+
+
+def test_pair_scores_matches_unfused_chain_bit_for_bit():
+    # n past 8 tokens makes numpy's pairwise sums depend on the layout summed
+    rng = np.random.default_rng(10)
+    for size, n, d, k in ((2, 1, 4, 1), (2, 3, 4, 2), (16, 10, 32, 3), (3, 17, 8, 8),
+                          (1, 12, 4, 1)):
+        arrays = [rng.normal(size=s) for s in ((size, n, d), (size, n, d), (d, k, d), (k, 2 * d),
+                                               (k, k), (k,))]
+        g = rng.normal(size=(size, n, n, k))
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape():
+            out = ad.pair_scores(*tensors)
+            ad.backward(inner(out, g))
+        expected = _unfused_pair_scores(*arrays, g)
+        for got, want in zip([out.data] + [t.grad for t in tensors], expected):
+            assert np.array_equal(got, want)
+
+
+def test_pair_scores_shape_error_names_every_shape():
+    shapes = [(2, 3, 4), (2, 3, 4), (4, 2, 4), (2, 8), (2, 2), (3,)]
+    with pytest.raises(ad.ShapeError) as err:
+        ad.pair_scores(*(Tensor(np.zeros(s)) for s in shapes))
+    assert all(str(s) in str(err.value) for s in shapes)
+    with pytest.raises(ad.ShapeError):
+        ad.pair_scores(*(Tensor(np.zeros(s)) for s in [(3, 4)] * 2 + shapes[2:]))
+
+
 def test_bce_analytic_values():
     loss = ad.bce_with_logits(Tensor(np.zeros((2, 2))), np.ones((2, 2)), mean_weights((2, 2)))
     assert abs(loss.item() - np.log(2.0)) < 1e-12
@@ -211,12 +244,6 @@ def test_backward_names_the_op_that_overflowed():
             ad.backward(loss)
 
 
-def test_matmul_batch_axes_must_match():
-    with pytest.raises(ad.ShapeError) as err:
-        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
-    assert "(2, 3, 4)" in str(err.value)
-
-
 def test_linear_matches_per_matrix_products():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 2, 4))
@@ -227,10 +254,10 @@ def test_linear_matches_per_matrix_products():
 
 
 def _matmul_then_add(x, w, b, g):
-    """A dense layer as the two-record chain ``add(matmul(x, w), b)`` with
-    ``w`` broadcast over the batch axes of ``x``, in plain numpy: (output,
-    dx, dw, db) for upstream gradient ``g``. ``dw`` is a product per leading
-    index, summed over the leading axes."""
+    """A dense layer as a product then a bias, with ``w`` broadcast over the
+    batch axes of ``x``, in plain numpy: (output, dx, dw, db) for upstream
+    gradient ``g``. ``dw`` is a product per leading index, summed over the
+    leading axes."""
     lead = tuple(range(x.ndim - 1))
     return (x @ w + b, g.copy() @ w.T, (np.swapaxes(x, -1, -2) @ g).sum(axis=lead[:-1]),
             g.sum(axis=lead))
@@ -249,14 +276,6 @@ def test_linear_matches_matmul_then_add():
         assert np.array_equal(out.data, want)
         assert np.array_equal(x.grad, dx) and np.array_equal(b.grad, db)
         np.testing.assert_allclose(w.grad, dw, rtol=1e-13, atol=0)
-        if len(shape) == 2:   # the taped chain itself, at no batch axes
-            x2, w2, b2 = (Tensor(a, requires_grad=True) for a in arrays)
-            with Tape():
-                chain = ad.add(ad.matmul(x2, w2), b2)
-                ad.backward(inner(chain, g))
-            for got, ref in zip((out.data, x.grad, w.grad, b.grad),
-                                (chain.data, x2.grad, w2.grad, b2.grad)):
-                assert np.array_equal(got, ref)
 
 
 def test_linear_shape_error_names_all_three_shapes():
@@ -324,17 +343,34 @@ def test_dropout_zero_rate_is_identity():
 
 
 def test_op_output_grad_is_lazy_and_keeps_strides():
+    # an elementwise op keeps the layout of a transposed leaf, so its output
+    # is strided; its gradient buffer, made lazily, takes the same strides
     rng = np.random.default_rng(4)
-    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(3, 5)).T, requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2)))
     with Tape():
-        xt = ad.transpose(x)
-        out = ad.matmul(xt, w)
-        assert xt.grad is None and out.grad is None
+        h = ad.gelu(x)
+        out = ad.linear(h, w)
+        assert h.grad is None and out.grad is None
         ad.backward(inner(out, np.ones(out.shape)))
-    assert not xt.data.flags.c_contiguous
-    assert xt.grad.strides == xt.data.strides
-    np.testing.assert_array_equal(xt.grad, np.ones((5, 2)) @ w.data.T)
+    assert not h.data.flags.c_contiguous
+    assert h.grad.strides == h.data.strides
+    np.testing.assert_array_equal(h.grad, np.ones((5, 2)) @ w.data.T)
+    # a 3-D op output with swapped leading axes as an embedding table: its
+    # rows cannot be flattened without a copy, so the scatter must add into
+    # the strided buffer in place
+    m, k = 3, 5
+    ids = np.array([[0, 4], [4, 1], [5, 5]])
+    leaf = Tensor(rng.normal(size=(m, 2, k)).transpose(1, 0, 2), requires_grad=True)
+    with Tape():
+        table = ad.gelu(leaf)
+        rows = ad.embedding_lookup(table, ids)
+        ad.backward(inner(rows, np.ones(rows.shape)))
+    assert table.grad.strides == table.data.strides
+    assert not np.shares_memory(table.grad.reshape(-1, k), table.grad)
+    counts = np.bincount(ids.ravel(), minlength=2 * m).reshape(2, m, 1) * np.ones(k)
+    np.testing.assert_array_equal(table.grad, counts)
+    assert np.count_nonzero(leaf.grad) == np.count_nonzero(counts)
 
 
 def test_branch_off_the_loss_path_is_skipped():
@@ -357,7 +393,7 @@ def test_tensor_reached_twice_gets_exact_sum_in_its_own_buffer():
     x = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
     w = rng.normal(size=(3, 1))
     with Tape():
-        y = ad.matmul(x, Tensor([[0.7]]))
+        y = ad.linear(x, Tensor([[0.7]]))
         z = ad.add(y, y)
         ad.backward(inner(z, w))
     np.testing.assert_array_equal(z.grad, w)   # not doubled in place by y's second add
@@ -384,7 +420,6 @@ def _op_cases(rng):
 
     a = rng.normal(size=(m, k))
     b = rng.normal(size=(k, n))
-    cases.append(("matmul", [a, b], lambda t: ad.matmul(t[0], t[1])))
 
     x = rng.normal(size=(m, n))
     y = rng.normal(size=(m, n))
@@ -402,9 +437,6 @@ def _op_cases(rng):
     cases.append(("add_size1_leading", [lead, batch], lambda t: ad.add(t[0], t[1])))
 
     batched = rng.normal(size=(2, m, k))
-    stacked = rng.normal(size=(2, k, n))
-    cases.append(("matmul_batched_batched", [batched, stacked],
-                  lambda t: ad.matmul(t[0], t[1])))
 
     # linear: a bias over a batch, no bias, a (B, n, n, K) grid like the
     # score layer, and a weight that is an op output
@@ -415,8 +447,8 @@ def _op_cases(rng):
     grid = rng.normal(size=(2, m, m, k))
     cases.append(("linear_grid_bias", [grid, b, out_bias],
                   lambda t: ad.linear(t[0], t[1], t[2])))
-    cases.append(("linear_op_output_weight", [batched, b.T.copy()],
-                  lambda t: ad.linear(t[0], ad.transpose(t[1]))))
+    cases.append(("linear_op_output_weight", [batched, b],
+                  lambda t: ad.linear(t[0], ad.gelu(t[1]))))
 
     table = rng.normal(size=(5, k))
     ids = rng.integers(0, 5, size=m)
@@ -426,28 +458,26 @@ def _op_cases(rng):
                   lambda t: ad.embedding_lookup(t[0], ids_2d)))
     # a table that is itself an op output gets its gradient buffer from the scatter
     cases.append(("embedding_lookup_of_op_output", [b],
-                  lambda t: ad.embedding_lookup(ad.transpose(t[0]), ids % n)))
+                  lambda t: ad.embedding_lookup(ad.gelu(t[0]), ids % k)))
     # a 3-D table gives rows of its two leading axes flattened, as the
-    # decoder's slot gather does; a transposed op output as that table keeps
-    # transposed strides in its gradient buffer, which no reshape may copy
+    # decoder's slot gather does, also when the table is an op output
     states = rng.normal(size=(2, m, k))
     slot_rows = rng.integers(0, 2 * m, size=(2, 3))
     cases.append(("embedding_lookup_3d", [states],
                   lambda t: ad.embedding_lookup(t[0], slot_rows)))
-    swapped = rng.normal(size=(m, 2, k))
+    cases.append(("embedding_lookup_3d_of_op_output", [states],
+                  lambda t: ad.embedding_lookup(ad.gelu(t[0]), slot_rows)))
+    # a table with swapped leading axes: its gradient buffer keeps those
+    # strides, so no reshape to rows can be a view of it
+    swapped = rng.normal(size=(m, 2, k)).transpose(1, 0, 2)
     cases.append(("embedding_lookup_3d_transposed_op_output", [swapped],
-                  lambda t: ad.embedding_lookup(ad.transpose(t[0], (1, 0, 2)), slot_rows)))
+                  lambda t: ad.embedding_lookup(ad.gelu(t[0]), slot_rows)))
 
     g = rng.normal(size=(n,)) + 1.0
     bb = rng.normal(size=(n,))
     cases.append(("layer_norm", [x, g, bb], lambda t: ad.layer_norm(t[0], t[1], t[2])))
 
     cases.append(("gelu", [x], lambda t: ad.gelu(t[0])))
-    cases.append(("transpose", [x], lambda t: ad.transpose(t[0])))
-
-    cube = rng.normal(size=(m, n, k))
-    cases.append(("transpose3", [cube], lambda t: ad.transpose(t[0], (1, 2, 0))))
-    cases.append(("reshape", [cube], lambda t: ad.reshape(t[0], (m * n, k))))
 
     # attention: 2 heads of width k over m queries and n keys, batch 2
     q = rng.normal(size=(2, m, 2 * k))
@@ -468,6 +498,15 @@ def _op_cases(rng):
                                          rng=np.random.default_rng(3))))
     cases.append(("attention_one_head_k_is_v", [q, kv[0]],
                   lambda t: ad.attention(t[0], t[1], t[1], 1)))
+
+    # the token-pair grid: batch 2, K > 1 channels over n > 1 tokens, and
+    # one channel over one token
+    for case, tokens, chans in (("pair_scores", m, k), ("pair_scores_one_token_one_channel", 1, 1)):
+        d = 3
+        cases.append((case, [rng.normal(size=s) for s in ((2, tokens, d), (2, tokens, d),
+                                                          (d, chans, d), (chans, 2 * d),
+                                                          (chans, chans), (chans,))],
+                      lambda t: ad.pair_scores(*t)))
 
     targ = (rng.random((m, n)) < 0.5).astype(float)
     cell_w = rng.random((m, n)) * (rng.random((m, n)) < 0.7)

@@ -448,3 +448,16 @@ def test_eval_and_decode_still_need_every_split_file(tmp_path, capsys):
     assert main(["decode", *common, "--input", str(target_dir / "test.jsonl"),
                  "--out", str(tmp_path / "dec")]) == 2
     assert "train split not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--input", "--config"])
+def test_a_directory_given_as_a_file_exits_2(tmp_path, capsys, flag):
+    cfg_path, _config, ckpt_path, target_dir = _finetuned_target(tmp_path)
+    paths = {"--config": cfg_path, "--checkpoint": ckpt_path,
+             "--input": target_dir / "test.jsonl", flag: target_dir}
+    command = ["decode", "--input", str(paths["--input"])] if flag == "--input" else ["eval"]
+    assert main([*command, "--config", str(paths["--config"]), "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(paths["--checkpoint"])]) == 2
+    err = capsys.readouterr().err
+    assert f"error: [Errno 21] Is a directory: '{target_dir}'" in err
+    assert "Traceback" not in err

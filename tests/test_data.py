@@ -105,12 +105,21 @@ def test_link_refs_index_and_span(tmp_path):
     '{"tokens": ["a"], "entities": [{"type": "PER", "start": 0}]}',
     '{"tokens": ["a"], "entities": [{"type": "PER", "start": [0], "end": 0}]}',
     '{"tokens": ["a"], "links": [7]}',
+    # span offsets must be JSON integers, never coerced
+    '{"tokens": ["a", "b"], "entities": [{"type": "PER", "start": 1.7, "end": 1}]}',
+    '{"tokens": ["a", "b"], "entities": [{"type": "PER", "start": 0, "end": 1.0}]}',
+    '{"tokens": ["a", "b"], "entities": [{"type": "PER", "start": "1", "end": 1}]}',
+    '{"tokens": ["a", "b"], "entities": [{"type": "PER", "start": true, "end": 1}]}',
+    '{"tokens": ["a", "b"], "links": [{"type": "R", "subject": {"start": 0, "end": 0}, '
+    '"object": {"start": 1.0, "end": 1}}]}',
+    '{"tokens": ["a", "b"], "links": [{"type": "R", "subject": {"start": false, "end": 0}, '
+    '"object": {"start": 1, "end": 1}}]}',
 ])
 def test_load_jsonl_rejects_malformed_instance(tmp_path, line):
     p = tmp_path / "x.jsonl"
     p.write_text('{"tokens": ["ok"]}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"x\.jsonl:2\b"):
-        data.load_jsonl(p, CONLL_LIKE)
+        data.load_jsonl(p, LabelSpace(["PER"], ["R"]))
 
 
 def test_link_ref_out_of_range(tmp_path):

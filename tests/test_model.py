@@ -376,7 +376,7 @@ def test_training_step_tape_records_at_bench_shape():
     golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
     with Tape() as tape:
         loss(M.forward(p, batch, train=True, rng=rng).logits, *batch.loss_targets(golds))
-    assert len(tape._records) == 70
+    assert len(tape._records) == 53
 
 
 def test_untaped_forward_with_infinite_parameter_raises():
