@@ -8,12 +8,15 @@ Layout:
     UTF-8 JSON header: run metadata plus a tensor manifest of
         {"name", "dtype", "dims", "offset"} entries, offsets relative to the
         start of the payload region
-    payload: raw little-endian float64 tensor data, in manifest order
+    payload: the state's group vectors as raw little-endian float64, in order
     u32 LE CRC32 of the payload region
 
-The payload carries model parameters, Adam moments, and the gate's previous
-batch gradients, so a loaded checkpoint resumes the exact training
-trajectory.
+The group vectors are the parameters of all groups in ``Parameters.groups``
+order, then the Adam first moments of all groups, then the second moments,
+then the gate's previous-batch gradients if the run has them, so a loaded
+checkpoint resumes the exact training trajectory. The manifest is derived
+from that list, and a loaded file's manifest must equal the one its
+model_config implies.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -51,34 +55,33 @@ class Checkpoint:
     state: TrainState
 
 
-def _per_tensor(params: Parameters, optimizer: Adam) -> list:
-    """(manifest name, view) for every parameter and Adam moment: the views
-    that ``split_group`` gives into the per-group vectors, in parameter order."""
-    return [(f"{key}/{name}", view)
+def _stored(state: TrainState) -> list:
+    """(key, group, vector) for every vector of the payload, in payload order."""
+    params, optimizer = state.params, state.optimizer
+    return [(key, group, vectors[group])
             for key, vectors in (("param", params.flat), ("adam.m", optimizer.m),
                                  ("adam.v", optimizer.v))
-            for group in params.groups
-            for name, view in params.split_group(group, vectors[group]).items()]
+            for group in params.groups] + [
+        ("snapshot", group, vec) for group, vec in state.snapshot.prev.items()]
+
+
+def _manifest(params: Parameters, stored: list) -> list:
+    """The header's entries for ``stored``: a model vector's tensors as
+    ``split_group`` gives them, a snapshot vector whole."""
+    manifest = []
+    offset = 0
+    for key, group, vec in stored:
+        parts = {group: vec} if key == "snapshot" else params.split_group(group, vec)
+        for name, arr in parts.items():
+            manifest.append({"name": f"{key}/{name}", "dtype": "f8",
+                             "dims": list(arr.shape), "offset": offset})
+            offset += arr.nbytes
+    return manifest
 
 
 def save_checkpoint(path, checkpoint: Checkpoint):
     state = checkpoint.state
-    tensors = _per_tensor(state.params, state.optimizer) + [
-        (f"snapshot/{g}", a) for g, a in state.snapshot.prev.items()]
-    manifest = []
-    offset = 0
-    blobs = []
-    for name, arr in tensors:
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        manifest.append({
-            "name": name,
-            "dtype": "f8",
-            "dims": list(arr.shape),
-            "offset": offset,
-        })
-        blobs.append(blob)
-        offset += len(blob)
-
+    stored = _stored(state)
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": asdict(checkpoint.config),
@@ -93,10 +96,10 @@ def save_checkpoint(path, checkpoint: Checkpoint):
             "eps": state.optimizer.eps,
             "t": dict(state.optimizer.t),
         },
-        "manifest": manifest,
+        "manifest": _manifest(state.params, stored),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(blobs)
+    payload = b"".join(np.ascontiguousarray(vec, dtype="<f8").tobytes() for _, _, vec in stored)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -112,9 +115,11 @@ def save_checkpoint(path, checkpoint: Checkpoint):
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint; any damage raises ``CheckpointError``.
 
-    The payload is screened for NaN and Inf in one pass over the whole
-    buffer; only when that screen fails is each tensor checked on its own,
-    so the error names the first bad tensor in manifest order.
+    The header's manifest must equal the one its model_config implies, and
+    the error names the first entry that differs. The payload is screened
+    for NaN and Inf in one pass over the whole buffer; only when that screen
+    fails is each tensor checked on its own, so the error names the first
+    bad tensor in manifest order.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -149,42 +154,24 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
     if _count(path, header, "format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: header format_version {header['format_version']} "
                               f"does not match the file's {FORMAT_VERSION}")
-    # The CRC matches NaNs that were saved. One screen of every whole word
-    # of the payload clears each tensor at a word-aligned offset; a tensor is
-    # searched on its own only when that screen fails or it sits off a word.
-    finite = np.isfinite(np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)).all()
-    arrays = {}    # read-only views into the payload; every consumer copies
-    extents = []   # (name, offset, bytes) in manifest order
-    for entry in header["manifest"]:
-        if entry["dtype"] != "f8":
-            raise CheckpointError(f"{path}: tensor {entry['name']} has dtype {entry['dtype']!r}")
-        dims = tuple(entry["dims"])
-        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(dims), offset=entry["offset"])
-        if not (finite and entry["offset"] % 8 == 0) and not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
-        arrays[entry["name"]] = arr.reshape(dims)
-        extents.append((entry["name"], entry["offset"], arr.nbytes))
-
-    def take(key, shape):
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing tensor {key}")
-        if arrays[key].shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {key} has shape {arrays[key].shape}, expected {shape}"
-            )
-        return arrays[key]
-
-    stored = header["model_config"]
-    if set(stored) != {f.name for f in fields(ModelConfig)}:
+    config_json = header["model_config"]
+    if set(config_json) != {f.name for f in fields(ModelConfig)}:
         # a missing field would silently take its default, e.g. another head count
-        raise CheckpointError(f"{path}: model_config fields {sorted(stored)} do not match "
-                              f"the model's")
+        raise CheckpointError(f"{path}: model_config fields {sorted(config_json)} do not "
+                              f"match the model's")
     try:
-        config = ModelConfig(**stored)
+        config = ModelConfig(**config_json)
     except ValueError as exc:
         raise CheckpointError(f"{path}: model_config.{exc}") from None
     num_channels = _count(path, header, "num_channels")
-    params = Parameters(config, num_channels, None)   # every value is loaded below
+    tokens = header["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointError(f"{path}: vocab must be a list of strings")
+    vocab = Vocabulary.from_json(tokens)
+    if len(vocab) != config.vocab_size:
+        # token ids past the embedding table, or tokens read as other rows
+        raise CheckpointError(f"{path}: vocab has {len(vocab)} ids (3 reserved), "
+                              f"model_config.vocab_size is {config.vocab_size}")
 
     adam_meta = header["adam"]
     lr, beta1, beta2, eps = (adam_meta[k] for k in ("lr", "beta1", "beta2", "eps"))
@@ -194,48 +181,51 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
         raise CheckpointError(f"{path}: Adam settings must be finite numbers in range: "
                               f"lr={lr!r} beta1={beta1!r} beta2={beta2!r} eps={eps!r}")
     lr, beta1, beta2, eps = map(float, (lr, beta1, beta2, eps))
-    optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    try:
+        params = Parameters(config, num_channels, None)   # every value is loaded below
+        optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    except MemoryError as exc:
+        raise CheckpointError(f"{path}: model_config implies a model too large to lay out "
+                              f"({exc})") from None
     steps = {g: _count(path, adam_meta["t"], g) for g in adam_meta["t"]}
     if set(steps) != set(params.groups):
         raise CheckpointError(f"{path}: Adam step counts do not cover the model's groups")
     optimizer.t = steps
-    for name, view in _per_tensor(params, optimizer):
-        view[...] = take(name, view.shape)
+    state = TrainState(params=params, optimizer=optimizer, snapshot=GradientSnapshot(),
+                       step=_count(path, header, "step"))
 
-    snapshot = GradientSnapshot()
-    for name in arrays:
-        if name.startswith("snapshot/"):
-            group = name[len("snapshot/"):]
-            if group not in params.groups:
-                raise CheckpointError(f"{path}: snapshot of unknown group {group!r}")
-            snapshot.prev[group] = take(name, params.flat[group].shape).copy()
-    if snapshot.prev and set(snapshot.prev) != set(params.groups):
-        # the gate stores every group's gradient at once, so a real snapshot
-        # is empty (before the first step) or complete
-        raise CheckpointError(f"{path}: snapshot covers only groups {sorted(snapshot.prev)}")
+    manifest = header["manifest"]
+    stored = _stored(state)
+    expected = _manifest(params, stored)
+    if len(manifest) > len(expected):
+        # the gate stores every group's gradient at once, so a snapshot is
+        # absent (before the first step) or has one vector per group
+        state.snapshot.prev = {g: np.empty_like(vec) for g, vec in params.flat.items()}
+        stored = _stored(state)
+        expected = _manifest(params, stored)
+    if manifest != expected:
+        i, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(manifest, expected))
+                            if a != b)
+        raise CheckpointError(f"{path}: manifest entry {i} is {got}, where the model's "
+                              f"manifest covers {want}")
+    size = sum(vec.nbytes for _, _, vec in stored)
+    if len(payload) != size:
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, "
+                              f"the manifest covers {size}")
+    words = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(words).all():   # the CRC matches NaNs that were saved
+        for entry in expected:
+            start = entry["offset"] // 8
+            if not np.isfinite(words[start:start + math.prod(entry["dims"])]).all():
+                raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
+    start = 0
+    for _, _, vec in stored:
+        vec[...] = words[start:start + vec.size]
+        start += vec.size
 
-    # checked once every tensor was found, so a missing one is named as such
-    offset = 0
-    for name, start, size in extents:
-        if start != offset:   # tensors lie back to back in manifest order
-            raise CheckpointError(f"{path}: tensor {name} at offset {start}, expected {offset}")
-        offset += size
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: manifest covers {offset} payload bytes of {len(payload)}")
-
-    tokens = header["vocab"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise CheckpointError(f"{path}: vocab must be a list of strings")
-    step = _count(path, header, "step")
-    state = TrainState(params=params, optimizer=optimizer, snapshot=snapshot, step=step)
-    return Checkpoint(
-        config=config,
-        num_channels=num_channels,
-        seed=_count(path, header, "seed"),
-        step=step,
-        vocab=Vocabulary.from_json(tokens),
-        state=state,
-    )
+    return Checkpoint(config=config, num_channels=num_channels,
+                      seed=_count(path, header, "seed"), step=state.step,
+                      vocab=vocab, state=state)
 
 
 def _count(path: Path, header: dict, key: str) -> int:

@@ -83,9 +83,6 @@ class LabelSpace:
         except KeyError:
             raise DataError(f"unknown label name {name!r}") from None
 
-    def is_entity_channel(self, k: int) -> bool:
-        return k < len(self.entity_types)
-
     def __eq__(self, other):
         return (
             isinstance(other, LabelSpace)

@@ -132,28 +132,19 @@ def trig_f1(preds, golds) -> ScoreReport:
     return _pooled("trig_f1", preds, golds, _span_tuples, _span_tuples)
 
 
-def arg_f1(preds, golds, require_trigger_offsets: bool = False) -> ScoreReport:
+def arg_f1(preds, golds) -> ScoreReport:
     """Argument offsets, role, and the governing trigger's event type must
-    match. The flagged variant additionally requires trigger offsets."""
+    match; the trigger's offsets need not."""
 
     def pred_tuples(p):
-        out = set()
-        for l in p.links:
-            key = (l.object, l.type, l.subject_type)
-            if require_trigger_offsets:
-                key += (l.subject,)
-            out.add(key)
-        return out
+        return {(l.object, l.type, l.subject_type) for l in p.links}
 
     def gold_tuples(g):
         out = set()
         for lk in g.links:
-            s_span, s_type = g.resolve(lk.subject)
+            _, s_type = g.resolve(lk.subject)
             o_span, _ = g.resolve(lk.object)
-            key = (o_span, lk.type, s_type)
-            if require_trigger_offsets:
-                key += (s_span,)
-            out.add(key)
+            out.add((o_span, lk.type, s_type))
         return out
 
     return _pooled("arg_f1", preds, golds, pred_tuples, gold_tuples)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,56 @@ def _with_header(raw: bytes, header) -> bytes:
     _, rest = _split_header(raw)
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return raw[:8] + struct.pack("<I", len(body)) + body + rest
+
+
+def _file(header, payload: bytes) -> bytes:
+    """A TIE1 file of this header and payload, with the payload's CRC."""
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return (b"TIE1" + struct.pack("<II", 1, len(body)) + body + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _unseen_faults(header, payload):
+    """{label: (header, payload, error match)}: header faults that a CRC over
+    the payload cannot see."""
+    manifest, tokens, cfg = header["manifest"], header["vocab"], header["model_config"]
+    names = [e["name"] for e in manifest]
+    g, b = names.index("param/enc.0.ln1.g"), names.index("param/enc.0.ln1.b")
+    swapped = [dict(e) for e in manifest]
+    swapped[g]["name"], swapped[b]["name"] = names[b], names[g]
+    junk = {"name": "junk/x", "dtype": "f8", "dims": [2], "offset": len(payload)}
+    return {
+        "swapped names": ({**header, "manifest": swapped}, payload,
+                          f"manifest entry {g} .*param/enc.0.ln1.b"),
+        "extra tensor": ({**header, "manifest": manifest + [junk]}, payload + bytes(16),
+                         "junk/x"),
+        "extra entry key": ({**header, "manifest": [{**manifest[0], "note": 1}] + manifest[1:]},
+                            payload, "manifest entry 0 .*note"),
+        "vocab 5 short": ({**header, "vocab": tokens[:-5]}, payload,
+                          "vocab has 60 ids .*vocab_size is 65"),
+        "vocab 5 long": ({**header, "vocab": tokens + [f"extra{i}" for i in range(5)]}, payload,
+                         "vocab has 70 ids .*vocab_size is 65"),
+        # 10**14 rows of d=4 floats are 2.84 PiB, past the address space, so
+        # an allocation of them is refused at once
+        "vocab_size 1e14": ({**header, "model_config": {**cfg, "vocab_size": 10**14}}, payload,
+                            "vocab has 65 ids .*vocab_size is 100000000000000"),
+        "max_len 1e14": ({**header, "model_config": {**cfg, "max_len": 10**14}}, payload,
+                         "too large to lay out"),
+    }
+
+
+@pytest.mark.parametrize("label", ["swapped names", "extra tensor", "extra entry key",
+                                   "vocab 5 short", "vocab 5 long", "vocab_size 1e14",
+                                   "max_len 1e14"])
+def test_header_fault_under_a_valid_crc_is_rejected(tmp_path, label):
+    raw = TWO_GATED_STEPS.read_bytes()
+    header, rest = _split_header(raw)
+    assert _file(header, rest[:-4]) == raw
+    mutant, payload, match = _unseen_faults(header, rest[:-4])[label]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_file(mutant, payload))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(bad)
 
 
 def _header_mutants(header, rng):

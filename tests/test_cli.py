@@ -251,12 +251,18 @@ def test_malformed_checkpoint_header_exits_2(tmp_path, capsys):
     ckpt = Path(config["out"]) / "pretrained.ckpt"
     raw = ckpt.read_bytes()
     header, _ = _split_header(raw)
-    del header["adam"]
-    ckpt.write_bytes(_with_header(raw, header))
-    rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "ev"),
-               "--checkpoint", str(ckpt)])
-    assert rc == 2
-    assert "malformed header" in capsys.readouterr().err
+    no_adam = {k: v for k, v in header.items() if k != "adam"}
+    cfg = header["model_config"]
+    for mutant, named in ((no_adam, "malformed header"),
+                          ({**header, "model_config": {**cfg, "vocab_size": 10**14}},
+                           "vocab_size is 100000000000000"),
+                          ({**header, "model_config": {**cfg, "max_len": 10**14}},
+                           "too large to lay out")):
+        ckpt.write_bytes(_with_header(raw, mutant))
+        rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "ev"),
+                   "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
 
 def test_checkpoint_with_nan_parameter_exits_2(tmp_path, capsys):

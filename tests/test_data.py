@@ -156,7 +156,6 @@ def test_label_space_channel_order():
     space = LabelSpace(["E1", "E2"], ["R1"])
     assert space.num_channels == 3
     assert space.channel("R1") == 2
-    assert space.is_entity_channel(1) and not space.is_entity_channel(2)
 
 
 def test_absa_shape_enforced(tmp_path):

@@ -110,7 +110,7 @@ def test_trig_and_arg_cases():
     assert (rep.overall.tp, rep.overall.fp, rep.overall.fn) == (0, 1, 1)
 
 
-def test_arg_trigger_offsets_flag():
+def test_arg_ignores_trigger_offsets():
     gold = gold_of([("Attack", 2, 2)], [("Target", 0, (5, 6))])
     # right event type but wrong trigger span
     pred = pred_of(
@@ -118,7 +118,6 @@ def test_arg_trigger_offsets_flag():
         [("Target", "Attack", (3, 3), None, (5, 6))],
     )
     assert arg_f1([pred], [gold]).overall.f1 == 1.0
-    assert arg_f1([pred], [gold], require_trigger_offsets=True).overall.f1 == 0.0
 
 
 def test_senti_triplet_cases():
