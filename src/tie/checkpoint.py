@@ -15,24 +15,27 @@ The group vectors are the parameters of all groups in ``Parameters.groups``
 order, then the Adam first moments of all groups, then the second moments,
 then the gate's previous-batch gradients if the run has them, so a loaded
 checkpoint resumes the exact training trajectory. The manifest is derived
-from that list, and a loaded file's manifest must equal the one its
-model_config implies.
+from the model's ``layout`` (names and shapes, no arrays), and a loaded
+file's manifest must equal the one its model_config implies. A loaded
+state's parameters, Adam moments and snapshot are views of one aligned copy
+of the payload, the file as read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .data import Vocabulary
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, group_sizes, layout
 from .trainer import Adam, GradientSnapshot, TrainState
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
@@ -56,32 +59,27 @@ class Checkpoint:
 
 
 def _stored(state: TrainState) -> list:
-    """(key, group, vector) for every vector of the payload, in payload order."""
+    """Every vector of the payload, in payload order."""
     params, optimizer = state.params, state.optimizer
-    return [(key, group, vectors[group])
-            for key, vectors in (("param", params.flat), ("adam.m", optimizer.m),
-                                 ("adam.v", optimizer.v))
-            for group in params.groups] + [
-        ("snapshot", group, vec) for group, vec in state.snapshot.prev.items()]
+    return [vectors[group] for vectors in (params.flat, optimizer.m, optimizer.v)
+            for group in params.groups] + list(state.snapshot.prev.values())
 
 
-def _manifest(params: Parameters, stored: list) -> list:
-    """The header's entries for ``stored``: a model vector's tensors as
-    ``split_group`` gives them, a snapshot vector whole."""
-    manifest = []
-    offset = 0
-    for key, group, vec in stored:
-        parts = {group: vec} if key == "snapshot" else params.split_group(group, vec)
-        for name, arr in parts.items():
-            manifest.append({"name": f"{key}/{name}", "dtype": "f8",
-                             "dims": list(arr.shape), "offset": offset})
-            offset += arr.nbytes
-    return manifest
+def _manifest(groups: dict, snapshot: dict) -> list:
+    """The header's entries for a model of this ``layout`` and a gradient
+    snapshot of ``snapshot`` (group -> vector size): every tensor of the
+    parameters and of both Adam moments, then each snapshot vector whole."""
+    tensors = [(name, list(shape)) for specs in groups.values() for name, shape, _ in specs]
+    stored = [(f"{key}/{name}", dims) for key in ("param", "adam.m", "adam.v")
+              for name, dims in tensors]
+    stored += [(f"snapshot/{group}", [size]) for group, size in snapshot.items()]
+    offsets = accumulate((8 * math.prod(dims) for _, dims in stored), initial=0)
+    return [{"name": name, "dtype": "f8", "dims": dims, "offset": offset}
+            for (name, dims), offset in zip(stored, offsets)]
 
 
 def save_checkpoint(path, checkpoint: Checkpoint):
     state = checkpoint.state
-    stored = _stored(state)
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": asdict(checkpoint.config),
@@ -96,10 +94,11 @@ def save_checkpoint(path, checkpoint: Checkpoint):
             "eps": state.optimizer.eps,
             "t": dict(state.optimizer.t),
         },
-        "manifest": _manifest(state.params, stored),
+        "manifest": _manifest(state.params.layout,
+                              {g: vec.size for g, vec in state.snapshot.prev.items()}),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(vec, dtype="<f8").tobytes() for _, _, vec in stored)
+    payload = b"".join(np.ascontiguousarray(vec, dtype="<f8").tobytes() for vec in _stored(state))
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -115,28 +114,42 @@ def save_checkpoint(path, checkpoint: Checkpoint):
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint; any damage raises ``CheckpointError``.
 
-    The header's manifest must equal the one its model_config implies, and
-    the error names the first entry that differs. The payload is screened
-    for NaN and Inf in one pass over the whole buffer; only when that screen
-    fails is each tensor checked on its own, so the error names the first
-    bad tensor in manifest order.
+    The checks run in this order: magic, format version, header JSON, the
+    payload CRC, model_config, vocabulary, Adam settings and step counts,
+    then the manifest, which must equal the one the model's ``layout``
+    implies (the error names the first entry that differs), and the payload
+    length. The file is read once into a writable buffer in which the
+    payload starts 8-byte aligned, and all checks pass before anything else
+    is allocated, so a small file cannot make the loader lay out a large
+    model. The payload is screened for NaN and Inf in one pass; only when
+    that screen fails is each tensor checked on its own, so the error names
+    the first bad tensor in manifest order. The loaded parameters, Adam
+    moments and gradient snapshot are views of that one copy of the
+    payload.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, header_len = struct.unpack("<II", raw[4:12])
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    header_end = 12 + header_len
+    with path.open("rb") as fh:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        version, header_len = struct.unpack("<II", head[4:])
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        # the rest of the file, read once into a buffer placed so that the
+        # payload starts 8-byte aligned: the loaded vectors are views of it
+        size = os.fstat(fh.fileno()).st_size - 12
+        buf = np.empty(size + 8, dtype=np.uint8)
+        start = -(buf.ctypes.data + header_len) % 8
+        body = buf[start:start + size]
+        body = body[:fh.readinto(body)]
     try:
-        header = json.loads(raw[12:header_end].decode("utf-8"))
+        header = json.loads(body[:header_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from None
 
-    payload = raw[header_end:-4]
-    (crc,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(payload) != crc:
+    payload = body[header_len:-4]
+    if len(body) < header_len + 4 \
+            or zlib.crc32(payload) != struct.unpack("<I", body[-4:].tobytes())[0]:
         raise CheckpointError(f"{path}: payload CRC mismatch")
     try:
         return _restore(path, header, payload)
@@ -150,7 +163,7 @@ def load_checkpoint(path) -> Checkpoint:
         ) from None
 
 
-def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
+def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     if _count(path, header, "format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: header format_version {header['format_version']} "
                               f"does not match the file's {FORMAT_VERSION}")
@@ -181,51 +194,46 @@ def _restore(path: Path, header: dict, payload: bytes) -> Checkpoint:
         raise CheckpointError(f"{path}: Adam settings must be finite numbers in range: "
                               f"lr={lr!r} beta1={beta1!r} beta2={beta2!r} eps={eps!r}")
     lr, beta1, beta2, eps = map(float, (lr, beta1, beta2, eps))
-    try:
-        params = Parameters(config, num_channels, None)   # every value is loaded below
-        optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    except MemoryError as exc:
-        raise CheckpointError(f"{path}: model_config implies a model too large to lay out "
-                              f"({exc})") from None
+    groups = layout(config, num_channels)
     steps = {g: _count(path, adam_meta["t"], g) for g in adam_meta["t"]}
-    if set(steps) != set(params.groups):
+    if set(steps) != set(groups):
         raise CheckpointError(f"{path}: Adam step counts do not cover the model's groups")
-    optimizer.t = steps
-    state = TrainState(params=params, optimizer=optimizer, snapshot=GradientSnapshot(),
-                       step=_count(path, header, "step"))
+    step = _count(path, header, "step")
 
     manifest = header["manifest"]
-    stored = _stored(state)
-    expected = _manifest(params, stored)
-    if len(manifest) > len(expected):
-        # the gate stores every group's gradient at once, so a snapshot is
-        # absent (before the first step) or has one vector per group
-        state.snapshot.prev = {g: np.empty_like(vec) for g, vec in params.flat.items()}
-        stored = _stored(state)
-        expected = _manifest(params, stored)
+    # the gate stores every group's gradient at once, so a snapshot is absent
+    # (before the first step) or has one vector per group
+    with_snapshot = len(manifest) > 3 * sum(map(len, groups.values()))
+    sizes = group_sizes(groups)
+    expected = _manifest(groups, sizes if with_snapshot else {})
     if manifest != expected:
         i, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(manifest, expected))
                             if a != b)
         raise CheckpointError(f"{path}: manifest entry {i} is {got}, where the model's "
                               f"manifest covers {want}")
-    size = sum(vec.nbytes for _, _, vec in stored)
+    n = sum(sizes.values())
+    size = 8 * n * (4 if with_snapshot else 3)
     if len(payload) != size:
         raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, "
                               f"the manifest covers {size}")
-    words = np.frombuffer(payload, dtype="<f8")
+
+    words = payload.view("<f8")
     if not np.isfinite(words).all():   # the CRC matches NaNs that were saved
         for entry in expected:
             start = entry["offset"] // 8
             if not np.isfinite(words[start:start + math.prod(entry["dims"])]).all():
                 raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
-    start = 0
-    for _, _, vec in stored:
-        vec[...] = words[start:start + vec.size]
-        start += vec.size
-
+    params = Parameters.over(config, num_channels, words[:n])
+    optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                     moments=(words[n:2 * n], words[2 * n:3 * n]))
+    optimizer.t = steps
+    snapshot = GradientSnapshot()
+    if with_snapshot:
+        snapshot.prev = params.group_views(words[3 * n:])
     return Checkpoint(config=config, num_channels=num_channels,
-                      seed=_count(path, header, "seed"), step=state.step,
-                      vocab=vocab, state=state)
+                      seed=_count(path, header, "seed"), step=step, vocab=vocab,
+                      state=TrainState(params=params, optimizer=optimizer,
+                                       snapshot=snapshot, step=step))
 
 
 def _count(path: Path, header: dict, key: str) -> int:

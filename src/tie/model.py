@@ -12,10 +12,11 @@ attention masks padded keys so that no real position sees padding.
 
 All parameters are named, and names are partitioned into groups (one per
 layer-like unit); the trainer's update gate operates on those groups, and
-each group's tensors live in one flat vector (``Parameters``); a group is
-the tensors made since the previous group was laid out. A config field
-declares its rule in ``field(metadata=...)``, and ``check_fields`` checks
-type and rule when a config is built, so every config object is valid.
+each group's tensors live in one flat vector (``Parameters``). ``layout``
+lists the groups and their tensors' names and shapes without any array. A
+config field declares its rule in ``field(metadata=...)``, and
+``check_fields`` checks type and rule when a config is built, so every
+config object is valid.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ __all__ = [
     "check_fields",
     "rule",
     "at_least",
+    "layout",
+    "group_sizes",
     "Parameters",
     "ForwardState",
     "CHANNEL_GROUPS",
@@ -117,123 +120,130 @@ class ModelConfig:
             raise ValueError(f"d: must be a multiple of heads {self.heads}, got {self.d}")
 
 
+def _ln_specs(prefix: str, d: int) -> list:
+    return [(f"{prefix}.g", (d,), 1.0), (f"{prefix}.b", (d,), 0.0)]
+
+
+def _attn_specs(prefix: str, d: int) -> list:
+    return [spec for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo"))
+            for spec in ((f"{prefix}.{w}", (d, d), None), (f"{prefix}.{b}", (d,), None))]
+
+
+def _ffn_specs(prefix: str, d: int, hid: int) -> list:
+    return [(f"{prefix}.w1", (d, hid), None), (f"{prefix}.b1", (hid,), None),
+            (f"{prefix}.w2", (hid, d), None), (f"{prefix}.b2", (d,), None)]
+
+
+def _channel_layout(d: int, num_channels: int) -> dict:
+    if num_channels < 1:
+        raise ValueError("num_channels must be >= 1")
+    k = num_channels
+    return {"biaffine": [("biaffine.w3", (d, k, d), None), ("biaffine.w4", (k, 2 * d), None)],
+            "score": [("score.w", (k, k), None), ("score.b", (k,), None)]}
+
+
+def layout(config: ModelConfig, num_channels: int) -> dict:
+    """The model's tensors without their values: group -> [(name, shape,
+    fill)] in group order, each group's tensors in the order they are drawn
+    and stored. ``fill`` is a layer norm's constant, or None for a tensor
+    drawn uniformly."""
+    d, hid = config.d, config.d * config.ffn_mult
+    groups = {"embed": [("embed.tok", (config.vocab_size, d), None),
+                        ("embed.pos_x", (config.max_len, d), None),
+                        ("embed.pos_u", (config.max_instr_len, d), None)]}
+    for i in range(config.layers_enc):
+        p = f"enc.{i}"
+        groups[p] = [*_ln_specs(f"{p}.ln1", d), *_attn_specs(f"{p}.attn", d),
+                     *_ln_specs(f"{p}.ln2", d), *_ffn_specs(f"{p}.ffn", d, hid)]
+    groups["enc.norm"] = _ln_specs("enc.norm", d)
+    for i in range(config.layers_dec):
+        p = f"dec.{i}"
+        groups[p] = [*_ln_specs(f"{p}.ln1", d), *_attn_specs(f"{p}.self", d),
+                     *_ln_specs(f"{p}.ln2", d), *_attn_specs(f"{p}.cross", d),
+                     *_ln_specs(f"{p}.ln3", d), *_ffn_specs(f"{p}.ffn", d, hid)]
+    groups["dec.norm"] = _ln_specs("dec.norm", d)
+    groups["label_attn"] = [("label_attn.w1", (d, d), None), ("label_attn.w2", (d, d), None)]
+    for mlp in ("head_mlp", "tail_mlp"):
+        groups[mlp] = _ffn_specs(mlp, d, d)
+    return {**groups, **_channel_layout(d, num_channels)}
+
+
+def group_sizes(groups: dict) -> dict:
+    """group -> number of floats, for a ``layout`` or part of one."""
+    return {g: sum(math.prod(shape) for _, shape, _ in specs) for g, specs in groups.items()}
+
+
 class Parameters:
     """Named parameter tensors, laid out in one flat vector per group.
 
-    Every trainable tensor belongs to exactly one group; groups are the unit
-    the training gate freezes or updates. Each group owns one data vector
-    ``flat[group]`` and one gradient vector ``flat_grad[group]``: its
-    tensors in group order, each flattened. Every tensor's ``data`` and
-    ``grad`` are views into them with the tensor's shape, so a backward pass
-    accumulates straight into the group's gradient vector and one in-place
-    update of ``flat[group]`` moves all of the group's tensors.
-    ``split_group`` is the one map from a group vector to its tensors.
-    With ``rng=None`` the tensors are laid out as zeros, without drawing an
-    initialisation, for a caller that loads every value next.
+    ``layout`` (the module function, kept as ``self.layout``) gives every
+    group's tensor names and shapes without any array. Every trainable
+    tensor belongs to exactly one group; groups are the unit the training
+    gate freezes or updates. Each group owns one data vector ``flat[group]``
+    and one gradient vector ``flat_grad[group]``: its tensors in layout
+    order, each flattened. Every tensor's ``data`` and ``grad`` are views
+    into them with the tensor's shape, so a backward pass accumulates
+    straight into the group's gradient vector and one in-place update of
+    ``flat[group]`` moves all of the group's tensors. The groups' vectors
+    are views of one data vector and one zero gradient vector, in group
+    order (``reinit_channels`` gives the channel groups vectors of their
+    own); ``split_group`` is the one map from a group vector to its
+    tensors.
+
+    ``Parameters(config, num_channels, rng)`` draws a fresh initialisation,
+    tensor by tensor in layout order; ``Parameters.over`` lays the tensors
+    over a given vector without drawing or copying.
     """
 
-    def __init__(self, config: ModelConfig, num_channels: int,
-                 rng: np.random.Generator | None):
-        if num_channels < 1:
-            raise ValueError("num_channels must be >= 1")
+    def __init__(self, config: ModelConfig, num_channels: int, rng: np.random.Generator):
+        self._start(config, num_channels)
+        self._lay_out(layout(config, num_channels), rng=rng)
+
+    @classmethod
+    def over(cls, config: ModelConfig, num_channels: int, vector: np.ndarray) -> "Parameters":
+        """Parameters whose group vectors, in order, are views of the whole
+        of ``vector`` (float64, contiguous), as a checkpoint stores them."""
+        params = cls.__new__(cls)
+        params._start(config, num_channels)
+        params._lay_out(layout(config, num_channels), vector)
+        return params
+
+    def _start(self, config: ModelConfig, num_channels: int):
         self.config = config
         self.num_channels = num_channels
+        self.layout: dict[str, list] = {}
         self.tensors: dict[str, Tensor] = {}
         self.groups: dict[str, list[str]] = {}
         self.flat: dict[str, np.ndarray] = {}
         self.flat_grad: dict[str, np.ndarray] = {}
-        self._unplaced: list[str] = []   # added since the last _lay_out, in order
-        self._build(rng)
 
-    def _add(self, name, data):
-        self.tensors[name] = Tensor(data, requires_grad=True)
-        self._unplaced.append(name)
-
-    def _uniform(self, name, shape, rng):
+    def _lay_out(self, groups: dict, vector: np.ndarray | None = None, rng=None):
+        """Lay the tensors of ``groups`` (a ``layout`` or part of one) over
+        ``vector``, or, without one, over a fresh vector filled in layout
+        order with draws from ``rng`` and the layer norms' constants; the
+        gradients are views of one fresh zero vector."""
+        total = sum(group_sizes(groups).values())
+        drawn = vector is None
+        if drawn:
+            vector = np.empty(total)
+        elif vector.shape != (total,):
+            raise ValueError(f"a vector of {vector.size} floats for a layout of {total}")
+        grad_vector = np.zeros(total)
         bound = 1.0 / math.sqrt(self.config.d)
-        self._add(name, np.zeros(shape) if rng is None
-                  else rng.uniform(-bound, bound, size=shape))
-
-    def _layer_norm_params(self, prefix):
-        self._add(f"{prefix}.g", np.ones(self.config.d))
-        self._add(f"{prefix}.b", np.zeros(self.config.d))
-
-    def _attn_params(self, prefix, rng):
-        d = self.config.d
-        for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
-            self._uniform(f"{prefix}.{w}", (d, d), rng)
-            self._uniform(f"{prefix}.{b}", (d,), rng)
-
-    def _ffn_params(self, prefix, hid, rng):
-        d = self.config.d
-        self._uniform(f"{prefix}.w1", (d, hid), rng)
-        self._uniform(f"{prefix}.b1", (hid,), rng)
-        self._uniform(f"{prefix}.w2", (hid, d), rng)
-        self._uniform(f"{prefix}.b2", (d,), rng)
-
-    def _channel_params(self, rng):
-        d, k = self.config.d, self.num_channels
-        self._uniform("biaffine.w3", (d, k, d), rng)
-        self._uniform("biaffine.w4", (k, 2 * d), rng)
-        self._lay_out("biaffine")
-        self._uniform("score.w", (k, k), rng)
-        self._uniform("score.b", (k,), rng)
-        self._lay_out("score")
-
-    def _lay_out(self, group):
-        """Make the tensors added since the previous layout, in the order
-        they were added, the group's tensors, and move them into fresh flat
-        data and gradient vectors."""
-        names, self._unplaced = self._unplaced, []
-        self.groups[group] = names
-        self.flat[group] = np.concatenate([self.tensors[n].data.reshape(-1) for n in names])
-        self.flat_grad[group] = np.zeros_like(self.flat[group])
-        grads = self.split_group(group, self.flat_grad[group])
-        for name, data in self.split_group(group, self.flat[group]).items():
-            self.tensors[name].data, self.tensors[name].grad = data, grads[name]
-
-    def _build(self, rng):
-        cfg = self.config
-        d = cfg.d
-        self._uniform("embed.tok", (cfg.vocab_size, d), rng)
-        self._uniform("embed.pos_x", (cfg.max_len, d), rng)
-        self._uniform("embed.pos_u", (cfg.max_instr_len, d), rng)
-        self._lay_out("embed")
-
-        for i in range(cfg.layers_enc):
-            p = f"enc.{i}"
-            self._layer_norm_params(f"{p}.ln1")
-            self._attn_params(f"{p}.attn", rng)
-            self._layer_norm_params(f"{p}.ln2")
-            self._ffn_params(f"{p}.ffn", d * cfg.ffn_mult, rng)
-            self._lay_out(p)
-        self._layer_norm_params("enc.norm")
-        self._lay_out("enc.norm")
-
-        for i in range(cfg.layers_dec):
-            p = f"dec.{i}"
-            self._layer_norm_params(f"{p}.ln1")
-            self._attn_params(f"{p}.self", rng)
-            self._layer_norm_params(f"{p}.ln2")
-            self._attn_params(f"{p}.cross", rng)
-            self._layer_norm_params(f"{p}.ln3")
-            self._ffn_params(f"{p}.ffn", d * cfg.ffn_mult, rng)
-            self._lay_out(p)
-        self._layer_norm_params("dec.norm")
-        self._lay_out("dec.norm")
-
-        self._uniform("label_attn.w1", (d, d), rng)
-        self._uniform("label_attn.w2", (d, d), rng)
-        self._lay_out("label_attn")
-
-        for mlp in ("head_mlp", "tail_mlp"):
-            self._ffn_params(mlp, d, rng)
-            self._lay_out(mlp)
-
-        self._channel_params(rng)
-
-        # tensor order is group-concatenation order, which checkpoints rely on
-        assert [n for names in self.groups.values() for n in names] == list(self.tensors)
+        lo = 0
+        for group, specs in groups.items():
+            start = lo
+            for name, shape, fill in specs:
+                size = math.prod(shape)
+                data = vector[lo:lo + size].reshape(shape)
+                if drawn:
+                    data[...] = rng.uniform(-bound, bound, size=shape) if fill is None else fill
+                tensor = self.tensors[name] = Tensor(data)
+                tensor.requires_grad, tensor.grad = True, grad_vector[lo:lo + size].reshape(shape)
+                lo += size
+            self.layout[group] = specs
+            self.groups[group] = [name for name, _, _ in specs]
+            self.flat[group], self.flat_grad[group] = vector[start:lo], grad_vector[start:lo]
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -251,10 +261,19 @@ class Parameters:
         """Views into a vector laid out like ``flat[group]``, one per tensor
         of the group, each with that tensor's shape."""
         views, lo = {}, 0
-        for name in self.groups[group]:
-            t = self.tensors[name]
-            views[name] = flat[lo:lo + t.size].reshape(t.shape)
-            lo += t.size
+        for name, shape, _ in self.layout[group]:
+            size = math.prod(shape)
+            views[name] = flat[lo:lo + size].reshape(shape)
+            lo += size
+        return views
+
+    def group_views(self, vector: np.ndarray) -> dict:
+        """Views into a vector laid out like all group vectors end to end,
+        one per group."""
+        views, lo = {}, 0
+        for group, flat in self.flat.items():
+            views[group] = vector[lo:lo + flat.size]
+            lo += flat.size
         return views
 
     def copy_values(self) -> dict:
@@ -270,8 +289,8 @@ class Parameters:
     def reinit_channels(self, num_channels: int, rng: np.random.Generator):
         """Re-instantiate only the channel-width-dependent tensors for a new K,
         in new group vectors; every other group keeps its vectors."""
+        self._lay_out(_channel_layout(self.config.d, num_channels), rng=rng)
         self.num_channels = num_channels
-        self._channel_params(rng)
 
 
 @dataclass(frozen=True)

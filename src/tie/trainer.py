@@ -164,12 +164,16 @@ class Adam:
 
     Each group's moments ``m[group]`` and ``v[group]`` are flat vectors laid
     out like ``Parameters.flat[group]`` (``Parameters.split_group`` gives
-    their per-tensor views), and a step is one in-place update of that
-    group vector, computed in two scratch vectors the group keeps.
+    their per-tensor views): zeros, or, given ``moments``, the per-group
+    views (``Parameters.group_views``) of two vectors laid out like all
+    groups end to end, as a loaded checkpoint holds them. A step is one
+    in-place update of the group vector, computed in two scratch vectors
+    that the group gets at its first update.
     """
 
     def __init__(self, params: Parameters, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 moments: tuple | None = None):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -178,16 +182,20 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
         self._owners = {}   # the group vectors the moments belong to
-        self._scratch = {}  # two group-sized work vectors per group
-        for group in params.groups:
-            self._fresh_group(params, group)
+        self._scratch = {}  # two group-sized work vectors per group that has stepped
+        if moments is None:
+            for group in params.groups:
+                self._fresh_group(params, group)
+        else:
+            self.m, self.v = (params.group_views(vec) for vec in moments)
+            self._owners = dict(params.flat)
+            self.t = dict.fromkeys(params.groups, 0)
 
     def _fresh_group(self, params: Parameters, group: str):
         self.m[group] = np.zeros_like(params.flat[group])
         self.v[group] = np.zeros_like(params.flat[group])
         self._owners[group] = params.flat[group]
-        self._scratch[group] = (np.empty_like(params.flat[group]),
-                                np.empty_like(params.flat[group]))
+        self._scratch.pop(group, None)
         self.t[group] = 0
 
     def sync(self, params: Parameters):
@@ -203,6 +211,8 @@ class Adam:
         self.t[group] += 1
         t = self.t[group]
         m, v = self.m[group], self.v[group]
+        if group not in self._scratch:
+            self._scratch[group] = (np.empty_like(m), np.empty_like(m))
         step, denom = self._scratch[group]
         m *= self.beta1
         np.multiply(flat_grad, 1 - self.beta1, out=step)
@@ -306,8 +316,9 @@ def _train_step(state: TrainState, dataset: Dataset, token_ids, golds,
                 batch_indices, pool: InstructionPool, cfg: TrainConfig,
                 seed: int, epoch: int, batch_idx: int, gate: bool) -> tuple:
     rng_instr = rng_for(seed, "instr", epoch, batch_idx)
-    rng_drop = rng_for(seed, "drop", epoch, batch_idx)
     params = state.params
+    # nothing draws from the dropout stream at rate 0
+    rng_drop = rng_for(seed, "drop", epoch, batch_idx) if params.config.dropout > 0 else None
     instructions = [select(pool, dataset.id, rng_instr) for _ in batch_indices]
     batch = make_batch([token_ids[i] for i in batch_indices],
                        [ins.token_ids for ins in instructions],

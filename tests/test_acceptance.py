@@ -19,11 +19,12 @@ from tie.data import Instance, LabelSpace, Link, Mention, build_vocab
 from tie.instructions import build_pool
 from tie.metrics import arg_f1, ent_f1, rel_f1, senti_triplet_f1, trig_f1
 from tie.model import ModelConfig, Parameters
-from tie.synth import FUZZ_SPACES, fuzz_instance, make_synth
+from tie.synth import make_synth
 from tie import trainer as T
 from tie.evaluate import predict_split
 from tie.trainer import Adam, GradientSnapshot, TrainConfig, TrainState, gated_step
 
+from fuzz import FUZZ_SPACES, fuzz_instance
 from grids import lift
 
 

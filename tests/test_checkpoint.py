@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -42,6 +43,14 @@ def run_pretrain(steps, tmp_path, resume_at=None):
         loaded = load_checkpoint(path)
         state = loaded.state
         assert state.step == resume_at
+        # parameters, moments and snapshot are views of one buffer, the
+        # file as read
+        vectors = [*state.params.flat.values(), *state.optimizer.m.values(),
+                   *state.optimizer.v.values(), *state.snapshot.prev.values()]
+        assert len(vectors) == 4 * len(state.params.groups)
+        buffer = vectors[0].base
+        assert all(vec.base is buffer and np.shares_memory(vec, buffer) for vec in vectors)
+        assert sum(vec.nbytes for vec in vectors) < buffer.nbytes < path.stat().st_size + 8
     T.pretrain(state, [a, b], pool, vocab, tcfg, seed=4, eval_dev=False)
     return state
 
@@ -225,7 +234,7 @@ def _unseen_faults(header, payload):
         "vocab_size 1e14": ({**header, "model_config": {**cfg, "vocab_size": 10**14}}, payload,
                             "vocab has 65 ids .*vocab_size is 100000000000000"),
         "max_len 1e14": ({**header, "model_config": {**cfg, "max_len": 10**14}}, payload,
-                         "too large to lay out"),
+                         r"manifest entry 1 .*param/embed.pos_x.*\[100000000000000, 4\]"),
     }
 
 
@@ -241,6 +250,24 @@ def test_header_fault_under_a_valid_crc_is_rejected(tmp_path, label):
     bad.write_bytes(_file(mutant, payload))
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(bad)
+
+
+def test_large_model_config_is_rejected_before_anything_is_allocated(tmp_path):
+    # a 2,000,000-row position table is 64 MB of parameters, and three times
+    # that with the moments; the manifest check comes first
+    raw = TWO_GATED_STEPS.read_bytes()
+    header, _ = _split_header(raw)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(raw, {**header, "model_config": {**header["model_config"],
+                                                                  "max_len": 2_000_000}}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=r"manifest entry 1 .*2000000, 4\]"):
+            load_checkpoint(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def _header_mutants(header, rng):

@@ -257,7 +257,8 @@ def test_malformed_checkpoint_header_exits_2(tmp_path, capsys):
                           ({**header, "model_config": {**cfg, "vocab_size": 10**14}},
                            "vocab_size is 100000000000000"),
                           ({**header, "model_config": {**cfg, "max_len": 10**14}},
-                           "too large to lay out")):
+                           "the model's manifest covers {'name': 'param/embed.pos_x', "
+                           "'dtype': 'f8', 'dims': [100000000000000, 8]")):
         ckpt.write_bytes(_with_header(raw, mutant))
         rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "ev"),
                    "--checkpoint", str(ckpt)])

@@ -4,8 +4,8 @@ import pytest
 from tie import codec
 from tie.codec import decode, encode, gold_entity_set, gold_link_set
 from tie.data import Instance, LabelSpace, Link, Mention
-from tie.synth import FUZZ_SPACES, fuzz_instance
 
+from fuzz import FUZZ_SPACES, fuzz_instance
 from grids import lift
 
 CONLL_LIKE = LabelSpace(["PER", "ORG", "LOC", "MISC"], [])

@@ -318,13 +318,21 @@ def test_group_partition_covers_all_params():
     assert len(covered) == len(set(covered))
 
 
-def test_parameters_without_rng_are_laid_out_undrawn():
-    drawn, undrawn = toy_params(), Parameters(toy_params().config, 3, None)
-    assert drawn.groups == undrawn.groups
-    for name, t in undrawn.tensors.items():
+def test_parameters_laid_over_a_vector_are_views_of_it_in_layout_order():
+    drawn = toy_params()
+    vector = np.arange(sum(vec.size for vec in drawn.flat.values()), dtype=float)
+    over = Parameters.over(drawn.config, 3, vector)
+    assert over.groups == drawn.groups
+    assert list(over.tensors) == list(drawn.tensors)
+    lo = 0
+    for name, t in over.tensors.items():
         assert t.shape == drawn[name].shape, name
-        assert np.array_equal(t.data, np.ones(t.shape) if name.endswith(".g")
-                              else np.zeros(t.shape)), name
+        assert np.shares_memory(t.data, vector), name
+        assert np.array_equal(t.data, vector[lo:lo + t.size].reshape(t.shape)), name
+        lo += t.size
+    assert lo == vector.size
+    with pytest.raises(ValueError, match="floats for a layout of"):
+        Parameters.over(drawn.config, 3, vector[1:])
 
 
 def test_reinit_channels_touches_only_channel_groups():

@@ -8,7 +8,9 @@ from tie.data import load_manifest
 from tie.instructions import parse_template
 from tie.data import build_vocab
 from tie import synth
-from tie.synth import fuzz_instance, make_synth, write_synth
+from tie.synth import make_synth, write_synth
+
+from fuzz import FUZZ_SPACES, fuzz_instance
 
 
 @pytest.mark.parametrize("kind,expected_ids", [
@@ -112,7 +114,7 @@ def test_write_synth_byte_identical_reruns(tmp_path):
 
 def test_fuzz_instances_are_valid():
     rng = np.random.default_rng(0)
-    for task, space in synth.FUZZ_SPACES.items():
+    for task, space in FUZZ_SPACES.items():
         for _ in range(50):
             inst = fuzz_instance(task, rng)
             n = len(inst.tokens)
