@@ -8,13 +8,13 @@ Layout:
     UTF-8 JSON header: run metadata plus a tensor manifest of
         {"name", "dtype", "dims", "offset"} entries, offsets relative to the
         start of the payload region
-    payload: the state's group vectors as raw little-endian float64, in order
+    payload: the state's vectors as raw little-endian float64, in order
     u32 LE CRC32 of the payload region
 
-The group vectors are the parameters of all groups in ``Parameters.groups``
-order, then the Adam first moments of all groups, then the second moments,
-then the gate's previous-batch gradients if the run has them, so a loaded
-checkpoint resumes the exact training trajectory. The manifest is derived
+The vectors are ``Parameters.vector`` (all groups end to end), the Adam
+first and second moments laid out like it, then the gate's snapshot of the
+previous batch's gradient if the run has one, so a loaded checkpoint
+resumes the exact training trajectory. The manifest is derived
 from the model's ``layout`` (names and shapes, no arrays), and a loaded
 file's manifest must equal the one its model_config implies. A loaded
 state's parameters, Adam moments and snapshot are views of one aligned copy
@@ -60,9 +60,8 @@ class Checkpoint:
 
 def _stored(state: TrainState) -> list:
     """Every vector of the payload, in payload order."""
-    params, optimizer = state.params, state.optimizer
-    return [vectors[group] for vectors in (params.flat, optimizer.m, optimizer.v)
-            for group in params.groups] + list(state.snapshot.prev.values())
+    vectors = [state.params.vector, *state.optimizer.moments, state.snapshot.vector]
+    return [vec for vec in vectors if vec is not None]
 
 
 def _manifest(groups: dict, snapshot: dict) -> list:
@@ -180,7 +179,7 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     tokens = header["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CheckpointError(f"{path}: vocab must be a list of strings")
-    vocab = Vocabulary.from_json(tokens)
+    vocab = Vocabulary(tokens)
     if len(vocab) != config.vocab_size:
         # token ids past the embedding table, or tokens read as other rows
         raise CheckpointError(f"{path}: vocab has {len(vocab)} ids (3 reserved), "
@@ -201,8 +200,8 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     step = _count(path, header, "step")
 
     manifest = header["manifest"]
-    # the gate stores every group's gradient at once, so a snapshot is absent
-    # (before the first step) or has one vector per group
+    # the gate stores the whole gradient at once, so a snapshot is absent
+    # (before the first step) or covers every group
     with_snapshot = len(manifest) > 3 * sum(map(len, groups.values()))
     sizes = group_sizes(groups)
     expected = _manifest(groups, sizes if with_snapshot else {})
@@ -229,7 +228,8 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     optimizer.t = steps
     snapshot = GradientSnapshot()
     if with_snapshot:
-        snapshot.prev = params.group_views(words[3 * n:])
+        snapshot.vector = words[3 * n:]
+        snapshot.prev = params.group_views(snapshot.vector)
     return Checkpoint(config=config, num_channels=num_channels,
                       seed=_count(path, header, "seed"), step=step, vocab=vocab,
                       state=TrainState(params=params, optimizer=optimizer,

@@ -91,7 +91,9 @@ class RunConfig:
         if overrides.get("seed") is not None:
             raw["seed"] = overrides["seed"]
         if overrides.get("out") is not None:
-            raw["out"] = overrides["out"]
+            raw["out"] = overrides["out"]   # relative to the working directory
+        elif isinstance(raw.get("out"), str):
+            raw["out"] = str(base / raw["out"])
         if overrides.get("threshold") is not None:
             raw.setdefault("train", {})["threshold"] = overrides["threshold"]
 

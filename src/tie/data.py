@@ -338,10 +338,6 @@ class Vocabulary:
     def to_json(self) -> list:
         return self.id_to_token[len(_RESERVED):]
 
-    @classmethod
-    def from_json(cls, tokens) -> "Vocabulary":
-        return cls(tokens)
-
 
 def build_vocab(datasets, min_count: int = 1, extra_texts=()) -> Vocabulary:
     """Count tokens over training splits (plus optional raw texts, e.g.

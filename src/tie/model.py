@@ -12,7 +12,7 @@ attention masks padded keys so that no real position sees padding.
 
 All parameters are named, and names are partitioned into groups (one per
 layer-like unit); the trainer's update gate operates on those groups, and
-each group's tensors live in one flat vector (``Parameters``). ``layout``
+all groups' tensors live end to end in one vector (``Parameters``). ``layout``
 lists the groups and their tensors' names and shapes without any array. A
 config field declares its rule in ``field(metadata=...)``, and
 ``check_fields`` checks type and rule when a config is built, so every
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -134,20 +135,14 @@ def _ffn_specs(prefix: str, d: int, hid: int) -> list:
             (f"{prefix}.w2", (hid, d), None), (f"{prefix}.b2", (d,), None)]
 
 
-def _channel_layout(d: int, num_channels: int) -> dict:
-    if num_channels < 1:
-        raise ValueError("num_channels must be >= 1")
-    k = num_channels
-    return {"biaffine": [("biaffine.w3", (d, k, d), None), ("biaffine.w4", (k, 2 * d), None)],
-            "score": [("score.w", (k, k), None), ("score.b", (k,), None)]}
-
-
 def layout(config: ModelConfig, num_channels: int) -> dict:
     """The model's tensors without their values: group -> [(name, shape,
     fill)] in group order, each group's tensors in the order they are drawn
     and stored. ``fill`` is a layer norm's constant, or None for a tensor
     drawn uniformly."""
-    d, hid = config.d, config.d * config.ffn_mult
+    if num_channels < 1:
+        raise ValueError("num_channels must be >= 1")
+    d, hid, k = config.d, config.d * config.ffn_mult, num_channels
     groups = {"embed": [("embed.tok", (config.vocab_size, d), None),
                         ("embed.pos_x", (config.max_len, d), None),
                         ("embed.pos_u", (config.max_instr_len, d), None)]}
@@ -165,30 +160,32 @@ def layout(config: ModelConfig, num_channels: int) -> dict:
     groups["label_attn"] = [("label_attn.w1", (d, d), None), ("label_attn.w2", (d, d), None)]
     for mlp in ("head_mlp", "tail_mlp"):
         groups[mlp] = _ffn_specs(mlp, d, d)
-    return {**groups, **_channel_layout(d, num_channels)}
+    # the channel groups last, so that a new K keeps every other group's offset
+    groups["biaffine"] = [("biaffine.w3", (d, k, d), None), ("biaffine.w4", (k, 2 * d), None)]
+    groups["score"] = [("score.w", (k, k), None), ("score.b", (k,), None)]
+    return groups
 
 
 def group_sizes(groups: dict) -> dict:
-    """group -> number of floats, for a ``layout`` or part of one."""
+    """group -> number of floats, for a ``layout``."""
     return {g: sum(math.prod(shape) for _, shape, _ in specs) for g, specs in groups.items()}
 
 
 class Parameters:
-    """Named parameter tensors, laid out in one flat vector per group.
+    """Named parameter tensors, laid out in one data vector and one
+    gradient vector.
 
     ``layout`` (the module function, kept as ``self.layout``) gives every
     group's tensor names and shapes without any array. Every trainable
     tensor belongs to exactly one group; groups are the unit the training
-    gate freezes or updates. Each group owns one data vector ``flat[group]``
-    and one gradient vector ``flat_grad[group]``: its tensors in layout
-    order, each flattened. Every tensor's ``data`` and ``grad`` are views
-    into them with the tensor's shape, so a backward pass accumulates
-    straight into the group's gradient vector and one in-place update of
-    ``flat[group]`` moves all of the group's tensors. The groups' vectors
-    are views of one data vector and one zero gradient vector, in group
-    order (``reinit_channels`` gives the channel groups vectors of their
-    own); ``split_group`` is the one map from a group vector to its
-    tensors.
+    gate freezes or updates. The model owns one data vector ``vector`` and
+    one gradient vector ``grad``, all groups end to end in layout order,
+    each group's tensors in layout order, each flattened. ``flat[group]``
+    and ``flat_grad[group]`` are a group's views of them, and every
+    tensor's ``data`` and ``grad`` are views with the tensor's shape, so a
+    backward pass accumulates straight into ``grad`` and one in-place
+    update of ``flat[group]`` moves all of the group's tensors.
+    ``group_views`` splits any vector laid out like ``vector`` by group.
 
     ``Parameters(config, num_channels, rng)`` draws a fresh initialisation,
     tensor by tensor in layout order; ``Parameters.over`` lays the tensors
@@ -196,101 +193,75 @@ class Parameters:
     """
 
     def __init__(self, config: ModelConfig, num_channels: int, rng: np.random.Generator):
-        self._start(config, num_channels)
-        self._lay_out(layout(config, num_channels), rng=rng)
+        self._lay_out(config, num_channels, rng=rng)
 
     @classmethod
     def over(cls, config: ModelConfig, num_channels: int, vector: np.ndarray) -> "Parameters":
-        """Parameters whose group vectors, in order, are views of the whole
-        of ``vector`` (float64, contiguous), as a checkpoint stores them."""
+        """Parameters whose ``vector`` is ``vector`` (float64, contiguous),
+        as a checkpoint stores it."""
         params = cls.__new__(cls)
-        params._start(config, num_channels)
-        params._lay_out(layout(config, num_channels), vector)
+        params._lay_out(config, num_channels, vector)
         return params
 
-    def _start(self, config: ModelConfig, num_channels: int):
-        self.config = config
-        self.num_channels = num_channels
-        self.layout: dict[str, list] = {}
-        self.tensors: dict[str, Tensor] = {}
-        self.groups: dict[str, list[str]] = {}
-        self.flat: dict[str, np.ndarray] = {}
-        self.flat_grad: dict[str, np.ndarray] = {}
-
-    def _lay_out(self, groups: dict, vector: np.ndarray | None = None, rng=None):
-        """Lay the tensors of ``groups`` (a ``layout`` or part of one) over
-        ``vector``, or, without one, over a fresh vector filled in layout
-        order with draws from ``rng`` and the layer norms' constants; the
-        gradients are views of one fresh zero vector."""
-        total = sum(group_sizes(groups).values())
+    def _lay_out(self, config: ModelConfig, num_channels: int,
+                 vector: np.ndarray | None = None, rng=None, kept=()):
+        """Lay every tensor of the model over ``vector``, or, without one,
+        over a fresh vector that starts with the values ``kept`` and is
+        filled on from there in layout order with draws from ``rng`` and the
+        layer norms' constants; the gradients are views of a fresh zero
+        vector."""
+        self.config, self.num_channels = config, num_channels
+        self.layout = layout(config, num_channels)
+        total = sum(group_sizes(self.layout).values())
         drawn = vector is None
         if drawn:
             vector = np.empty(total)
+            vector[:len(kept)] = kept
         elif vector.shape != (total,):
             raise ValueError(f"a vector of {vector.size} floats for a layout of {total}")
-        grad_vector = np.zeros(total)
-        bound = 1.0 / math.sqrt(self.config.d)
+        self.vector, self.grad = vector, np.zeros(total)
+        self.tensors: dict[str, Tensor] = {}
+        bound = 1.0 / math.sqrt(config.d)
         lo = 0
-        for group, specs in groups.items():
-            start = lo
-            for name, shape, fill in specs:
-                size = math.prod(shape)
-                data = vector[lo:lo + size].reshape(shape)
-                if drawn:
-                    data[...] = rng.uniform(-bound, bound, size=shape) if fill is None else fill
-                tensor = self.tensors[name] = Tensor(data)
-                tensor.requires_grad, tensor.grad = True, grad_vector[lo:lo + size].reshape(shape)
-                lo += size
-            self.layout[group] = specs
-            self.groups[group] = [name for name, _, _ in specs]
-            self.flat[group], self.flat_grad[group] = vector[start:lo], grad_vector[start:lo]
+        for name, shape, fill in (spec for specs in self.layout.values() for spec in specs):
+            size = math.prod(shape)
+            data = vector[lo:lo + size].reshape(shape)
+            if drawn and lo >= len(kept):
+                data[...] = rng.uniform(-bound, bound, size=shape) if fill is None else fill
+            tensor = self.tensors[name] = Tensor(data)
+            tensor.requires_grad, tensor.grad = True, self.grad[lo:lo + size].reshape(shape)
+            lo += size
+        self.groups = {group: [name for name, _, _ in specs]
+                       for group, specs in self.layout.items()}
+        self.flat, self.flat_grad = self.group_views(vector), self.group_views(self.grad)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
     def zero_grads(self):
-        for grad in self.flat_grad.values():
-            grad[...] = 0.0
+        self.grad[...] = 0.0
 
     def grads(self) -> dict:
-        """The live per-group gradient vectors, not copies: valid until the
+        """The live per-group views of ``grad``, not copies: valid until the
         next ``zero_grads`` or backward pass writes into them."""
         return dict(self.flat_grad)
 
-    def split_group(self, group: str, flat: np.ndarray) -> dict:
-        """Views into a vector laid out like ``flat[group]``, one per tensor
-        of the group, each with that tensor's shape."""
-        views, lo = {}, 0
-        for name, shape, _ in self.layout[group]:
-            size = math.prod(shape)
-            views[name] = flat[lo:lo + size].reshape(shape)
-            lo += size
-        return views
-
     def group_views(self, vector: np.ndarray) -> dict:
-        """Views into a vector laid out like all group vectors end to end,
-        one per group."""
-        views, lo = {}, 0
-        for group, flat in self.flat.items():
-            views[group] = vector[lo:lo + flat.size]
-            lo += flat.size
-        return views
+        """Views into a vector laid out like ``vector``, one per group."""
+        ends = list(accumulate(group_sizes(self.layout).values()))
+        return dict(zip(self.layout, np.split(vector, ends[:-1])))
 
-    def copy_values(self) -> dict:
-        return {name: t.data.copy() for name, t in self.tensors.items()}
-
-    def load_values(self, values: dict):
-        for name, t in self.tensors.items():
-            if t.data.shape != values[name].shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"{t.data.shape} vs {values[name].shape}")
-            t.data[...] = values[name]
+    @property
+    def channel_start(self) -> int:
+        """The offset in ``vector`` of the channel groups, which ``layout``
+        puts last: ``reinit_channels`` keeps everything before it."""
+        return self.vector.size - sum(self.flat[g].size for g in CHANNEL_GROUPS)
 
     def reinit_channels(self, num_channels: int, rng: np.random.Generator):
-        """Re-instantiate only the channel-width-dependent tensors for a new K,
-        in new group vectors; every other group keeps its vectors."""
-        self._lay_out(_channel_layout(self.config.d, num_channels), rng=rng)
-        self.num_channels = num_channels
+        """Lay the model out anew for ``num_channels`` in a new ``vector``:
+        every group but the channel groups keeps its values, and the channel
+        tensors are drawn from ``rng`` in layout order."""
+        self._lay_out(self.config, num_channels, rng=rng, kept=self.vector[:self.channel_start])
 
 
 @dataclass(frozen=True)

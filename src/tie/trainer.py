@@ -27,7 +27,8 @@ from .codec import encode
 from .data import Dataset, Vocabulary
 from .evaluate import evaluate_split
 from .instructions import InstructionPool, select
-from .model import Parameters, at_least, check_fields, forward, make_batch, rule
+from .model import (CHANNEL_GROUPS, Parameters, at_least, check_fields, forward, make_batch,
+                    rule)
 
 __all__ = [
     "TrainConfig",
@@ -93,7 +94,6 @@ def loss(logits, gold, weights):
 @dataclass
 class BatchPlan:
     batches: list            # [(dataset_id, [instance indices])]
-    batch_size: int
     forced_adjacent: list = field(default_factory=list)  # plan positions
 
     def __len__(self):
@@ -127,7 +127,7 @@ def plan_epoch(sizes: dict, batch_size: int, rng: np.random.Generator,
 
     if not interleave:
         batches = [(ds_id, b) for ds_id in queues for b in queues[ds_id]]
-        return BatchPlan(batches=batches, batch_size=batch_size)
+        return BatchPlan(batches=batches)
 
     batches = []
     forced = []
@@ -142,33 +142,37 @@ def plan_epoch(sizes: dict, batch_size: int, rng: np.random.Generator,
             ds_id = candidates[int(rng.choice(len(candidates), p=weights / weights.sum()))]
         batches.append((ds_id, queues[ds_id].pop(0)))
         prev = ds_id
-    return BatchPlan(batches=batches, batch_size=batch_size, forced_adjacent=forced)
+    return BatchPlan(batches=batches, forced_adjacent=forced)
 
 
 class GradientSnapshot:
-    """Per-group flat gradients of the previous batch (g at t-1), laid out
-    like ``Parameters.flat_grad``."""
+    """The previous batch's gradient (g at t-1): one vector ``vector`` laid
+    out like ``Parameters.grad``, with group views ``prev``; None and empty
+    before the first step."""
 
     def __init__(self):
+        self.vector: np.ndarray | None = None
         self.prev: dict[str, np.ndarray] = {}
 
-    def store(self, flat_by_group: dict):
-        """Keep copies of the given per-group vectors: they are the live
-        gradient buffers, which the next step's backward overwrites."""
-        self.prev = {group: vec.copy() for group, vec in flat_by_group.items()}
+    def store(self, params: Parameters):
+        """Copy ``params.grad``, the live gradient that the next backward
+        overwrites, into ``vector``, made at the first store and reused."""
+        if self.vector is None:
+            self.vector = params.grad.copy()
+            self.prev = params.group_views(self.vector)
+        else:
+            self.vector[...] = params.grad
 
 
 class Adam:
     """Adaptive update with per-group step counters so frozen groups keep
     their moments and bias correction untouched.
 
-    Each group's moments ``m[group]`` and ``v[group]`` are flat vectors laid
-    out like ``Parameters.flat[group]`` (``Parameters.split_group`` gives
-    their per-tensor views): zeros, or, given ``moments``, the per-group
-    views (``Parameters.group_views``) of two vectors laid out like all
-    groups end to end, as a loaded checkpoint holds them. A step is one
-    in-place update of the group vector, computed in two scratch vectors
-    that the group gets at its first update.
+    The moments are two vectors ``moments`` laid out like
+    ``Parameters.vector``: zeros, or, given ``moments``, two such vectors
+    as a loaded checkpoint holds them. ``m[group]`` and ``v[group]`` are
+    their group views. A step is one in-place update of the group vector,
+    computed in two scratch vectors that the group gets at its first update.
     """
 
     def __init__(self, params: Parameters, lr: float,
@@ -178,32 +182,29 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t: dict[str, int] = {}
-        self._owners = {}   # the group vectors the moments belong to
-        self._scratch = {}  # two group-sized work vectors per group that has stepped
         if moments is None:
-            for group in params.groups:
-                self._fresh_group(params, group)
-        else:
-            self.m, self.v = (params.group_views(vec) for vec in moments)
-            self._owners = dict(params.flat)
-            self.t = dict.fromkeys(params.groups, 0)
+            moments = (np.zeros_like(params.vector), np.zeros_like(params.vector))
+        self._lay_out(params, moments)
+        self.t: dict[str, int] = dict.fromkeys(params.groups, 0)
 
-    def _fresh_group(self, params: Parameters, group: str):
-        self.m[group] = np.zeros_like(params.flat[group])
-        self.v[group] = np.zeros_like(params.flat[group])
-        self._owners[group] = params.flat[group]
-        self._scratch.pop(group, None)
-        self.t[group] = 0
+    def _lay_out(self, params: Parameters, moments: tuple):
+        self.moments = moments
+        self.m, self.v = (params.group_views(vec) for vec in moments)
+        self._vector = params.vector   # the parameter vector they are laid out for
+        self._scratch = {}   # two group-sized work vectors per group that has stepped
 
     def sync(self, params: Parameters):
-        """Fresh moments and step count for every group laid out anew since
-        this optimizer saw it (``reinit_channels``)."""
-        for group, flat in params.flat.items():
-            if self._owners[group] is not flat:
-                self._fresh_group(params, group)
+        """Lay the moments out anew if ``params.vector`` was replaced
+        (``reinit_channels``): the groups before the channel groups keep
+        their moments and step counts, the channel groups start at zero."""
+        if params.vector is self._vector:
+            return
+        kept = params.channel_start
+        moments = tuple(np.zeros_like(params.vector) for _ in self.moments)
+        for new, old in zip(moments, self.moments):
+            new[:kept] = old[:kept]
+        self._lay_out(params, moments)
+        self.t.update(dict.fromkeys(CHANNEL_GROUPS, 0))
 
     def update_group(self, params: Parameters, group: str, flat_grad: np.ndarray):
         """One Adam step for ``group`` from its flat gradient (laid out like
@@ -255,27 +256,30 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
                granularity: str = "group") -> dict:
     """Apply one optimizer step under the gradient-agreement gate.
 
-    ``grads`` holds each group's flat gradient vector (``Parameters.grads``).
-    A group updates iff the inner product of its current gradient with the
-    previous batch's gradient is strictly positive; with no previous
-    gradient (first step) it always updates. The snapshot then stores a copy
-    of the current gradients for every group, updated or not. Returns per-group
-    decisions {"dot", "updated"}.
+    ``grads`` holds each group's view of ``params.grad``
+    (``Parameters.grads``). A group updates iff the inner product of its
+    current gradient with the previous batch's gradient is strictly
+    positive; with no previous gradient (first step) it always updates.
+    Under ``"global"`` granularity one dot over the whole gradient decides
+    for all groups. The snapshot then stores a copy of the current gradient,
+    every group's, updated or not. Returns per-group decisions {"dot",
+    "updated"}.
     """
-    for group, vec in grads.items():
-        # the sum screens; an overflowing sum of finite values is rechecked
-        if not np.isfinite(vec.sum()) and not np.isfinite(vec).all():
-            name = next(n for n, g in params.split_group(group, vec).items()
-                        if not np.isfinite(g).all())
-            raise TrainingDiverged(f"non-finite gradient in {name}")
+    # the sum screens; an overflowing sum of finite values is rechecked
+    if not np.isfinite(params.grad.sum()) and not np.isfinite(params.grad).all():
+        name = next(n for n, t in params.tensors.items() if not np.isfinite(t.grad).all())
+        raise TrainingDiverged(f"non-finite gradient in {name}")
 
-    # a gate unit is one group, or all groups together under "global"
-    units = ([[g] for g in params.groups] if granularity == "group"
-             else [list(params.groups)])
+    # a gate unit is (its groups, its gradient, the snapshot's): one group,
+    # or all groups together under "global"
+    if granularity == "group":
+        units = [([g], grads[g], snapshot.prev.get(g)) for g in params.groups]
+    else:
+        units = [(list(params.groups), params.grad, snapshot.vector)]
     decisions = {}
-    for unit in units:
-        if gate and all(g in snapshot.prev for g in unit):
-            dot = float(_joined(grads, unit) @ _joined(snapshot.prev, unit))
+    for unit, current, previous in units:
+        if gate and previous is not None:
+            dot = float(current @ previous)
             updated = dot > 0.0
         else:
             dot, updated = None, True
@@ -284,13 +288,8 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, grads: dict,
             if updated:
                 optimizer.update_group(params, group, grads[group])
 
-    snapshot.store(grads)
+    snapshot.store(params)
     return decisions
-
-
-def _joined(flat: dict, unit: list) -> np.ndarray:
-    """The unit's flat group vectors as one vector (no copy for one group)."""
-    return flat[unit[0]] if len(unit) == 1 else np.concatenate([flat[g] for g in unit])
 
 
 @dataclass
@@ -422,10 +421,10 @@ def finetune(state: TrainState, target: Dataset, pool: InstructionPool,
                 {"epoch": epoch, "dataset": target.id, "dev_f1": f1}
             )
             if best is None or f1 > best[0]:
-                best = (f1, epoch, state.params.copy_values())
+                best = (f1, epoch, state.params.vector.copy())
     if best is not None:
-        result.best_dev_f1, result.best_epoch, values = best
-        state.params.load_values(values)
+        result.best_dev_f1, result.best_epoch, vector = best
+        state.params.vector[...] = vector
     return result
 
 

@@ -109,8 +109,7 @@ def test_regularization_gate():
         return p, GradientSnapshot(), Adam(p, lr=1e-3)
 
     def grads(p, sign=1.0):
-        for vec in p.flat_grad.values():
-            vec[...] = sign
+        p.grad[...] = sign
         return p.grads()
 
     # per-group: flipping exactly one group's gradient freezes exactly it,
@@ -119,7 +118,7 @@ def test_regularization_gate():
     for flipped in base_p.groups:
         p, snap, adam = fresh()
         gated_step(p, snap, grads(p), adam)
-        before = p.copy_values()
+        before = {n: t.data.copy() for n, t in p.tensors.items()}
         m_before = {n: a.copy() for n, a in adam.m.items()}
         v_before = {n: a.copy() for n, a in adam.v.items()}
         t_before = dict(adam.t)
@@ -374,7 +373,7 @@ def test_transfer_smoke():
         ftcfg = TrainConfig(batch_size=16, finetune_epochs=50,
                             finetune_max_steps=32, lr=lr)
         warm = Parameters(cfg, target.label_space.num_channels, T.rng_for(seed, "init"))
-        warm.load_values(pretrained.copy_values())
+        warm.vector[...] = pretrained.vector
         r_warm = T.finetune(TrainState.fresh(warm, lr), target, pool, vocab,
                             ftcfg, seed=seed + 100)
         cold = Parameters(cfg, target.label_space.num_channels,

@@ -30,6 +30,12 @@ def fixture(size=12, seed=4):
     return [ds for ds, _ in datasets], vocab, pool, params, cfg, k
 
 
+def named(params, vector):
+    """Views of ``vector``, laid out like ``params.vector``, by tensor name."""
+    over = Parameters.over(params.config, params.num_channels, vector)
+    return {name: t.data for name, t in over.tensors.items()}
+
+
 def run_pretrain(steps, tmp_path, resume_at=None):
     (a, b, _t), vocab, pool, params, cfg, k = fixture()
     tcfg = TrainConfig(batch_size=4, pretrain_epochs=10, pretrain_max_steps=steps)
@@ -45,11 +51,13 @@ def run_pretrain(steps, tmp_path, resume_at=None):
         assert state.step == resume_at
         # parameters, moments and snapshot are views of one buffer, the
         # file as read
-        vectors = [*state.params.flat.values(), *state.optimizer.m.values(),
-                   *state.optimizer.v.values(), *state.snapshot.prev.values()]
-        assert len(vectors) == 4 * len(state.params.groups)
+        vectors = [state.params.vector, *state.optimizer.moments, state.snapshot.vector]
+        views = [*state.params.flat.values(), *state.optimizer.m.values(),
+                 *state.optimizer.v.values(), *state.snapshot.prev.values()]
+        assert len(views) == 4 * len(state.params.groups)
         buffer = vectors[0].base
-        assert all(vec.base is buffer and np.shares_memory(vec, buffer) for vec in vectors)
+        assert all(vec.base is buffer and np.shares_memory(vec, buffer)
+                   for vec in vectors + views)
         assert sum(vec.nbytes for vec in vectors) < buffer.nbytes < path.stat().st_size + 8
     T.pretrain(state, [a, b], pool, vocab, tcfg, seed=4, eval_dev=False)
     return state
@@ -111,6 +119,45 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert direct.optimizer.t == resumed.optimizer.t
 
 
+def test_checkpoint_after_retarget_keeping_the_optimizer_resaves_and_resumes(tmp_path):
+    (a, b, _t), vocab, _pool, params, cfg, k = fixture()
+    pretrained = TrainState.fresh(params, 1e-3)
+    T.pretrain(pretrained, [a, b], _pool, vocab, TrainConfig(batch_size=4, pretrain_epochs=1),
+               seed=4, eval_dev=False)
+    target, templates = make_synth("re", 12, 4)[0]
+    pool = build_pool([target], {target.id: templates}, vocab, cfg.max_instr_len)
+    k_target = target.label_space.num_channels
+    assert k_target != k
+    enc_steps = pretrained.optimizer.t["enc.0"]
+    params.reinit_channels(k_target, rng_for(4, "reinit"))
+    ft = TrainConfig(batch_size=4, finetune_epochs=1, finetune_max_steps=2,
+                     reset_optimizer_on_finetune=False)
+    state = T.finetune(pretrained, target, pool, vocab, ft, seed=4, eval_dev=False).state
+    # the kept groups carry their pretraining steps, the channel groups start over
+    assert state.optimizer is pretrained.optimizer
+    assert state.optimizer.t["enc.0"] == enc_steps + 2 and state.optimizer.t["score"] == 2
+
+    first, again = tmp_path / "ft.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(first, Checkpoint(config=cfg, num_channels=k_target, seed=4,
+                                      step=state.step, vocab=vocab, state=state))
+    loaded = load_checkpoint(first)
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == first.read_bytes()
+
+    # the loaded state trains on exactly as the one it was saved from
+    ft = TrainConfig(batch_size=4, finetune_epochs=2, reset_optimizer_on_finetune=False)
+    runs = [T.finetune(s, target, pool, vocab, ft, seed=5, eval_dev=False)
+            for s in (state, loaded.state)]
+    direct, resumed = (run.state for run in runs)
+    assert [r.loss_value for r in runs[0].step_reports] == \
+        [r.loss_value for r in runs[1].step_reports]
+    assert np.array_equal(direct.params.vector, resumed.params.vector)
+    for mine, theirs in zip(direct.optimizer.moments, resumed.optimizer.moments):
+        assert np.array_equal(mine, theirs)
+    assert direct.optimizer.t == resumed.optimizer.t
+    assert np.array_equal(direct.snapshot.vector, resumed.snapshot.vector)
+
+
 # A TIE1 file written by an earlier version of this code: synth aligned_pair
 # (size 4, seed 5), ModelConfig(d=4, heads=2, max_len=12, max_instr_len=20,
 # ffn_mult=1), two gated pretraining steps of batch 2 at seed 5.
@@ -127,15 +174,16 @@ def test_committed_checkpoint_loads_its_bytes_and_resaves_them(tmp_path):
     state = loaded.state
     params, optimizer = state.params, state.optimizer
     assert loaded.step == 2 and set(optimizer.t.values()) == {2}
-    found = {}
+    found = {f"{key}/{n}": view
+             for key, vec in (("param", params.vector), ("adam.m", optimizer.moments[0]),
+                              ("adam.v", optimizer.moments[1]))
+             for n, view in named(params, vec).items()}
     for group in params.groups:
         found[f"snapshot/{group}"] = state.snapshot.prev[group]
         assert state.snapshot.prev[group].any(), group
         for key, vec in (("param", params.flat[group]), ("adam.m", optimizer.m[group]),
                          ("adam.v", optimizer.v[group])):
             assert vec.any(), (key, group)   # two steps made the moments non-zero
-            found.update({f"{key}/{n}": view
-                          for n, view in params.split_group(group, vec).items()})
     assert found.keys() == stored.keys()
     for name, arr in found.items():
         assert np.array_equal(arr, stored[name]), name
@@ -312,10 +360,8 @@ def test_non_finite_tensor_is_rejected_by_name(tmp_path):
     (_a, _b, _t), vocab, _pool, _params, cfg, k = fixture()
     params = state.params
     targets = {"param/score.b": params["score.b"].data,
-               "adam.m/enc.0.attn.wq":
-                   params.split_group("enc.0", state.optimizer.m["enc.0"])["enc.0.attn.wq"],
-               "adam.v/dec.norm.g":
-                   params.split_group("dec.norm", state.optimizer.v["dec.norm"])["dec.norm.g"],
+               "adam.m/enc.0.attn.wq": named(params, state.optimizer.moments[0])["enc.0.attn.wq"],
+               "adam.v/dec.norm.g": named(params, state.optimizer.moments[1])["dec.norm.g"],
                "snapshot/score": state.snapshot.prev["score"]}
     path = tmp_path / "x.ckpt"
     for name, arr in targets.items():
@@ -398,8 +444,8 @@ def test_malformed_header_fuzz_loads_or_raises_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="format_version"):
         load_checkpoint(bad)
     # a snapshot missing one group would make the gate skip its dot once
-    del state.snapshot.prev["enc.0"]
-    save_checkpoint(bad, Checkpoint(config=cfg, num_channels=k, seed=4, step=state.step,
-                                    vocab=vocab, state=state))
+    dropped = [e for e in header["manifest"] if e["name"] != "snapshot/enc.0"]
+    assert len(dropped) == len(header["manifest"]) - 1
+    bad.write_bytes(_with_header(raw, {**header, "manifest": dropped}))
     with pytest.raises(CheckpointError, match="snapshot"):
         load_checkpoint(bad)

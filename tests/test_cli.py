@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tie.cli import RunConfig, main
+from tie.model import Parameters
 
 from test_checkpoint import _split_header, _with_header
 
@@ -90,6 +91,23 @@ def test_finetune_from_random_init(tmp_path):
     ft_out = tmp_path / "ft0"
     assert main(["finetune", "--config", str(cfg_path), "--out", str(ft_out)]) == 0
     assert (ft_out / "finetuned.ckpt").exists()
+
+
+def test_config_out_resolves_against_the_config_directory(tmp_path, monkeypatch):
+    # a config in run/ with "out": "ft", run from its parent directory
+    cfg_path, config = make_config(tmp_path / "run", train={"finetune_epochs": 1})
+    cfg_path.write_text(json.dumps({**config, "out": "ft"}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["finetune", "--config", "run/config.json"]) == 0
+    assert (tmp_path / "run" / "ft" / "finetuned.ckpt").exists()
+    assert not (tmp_path / "ft").exists()
+    echoed = json.loads((tmp_path / "run" / "ft" / "config.json").read_text())
+    assert echoed["out"] == str(Path("run") / "ft")
+    # the --out flag stays relative to the working directory, like --checkpoint
+    assert main(["eval", "--config", "run/config.json", "--checkpoint",
+                 "run/ft/finetuned.ckpt", "--split", "test", "--out", "ev"]) == 0
+    assert (tmp_path / "ev" / "metrics.json").exists()
+    assert not (tmp_path / "run" / "ev").exists()
 
 
 def test_missing_seed_is_field_path_error(tmp_path, capsys):
@@ -346,7 +364,8 @@ def test_finetune_keeping_optimizer_onto_different_channel_count(tmp_path):
                  "--checkpoint", str(out / "pretrained.ckpt")]) == 0
     ckpt = load_checkpoint(ft_out / "finetuned.ckpt")
     assert ckpt.num_channels == 5
-    moments = ckpt.state.params.split_group("biaffine", ckpt.state.optimizer.m["biaffine"])
+    params = ckpt.state.params
+    moments = Parameters.over(params.config, params.num_channels, ckpt.state.optimizer.moments[0])
     assert moments["biaffine.w4"].shape == (5, 16)
     assert ckpt.state.optimizer.t["biaffine"] == ckpt.state.step
     assert ckpt.state.optimizer.t["enc.0"] > ckpt.state.step

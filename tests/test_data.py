@@ -255,7 +255,7 @@ def test_build_vocab_roundtrip_random_corpus():
     words = [f"w{i}" for i in range(40)]
     sents = [" ".join(rng.choice(words, size=rng.integers(3, 9))) for _ in range(100)]
     vocab = data.build_vocab([_ds(sents)])
-    restored = Vocabulary.from_json(json.loads(json.dumps(vocab.to_json())))
+    restored = Vocabulary(json.loads(json.dumps(vocab.to_json())))
     for tok in vocab.to_json():
         assert restored.id_to_token[vocab.id(tok)] == tok
         assert restored.id(tok) == vocab.id(tok)

@@ -338,7 +338,13 @@ def test_parameters_laid_over_a_vector_are_views_of_it_in_layout_order():
 def test_reinit_channels_touches_only_channel_groups():
     p = toy_params(k=3, seed=12)
     before = {n: t.data.copy() for n, t in p.tensors.items()}
+    vector = p.vector
     p.reinit_channels(5, np.random.default_rng(13))
+    # one new vector and one new gradient vector, every tensor a view of them
+    assert p.vector is not vector and p.vector.shape == p.grad.shape
+    assert p.vector.size == sum(t.size for t in p.tensors.values())
+    for t in p.tensors.values():
+        assert np.shares_memory(t.data, p.vector) and np.shares_memory(t.grad, p.grad)
     assert p.tensors["biaffine.w3"].shape == (8, 5, 8)
     assert p.tensors["biaffine.w4"].shape == (5, 16)
     assert p.tensors["score.w"].shape == (5, 5)

@@ -117,9 +117,13 @@ def tiny_params(k=2, seed=0):
 
 def ones_grads(params, sign=1.0):
     """Every gradient of ``params`` set to ``sign``: the live per-group vectors."""
-    for grad in params.flat_grad.values():
-        grad[...] = sign
+    params.grad[...] = sign
     return params.grads()
+
+
+def copied(params):
+    """A copy of the values of ``params``, as tensors by name."""
+    return Parameters.over(params.config, params.num_channels, params.vector.copy())
 
 
 def test_gate_first_step_always_updates():
@@ -133,11 +137,19 @@ def test_gate_first_step_always_updates():
 
 def test_snapshot_keeps_copies_of_the_live_gradients():
     p = tiny_params()
-    snap = GradientSnapshot()
-    gated_step(p, snap, ones_grads(p), Adam(p, lr=1e-3))
+    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    gated_step(p, snap, ones_grads(p), adam)
+    vector = snap.vector
     p.zero_grads()
+    assert not np.shares_memory(vector, p.grad) and np.all(vector == 1.0)
     for group, vec in snap.prev.items():
         assert vec is not p.flat_grad[group] and np.all(vec == 1.0)
+        assert np.shares_memory(vec, vector)
+    # the next step copies into the same vector, still apart from the gradient
+    gated_step(p, snap, ones_grads(p, sign=2.0), adam)
+    p.zero_grads()
+    assert snap.vector is vector and not np.shares_memory(vector, p.grad)
+    assert np.all(vector == 2.0)
 
 
 def test_gate_equal_gradients_update_all():
@@ -153,7 +165,7 @@ def test_gate_negated_gradients_freeze_all():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
     gated_step(p, snap, ones_grads(p), adam)
-    before = p.copy_values()
+    before = copied(p)
     m_before = {n: a.copy() for n, a in adam.m.items()}
     v_before = {n: a.copy() for n, a in adam.v.items()}
     t_before = dict(adam.t)
@@ -162,7 +174,7 @@ def test_gate_negated_gradients_freeze_all():
         assert not d["updated"] and d["dot"] < 0
     # frozen means bit-identical parameters and optimizer state
     for name, t in p.tensors.items():
-        assert np.array_equal(t.data, before[name])
+        assert np.array_equal(t.data, before[name].data)
     for group in p.groups:
         assert np.array_equal(adam.m[group], m_before[group])
         assert np.array_equal(adam.v[group], v_before[group])
@@ -177,13 +189,13 @@ def test_gate_mixed_groups():
     gated_step(p, snap, ones_grads(p), adam)
     g1 = ones_grads(p)
     g1["embed"] *= -1.0
-    before = p.copy_values()
+    before = copied(p)
     decisions = gated_step(p, snap, g1, adam)
     assert not decisions["embed"]["updated"] and decisions["embed"]["dot"] < 0
     assert decisions["score"]["updated"] and decisions["score"]["dot"] > 0
     for name in p.groups["embed"]:
-        assert np.array_equal(p.tensors[name].data, before[name])
-    assert not np.array_equal(p.tensors["score.w"].data, before["score.w"])
+        assert np.array_equal(p.tensors[name].data, before[name].data)
+    assert not np.array_equal(p.tensors["score.w"].data, before["score.w"].data)
 
 
 def test_gate_zero_previous_gradient_skips():
@@ -258,7 +270,7 @@ def test_gate_accepts_finite_gradients_whose_sum_overflows():
 def test_flat_adam_matches_per_tensor_formula_bit_for_bit():
     p = tiny_params(seed=1)
     adam = Adam(p, lr=3e-3)
-    ref_p = p.copy_values()
+    ref_p = {n: t.data.copy() for n, t in p.tensors.items()}
     ref_m = {n: np.zeros_like(a) for n, a in ref_p.items()}
     ref_v = {n: np.zeros_like(a) for n, a in ref_p.items()}
     ref_t = {g: 0 for g in p.groups}
@@ -279,12 +291,11 @@ def test_flat_adam_matches_per_tensor_formula_bit_for_bit():
                 v_hat = ref_v[n] / (1 - adam.beta2 ** t)
                 ref_p[n] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
     assert adam.t == ref_t and adam.t["dec.0"] == 4
-    for group in p.groups:
-        m, v = p.split_group(group, adam.m[group]), p.split_group(group, adam.v[group])
-        for n in p.groups[group]:
-            assert np.array_equal(p[n].data, ref_p[n]), n
-            assert np.array_equal(m[n], ref_m[n]), n
-            assert np.array_equal(v[n], ref_v[n]), n
+    m, v = (Parameters.over(p.config, 2, vec) for vec in adam.moments)
+    for n in p.tensors:
+        assert np.array_equal(p[n].data, ref_p[n]), n
+        assert np.array_equal(m[n].data, ref_m[n]), n
+        assert np.array_equal(v[n].data, ref_v[n]), n
 
 
 def test_adam_in_place_step_matches_the_group_formula_across_a_relayout():
@@ -328,6 +339,8 @@ def test_parameter_views_share_the_group_vectors():
     assert list(p.tensors) == [n for names in p.groups.values() for n in names]
     for group, names in p.groups.items():
         assert sum(p[n].size for n in names) == p.flat[group].size == p.flat_grad[group].size
+        assert np.shares_memory(p.flat[group], p.vector)
+        assert np.shares_memory(p.flat_grad[group], p.grad)
         for n in names:
             assert np.shares_memory(p[n].data, p.flat[group])
             assert np.shares_memory(p[n].grad, p.flat_grad[group])
@@ -349,22 +362,27 @@ def test_adam_sync_keeps_other_groups_vectors():
     p = tiny_params(k=2)
     adam = Adam(p, lr=1e-3)
     gated_step(p, GradientSnapshot(), ones_grads(p), adam)
-    kept = {g: (p.flat[g], p.flat_grad[g], adam.m[g], adam.v[g])
+    kept = {g: (p.flat[g].copy(), adam.m[g].copy(), adam.v[g].copy())
             for g in p.groups if g not in CHANNEL_GROUPS}
-    old = {g: p.flat[g] for g in CHANNEL_GROUPS}
+    assert all(m.any() and v.any() for _, m, v in kept.values())
+    moments = adam.moments
+    adam.sync(p)   # nothing laid out anew: the moments stay
+    assert adam.moments is moments
     p.reinit_channels(3, np.random.default_rng(1))
     adam.sync(p)
-    for g, vectors in kept.items():
-        now = (p.flat[g], p.flat_grad[g], adam.m[g], adam.v[g])
-        assert all(a is b for a, b in zip(now, vectors)), g
+    assert adam.moments is not moments
+    assert all(vec.shape == p.vector.shape for vec in adam.moments)
+    for g, (flat, m, v) in kept.items():
+        assert np.array_equal(p.flat[g], flat), g
+        assert np.array_equal(adam.m[g], m) and np.array_equal(adam.v[g], v), g
         assert adam.t[g] == 1
     for group in CHANNEL_GROUPS:
-        assert p.flat[group] is not old[group] and adam.t[group] == 0
+        assert adam.t[group] == 0
         assert not adam.m[group].any() and not adam.v[group].any()
         assert adam.m[group].shape == adam.v[group].shape == p.flat[group].shape
-        for n in p.groups[group]:
-            assert np.shares_memory(p[n].data, p.flat[group])
-            assert np.shares_memory(p[n].grad, p.flat_grad[group])
+    for group in p.groups:
+        assert np.shares_memory(adam.m[group], adam.moments[0])
+        assert np.shares_memory(adam.v[group], adam.moments[1])
     gated_step(p, GradientSnapshot(), ones_grads(p), adam)
     assert adam.m["biaffine"].any()
 
@@ -411,13 +429,12 @@ def test_training_deterministic_per_seed():
         cfg = TrainConfig(batch_size=4, pretrain_epochs=1)
         state = TrainState.fresh(params, cfg.lr)
         result = T.pretrain(state, [a, b], pool, vocab, cfg, seed=3, eval_dev=False)
-        runs.append((state.params.copy_values(),
+        runs.append((state.params.vector.copy(),
                      [(r.dataset_id, r.loss_value) for r in result.step_reports]))
     v1, r1 = runs[0]
     v2, r2 = runs[1]
     assert r1 == r2
-    for name in v1:
-        assert np.array_equal(v1[name], v2[name])
+    assert np.array_equal(v1, v2)
 
 
 def test_fixed_batch_loss_decreases_with_gate_off():
