@@ -27,7 +27,7 @@ from .data import DataError, build_vocab, load_jsonl, load_manifest
 from .evaluate import evaluate_split, predict_instances
 from .gradcheck import run_gradcheck
 from .instructions import InstructionError, build_pool, read_templates
-from .model import ModelConfig, Parameters, check_fields
+from .model import ModelConfig, Parameters, at_least, check_fields
 from .synth import SYNTH_KINDS, write_synth
 from .trainer import TrainConfig, TrainResult, TrainState, rng_for
 from . import trainer
@@ -61,7 +61,7 @@ def _unknown_key(values: dict, cls):
 
 @dataclass
 class RunConfig:
-    seed: int
+    seed: int = field(metadata=at_least(0))
     out: str
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -375,8 +375,9 @@ def cmd_gradcheck(config: RunConfig) -> int:
 
 
 def cmd_synth(kind: str, size: int, seed: int, out_dir: str) -> int:
+    # write_synth raises before it writes anything, so bad arguments leave no directory
+    written = write_synth(out_dir, kind, size, seed)
     out = _OutDir(out_dir)
-    written = write_synth(out.base, kind, size, seed)
     for p in written:
         out.files.append(str(p.relative_to(out.base)))
     out.finish()

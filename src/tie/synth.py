@@ -5,7 +5,13 @@ label channel so a small model can actually learn the annotation rule. The
 "aligned_pair" kind emits two sources plus a target that all agree on the
 pool-to-channel mapping; "conflict_pair" emits two sources whose mappings
 are a full derangement of each other, so identical surface patterns demand
-contradictory channels (plus a target aligned with the first source).
+contradictory channels (plus a target aligned with the first source). The
+two sources of a pair are named from one draw of the sentence stream, so
+their sentences are identical by construction.
+
+A corpus is a pure function of (kind, size, seed): each split draws from its
+own generator seeded by (seed, split), one scalar draw at a time, and the
+golden digests in the tests pin every file ``write_synth`` writes.
 """
 
 from __future__ import annotations
@@ -135,34 +141,44 @@ def _absa_templates():
 
 
 def _fillers(rng, lo, hi):
-    return [FILLER[int(i)] for i in rng.integers(0, len(FILLER), size=int(rng.integers(lo, hi + 1)))]
+    """lo..hi filler words, one scalar draw each. A fixed count (lo == hi)
+    draws no count: ``integers(lo, lo + 1)`` would not move the stream."""
+    count = lo if lo == hi else int(rng.integers(lo, hi + 1))
+    return [FILLER[rng.integers(0, len(FILLER))] for _ in range(count)]
 
 
 def _pick(rng, pool):
-    return pool[int(rng.integers(len(pool)))]
+    return pool[rng.integers(0, len(pool))]
 
 
-def _ner_instance(rng, pool_entries, dataset_id: str) -> Instance:
-    """Cue words from each pool become mentions of that pool's type name.
+# The NER kinds' cue-word pools, in the order draws index them, and the two
+# ways datasets name them by pool position.
+NER_POOLS = (ANIMALS, COLORS, CITIES)
+NER_NAMES = ("Animal", "Color", "City")
+CONFLICT_NAMES = ("Beast", "Shade", "Venue")
 
-    pool_entries is an ordered list of (type name, word pool); draws index
-    the list positionally, so two datasets handed the same pools in the same
-    order but different names produce identical sentences with different
+
+def _ner_draw(rng):
+    """One NER sentence as (tokens, [(pool position, start, end)]).
+
+    Cue words from a pool become one mention, which carries the pool's
+    position rather than a type name; ``_ner_datasets`` names it, so
+    datasets named from one draw have identical sentences with different
     labels. Kept dense (2-3 mentions, single fillers between) so the
     positive cells carry a useful share of the gradient at toy scale.
     """
     tokens = _fillers(rng, 0, 1)
-    entities = []
+    spans = []
     for i in range(int(rng.integers(2, 4))):
         if i:
             tokens.extend(_fillers(rng, 1, 1))
-        name, words = pool_entries[int(rng.integers(len(pool_entries)))]
+        pos = int(rng.integers(0, len(NER_POOLS)))
         length = 2 if rng.random() < 0.2 else 1
         start = len(tokens)
-        tokens.extend(_pick(rng, words) for _ in range(length))
-        entities.append(Mention(name, start, start + length - 1))
+        tokens.extend(_pick(rng, NER_POOLS[pos]) for _ in range(length))
+        spans.append((pos, start, start + length - 1))
     tokens.extend(_fillers(rng, 0, 1))
-    return Instance(tokens=tokens, entities=entities, dataset_id=dataset_id)
+    return tokens, spans
 
 
 def _re_instance(rng, dataset_id: str) -> Instance:
@@ -186,7 +202,7 @@ def _re_instance(rng, dataset_id: str) -> Instance:
 
 def _ee_instance(rng, dataset_id: str) -> Instance:
     tokens = _fillers(rng, 1, 2)
-    ttype = list(TRIGGER_POOLS)[int(rng.integers(len(TRIGGER_POOLS)))]
+    ttype = list(TRIGGER_POOLS)[rng.integers(0, len(TRIGGER_POOLS))]
     trig = Mention(ttype, len(tokens), len(tokens))
     tokens.append(_pick(rng, TRIGGER_POOLS[ttype]))
     links = []
@@ -205,7 +221,7 @@ def _ee_instance(rng, dataset_id: str) -> Instance:
 
 def _absa_instance(rng, dataset_id: str) -> Instance:
     tokens = _fillers(rng, 1, 2)
-    polarity = list(EXPR_POOLS)[int(rng.integers(len(EXPR_POOLS)))]
+    polarity = list(EXPR_POOLS)[rng.integers(0, len(EXPR_POOLS))]
     expr = Mention("Expression", len(tokens), len(tokens))
     tokens.append(_pick(rng, EXPR_POOLS[polarity]))
     tokens.extend(_fillers(rng, 1, 2))
@@ -220,78 +236,89 @@ def _absa_instance(rng, dataset_id: str) -> Instance:
     )
 
 
-def _build(dataset_id, task, space, sampler, size, seed, dev_size=None):
-    dev_size = dev_size if dev_size is not None else max(20, size // 10)
-    streams = {}
+def _draw_splits(sample, size, seed):
+    """``sample(rng)`` for ``size`` train and max(20, size // 10) dev and test
+    items, each split from its own stream seeded by (seed, split tag)."""
+    dev_size = max(20, size // 10)
+    drawn = {}
     for split, count, tag in (("train", size, 0), ("dev", dev_size, 1), ("test", dev_size, 2)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
-        streams[split] = [sampler(rng) for _ in range(count)]
-    return Dataset(id=dataset_id, task_kind=task, label_space=space,
-                   splits=Splits(**streams))
+        drawn[split] = [sample(rng) for _ in range(count)]
+    return drawn
+
+
+def _dataset(dataset_id, task, space, splits):
+    return Dataset(id=dataset_id, task_kind=task, label_space=space, splits=Splits(**splits))
+
+
+def _ner_datasets(specs, size, seed):
+    """NER datasets named from one draw of the sentence stream, each with its
+    templates. A spec is (dataset_id, names, type_order): a mention is
+    named ``names[pool position]`` and ``type_order`` assigns the names to
+    channels. Each draw is named as it is made, so no split of bare draws
+    is held; every dataset owns its instances and token lists."""
+    def sample(rng):
+        tokens, spans = _ner_draw(rng)
+        return [Instance(tokens=list(tokens),
+                         entities=[Mention(names[pos], start, end) for pos, start, end in spans],
+                         dataset_id=dataset_id)
+                for dataset_id, names, _ in specs]
+
+    drawn = _draw_splits(sample, size, seed)
+    out = []
+    for i, (dataset_id, _, type_order) in enumerate(specs):
+        space = LabelSpace(list(type_order), [])
+        splits = {split: [named[i] for named in items] for split, items in drawn.items()}
+        out.append((_dataset(dataset_id, "NER", space, splits),
+                    _entity_templates(space.entity_types)))
+    return out
 
 
 def make_synth(kind: str, size: int, seed: int):
-    """Build the datasets of one synth kind; returns [(Dataset, templates)]."""
+    """Build the datasets of one synth kind; returns [(Dataset, templates)],
+    a pure function of (kind, size, seed)."""
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown synth kind {kind!r}; expected one of {SYNTH_KINDS}")
     if size < 1:
-        raise ValueError("size must be positive")
+        raise ValueError(f"size: must be >= 1, got {size}")
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
 
     if kind == "ner":
-        entries = [("Animal", ANIMALS), ("Color", COLORS), ("City", CITIES)]
-        space = LabelSpace([n for n, _ in entries], [])
-        ds = _build("synth-ner", "NER", space,
-                    lambda rng: _ner_instance(rng, entries, "synth-ner"), size, seed)
-        return [(ds, _entity_templates(space.entity_types))]
+        return _ner_datasets([("synth-ner", NER_NAMES, NER_NAMES)], size, seed)
 
     if kind == "re":
         space = LabelSpace(["Person", "Org", "Place"], ["Works_At", "Based_In"])
-        ds = _build("synth-re", "RE", space,
-                    lambda rng: _re_instance(rng, "synth-re"), size, seed)
+        ds = _dataset("synth-re", "RE", space,
+                      _draw_splits(lambda rng: _re_instance(rng, "synth-re"), size, seed))
         return [(ds, _relation_templates(space.entity_types, space.relation_types))]
 
     if kind == "ee":
         space = LabelSpace(list(TRIGGER_POOLS), ["Agent", "Destination"])
-        ds = _build("synth-ee", "EE", space,
-                    lambda rng: _ee_instance(rng, "synth-ee"), size, seed)
+        ds = _dataset("synth-ee", "EE", space,
+                      _draw_splits(lambda rng: _ee_instance(rng, "synth-ee"), size, seed))
         return [(ds, _event_templates(space.entity_types, space.relation_types))]
 
     if kind == "absa":
         space = LabelSpace(ABSA_ENTITY_TYPES, ABSA_RELATION_TYPES)
-        ds = _build("synth-absa", "ABSA", space,
-                    lambda rng: _absa_instance(rng, "synth-absa"), size, seed)
+        ds = _dataset("synth-absa", "ABSA", space,
+                      _draw_splits(lambda rng: _absa_instance(rng, "synth-absa"), size, seed))
         return [(ds, _absa_templates())]
 
-    # Paired kinds: both sources of a pair draw IDENTICAL sentence streams
-    # (same sentence seed, same canonical pool order); only the labeling
-    # differs. The aligned pair names every pool the same way; the conflict
-    # pair's second dataset routes each pool to a different channel (a full
-    # derangement), so the same surface pattern demands opposing targets.
-    entries_a = [("Animal", ANIMALS), ("Color", COLORS), ("City", CITIES)]
-    types_a = [n for n, _ in entries_a]
+    # Paired kinds: both sources are named from ONE draw of the sentence
+    # stream, so only the labeling differs. The aligned pair names every
+    # pool the same way; the conflict pair's second dataset routes each pool
+    # to a different channel (a full derangement), so the same surface
+    # pattern demands opposing targets. The target has a stream of its own.
     if kind == "aligned_pair":
-        specs = [
-            ("aligned-a", entries_a, types_a, 10),
-            ("aligned-b", entries_a, types_a, 10),
-            ("aligned-target", entries_a, types_a, 30),
-        ]
+        sources = [("aligned-a", NER_NAMES, NER_NAMES), ("aligned-b", NER_NAMES, NER_NAMES)]
+        target = ("aligned-target", NER_NAMES, NER_NAMES)
     else:
-        # ANIMALS: channel 0 in a, 1 in b; COLORS: 1 -> 2; CITIES: 2 -> 0.
-        entries_b = [("Beast", ANIMALS), ("Shade", COLORS), ("Venue", CITIES)]
-        types_b = ["Venue", "Beast", "Shade"]
-        specs = [
-            ("conflict-a", entries_a, types_a, 10),
-            ("conflict-b", entries_b, types_b, 10),
-            ("conflict-target", entries_a, types_a, 30),
-        ]
-    out = []
-    for ds_id, entries, type_order, offset in specs:
-        space = LabelSpace(type_order, [])
-        ds = _build(ds_id, "NER", space,
-                    lambda rng, e=entries, i=ds_id: _ner_instance(rng, e, i),
-                    size, seed + offset)
-        out.append((ds, _entity_templates(space.entity_types)))
-    return out
+        # Animals: channel 0 in a, 1 in b; colors: 1 -> 2; cities: 2 -> 0.
+        sources = [("conflict-a", NER_NAMES, NER_NAMES),
+                   ("conflict-b", CONFLICT_NAMES, ("Venue", "Beast", "Shade"))]
+        target = ("conflict-target", NER_NAMES, NER_NAMES)
+    return _ner_datasets(sources, size, seed + 10) + _ner_datasets([target], size, seed + 30)
 
 
 def write_synth(out_dir, kind: str, size: int, seed: int):

@@ -118,6 +118,14 @@ def test_missing_seed_is_field_path_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_synth_negative_seed_is_field_path_error(tmp_path, capsys):
+    rc = main(["synth", "--kind", "ner", "--size", "5", "--seed", "-1",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "error: seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_bad_source_path_is_field_path_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -150,6 +158,7 @@ MALFORMED_INPUTS = {
     "config is a string": (lambda d, c: "seed out", "top level"),
     "seed is a list": (lambda d, c: {**c, "seed": [1]}, "seed"),
     "seed is a float": (lambda d, c: {**c, "seed": 7.9}, "seed: must be an integer"),
+    "seed is negative": (lambda d, c: {**c, "seed": -1}, "seed: must be >= 0, got -1"),
     "lowercase is a string": (lambda d, c: {**c, "lowercase": "no"}, "lowercase"),
     "d is a float": (_set("model", "d", 32.0), "model.d: must be an integer"),
     "dropout is a string": (_set("model", "dropout", "0.1"), "model.dropout: must be a number"),

@@ -1,4 +1,7 @@
+import hashlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +98,25 @@ def test_aligned_pair_agrees_on_channels():
         assert overlap  # same pools land on the same channels
 
 
+def test_pair_sources_share_one_stream_in_every_split():
+    """aligned-b is aligned-a but for the dataset id; conflict-b has the same
+    tokens and spans, each type renamed by its pool's position. Each source
+    owns its instances and token lists."""
+    (a, _), (b, _), _ = make_synth("aligned_pair", 30, 4)
+    (ca, _), (cb, _), _ = make_synth("conflict_pair", 30, 4)
+    renamed = {"Animal": "Beast", "Color": "Shade", "City": "Venue"}
+    for split in ("train", "dev", "test"):
+        xs, ys = getattr(a.splits, split), getattr(b.splits, split)
+        assert [replace(x, dataset_id="aligned-b") for x in xs] == ys
+        assert all(x.dataset_id == "aligned-a" and x is not y and x.tokens is not y.tokens
+                   for x, y in zip(xs, ys))
+        # the conflict pair is drawn from the same seed as the aligned pair
+        assert getattr(ca.splits, split) == [replace(x, dataset_id="conflict-a") for x in xs]
+        for x, y in zip(getattr(ca.splits, split), getattr(cb.splits, split)):
+            assert x.tokens == y.tokens and x.tokens is not y.tokens
+            assert y.entities == [replace(m, type=renamed[m.type]) for m in x.entities]
+
+
 def test_write_synth_roundtrips_through_manifest(tmp_path):
     written = write_synth(tmp_path, "absa", 8, 5)
     assert all(p.exists() for p in written)
@@ -110,6 +132,21 @@ def test_write_synth_byte_identical_reruns(tmp_path):
     w2 = write_synth(tmp_path / "r2", "aligned_pair", 6, 9)
     for p1, p2 in zip(w1, w2):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "synth_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("kind", synth.SYNTH_KINDS)
+def test_write_synth_matches_golden_digests(tmp_path, kind):
+    """A corpus is a pure function of (kind, size, seed): the sha256 of every
+    file ``write_synth`` writes must equal the digest in the fixture. The
+    digests also pin numpy's Generator stream; regenerate them only for a
+    deliberate change of the corpora."""
+    written = write_synth(tmp_path, kind, GOLDEN["size"], GOLDEN["seed"])
+    digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in written}
+    assert digests == GOLDEN["sha256"][kind]
 
 
 def test_fuzz_instances_are_valid():
