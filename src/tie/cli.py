@@ -217,6 +217,22 @@ def _fresh_start(config: RunConfig, datasets, templates: dict, num_channels: int
     return vocab, TrainState.fresh(params, config.train.lr)
 
 
+def _check_continues(config: RunConfig, ckpt: Checkpoint, keeps_optimizer: bool):
+    """Raise ConfigError naming the first setting of ``config`` that a run
+    from ``ckpt`` would not use: a ``model`` field (``vocab_size`` aside, as
+    the vocabulary is the checkpoint's) that differs from the checkpoint's
+    and, when the run continues its optimizer, ``train.lr``."""
+    for f in fields(ModelConfig):
+        want, have = getattr(config.model, f.name), getattr(ckpt.config, f.name)
+        if f.name != "vocab_size" and want != have:
+            raise ConfigError(f"model.{f.name}: checkpoint was built with {have!r}, "
+                              f"config has {want!r}")
+    lr = ckpt.state.optimizer.lr
+    if keeps_optimizer and config.train.lr != lr:
+        raise ConfigError(f"train.lr: the run continues the checkpoint's optimizer at lr "
+                          f"{lr!r}, config has {config.train.lr!r}")
+
+
 def _write_training(out: _OutDir, config: RunConfig, result: TrainResult, vocab,
                     ckpt_name: str) -> Path:
     """Step reports, epoch metrics, the checkpoint and the echoed config."""
@@ -246,6 +262,7 @@ def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
             raise ConfigError(
                 f"seed: checkpoint was trained with seed {ckpt.seed}, config has {config.seed}"
             )
+        _check_continues(config, ckpt, keeps_optimizer=True)
         vocab, state = ckpt.vocab, ckpt.state
         log("info", "resume", step=state.step)
     else:
@@ -270,6 +287,7 @@ def cmd_finetune(config: RunConfig, checkpoint_path: str | None) -> int:
 
     if checkpoint_path:
         ckpt = load_checkpoint(checkpoint_path)
+        _check_continues(config, ckpt, not config.train.reset_optimizer_on_finetune)
         vocab, state = ckpt.vocab, ckpt.state
         if num_channels != ckpt.num_channels:
             log("info", "reinit_channels", old=ckpt.num_channels, new=num_channels)

@@ -81,15 +81,14 @@ def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4
         [rng.integers(0, vocab_size, size=n).tolist() for n, _ in lengths],
         [rng.integers(0, vocab_size, size=m).tolist() for _, m in lengths],
         [rng.choice(m, size=num_channels, replace=False).tolist() for _, m in lengths])
-    targets, weights = batch.loss_targets(
-        [(rng.random((n, n, num_channels)) < 0.3).astype(float) for n, _ in lengths])
+    golds = [(rng.random((n, n, num_channels)) < 0.3).astype(float) for n, _ in lengths]
 
     def loss_value() -> float:
-        return loss(forward(params, batch).logits, targets, weights).item()
+        return loss(forward(params, batch).logits, golds).item()
 
     params.zero_grads()
     with ad.Tape():
-        ad.backward(loss(forward(params, batch).logits, targets, weights))
+        ad.backward(loss(forward(params, batch).logits, golds))
 
     report = GradcheckReport(passed=True, tolerance=tolerance, worst_rel_err=0.0,
                              worst_tensor="", n_elements=0)

@@ -274,19 +274,6 @@ class Batch:
     n: np.ndarray        # (B,) sentence lengths
     m: np.ndarray        # (B,) instruction lengths
 
-    def loss_targets(self, golds):
-        """Padded gold grids (B, n_max, n_max, K) and per-cell loss weights:
-        1/(B * n_b^2 * K) on instance b's real cells, 0 on padding, so the
-        weighted sum is the mean over each grid, then over the batch."""
-        size, n_max = self.tokens.shape
-        k = golds[0].shape[-1]
-        targets = np.zeros((size, n_max, n_max, k))
-        weights = np.zeros((size, n_max, n_max, k))
-        for b, (gold, n) in enumerate(zip(golds, self.n)):
-            targets[b, :n, :n] = gold
-            weights[b, :n, :n] = 1.0 / (size * n * n * k)
-        return targets, weights
-
 
 def _pad(rows):
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
@@ -323,10 +310,11 @@ class ForwardState:
     logits: Tensor   # (B, n_max, n_max, K)
 
 
-def _attention(params, prefix, x_q, x_kv, heads, mask=None, train=False, rng=None):
+def _attention(params, prefix, x_q, x_kv, heads, mask=None, rng=None):
     """(B, n_q, d) queries over (B, n_k, d) keys; ``mask`` is additive and
-    broadcastable to the (B, heads, n_q, n_k) scores, or None."""
-    rate = params.config.dropout if train else 0.0
+    broadcastable to the (B, heads, n_q, n_k) scores, or None. Dropout runs
+    at ``config.dropout`` iff a stream ``rng`` is given."""
+    rate = params.config.dropout if rng is not None else 0.0
     q = ad.linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = ad.linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = ad.linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
@@ -335,8 +323,8 @@ def _attention(params, prefix, x_q, x_kv, heads, mask=None, train=False, rng=Non
     return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
-def _ffn(params, prefix, x, train=False, rng=None):
-    rate = params.config.dropout if train else 0.0
+def _ffn(params, prefix, x, rng=None):
+    rate = params.config.dropout if rng is not None else 0.0
     h = ad.gelu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     if rate:
         h = ad.dropout(h, rate, rng)
@@ -366,8 +354,7 @@ def _embed(params, table_name, ids, pos_table):
     return ad.add(tok, pos)
 
 
-def encode_sentence(params: Parameters, batch: Batch, train: bool = False,
-                    rng=None) -> Tensor:
+def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
     """Padded sentence ids -> (B, n_max, d) hidden states; no token attends
     to a padded one."""
     cfg = params.config
@@ -380,14 +367,13 @@ def encode_sentence(params: Parameters, batch: Batch, train: bool = False,
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
         x = ad.add(x, _attention(params, f"{p}.attn", normed, normed, cfg.heads,
-                                 mask=mask, train=train, rng=rng))
-        x = ad.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x),
-                           train=train, rng=rng))
+                                 mask=mask, rng=rng))
+        x = ad.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x), rng=rng))
     return _ln(params, "enc.norm", x)
 
 
 def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
-                       train: bool = False, rng=None) -> Tensor:
+                       rng=None) -> Tensor:
     """Padded instruction ids -> (B, K, d) sentence-aware states at each
     instance's slot positions.
 
@@ -414,11 +400,10 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
             u = gather_slots(u, batch.slots)
             queries, positions = _ln(params, f"{p}.ln1", u), batch.slots
         u = ad.add(u, _attention(params, f"{p}.self", queries, normed, cfg.heads,
-                                 mask=_mask(batch.m, m_max, positions), train=train, rng=rng))
+                                 mask=_mask(batch.m, m_max, positions), rng=rng))
         u = ad.add(u, _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u),
-                                 h_enc, cfg.heads, mask=cross_mask, train=train, rng=rng))
-        u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u),
-                           train=train, rng=rng))
+                                 h_enc, cfg.heads, mask=cross_mask, rng=rng))
+        u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u), rng=rng))
     return _ln(params, "dec.norm", u)
 
 
@@ -449,17 +434,17 @@ def biaffine_score(h_x: Tensor, params: Parameters):
     return h_head, h_tail, logits
 
 
-def forward(params: Parameters, batch: Batch, train: bool = False,
-            rng=None) -> ForwardState:
-    """Full pipeline over a padded batch; deterministic whenever train is
-    False. Each instance's real cells equal its own B=1 forward up to float
-    rounding."""
+def forward(params: Parameters, batch: Batch, rng=None) -> ForwardState:
+    """Full pipeline over a padded batch. Dropout, at ``config.dropout``,
+    draws from ``rng`` if one is given; without one the forward is
+    deterministic. Each instance's real cells equal its own B=1 forward up
+    to float rounding."""
     if batch.slots.shape[1] != params.num_channels:
         raise ValueError(
             f"{batch.slots.shape[1]} slots for a {params.num_channels}-channel model"
         )
-    h_enc = encode_sentence(params, batch, train=train, rng=rng)
-    h_slot = decode_instruction(params, h_enc, batch, train=train, rng=rng)
+    h_enc = encode_sentence(params, batch, rng=rng)
+    h_slot = decode_instruction(params, h_enc, batch, rng=rng)
     h_x = label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"])
     if params.config.residual_label_attn:
         h_x = ad.add(h_enc, h_x)

@@ -117,14 +117,15 @@ def test_regularization_gate():
     base_p, _, _ = fresh()
     for flipped in base_p.groups:
         p, snap, adam = fresh()
-        gated_step(p, snap, grads(p), adam)
+        grads(p)
+        gated_step(p, snap, adam)
         before = {n: t.data.copy() for n, t in p.tensors.items()}
         m_before = {n: a.copy() for n, a in adam.m.items()}
         v_before = {n: a.copy() for n, a in adam.v.items()}
         t_before = dict(adam.t)
         g2 = grads(p)
         g2[flipped] *= -1.0
-        decisions = gated_step(p, snap, g2, adam)
+        decisions = gated_step(p, snap, adam)
         for group, d in decisions.items():
             want = group != flipped
             if d["updated"] != want or (d["dot"] > 0) != want:
@@ -146,16 +147,21 @@ def test_regularization_gate():
 
     # strict inequality at zero
     p, snap, adam = fresh()
-    gated_step(p, snap, grads(p, sign=0.0), adam)
-    decisions = gated_step(p, snap, grads(p), adam)
+    grads(p, sign=0.0)
+    gated_step(p, snap, adam)
+    grads(p)
+    decisions = gated_step(p, snap, adam)
     if any(d["dot"] != 0.0 or d["updated"] for d in decisions.values()):
         problems.append("zero dot did not skip")
 
     # first step always updates; equal/negated gradients behave as signed dots
     p, snap, adam = fresh()
-    d0 = gated_step(p, snap, grads(p), adam)
-    d1 = gated_step(p, snap, grads(p), adam)
-    d2 = gated_step(p, snap, grads(p, -1.0), adam)
+    grads(p)
+    d0 = gated_step(p, snap, adam)
+    grads(p)
+    d1 = gated_step(p, snap, adam)
+    grads(p, -1.0)
+    d2 = gated_step(p, snap, adam)
     if not all(v["updated"] and v["dot"] is None for v in d0.values()):
         problems.append("first step did not update unconditionally")
     if not all(v["updated"] and v["dot"] > 0 for v in d1.values()):

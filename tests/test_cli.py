@@ -380,6 +380,53 @@ def test_finetune_keeping_optimizer_onto_different_channel_count(tmp_path):
     assert ckpt.state.optimizer.t["enc.0"] > ckpt.state.step
 
 
+def _rewritten(tmp_path, config, name, section, **values):
+    """A copy of the run config at ``name`` with ``values`` set in ``section``."""
+    path = tmp_path / name
+    path.write_text(json.dumps({**config, section: {**config[section], **values}}),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_run_from_checkpoint_with_another_model_field_exits_2(tmp_path, capsys, command):
+    # the checkpoint's model would run, not the config's
+    cfg_path, config = make_config(tmp_path)
+    ckpt = str(Path(config["out"]) / "pretrained.ckpt")
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    for field, value in (("d", 16), ("dropout", 0.5), ("residual_label_attn", False)):
+        other = _rewritten(tmp_path, config, "other.json", "model", **{field: value})
+        assert main([command, "--config", other, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "other")]) == 2
+        assert f"error: model.{field}: checkpoint was built with" in capsys.readouterr().err
+    # the vocabulary is the checkpoint's, so vocab_size may differ
+    same = _rewritten(tmp_path, config, "same.json", "model", vocab_size=3)
+    assert main([command, "--config", same, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "same")]) == 0
+
+
+def test_run_continuing_a_checkpoints_optimizer_at_another_lr_exits_2(tmp_path, capsys):
+    cfg_path, config = make_config(tmp_path)
+    ckpt = str(Path(config["out"]) / "pretrained.ckpt")
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    resume = _rewritten(tmp_path, config, "resume.json", "train", lr=0.5)
+    kept = _rewritten(tmp_path, config, "kept.json", "train", lr=0.5,
+                      reset_optimizer_on_finetune=False)
+    for command, path in (("pretrain", resume), ("finetune", kept)):
+        assert main([command, "--config", path, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / command)]) == 2
+        assert "error: train.lr: the run continues the checkpoint's optimizer at lr 0.001, " \
+               "config has 0.5" in capsys.readouterr().err
+    # a finetune that resets the optimizer runs at the config's lr
+    from tie.checkpoint import load_checkpoint
+
+    assert main(["finetune", "--config", resume, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "reset")]) == 0
+    assert load_checkpoint(tmp_path / "reset" / "finetuned.ckpt").state.optimizer.lr == 0.5
+
+
 def test_eval_table_shows_perfect_scores_for_gold_predictions():
     # the rendering path the eval command uses, fed predictions == gold
     from tie.cli import _score_table

@@ -13,7 +13,7 @@ from tie import model as M
 from tie.model import ModelConfig, Parameters, make_batch
 from tie.trainer import TrainConfig, loss
 
-from fdcheck import central_diff, inner, max_rel_err, mean_weights
+from fdcheck import central_diff, inner, max_rel_err
 
 
 def toy_params(d=8, heads=2, layers=1, vocab=10, k=3, seed=0, **kw):
@@ -355,16 +355,20 @@ def test_reinit_channels_touches_only_channel_groups():
             np.testing.assert_array_equal(p.tensors[name].data, old)
 
 
-def test_dropout_only_active_in_training_mode():
+def test_dropout_only_when_a_stream_is_given():
     p = toy_params(k=2, dropout=0.5)
-    rng = np.random.default_rng(14)
     batch = one([1, 2, 3], [4, 5], [0, 1])
     eval1 = M.forward(p, batch)
     eval2 = M.forward(p, batch)
     assert np.array_equal(eval1.logits.data, eval2.logits.data)
-    train1 = M.forward(p, batch, train=True, rng=np.random.default_rng(1))
-    train2 = M.forward(p, batch, train=True, rng=np.random.default_rng(2))
+    train1 = M.forward(p, batch, rng=np.random.default_rng(1))
+    train2 = M.forward(p, batch, rng=np.random.default_rng(2))
     assert not np.array_equal(train1.logits.data, train2.logits.data)
+    assert not np.array_equal(train1.logits.data, eval1.logits.data)
+    # at rate 0 a stream changes nothing
+    plain = toy_params(k=2)
+    assert np.array_equal(M.forward(plain, batch, rng=np.random.default_rng(1)).logits.data,
+                          M.forward(plain, batch).logits.data)
 
 
 def test_one_attention_block_is_five_tape_records():
@@ -389,7 +393,7 @@ def test_training_step_tape_records_at_bench_shape():
                                        for u in instr])
     golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
     with Tape() as tape:
-        loss(M.forward(p, batch, train=True, rng=rng).logits, *batch.loss_targets(golds))
+        loss(M.forward(p, batch, rng=rng).logits, golds)
     assert len(tape._records) == 53
 
 
@@ -441,17 +445,13 @@ def test_batch_loss_gradient_is_mean_of_instance_gradients():
     for (tokens, instr, slots), gold in zip(MIXED, golds):
         p.zero_grads()
         with Tape():
-            ad.backward(loss(M.forward(p, one(tokens, instr, slots)).logits, gold[None],
-                             mean_weights((1,) + gold.shape)))
+            ad.backward(loss(M.forward(p, one(tokens, instr, slots)).logits, [gold]))
         for name, t in p.tensors.items():
             expected[name] += t.grad / len(MIXED)
 
-    batch = _mixed_batch()
-    targets, weights = batch.loss_targets(golds)
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     p.zero_grads()
     with Tape():
-        ad.backward(loss(M.forward(p, batch).logits, targets, weights))
+        ad.backward(loss(M.forward(p, _mixed_batch()).logits, golds))
     for name, t in p.tensors.items():
         np.testing.assert_allclose(t.grad, expected[name], rtol=0, atol=1e-9,
                                    err_msg=name)

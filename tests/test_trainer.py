@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tie.autodiff import Tape, Tensor, backward
+from tie.autodiff import ShapeError, Tape, Tensor, backward, bce_with_logits
 from tie.data import build_vocab
 from tie.instructions import build_pool
 from tie.model import CHANNEL_GROUPS, ModelConfig, Parameters, forward, make_batch
@@ -18,23 +18,20 @@ from tie.trainer import (
     rng_for,
 )
 
-from fdcheck import mean_weights
-
 
 # --- loss ---------------------------------------------------------------
 
 
 def test_loss_saturated_zero():
-    logits = Tensor(np.full((3, 3, 2), -30.0))
+    logits = Tensor(np.full((1, 3, 3, 2), -30.0))
     gold = np.zeros((3, 3, 2))
-    assert T.loss(logits, gold, mean_weights(gold.shape)).item() < 1e-9
+    assert T.loss(logits, [gold]).item() < 1e-9
 
 
 def test_loss_zero_logits_ln2():
-    logits = Tensor(np.zeros((3, 3, 2)))
+    logits = Tensor(np.zeros((1, 3, 3, 2)))
     gold = (np.random.default_rng(0).random((3, 3, 2)) < 0.5).astype(float)
-    assert T.loss(logits, gold, mean_weights(gold.shape)).item() == pytest.approx(
-        np.log(2.0), abs=1e-12)
+    assert T.loss(logits, [gold]).item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_loss_matches_formula():
@@ -43,7 +40,54 @@ def test_loss_matches_formula():
     g = (rng.random((4, 4, 3)) < 0.3).astype(float)
     s = 1.0 / (1.0 + np.exp(-z))
     direct = -(g * np.log(s) + (1 - g) * np.log(1 - s)).mean()
-    assert T.loss(Tensor(z), g, mean_weights(g.shape)).item() == pytest.approx(direct, abs=1e-10)
+    assert T.loss(Tensor(z[None]), [g]).item() == pytest.approx(direct, abs=1e-10)
+
+
+def _dense_grid_loss(logits, golds):
+    """The loss over dense padded (B, n_max, n_max, K) target and weight
+    grids, filled instance by instance: 1/(B * n_b^2 * K) on instance b's
+    real cells, 0 on padding."""
+    size, n_max, _, k = logits.shape
+    targets = np.zeros((size, n_max, n_max, k))
+    weights = np.zeros((size, n_max, n_max, k))
+    for b, gold in enumerate(golds):
+        n = len(gold)
+        targets[b, :n, :n] = gold
+        weights[b, :n, :n] = 1.0 / (size * n * n * k)
+    return bce_with_logits(logits, targets, weights)
+
+
+@pytest.mark.parametrize("size", [1, 3, 16])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_loss_equals_the_dense_grid_loss_bit_for_bit(size, k):
+    rng = np.random.default_rng(100 * size + k)
+    lengths = rng.integers(1, 9, size=size)
+    golds = [(rng.random((n, n, k)) < 0.3).astype(float) for n in lengths]
+    z = rng.normal(scale=3.0, size=(size, lengths.max(), lengths.max(), k))
+    values, grads = [], []
+    for route in (T.loss, _dense_grid_loss):
+        logits = Tensor(z.copy(), requires_grad=True)
+        with Tape():
+            value = route(logits, golds)
+            backward(value)
+        values.append(value.data)
+        grads.append(logits.grad)
+    assert np.array_equal(values[0], values[1])
+    assert np.array_equal(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("golds", [
+    [np.zeros((3, 3, 2))],                           # one gold for two instances
+    [np.zeros((3, 3, 2))] * 3,                       # three
+    [np.zeros((3, 3, 2)), np.zeros((2, 2, 3))],      # the wrong K
+    [np.zeros((3, 3, 2)), np.zeros((2, 3, 2))],      # not square
+    [np.zeros((3, 3, 2)), np.zeros((4, 4, 2))],      # longer than the grid
+    [np.zeros((3, 3, 2)), np.zeros((0, 0, 2))],      # empty
+    [np.zeros((3, 3, 2)), np.zeros((2, 2))],         # no channel axis
+], ids=["too few", "too many", "wrong K", "not square", "too long", "empty", "2-D"])
+def test_loss_rejects_golds_that_do_not_fit_the_logits(golds):
+    with pytest.raises(ShapeError, match="gold grids"):
+        T.loss(Tensor(np.zeros((2, 3, 3, 2))), golds)
 
 
 # --- epoch planning -----------------------------------------------------
@@ -130,7 +174,8 @@ def test_gate_first_step_always_updates():
     p = tiny_params()
     snap = GradientSnapshot()
     adam = Adam(p, lr=1e-3)
-    decisions = gated_step(p, snap, ones_grads(p), adam)
+    ones_grads(p)
+    decisions = gated_step(p, snap, adam)
     assert all(d["updated"] and d["dot"] is None for d in decisions.values())
     assert set(snap.prev) == set(p.groups)
 
@@ -138,7 +183,8 @@ def test_gate_first_step_always_updates():
 def test_snapshot_keeps_copies_of_the_live_gradients():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, ones_grads(p), adam)
+    ones_grads(p)
+    gated_step(p, snap, adam)
     vector = snap.vector
     p.zero_grads()
     assert not np.shares_memory(vector, p.grad) and np.all(vector == 1.0)
@@ -146,7 +192,8 @@ def test_snapshot_keeps_copies_of_the_live_gradients():
         assert vec is not p.flat_grad[group] and np.all(vec == 1.0)
         assert np.shares_memory(vec, vector)
     # the next step copies into the same vector, still apart from the gradient
-    gated_step(p, snap, ones_grads(p, sign=2.0), adam)
+    ones_grads(p, sign=2.0)
+    gated_step(p, snap, adam)
     p.zero_grads()
     assert snap.vector is vector and not np.shares_memory(vector, p.grad)
     assert np.all(vector == 2.0)
@@ -155,8 +202,10 @@ def test_snapshot_keeps_copies_of_the_live_gradients():
 def test_gate_equal_gradients_update_all():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, ones_grads(p), adam)
-    decisions = gated_step(p, snap, ones_grads(p), adam)
+    ones_grads(p)
+    gated_step(p, snap, adam)
+    ones_grads(p)
+    decisions = gated_step(p, snap, adam)
     for group, d in decisions.items():
         assert d["updated"] and d["dot"] > 0
 
@@ -164,12 +213,14 @@ def test_gate_equal_gradients_update_all():
 def test_gate_negated_gradients_freeze_all():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, ones_grads(p), adam)
+    ones_grads(p)
+    gated_step(p, snap, adam)
     before = copied(p)
     m_before = {n: a.copy() for n, a in adam.m.items()}
     v_before = {n: a.copy() for n, a in adam.v.items()}
     t_before = dict(adam.t)
-    decisions = gated_step(p, snap, ones_grads(p, sign=-1.0), adam)
+    ones_grads(p, sign=-1.0)
+    decisions = gated_step(p, snap, adam)
     for d in decisions.values():
         assert not d["updated"] and d["dot"] < 0
     # frozen means bit-identical parameters and optimizer state
@@ -186,11 +237,12 @@ def test_gate_negated_gradients_freeze_all():
 def test_gate_mixed_groups():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, ones_grads(p), adam)
+    ones_grads(p)
+    gated_step(p, snap, adam)
     g1 = ones_grads(p)
     g1["embed"] *= -1.0
     before = copied(p)
-    decisions = gated_step(p, snap, g1, adam)
+    decisions = gated_step(p, snap, adam)
     assert not decisions["embed"]["updated"] and decisions["embed"]["dot"] < 0
     assert decisions["score"]["updated"] and decisions["score"]["dot"] > 0
     for name in p.groups["embed"]:
@@ -201,8 +253,10 @@ def test_gate_mixed_groups():
 def test_gate_zero_previous_gradient_skips():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, ones_grads(p, sign=0.0), adam)
-    decisions = gated_step(p, snap, ones_grads(p), adam)
+    ones_grads(p, sign=0.0)
+    gated_step(p, snap, adam)
+    ones_grads(p)
+    decisions = gated_step(p, snap, adam)
     for d in decisions.values():
         assert d["dot"] == 0.0 and not d["updated"]
 
@@ -210,7 +264,8 @@ def test_gate_zero_previous_gradient_skips():
 def test_gate_global_granularity():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, ones_grads(p), adam, granularity="global")
+    ones_grads(p)
+    gated_step(p, snap, adam, granularity="global")
     # embed dominates the global dot; flip everything else
     g1 = ones_grads(p, sign=-1.0)
     g1["embed"][...] = 1.0
@@ -218,7 +273,7 @@ def test_gate_global_granularity():
     embed_size = sizes["embed"]
     rest = sum(s for g, s in sizes.items() if g != "embed")
     expected = embed_size - rest > 0
-    decisions = gated_step(p, snap, g1, adam, granularity="global")
+    decisions = gated_step(p, snap, adam, granularity="global")
     dots = {d["dot"] for d in decisions.values()}
     assert len(dots) == 1  # one global decision
     assert all(d["updated"] == expected for d in decisions.values())
@@ -227,29 +282,31 @@ def test_gate_global_granularity():
 def test_gate_off_updates_without_dots():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    gated_step(p, snap, ones_grads(p), adam, gate=False)
-    decisions = gated_step(p, snap, ones_grads(p, sign=-1.0), adam, gate=False)
+    ones_grads(p)
+    gated_step(p, snap, adam, gate=False)
+    ones_grads(p, sign=-1.0)
+    decisions = gated_step(p, snap, adam, gate=False)
     assert all(d["updated"] and d["dot"] is None for d in decisions.values())
 
 
 def test_gate_nan_gradient_aborts():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    bad = ones_grads(p)
+    ones_grads(p)
     p["score.w"].grad[0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="score.w"):
-        gated_step(p, snap, bad, adam)
+        gated_step(p, snap, adam)
 
 
 def test_gate_nan_in_the_middle_of_a_large_group_is_named():
     p = tiny_params()
     snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
-    bad = ones_grads(p)
+    ones_grads(p)
     p["dec.0.cross.wv"].grad[1, 2] = np.inf
     names = p.groups["dec.0"]
     assert 0 < names.index("dec.0.cross.wv") < len(names) - 1
     with pytest.raises(TrainingDiverged, match=r"dec\.0\.cross\.wv"):
-        gated_step(p, snap, bad, adam)
+        gated_step(p, snap, adam)
 
 
 def test_gate_accepts_finite_gradients_whose_sum_overflows():
@@ -259,7 +316,7 @@ def test_gate_accepts_finite_gradients_whose_sum_overflows():
     p["score.w"].grad[...] = 1e308
     with np.errstate(over="ignore"):
         assert not np.isfinite(big["score"].sum())
-        decisions = gated_step(p, snap, big, adam)
+        decisions = gated_step(p, snap, adam)
     assert decisions["score"]["updated"]
     assert np.isfinite(p["score.w"].data).all()
 
@@ -347,7 +404,7 @@ def test_parameter_views_share_the_group_vectors():
     batch = make_batch([[3, 4, 5]], [[3, 6, 7]], [[1, 2]])
     with Tape():
         fwd = forward(p, batch)
-        backward(T.loss(fwd.logits, np.zeros((1, 3, 3, 2)), mean_weights((1, 3, 3, 2))))
+        backward(T.loss(fwd.logits, [np.zeros((3, 3, 2))]))
     grads = p.grads()
     for group, names in p.groups.items():
         assert grads[group] is p.flat_grad[group]
@@ -361,7 +418,8 @@ def test_parameter_views_share_the_group_vectors():
 def test_adam_sync_keeps_other_groups_vectors():
     p = tiny_params(k=2)
     adam = Adam(p, lr=1e-3)
-    gated_step(p, GradientSnapshot(), ones_grads(p), adam)
+    ones_grads(p)
+    gated_step(p, GradientSnapshot(), adam)
     kept = {g: (p.flat[g].copy(), adam.m[g].copy(), adam.v[g].copy())
             for g in p.groups if g not in CHANNEL_GROUPS}
     assert all(m.any() and v.any() for _, m, v in kept.values())
@@ -383,7 +441,8 @@ def test_adam_sync_keeps_other_groups_vectors():
     for group in p.groups:
         assert np.shares_memory(adam.m[group], adam.moments[0])
         assert np.shares_memory(adam.v[group], adam.moments[1])
-    gated_step(p, GradientSnapshot(), ones_grads(p), adam)
+    ones_grads(p)
+    gated_step(p, GradientSnapshot(), adam)
     assert adam.m["biaffine"].any()
 
 
