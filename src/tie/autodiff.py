@@ -100,10 +100,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -158,10 +154,6 @@ class Tape:
                 fn(out.grad)
 
 
-def _active_tape():
-    return _tape_stack[-1] if _tape_stack else None
-
-
 def backward(loss: Tensor):
     """Accumulate gradients of a scalar loss into every requires-grad leaf.
 
@@ -191,7 +183,7 @@ def check_finite(t: Tensor, what: str):
 
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    tape = _active_tape()
+    tape = _tape_stack[-1] if _tape_stack else None
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True   # grad stays None until backward reaches it
         tape.record(out, backward_fn)

@@ -68,7 +68,6 @@ class RunConfig:
     sources: list = field(default_factory=list)
     target: str | None = None
     instructions: list = field(default_factory=list)
-    lowercase: bool = False
 
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -134,8 +133,7 @@ class RunConfig:
         instructions = resolve_list("instructions")
         try:
             return cls(seed=raw["seed"], out=raw["out"], **sections, sources=sources,
-                       target=target, instructions=instructions,
-                       lowercase=raw.get("lowercase", False))
+                       target=target, instructions=instructions)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -181,8 +179,7 @@ class _OutDir:
 def _load_datasets(paths, config: RunConfig):
     """The training datasets with their train and dev splits; no command
     that trains reads a test split."""
-    return [load_manifest(p, max_len=config.model.max_len, lowercase=config.lowercase,
-                          splits=("train", "dev"))
+    return [load_manifest(p, max_len=config.model.max_len, splits=("train", "dev"))
             for p in paths]
 
 
@@ -211,26 +208,21 @@ def _score_table(reports: dict) -> str:
 def _fresh_start(config: RunConfig, datasets, templates: dict, num_channels: int):
     """Vocabulary and untrained state for a run without a checkpoint."""
     flat = [t for ts in templates.values() for t in ts]
-    vocab = build_vocab(datasets, min_count=config.train.min_count, extra_texts=flat)
+    vocab = build_vocab(datasets, extra_texts=flat)
     params = Parameters(replace(config.model, vocab_size=len(vocab)), num_channels,
                         rng_for(config.seed, "init"))
     return vocab, TrainState.fresh(params, config.train.lr)
 
 
-def _check_continues(config: RunConfig, ckpt: Checkpoint, keeps_optimizer: bool):
-    """Raise ConfigError naming the first setting of ``config`` that a run
-    from ``ckpt`` would not use: a ``model`` field (``vocab_size`` aside, as
-    the vocabulary is the checkpoint's) that differs from the checkpoint's
-    and, when the run continues its optimizer, ``train.lr``."""
+def _check_continues(config: RunConfig, ckpt: Checkpoint):
+    """Raise ConfigError naming the first ``model`` field of ``config``
+    (``vocab_size`` aside, as the vocabulary is the checkpoint's) that
+    differs from the checkpoint's, which a run from ``ckpt`` would not use."""
     for f in fields(ModelConfig):
         want, have = getattr(config.model, f.name), getattr(ckpt.config, f.name)
         if f.name != "vocab_size" and want != have:
             raise ConfigError(f"model.{f.name}: checkpoint was built with {have!r}, "
                               f"config has {want!r}")
-    lr = ckpt.state.optimizer.lr
-    if keeps_optimizer and config.train.lr != lr:
-        raise ConfigError(f"train.lr: the run continues the checkpoint's optimizer at lr "
-                          f"{lr!r}, config has {config.train.lr!r}")
 
 
 def _write_training(out: _OutDir, config: RunConfig, result: TrainResult, vocab,
@@ -255,6 +247,7 @@ def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
     if len(sources) < 2:
         raise ConfigError("sources: pretraining needs at least 2 source datasets")
     templates = read_templates(config.instructions)
+    num_channels = _shared_channels(sources)
 
     if checkpoint_path:
         ckpt = load_checkpoint(checkpoint_path)
@@ -262,11 +255,18 @@ def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
             raise ConfigError(
                 f"seed: checkpoint was trained with seed {ckpt.seed}, config has {config.seed}"
             )
-        _check_continues(config, ckpt, keeps_optimizer=True)
+        if num_channels != ckpt.num_channels:
+            raise ConfigError(f"sources: datasets have {num_channels} channels, "
+                              f"checkpoint was built for {ckpt.num_channels}")
+        _check_continues(config, ckpt)
+        lr = ckpt.state.optimizer.lr
+        if config.train.lr != lr:
+            raise ConfigError(f"train.lr: the run continues the checkpoint's optimizer at lr "
+                              f"{lr!r}, config has {config.train.lr!r}")
         vocab, state = ckpt.vocab, ckpt.state
         log("info", "resume", step=state.step)
     else:
-        vocab, state = _fresh_start(config, sources, templates, _shared_channels(sources))
+        vocab, state = _fresh_start(config, sources, templates, num_channels)
 
     pool = build_pool(sources, templates, vocab, state.params.config.max_instr_len)
     result = trainer.pretrain(state, sources, pool, vocab, config.train, config.seed)
@@ -287,7 +287,7 @@ def cmd_finetune(config: RunConfig, checkpoint_path: str | None) -> int:
 
     if checkpoint_path:
         ckpt = load_checkpoint(checkpoint_path)
-        _check_continues(config, ckpt, not config.train.reset_optimizer_on_finetune)
+        _check_continues(config, ckpt)
         vocab, state = ckpt.vocab, ckpt.state
         if num_channels != ckpt.num_channels:
             log("info", "reinit_channels", old=ckpt.num_channels, new=num_channels)
@@ -313,8 +313,7 @@ def _load_for_inference(config: RunConfig, checkpoint_path: str | None, splits):
     if not config.target:
         raise ConfigError("target: required for this command")
     ckpt = load_checkpoint(checkpoint_path)
-    target = load_manifest(config.target, max_len=ckpt.config.max_len,
-                           lowercase=config.lowercase, splits=splits)
+    target = load_manifest(config.target, max_len=ckpt.config.max_len, splits=splits)
     if target.label_space.num_channels != ckpt.num_channels:
         raise ConfigError(
             f"target: dataset has {target.label_space.num_channels} channels, "
@@ -350,8 +349,7 @@ def cmd_decode(config: RunConfig, checkpoint_path: str | None, input_path: str) 
     if not Path(input_path).exists():
         raise ConfigError(f"input: file not found: {input_path}")
     instances, dropped = load_jsonl(input_path, target.label_space,
-                                    dataset_id=target.id, max_len=ckpt.config.max_len,
-                                    lowercase=config.lowercase)
+                                    dataset_id=target.id, max_len=ckpt.config.max_len)
     if dropped:
         log("warn", "dropped_long_sentences", count=dropped)
     preds = predict_instances(ckpt.state.params, ckpt.vocab, pool, target, instances,

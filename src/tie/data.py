@@ -146,9 +146,8 @@ class Dataset:
     splits: Splits
 
 
-def tokenize(text: str, lowercase: bool = False):
-    toks = text.split()
-    return [t.lower() for t in toks] if lowercase else toks
+def tokenize(text: str):
+    return text.split()
 
 
 def _parse_ref(raw, n_entities: int, where: str):
@@ -219,8 +218,9 @@ def parse_instance(obj: dict, label_space: LabelSpace, dataset_id: str, where: s
 
 
 def load_jsonl(path, label_space: LabelSpace, *, dataset_id: str = "",
-               max_len: int = 128, lowercase: bool = False):
+               max_len: int = 128):
     """Load and validate instances; returns (instances, n_dropped_too_long).
+    Tokens are kept as written.
 
     Sentences longer than max_len are dropped, never truncated: truncation
     would corrupt gold offsets.
@@ -241,8 +241,6 @@ def load_jsonl(path, label_space: LabelSpace, *, dataset_id: str = "",
             if len(inst.tokens) > max_len:
                 dropped += 1
                 continue
-            if lowercase:
-                inst.tokens = [t.lower() for t in inst.tokens]
             instances.append(inst)
     return instances, dropped
 
@@ -266,8 +264,7 @@ def _check_task_shape(task: str, space: LabelSpace):
 SPLITS = ("train", "dev", "test")
 
 
-def load_manifest(path, *, max_len: int = 128, lowercase: bool = False,
-                  splits=SPLITS) -> Dataset:
+def load_manifest(path, *, max_len: int = 128, splits=SPLITS) -> Dataset:
     """Load a dataset manifest and parse the named ``splits`` (default all
     three). The manifest is validated and every split file must exist
     whichever splits are named; a split not named is ``None``, not ``[]``,
@@ -298,9 +295,8 @@ def load_manifest(path, *, max_len: int = 128, lowercase: bool = False,
         if not split_path.exists():
             raise DataError(f"{path}: {split} split not found at {split_path}")
         if split in splits:
-            loaded[split], _ = load_jsonl(
-                split_path, space, dataset_id=spec["id"], max_len=max_len, lowercase=lowercase
-            )
+            loaded[split], _ = load_jsonl(split_path, space, dataset_id=spec["id"],
+                                          max_len=max_len)
     return Dataset(
         id=spec["id"],
         task_kind=spec["task"],
@@ -339,15 +335,13 @@ class Vocabulary:
         return self.id_to_token[len(_RESERVED):]
 
 
-def build_vocab(datasets, min_count: int = 1, extra_texts=()) -> Vocabulary:
-    """Count tokens over training splits (plus optional raw texts, e.g.
-    instruction templates) and keep those seen at least min_count times.
+def build_vocab(datasets, extra_texts=()) -> Vocabulary:
+    """Every token of the training splits (plus optional raw texts, e.g.
+    instruction templates), the reserved tokens aside.
 
     Order is frequency-descending with a lexicographic tiebreak, so identical
     corpora always serialize byte-equally.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts = Counter()
     for ds in datasets:
         for inst in ds.splits.train:
@@ -356,8 +350,4 @@ def build_vocab(datasets, min_count: int = 1, extra_texts=()) -> Vocabulary:
         counts.update(tokenize(text))
     for reserved in _RESERVED:
         counts.pop(reserved, None)
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_count),
-        key=lambda t: (-counts[t], t),
-    )
-    return Vocabulary(kept)
+    return Vocabulary(sorted(counts, key=lambda t: (-counts[t], t)))

@@ -251,17 +251,13 @@ class Parameters:
         ends = list(accumulate(group_sizes(self.layout).values()))
         return dict(zip(self.layout, np.split(vector, ends[:-1])))
 
-    @property
-    def channel_start(self) -> int:
-        """The offset in ``vector`` of the channel groups, which ``layout``
-        puts last: ``reinit_channels`` keeps everything before it."""
-        return self.vector.size - sum(self.flat[g].size for g in CHANNEL_GROUPS)
-
     def reinit_channels(self, num_channels: int, rng: np.random.Generator):
         """Lay the model out anew for ``num_channels`` in a new ``vector``:
-        every group but the channel groups keeps its values, and the channel
-        tensors are drawn from ``rng`` in layout order."""
-        self._lay_out(self.config, num_channels, rng=rng, kept=self.vector[:self.channel_start])
+        every group but the channel groups, which ``layout`` puts last, keeps
+        its values, and the channel tensors are drawn from ``rng`` in layout
+        order."""
+        kept = self.vector.size - sum(self.flat[g].size for g in CHANNEL_GROUPS)
+        self._lay_out(self.config, num_channels, rng=rng, kept=self.vector[:kept])
 
 
 @dataclass(frozen=True)

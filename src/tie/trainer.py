@@ -27,8 +27,7 @@ from .codec import encode
 from .data import Dataset, Vocabulary
 from .evaluate import evaluate_split
 from .instructions import InstructionPool, select
-from .model import (CHANNEL_GROUPS, Parameters, at_least, check_fields, forward, make_batch,
-                    rule)
+from .model import Parameters, at_least, check_fields, forward, make_batch, rule
 
 __all__ = [
     "TrainConfig",
@@ -76,10 +75,8 @@ class TrainConfig:
     pretrain_max_steps: int | None = field(default=None, metadata=at_least(1))
     finetune_max_steps: int | None = field(default=None, metadata=at_least(1))
     threshold: float = field(default=0.5, metadata=rule(lambda v: 0 < v < 1, "in (0, 1)"))
-    min_count: int = field(default=1, metadata=at_least(1))
     gate_granularity: str = field(default="group", metadata=rule(
         lambda v: v in ("group", "global"), "'group' or 'global'"))
-    reset_optimizer_on_finetune: bool = True
 
     def __post_init__(self):
         check_fields(self)
@@ -183,8 +180,10 @@ class Adam:
     The moments are two vectors ``moments`` laid out like
     ``Parameters.vector``: zeros, or, given ``moments``, two such vectors
     as a loaded checkpoint holds them. ``m[group]`` and ``v[group]`` are
-    their group views. A step is one in-place update of the group vector,
-    computed in two scratch vectors that the group gets at its first update.
+    their group views, fixed to the layout of ``params`` as given: after
+    ``reinit_channels`` the run needs a new ``Adam``, as ``finetune`` makes.
+    A step is one in-place update of the group vector, computed in two
+    scratch vectors that the group gets at its first update.
     """
 
     def __init__(self, params: Parameters, lr: float,
@@ -196,27 +195,10 @@ class Adam:
         self.eps = eps
         if moments is None:
             moments = (np.zeros_like(params.vector), np.zeros_like(params.vector))
-        self._lay_out(params, moments)
-        self.t: dict[str, int] = dict.fromkeys(params.groups, 0)
-
-    def _lay_out(self, params: Parameters, moments: tuple):
         self.moments = moments
         self.m, self.v = (params.group_views(vec) for vec in moments)
-        self._vector = params.vector   # the parameter vector they are laid out for
         self._scratch = {}   # two group-sized work vectors per group that has stepped
-
-    def sync(self, params: Parameters):
-        """Lay the moments out anew if ``params.vector`` was replaced
-        (``reinit_channels``): the groups before the channel groups keep
-        their moments and step counts, the channel groups start at zero."""
-        if params.vector is self._vector:
-            return
-        kept = params.channel_start
-        moments = tuple(np.zeros_like(params.vector) for _ in self.moments)
-        for new, old in zip(moments, self.moments):
-            new[:kept] = old[:kept]
-        self._lay_out(params, moments)
-        self.t.update(dict.fromkeys(CHANNEL_GROUPS, 0))
+        self.t: dict[str, int] = dict.fromkeys(params.groups, 0)
 
     def update_group(self, params: Parameters, group: str, flat_grad: np.ndarray):
         """One Adam step for ``group`` from its flat gradient (laid out like
@@ -416,14 +398,11 @@ def pretrain(state: TrainState, sources: list, pool: InstructionPool,
 def finetune(state: TrainState, target: Dataset, pool: InstructionPool,
              vocab: Vocabulary, cfg: TrainConfig, seed: int,
              eval_dev: bool = True) -> TrainResult:
-    """Plain (ungated) training on one dataset, keeping the parameters of
-    the epoch with the best dev headline F1."""
+    """Plain (ungated) training on one dataset from ``state``'s parameters
+    with a fresh optimizer at ``cfg.lr``, keeping the parameters of the epoch
+    with the best dev headline F1."""
     pool.require([target.id])
-    if cfg.reset_optimizer_on_finetune:
-        state = TrainState.fresh(state.params, cfg.lr)
-    else:
-        state.optimizer.sync(state.params)
-        state = TrainState(state.params, state.optimizer, GradientSnapshot())
+    state = TrainState.fresh(state.params, cfg.lr)
     result = TrainResult(state=state)
     best = None
     for epoch, _ in _epochs(result, [target], pool, vocab, cfg, seed,

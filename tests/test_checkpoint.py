@@ -119,23 +119,24 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert direct.optimizer.t == resumed.optimizer.t
 
 
-def test_checkpoint_after_retarget_keeping_the_optimizer_resaves_and_resumes(tmp_path):
+def test_checkpoint_after_retarget_resaves_and_resumes(tmp_path):
     (a, b, _t), vocab, _pool, params, cfg, k = fixture()
     pretrained = TrainState.fresh(params, 1e-3)
     T.pretrain(pretrained, [a, b], _pool, vocab, TrainConfig(batch_size=4, pretrain_epochs=1),
                seed=4, eval_dev=False)
-    target, templates = make_synth("re", 12, 4)[0]
-    pool = build_pool([target], {target.id: templates}, vocab, cfg.max_instr_len)
+    (target, templates), (other, other_templates) = (make_synth(kind, 12, 4)[0]
+                                                     for kind in ("re", "absa"))
+    pool = build_pool([target, other], {target.id: templates, other.id: other_templates},
+                      vocab, cfg.max_instr_len)
     k_target = target.label_space.num_channels
-    assert k_target != k
-    enc_steps = pretrained.optimizer.t["enc.0"]
+    assert k_target != k and other.label_space.num_channels == k_target
     params.reinit_channels(k_target, rng_for(4, "reinit"))
-    ft = TrainConfig(batch_size=4, finetune_epochs=1, finetune_max_steps=2,
-                     reset_optimizer_on_finetune=False)
+    ft = TrainConfig(batch_size=4, finetune_epochs=1, finetune_max_steps=2)
     state = T.finetune(pretrained, target, pool, vocab, ft, seed=4, eval_dev=False).state
-    # the kept groups carry their pretraining steps, the channel groups start over
-    assert state.optimizer is pretrained.optimizer
-    assert state.optimizer.t["enc.0"] == enc_steps + 2 and state.optimizer.t["score"] == 2
+    # finetuning starts a fresh optimizer, laid out for the new channel count
+    assert state.optimizer is not pretrained.optimizer
+    assert state.optimizer.t == dict.fromkeys(params.groups, 2)
+    assert all(vec.shape == params.vector.shape for vec in state.optimizer.moments)
 
     first, again = tmp_path / "ft.ckpt", tmp_path / "again.ckpt"
     save_checkpoint(first, Checkpoint(config=cfg, num_channels=k_target, seed=4,
@@ -144,11 +145,12 @@ def test_checkpoint_after_retarget_keeping_the_optimizer_resaves_and_resumes(tmp
     save_checkpoint(again, loaded)
     assert again.read_bytes() == first.read_bytes()
 
-    # the loaded state trains on exactly as the one it was saved from
-    ft = TrainConfig(batch_size=4, finetune_epochs=2, reset_optimizer_on_finetune=False)
-    runs = [T.finetune(s, target, pool, vocab, ft, seed=5, eval_dev=False)
+    # a pretrain resume continues the loaded optimizer exactly as the saved one
+    pre = TrainConfig(batch_size=4, pretrain_epochs=1)
+    runs = [T.pretrain(s, [target, other], pool, vocab, pre, seed=5, eval_dev=False)
             for s in (state, loaded.state)]
     direct, resumed = (run.state for run in runs)
+    assert runs[0].step_reports
     assert [r.loss_value for r in runs[0].step_reports] == \
         [r.loss_value for r in runs[1].step_reports]
     assert np.array_equal(direct.params.vector, resumed.params.vector)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tie.cli import RunConfig, main
-from tie.model import Parameters
 
 from test_checkpoint import _split_header, _with_header
 
@@ -159,7 +158,8 @@ MALFORMED_INPUTS = {
     "seed is a list": (lambda d, c: {**c, "seed": [1]}, "seed"),
     "seed is a float": (lambda d, c: {**c, "seed": 7.9}, "seed: must be an integer"),
     "seed is negative": (lambda d, c: {**c, "seed": -1}, "seed: must be >= 0, got -1"),
-    "lowercase is a string": (lambda d, c: {**c, "lowercase": "no"}, "lowercase"),
+    "lowercase is a string": (lambda d, c: {**c, "lowercase": "no"},
+                              "config: unknown field 'lowercase'"),
     "d is a float": (_set("model", "d", 32.0), "model.d: must be an integer"),
     "dropout is a string": (_set("model", "dropout", "0.1"), "model.dropout: must be a number"),
     "heads is 0": (_set("model", "heads", 0), "model.heads: must be >= 1, got 0"),
@@ -174,11 +174,12 @@ MALFORMED_INPUTS = {
                              "train.pretrain_epochs: must be >= 1, got 0"),
     "finetune_epochs is negative": (_set("train", "finetune_epochs", -2),
                                     "train.finetune_epochs: must be >= 1, got -2"),
-    "min_count is 0": (_set("train", "min_count", 0), "train.min_count: must be >= 1, got 0"),
+    "min_count is 0": (_set("train", "min_count", 0), "train.min_count: unknown field"),
     "max steps is 0": (_set("train", "finetune_max_steps", 0),
                        "train.finetune_max_steps: must be >= 1, got 0"),
     "reset_optimizer_on_finetune is a string": (
-        _set("train", "reset_optimizer_on_finetune", "no"), "train.reset_optimizer_on_finetune"),
+        _set("train", "reset_optimizer_on_finetune", "no"),
+        "train.reset_optimizer_on_finetune: unknown field"),
     "gate_granularity is layer": (_set("train", "gate_granularity", "layer"),
                                   "train.gate_granularity: must be 'group' or 'global', "
                                   "got 'layer'"),
@@ -261,7 +262,6 @@ def test_config_accepts_integer_for_float_and_null_max_steps(tmp_path):
                                                     "finetune_max_steps": None})
     loaded = RunConfig.load(cfg_path)
     assert loaded.train.lr == 1 and loaded.train.pretrain_max_steps is None
-    assert loaded.lowercase is False
 
 
 def test_missing_checkpoint_nonzero_exit(tmp_path, capsys):
@@ -364,22 +364,6 @@ def test_finetune_onto_target_with_different_channel_count(tmp_path):
     assert ckpt.state.params.tensors["biaffine.w4"].shape == (5, 16)
 
 
-def test_finetune_keeping_optimizer_onto_different_channel_count(tmp_path):
-    from tie.checkpoint import load_checkpoint
-
-    out, cfg2 = _absa_retarget(tmp_path, train={"reset_optimizer_on_finetune": False})
-    ft_out = tmp_path / "ft5"
-    assert main(["finetune", "--config", str(cfg2), "--out", str(ft_out),
-                 "--checkpoint", str(out / "pretrained.ckpt")]) == 0
-    ckpt = load_checkpoint(ft_out / "finetuned.ckpt")
-    assert ckpt.num_channels == 5
-    params = ckpt.state.params
-    moments = Parameters.over(params.config, params.num_channels, ckpt.state.optimizer.moments[0])
-    assert moments["biaffine.w4"].shape == (5, 16)
-    assert ckpt.state.optimizer.t["biaffine"] == ckpt.state.step
-    assert ckpt.state.optimizer.t["enc.0"] > ckpt.state.step
-
-
 def _rewritten(tmp_path, config, name, section, **values):
     """A copy of the run config at ``name`` with ``values`` set in ``section``."""
     path = tmp_path / name
@@ -412,19 +396,41 @@ def test_run_continuing_a_checkpoints_optimizer_at_another_lr_exits_2(tmp_path, 
     assert main(["pretrain", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     resume = _rewritten(tmp_path, config, "resume.json", "train", lr=0.5)
-    kept = _rewritten(tmp_path, config, "kept.json", "train", lr=0.5,
-                      reset_optimizer_on_finetune=False)
-    for command, path in (("pretrain", resume), ("finetune", kept)):
-        assert main([command, "--config", path, "--checkpoint", ckpt,
-                     "--out", str(tmp_path / command)]) == 2
-        assert "error: train.lr: the run continues the checkpoint's optimizer at lr 0.001, " \
-               "config has 0.5" in capsys.readouterr().err
-    # a finetune that resets the optimizer runs at the config's lr
+    assert main(["pretrain", "--config", resume, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "pretrain")]) == 2
+    assert "error: train.lr: the run continues the checkpoint's optimizer at lr 0.001, " \
+           "config has 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "pretrain" / "pretrained.ckpt").exists()
+    # a finetune starts a fresh optimizer, at the config's lr
     from tie.checkpoint import load_checkpoint
 
     assert main(["finetune", "--config", resume, "--checkpoint", ckpt,
                  "--out", str(tmp_path / "reset")]) == 0
     assert load_checkpoint(tmp_path / "reset" / "finetuned.ckpt").state.optimizer.lr == 0.5
+
+
+def test_pretrain_resume_on_sources_of_other_channel_counts_exits_2(tmp_path, capsys):
+    cfg_path, config = make_config(tmp_path)   # aligned pair, K=3
+    ckpt = str(Path(config["out"]) / "pretrained.ckpt")
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    for kind in ("re", "absa"):   # K=5 each
+        assert main(["synth", "--kind", kind, "--size", "6", "--seed", "2",
+                     "--out", str(tmp_path / kind)]) == 0
+    capsys.readouterr()
+    re_manifest, absa_manifest = (str(tmp_path / kind / f"synth-{kind}" / "manifest.json")
+                                  for kind in ("re", "absa"))
+    for name, sources, message in (
+            ("mixed", [config["sources"][0], re_manifest],
+             "error: sources: datasets disagree on channel count"),
+            ("five", [re_manifest, absa_manifest],
+             "error: sources: datasets have 5 channels, checkpoint was built for 3")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "sources": sources}), encoding="utf-8")
+        out = tmp_path / name
+        assert main(["pretrain", "--config", str(path), "--checkpoint", ckpt,
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "pretrained.ckpt").exists()
 
 
 def test_eval_table_shows_perfect_scores_for_gold_predictions():

@@ -234,12 +234,6 @@ def _ds(sentences):
     )
 
 
-def test_build_vocab_min_count():
-    vocab = data.build_vocab([_ds(["a a b"])], min_count=2)
-    assert "a" in vocab and "b" not in vocab
-    assert vocab.id("b") == data.UNK_ID
-
-
 def test_build_vocab_deterministic_serialization():
     v1 = data.build_vocab([_ds(["c a b b", "a"])])
     v2 = data.build_vocab([_ds(["c a b b", "a"])])

@@ -51,7 +51,6 @@ RULE_EDGES = [
     (TrainConfig, "finetune_max_steps", 1, 0),
     (TrainConfig, "threshold", ABOVE_0, 0.0),
     (TrainConfig, "threshold", BELOW_1, 1.0),
-    (TrainConfig, "min_count", 1, 0),
     (TrainConfig, "gate_granularity", "global", "layer"),
 ]
 
