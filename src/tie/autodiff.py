@@ -10,7 +10,8 @@ computations, so evaluation-time forwards are side-effect free and safe to
 run concurrently.
 
 Nine taped ops: ``linear``, ``add``, ``embedding_lookup`` (rows of a
-table of 2 or more axes, its leading axes flattened), ``layer_norm``,
+table of 2 or more axes, its leading axes flattened, plus the rows of an
+optional position table in the same record), ``layer_norm``,
 ``gelu``, ``attention`` (multi-head scores, mask, softmax, dropout and value
 mix as one record), ``pair_scores`` (the biaffine token-pair grid and its
 per-cell score layer as one record), ``bce_with_logits`` and ``dropout``.
@@ -21,6 +22,13 @@ check their results: NaN/Inf propagate to the forward/backward boundary,
 where ``check_finite`` screens the model's logits and ``Tape.backward`` the
 loss, naming the first recorded op whose output is non-finite. The trainer
 screens the gradients.
+
+An op output's gradient buffer is made by its first contribution: an op
+that computed that contribution into a fresh array of its own passes it as
+owned, and the array becomes the buffer, with no copy, when its strides
+equal those of the output's data. Any other first contribution is copied
+into a buffer with the data's strides. ``add`` and ``embedding_lookup``
+never pass owned: ``add`` hands one gradient to both operands.
 """
 
 from __future__ import annotations
@@ -72,8 +80,8 @@ class Tensor:
     A tensor made with ``requires_grad=True`` (a leaf, e.g. a parameter)
     gets a zero gradient buffer at once; it accumulates across backward
     calls until explicitly zeroed, and reads zeros if no gradient reached
-    it. An op output starts with ``grad = None``; backward allocates its
-    buffer, with the strides of its data, when the first gradient arrives,
+    it. An op output starts with ``grad = None``; backward gives it a
+    buffer with the strides of its data when the first gradient arrives,
     so an output off the loss path never gets one. ``_tape`` is the tape
     that recorded the op making this tensor, if any.
     """
@@ -147,7 +155,7 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         check_finite(loss, "loss")
         self._consumed = True
-        _accumulate(loss, np.ones_like(loss.data))
+        _accumulate(loss, np.ones_like(loss.data), owned=True)
         while self._records:
             out, fn = self._records.pop()
             if out.grad is not None:
@@ -190,17 +198,28 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g):
-    """Add one gradient contribution into ``t.grad``. The first contribution
-    to an op output allocates the buffer with ``empty_like``, which keeps the
-    strides of ``t.data`` (a strided output gets a strided gradient,
-    so later products take the same BLAS path), and assigns into it; the
-    buffer never aliases ``g``."""
-    if t.grad is None:
+def _accumulate(t: Tensor, g, owned: bool = False):
+    """Add one gradient contribution into ``t.grad``. The buffer of an op
+    output always has the strides of ``t.data`` (a strided output gets a
+    strided gradient, so later products take the same BLAS path). Its first
+    contribution becomes the buffer if the caller ``owned`` it (a fresh
+    array that nothing else refers to) and it already has those strides;
+    otherwise it is copied into a buffer made with ``empty_like``."""
+    if t.grad is not None:
+        t.grad += g
+    elif owned and g.shape == t.data.shape and g.strides == t.data.strides:
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
-    else:
-        t.grad += g
+
+
+def _grad_of(t: Tensor) -> np.ndarray:
+    """``t.grad``, made zero first if ``t`` is an op output without one, for
+    ops that add into part of it in place."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -227,11 +246,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
+            _accumulate(x, g @ w.data.T, owned=True)
         if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
+            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]),
+                        owned=True)
         if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))))
+            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
 
     return _make(out, (x, w) if b is None else (x, w, b), bw)
 
@@ -253,29 +273,43 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
+def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None) -> Tensor:
     """Gather rows of a table of 2 or more axes by an N-d id array. Row
     ``r`` is row ``r`` of the table's leading axes flattened, so a (B, m, d)
     table has B*m rows; the result has shape ``ids.shape + (d,)``.
     Gradients scatter-add into those rows in place, whatever the strides of
-    the table's gradient buffer."""
+    the table's gradient buffer.
+
+    Given a (rows, d) ``positions`` table, its first n rows, n the length
+    of the last axis of ``ids``, are added to the result as ``add`` would
+    add them, broadcast over the leading axes, and their gradient is the
+    result's summed over those axes."""
     if table.data.ndim < 2:
         raise ShapeError(f"embedding_lookup needs a table of 2 or more axes, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
     rows = math.prod(table.shape[:-1])
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ShapeError(f"row id out of range [0, {rows}) in embedding_lookup")
+    n = idx.shape[-1] if idx.ndim else 0
+    if positions is not None and (not idx.ndim or positions.data.ndim != 2
+                                  or positions.shape[0] < n
+                                  or positions.shape[1:] != table.shape[-1:]):
+        raise ShapeError(f"embedding_lookup needs (>= {n}, d) positions for ids {idx.shape} "
+                         f"and table {table.shape}, got {positions.shape}")
     # one index array per leading axis: no reshape of the table or of its
     # gradient, which would copy a strided buffer and lose the scatter
     at = np.unravel_index(idx, table.shape[:-1])
+    out = table.data[at]
+    if positions is not None:
+        out += positions.data[:n]
 
     def bw(g):
         if table.requires_grad:
-            if table.grad is None:   # an op output used as a table
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, at, g)
+            np.add.at(_grad_of(table), at, g)
+        if positions is not None and positions.requires_grad:
+            _grad_of(positions)[:n] += _unbroadcast(g, (n, g.shape[-1]))
 
-    return _make(table.data[at], (table,), bw)
+    return _make(out, (table,) if positions is None else (table, positions), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -294,14 +328,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bw(g):
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0))
+            _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0), owned=True)
         if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, n).sum(axis=0))
+            _accumulate(bias, g.reshape(-1, n).sum(axis=0), owned=True)
         if x.requires_grad:
             gy = g * gain.data
             m1 = gy.sum(axis=-1, keepdims=True) / n
             m2 = (gy * xhat).sum(axis=-1, keepdims=True) / n
-            _accumulate(x, (gy - m1 - xhat * m2) * inv)
+            _accumulate(x, (gy - m1 - xhat * m2) * inv, owned=True)
 
     return _make(out, (x, gain, bias), bw)
 
@@ -314,7 +348,7 @@ def gelu(x: Tensor) -> Tensor:
     def bw(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            _accumulate(x, g * (cdf + x.data * pdf))
+            _accumulate(x, g * (cdf + x.data * pdf), owned=True)
 
     return _make(out, (x,), bw)
 
@@ -353,13 +387,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
         g_s = ((g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att) * scale
         if q.requires_grad:
             g_q = g_s @ np.swapaxes(k_t, -1, -2)
-            _accumulate(q, g_q.transpose(0, 2, 1, 3).reshape(size, n_q, d))
+            _accumulate(q, g_q.transpose(0, 2, 1, 3).reshape(size, n_q, d), owned=True)
         if k.requires_grad:
             g_k = np.swapaxes(qh, -1, -2) @ g_s
-            _accumulate(k, g_k.transpose(0, 3, 1, 2).reshape(size, n_k, d))
+            _accumulate(k, g_k.transpose(0, 3, 1, 2).reshape(size, n_k, d), owned=True)
         if v.requires_grad:
             g_v = np.swapaxes(att_d, -1, -2) @ g_o
-            _accumulate(v, g_v.transpose(0, 2, 1, 3).reshape(size, n_k, d))
+            _accumulate(v, g_v.transpose(0, 2, 1, 3).reshape(size, n_k, d), owned=True)
 
     return _make(out, (q, k, v), bw)
 
@@ -401,19 +435,22 @@ def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,
         g_bil = g_grid.transpose(0, 1, 3, 2).reshape(size, n * k, n)
         g_a = g_bil @ ht
         if h_head.requires_grad:
-            _accumulate(h_head, g_head @ w4_head.T + g_a.reshape(size, n, k * d) @ w3_2d.T)
+            _accumulate(h_head, g_head @ w4_head.T + g_a.reshape(size, n, k * d) @ w3_2d.T,
+                        owned=True)
         if h_tail.requires_grad:
             _accumulate(h_tail, g_tail @ w4_tail.T
-                        + (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1))
+                        + (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1), owned=True)
         if w3.requires_grad:
-            _accumulate(w3, (hh.reshape(-1, d).T @ g_a.reshape(-1, k * d)).reshape(d, k, d))
+            _accumulate(w3, (hh.reshape(-1, d).T @ g_a.reshape(-1, k * d)).reshape(d, k, d),
+                        owned=True)
         if w4.requires_grad:
             _accumulate(w4, np.concatenate((hh.reshape(-1, d).T @ g_head.reshape(-1, k),
-                                            ht.reshape(-1, d).T @ g_tail.reshape(-1, k))).T)
+                                            ht.reshape(-1, d).T @ g_tail.reshape(-1, k))).T,
+                        owned=True)
         if score_w.requires_grad:
-            _accumulate(score_w, (m.reshape(-1, k).T @ g.reshape(-1, k)).T)
+            _accumulate(score_w, (m.reshape(-1, k).T @ g.reshape(-1, k)).T, owned=True)
         if score_b.requires_grad:
-            _accumulate(score_b, g.sum(axis=(0, 1, 2)))
+            _accumulate(score_b, g.sum(axis=(0, 1, 2)), owned=True)
 
     return _make(out, (h_head, h_tail, w3, w4, score_w, score_b), bw)
 
@@ -445,7 +482,7 @@ def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
 
     def bw(g):
         if logits.requires_grad:
-            _accumulate(logits, (sigmoid(z, e) - t) * (w * float(g)))
+            _accumulate(logits, (sigmoid(z, e) - t) * (w * float(g)), owned=True)
 
     return _make(np.asarray((per_cell * w).sum()), (logits,), bw)
 
@@ -460,6 +497,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, g * mask)
+            _accumulate(a, g * mask, owned=True)
 
     return _make(a.data * mask, (a,), bw)

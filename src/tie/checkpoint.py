@@ -5,9 +5,10 @@ Layout:
     magic "TIE1"
     u32 LE format version
     u32 LE header length
-    UTF-8 JSON header: run metadata plus a tensor manifest of
-        {"name", "dtype", "dims", "offset"} entries, offsets relative to the
-        start of the payload region
+    UTF-8 JSON header: run metadata, the phase that wrote the file
+        ("pretrain" or "finetune", absent if not given), and a tensor
+        manifest of {"name", "dtype", "dims", "offset"} entries, offsets
+        relative to the start of the payload region
     payload: the state's vectors as raw little-endian float64, in order
     u32 LE CRC32 of the payload region
 
@@ -42,6 +43,7 @@ __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"
 
 MAGIC = b"TIE1"
 FORMAT_VERSION = 1
+PHASES = ("pretrain", "finetune")
 
 
 class CheckpointError(ValueError):
@@ -56,6 +58,7 @@ class Checkpoint:
     step: int
     vocab: Vocabulary
     state: TrainState
+    phase: str | None = None   # one of PHASES: the training phase that wrote it
 
 
 def _stored(state: TrainState) -> list:
@@ -96,6 +99,8 @@ def save_checkpoint(path, checkpoint: Checkpoint):
         "manifest": _manifest(state.params.layout,
                               {g: vec.size for g, vec in state.snapshot.prev.items()}),
     }
+    if checkpoint.phase is not None:
+        header["phase"] = checkpoint.phase
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = b"".join(np.ascontiguousarray(vec, dtype="<f8").tobytes() for vec in _stored(state))
 
@@ -115,9 +120,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     The checks run in this order: magic, format version, header JSON, the
     payload CRC, model_config, vocabulary, Adam settings and step counts,
-    then the manifest, which must equal the one the model's ``layout``
-    implies (the error names the first entry that differs), and the payload
-    length. The file is read once into a writable buffer in which the
+    the phase if the header has one, then the manifest, which must equal the
+    one the model's ``layout`` implies (the error names the first entry that
+    differs), and the payload length. The file is read once into a writable buffer in which the
     payload starts 8-byte aligned, and all checks pass before anything else
     is allocated, so a small file cannot make the loader lay out a large
     model. The payload is screened for NaN and Inf in one pass; only when
@@ -198,6 +203,10 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     if set(steps) != set(groups):
         raise CheckpointError(f"{path}: Adam step counts do not cover the model's groups")
     step = _count(path, header, "step")
+    phase = header.get("phase")
+    if "phase" in header and phase not in PHASES:
+        raise CheckpointError(f"{path}: header field 'phase' must be one of {list(PHASES)}, "
+                              f"got {phase!r}")
 
     manifest = header["manifest"]
     # the gate stores the whole gradient at once, so a snapshot is absent
@@ -233,7 +242,7 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     return Checkpoint(config=config, num_channels=num_channels,
                       seed=_count(path, header, "seed"), step=step, vocab=vocab,
                       state=TrainState(params=params, optimizer=optimizer,
-                                       snapshot=snapshot, step=step))
+                                       snapshot=snapshot, step=step), phase=phase)
 
 
 def _count(path: Path, header: dict, key: str) -> int:

@@ -226,15 +226,16 @@ def _check_continues(config: RunConfig, ckpt: Checkpoint):
 
 
 def _write_training(out: _OutDir, config: RunConfig, result: TrainResult, vocab,
-                    ckpt_name: str) -> Path:
-    """Step reports, epoch metrics, the checkpoint and the echoed config."""
+                    phase: str) -> Path:
+    """Step reports, epoch metrics, the checkpoint of ``phase`` and the
+    echoed config."""
     out.write_jsonl("step_reports.jsonl", [r.to_json() for r in result.step_reports])
     out.write_jsonl("epoch_metrics.jsonl", result.epoch_metrics)
-    ckpt_path = out.path(ckpt_name)
+    ckpt_path = out.path({"pretrain": "pretrained.ckpt", "finetune": "finetuned.ckpt"}[phase])
     params = result.state.params
     save_checkpoint(ckpt_path, Checkpoint(
         config=params.config, num_channels=params.num_channels, seed=config.seed,
-        step=result.state.step, vocab=vocab, state=result.state,
+        step=result.state.step, vocab=vocab, state=result.state, phase=phase,
     ))
     out.write_json("config.json", config.to_json())
     out.finish()
@@ -251,6 +252,11 @@ def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
 
     if checkpoint_path:
         ckpt = load_checkpoint(checkpoint_path)
+        if ckpt.phase == "finetune":
+            # its step count is the finetune's: resuming the pretraining plan
+            # there would skip that many of the plan's batches
+            raise ConfigError(f"checkpoint: {checkpoint_path} was written by finetune; "
+                              f"pretrain resumes only a pretraining checkpoint")
         if ckpt.seed != config.seed:
             raise ConfigError(
                 f"seed: checkpoint was trained with seed {ckpt.seed}, config has {config.seed}"
@@ -270,7 +276,7 @@ def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
 
     pool = build_pool(sources, templates, vocab, state.params.config.max_instr_len)
     result = trainer.pretrain(state, sources, pool, vocab, config.train, config.seed)
-    ckpt_path = _write_training(out, config, result, vocab, "pretrained.ckpt")
+    ckpt_path = _write_training(out, config, result, vocab, "pretrain")
     log("info", "pretrain_done", steps=state.step,
         skip_rate=trainer.skip_rate(result.step_reports))
     print(f"pretrained {state.step} steps over {len(sources)} sources -> {ckpt_path}")
@@ -297,7 +303,7 @@ def cmd_finetune(config: RunConfig, checkpoint_path: str | None) -> int:
 
     pool = build_pool([target], templates, vocab, state.params.config.max_instr_len)
     result = trainer.finetune(state, target, pool, vocab, config.train, config.seed)
-    ckpt_path = _write_training(out, config, result, vocab, "finetuned.ckpt")
+    ckpt_path = _write_training(out, config, result, vocab, "finetune")
     best = result.best_dev_f1 if result.best_dev_f1 is not None else float("nan")
     log("info", "finetune_done", steps=result.state.step, best_dev_f1=best)
     print(f"finetuned on {target.id}: best dev F1 {best:.4f} -> {ckpt_path}")

@@ -344,12 +344,6 @@ def _mask(lengths, n: int, queries=None):
     return np.where(hide, _MASKED, 0.0) if hide.any() else None
 
 
-def _embed(params, table_name, ids, pos_table):
-    tok = ad.embedding_lookup(params[table_name], ids)                   # (B, n, d)
-    pos = ad.embedding_lookup(params[pos_table], np.arange(ids.shape[1]))  # (n, d)
-    return ad.add(tok, pos)
-
-
 def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
     """Padded sentence ids -> (B, n_max, d) hidden states; no token attends
     to a padded one."""
@@ -358,7 +352,7 @@ def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
     if n_max > cfg.max_len:
         raise ValueError(f"sentence length {n_max} outside [1, {cfg.max_len}]")
     mask = _mask(batch.n, n_max)
-    x = _embed(params, "embed.tok", batch.tokens, "embed.pos_x")
+    x = ad.embedding_lookup(params["embed.tok"], batch.tokens, params["embed.pos_x"])
     for i in range(cfg.layers_enc):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
@@ -387,7 +381,7 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
     if m_max > cfg.max_instr_len:
         raise ValueError(f"instruction length {m_max} outside [1, {cfg.max_instr_len}]")
     cross_mask = _mask(batch.n, h_enc.shape[1])
-    u = _embed(params, "embed.tok", batch.instr, "embed.pos_u")
+    u = ad.embedding_lookup(params["embed.tok"], batch.instr, params["embed.pos_u"])
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.ln1", u)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .codec import encode
 from .data import Dataset, Vocabulary
 from .evaluate import evaluate_split
 from .instructions import InstructionPool, select
-from .model import Parameters, at_least, check_fields, forward, make_batch, rule
+from .model import (Parameters, at_least, check_fields, forward, group_sizes, make_batch,
+                    rule)
 
 __all__ = [
     "TrainConfig",
@@ -182,8 +184,12 @@ class Adam:
     as a loaded checkpoint holds them. ``m[group]`` and ``v[group]`` are
     their group views, fixed to the layout of ``params`` as given: after
     ``reinit_channels`` the run needs a new ``Adam``, as ``finetune`` makes.
-    A step is one in-place update of the group vector, computed in two
-    scratch vectors that the group gets at its first update.
+    ``update`` steps the groups it is given in place. Each maximal run of
+    groups adjacent in the layout is one slice of the vectors, updated by
+    one pass of each operation, in two whole-vector work buffers made at
+    the first update. Only the bias-correction divides go per group, or per
+    run of groups at the same step count. Every operation is elementwise,
+    so the result is the per-group step's, bit for bit.
     """
 
     def __init__(self, params: Parameters, lr: float,
@@ -197,32 +203,58 @@ class Adam:
             moments = (np.zeros_like(params.vector), np.zeros_like(params.vector))
         self.moments = moments
         self.m, self.v = (params.group_views(vec) for vec in moments)
-        self._scratch = {}   # two group-sized work vectors per group that has stepped
+        ends = list(accumulate(group_sizes(params.layout).values(), initial=0))
+        self._bounds = dict(zip(params.groups, zip(ends, ends[1:])))   # group -> (lo, hi)
+        self._work = None
         self.t: dict[str, int] = dict.fromkeys(params.groups, 0)
 
-    def update_group(self, params: Parameters, group: str, flat_grad: np.ndarray):
-        """One Adam step for ``group`` from its flat gradient (laid out like
-        ``params.flat[group]``); ``flat_grad`` is only read."""
-        self.t[group] += 1
-        t = self.t[group]
-        m, v = self.m[group], self.v[group]
-        if group not in self._scratch:
-            self._scratch[group] = (np.empty_like(m), np.empty_like(m))
-        step, denom = self._scratch[group]
-        m *= self.beta1
-        np.multiply(flat_grad, 1 - self.beta1, out=step)
-        m += step
-        v *= self.beta2
-        np.multiply(flat_grad, 1 - self.beta2, out=step)
-        step *= flat_grad
-        v += step
-        np.divide(m, 1 - self.beta1 ** t, out=step)
-        step *= self.lr
-        np.divide(v, 1 - self.beta2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        step /= denom
-        params.flat[group] -= step
+    def _runs(self, groups) -> list:
+        """[lo, hi, [[lo, hi, t], ...]] for each maximal run of ``groups``
+        adjacent in the layout, split into parts of equal step count."""
+        runs = []
+        for group, (lo, hi) in self._bounds.items():
+            if group not in groups:
+                continue
+            t = self.t[group]
+            if runs and runs[-1][1] == lo:
+                run = runs[-1]
+                run[1] = hi
+                if run[2][-1][2] == t:
+                    run[2][-1][1] = hi
+                else:
+                    run[2].append([lo, hi, t])
+            else:
+                runs.append([lo, hi, [[lo, hi, t]]])
+        return runs
+
+    def update(self, params: Parameters, groups):
+        """One Adam step for each of ``groups`` from its gradient in
+        ``params.grad``, which is only read."""
+        groups = set(groups)
+        for group in groups:
+            self.t[group] += 1
+        if self._work is None:
+            self._work = (np.empty_like(params.vector), np.empty_like(params.vector))
+        (m_all, v_all), (step_all, denom_all) = self.moments, self._work
+        for lo, hi, parts in self._runs(groups):
+            p, g = params.vector[lo:hi], params.grad[lo:hi]
+            m, v, step, denom = m_all[lo:hi], v_all[lo:hi], step_all[lo:hi], denom_all[lo:hi]
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=step)
+            m += step
+            v *= self.beta2
+            np.multiply(g, 1 - self.beta2, out=step)
+            step *= g
+            v += step
+            for a, b, t in parts:
+                np.divide(m_all[a:b], 1 - self.beta1 ** t, out=step_all[a:b])
+            step *= self.lr
+            for a, b, t in parts:
+                np.divide(v_all[a:b], 1 - self.beta2 ** t, out=denom_all[a:b])
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step
 
 
 @dataclass
@@ -254,9 +286,10 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, optimizer: Adam, 
     from ``params.grads()``) with the previous batch's gradient is strictly
     positive; with no previous gradient (first step) it always updates.
     Under ``"global"`` granularity one dot over the whole gradient decides
-    for all groups. The snapshot then stores a copy of the current gradient,
-    every group's, updated or not. Returns per-group decisions {"dot",
-    "updated"}.
+    for all groups. Every group is decided before ``optimizer.update`` steps
+    the updated ones. The snapshot then stores a copy of the current
+    gradient, every group's, updated or not. Returns per-group decisions
+    {"dot", "updated"}.
     """
     # the sum screens; an overflowing sum of finite values is rechecked
     if not np.isfinite(params.grad.sum()) and not np.isfinite(params.grad).all():
@@ -279,8 +312,7 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, optimizer: Adam, 
             dot, updated = None, True
         for group in unit:
             decisions[group] = {"dot": dot, "updated": updated}
-            if updated:
-                optimizer.update_group(params, group, grads[group])
+    optimizer.update(params, [g for g, d in decisions.items() if d["updated"]])
 
     snapshot.store(params)
     return decisions

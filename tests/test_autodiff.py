@@ -335,6 +335,12 @@ def test_embedding_lookup_bounds():
         ad.embedding_lookup(Tensor(np.zeros((2, 3, 2))), [[0, 6]])
     with pytest.raises(ad.ShapeError):
         ad.embedding_lookup(Tensor(np.zeros(3)), [0])
+    # a position table needs a row for every position and the table's width
+    for positions in (np.zeros((1, 2)), np.zeros((2, 3)), np.zeros(2)):
+        with pytest.raises(ad.ShapeError, match="positions"):
+            ad.embedding_lookup(table, [[0, 1]], Tensor(positions))
+    with pytest.raises(ad.ShapeError, match="positions"):
+        ad.embedding_lookup(table, 1, Tensor(np.zeros((2, 2))))
 
 
 def test_dropout_zero_rate_is_identity():
@@ -371,6 +377,36 @@ def test_op_output_grad_is_lazy_and_keeps_strides():
     counts = np.bincount(ids.ravel(), minlength=2 * m).reshape(2, m, 1) * np.ones(k)
     np.testing.assert_array_equal(table.grad, counts)
     assert np.count_nonzero(leaf.grad) == np.count_nonzero(counts)
+    # an owned first gradient with the output's strides becomes the buffer
+    out = Tensor(rng.normal(size=(4, 3)))     # an op output: no buffer yet
+    g = rng.normal(size=(4, 3))
+    ad._accumulate(out, g, owned=True)
+    assert out.grad is g
+    # a strided contribution is copied into a buffer with the data's strides
+    strided = Tensor(rng.normal(size=(4, 3)))
+    g_t = rng.normal(size=(3, 4)).T
+    ad._accumulate(strided, g_t, owned=True)
+    assert strided.grad is not g_t and not np.shares_memory(strided.grad, g_t)
+    assert strided.grad.strides == strided.data.strides
+    np.testing.assert_array_equal(strided.grad, g_t)
+    # a contribution that is not owned is always copied
+    shared = Tensor(rng.normal(size=(4, 3)))
+    ad._accumulate(shared, g)
+    assert not np.shares_memory(shared.grad, g)
+    # through the ops: the operands of an add, and the add's output, each
+    # get a buffer of their own, though the add hands both operands one
+    # gradient; each operand's later contributions then add in place
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = rng.normal(size=(2, 3))
+    with Tape():
+        a, b = ad.gelu(x), ad.gelu(ad.gelu(x))
+        s = ad.add(a, b)
+        total = ad.add(s, a)
+        ad.backward(inner(total, w))
+    bufs = [a.grad, b.grad, s.grad, total.grad]
+    assert all(not np.shares_memory(p, q) for i, p in enumerate(bufs) for q in bufs[i + 1:])
+    np.testing.assert_array_equal(a.grad, w + w)
+    np.testing.assert_array_equal(b.grad, w)
 
 
 def test_branch_off_the_loss_path_is_skipped():
@@ -456,6 +492,11 @@ def _op_cases(rng):
     ids_2d = rng.integers(0, 5, size=(2, m))
     cases.append(("embedding_lookup_nd", [table],
                   lambda t: ad.embedding_lookup(t[0], ids_2d)))
+    # token rows plus the first m of a longer position table, as the model
+    # embeds a (B, n) batch of ids
+    positions = rng.normal(size=(m + 2, k))
+    cases.append(("embedding_lookup_positions", [table, positions],
+                  lambda t: ad.embedding_lookup(t[0], ids_2d, t[1])))
     # a table that is itself an op output gets its gradient buffer from the scatter
     cases.append(("embedding_lookup_of_op_output", [b],
                   lambda t: ad.embedding_lookup(ad.gelu(t[0]), ids % k)))

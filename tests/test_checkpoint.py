@@ -207,6 +207,23 @@ def test_non_finite_adam_setting_is_rejected(tmp_path, key, value):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("phase", ["pretrained", "", None, 1, ["finetune"]])
+def test_unknown_phase_is_rejected(tmp_path, phase):
+    raw = TWO_GATED_STEPS.read_bytes()
+    header, _ = _split_header(raw)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(raw, {**header, "phase": phase}))
+    with pytest.raises(CheckpointError, match="header field 'phase' must be one of"):
+        load_checkpoint(bad)
+    # a known phase loads, and re-saves with it
+    good = tmp_path / "good.ckpt"
+    good.write_bytes(_with_header(raw, {**header, "phase": "finetune"}))
+    loaded = load_checkpoint(good)
+    assert loaded.phase == "finetune"
+    save_checkpoint(tmp_path / "again.ckpt", loaded)
+    assert (tmp_path / "again.ckpt").read_bytes() == good.read_bytes()
+
+
 @pytest.mark.parametrize("change,named", [({"heads": 0}, "heads: must be >= 1"),
                                           ({"dropout": 1.0}, "dropout: must be in"),
                                           ({"d": 30, "heads": 4}, "d: must be a multiple")])

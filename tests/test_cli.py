@@ -484,6 +484,28 @@ def _finetuned_target(tmp_path):
     return cfg_path, config, tmp_path / "ft" / "finetuned.ckpt", tmp_path / "data" / "aligned-target"
 
 
+def test_pretrain_resume_from_a_finetuned_checkpoint_exits_2(tmp_path, capsys):
+    # the finetune's step count would resume the pretraining epoch plan part
+    # way through and skip that many of its batches
+    from tie.checkpoint import load_checkpoint
+
+    cfg_path, config = make_config(tmp_path)   # aligned pair, K=3 sources and target
+    pre, ft = Path(config["out"]) / "pretrained.ckpt", tmp_path / "ft" / "finetuned.ckpt"
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["finetune", "--config", str(cfg_path), "--out", str(ft.parent),
+                 "--checkpoint", str(pre)]) == 0
+    assert load_checkpoint(pre).phase == "pretrain"
+    assert load_checkpoint(ft).phase == "finetune" and load_checkpoint(ft).num_channels == 3
+    capsys.readouterr()
+    out = tmp_path / "again"
+    assert main(["pretrain", "--config", str(cfg_path), "--checkpoint", str(ft),
+                 "--out", str(out)]) == 2
+    assert "was written by finetune" in capsys.readouterr().err
+    assert not (out / "pretrained.ckpt").exists()
+    assert main(["pretrain", "--config", str(cfg_path), "--checkpoint", str(pre),
+                 "--out", str(out)]) == 0
+
+
 def test_eval_and_decode_parse_only_the_split_they_read(tmp_path):
     from tie.checkpoint import load_checkpoint
     from tie.data import load_manifest
