@@ -19,7 +19,7 @@ per-cell score layer as one record), ``bce_with_logits`` and ``dropout``.
 (+ b)`` for an N-d ``x``, a 2-D ``w`` and an optional ``(out,)`` bias, whose
 backward gives ``w`` one GEMM over every leading row of ``x``. Ops do not
 check their results: NaN/Inf propagate to the forward/backward boundary,
-where ``check_finite`` screens the model's logits and ``Tape.backward`` the
+where ``check_finite`` screens the model's logits and ``backward`` the
 loss, naming the first recorded op whose output is non-finite. The trainer
 screens the gradients.
 
@@ -146,24 +146,10 @@ class Tape:
         out._tape = self
         self._records.append((out, backward_fn))
 
-    def backward(self, loss: Tensor):
-        if self._consumed:
-            raise TapeError(
-                "backward already ran on this tape; zero grads and rebuild the graph"
-            )
-        if loss.size != 1:
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        check_finite(loss, "loss")
-        self._consumed = True
-        _accumulate(loss, np.ones_like(loss.data), owned=True)
-        while self._records:
-            out, fn = self._records.pop()
-            if out.grad is not None:
-                fn(out.grad)
-
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every requires-grad leaf.
+    """Accumulate gradients of a scalar loss into every requires-grad leaf,
+    in one reverse sweep of the loss's tape; a tape runs backward once.
 
     A loss with no tape attachment (a constant) is a no-op: untouched leaves
     keep their zero gradients. Op outputs off the path to the loss keep
@@ -171,9 +157,18 @@ def backward(loss: Tensor):
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._tape is None:
+    tape = loss._tape
+    if tape is None:
         return
-    loss._tape.backward(loss)
+    if tape._consumed:
+        raise TapeError("backward already ran on this tape; zero grads and rebuild the graph")
+    check_finite(loss, "loss")
+    tape._consumed = True
+    _accumulate(loss, np.ones_like(loss.data), owned=True)
+    while tape._records:
+        out, fn = tape._records.pop()
+        if out.grad is not None:
+            fn(out.grad)
 
 
 def check_finite(t: Tensor, what: str):

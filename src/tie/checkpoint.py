@@ -13,13 +13,15 @@ Layout:
     u32 LE CRC32 of the payload region
 
 The vectors are ``Parameters.vector`` (all groups end to end), the Adam
-first and second moments laid out like it, then the gate's snapshot of the
-previous batch's gradient if the run has one, so a loaded checkpoint
-resumes the exact training trajectory. The manifest is derived
-from the model's ``layout`` (names and shapes, no arrays), and a loaded
-file's manifest must equal the one its model_config implies. A loaded
-state's parameters, Adam moments and snapshot are views of one aligned copy
-of the payload, the file as read.
+first and second moments laid out like it, then ``TrainState.snapshot``, the
+gate's copy of the previous batch's gradient, if the run has made one, so a
+loaded checkpoint resumes the exact training trajectory. The manifest is
+derived from the model's ``layout`` (names and shapes, no arrays): a tensor
+entry for each tensor of the first three vectors, and a ``snapshot/<group>``
+entry for each group's slice of the snapshot. A loaded file's manifest must
+equal the one its model_config implies. A loaded state's parameters, Adam
+moments and snapshot are views of one aligned copy of the payload, the file
+as read.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .data import Vocabulary
 from .model import ModelConfig, Parameters, group_sizes, layout
-from .trainer import Adam, GradientSnapshot, TrainState
+from .trainer import Adam, TrainState
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
@@ -63,18 +65,19 @@ class Checkpoint:
 
 def _stored(state: TrainState) -> list:
     """Every vector of the payload, in payload order."""
-    vectors = [state.params.vector, *state.optimizer.moments, state.snapshot.vector]
+    vectors = [state.params.vector, *state.optimizer.moments, state.snapshot]
     return [vec for vec in vectors if vec is not None]
 
 
-def _manifest(groups: dict, snapshot: dict) -> list:
-    """The header's entries for a model of this ``layout`` and a gradient
-    snapshot of ``snapshot`` (group -> vector size): every tensor of the
-    parameters and of both Adam moments, then each snapshot vector whole."""
+def _manifest(groups: dict, snapshot: bool) -> list:
+    """The header's entries for a model of this ``layout``: every tensor of
+    the parameters and of both Adam moments, then, with a ``snapshot``,
+    each group's slice of it whole."""
     tensors = [(name, list(shape)) for specs in groups.values() for name, shape, _ in specs]
     stored = [(f"{key}/{name}", dims) for key in ("param", "adam.m", "adam.v")
               for name, dims in tensors]
-    stored += [(f"snapshot/{group}", [size]) for group, size in snapshot.items()]
+    if snapshot:
+        stored += [(f"snapshot/{group}", [size]) for group, size in group_sizes(groups).items()]
     offsets = accumulate((8 * math.prod(dims) for _, dims in stored), initial=0)
     return [{"name": name, "dtype": "f8", "dims": dims, "offset": offset}
             for (name, dims), offset in zip(stored, offsets)]
@@ -96,8 +99,7 @@ def save_checkpoint(path, checkpoint: Checkpoint):
             "eps": state.optimizer.eps,
             "t": dict(state.optimizer.t),
         },
-        "manifest": _manifest(state.params.layout,
-                              {g: vec.size for g, vec in state.snapshot.prev.items()}),
+        "manifest": _manifest(state.params.layout, state.snapshot is not None),
     }
     if checkpoint.phase is not None:
         header["phase"] = checkpoint.phase
@@ -213,7 +215,7 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     # (before the first step) or covers every group
     with_snapshot = len(manifest) > 3 * sum(map(len, groups.values()))
     sizes = group_sizes(groups)
-    expected = _manifest(groups, sizes if with_snapshot else {})
+    expected = _manifest(groups, with_snapshot)
     if manifest != expected:
         i, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(manifest, expected))
                             if a != b)
@@ -235,14 +237,11 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
     optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
                      moments=(words[n:2 * n], words[2 * n:3 * n]))
     optimizer.t = steps
-    snapshot = GradientSnapshot()
-    if with_snapshot:
-        snapshot.vector = words[3 * n:]
-        snapshot.prev = params.group_views(snapshot.vector)
+    state = TrainState(params=params, optimizer=optimizer,
+                       snapshot=words[3 * n:] if with_snapshot else None, step=step)
     return Checkpoint(config=config, num_channels=num_channels,
                       seed=_count(path, header, "seed"), step=step, vocab=vocab,
-                      state=TrainState(params=params, optimizer=optimizer,
-                                       snapshot=snapshot, step=step), phase=phase)
+                      state=state, phase=phase)
 
 
 def _count(path: Path, header: dict, key: str) -> int:

@@ -180,12 +180,12 @@ class Parameters:
     tensor belongs to exactly one group; groups are the unit the training
     gate freezes or updates. The model owns one data vector ``vector`` and
     one gradient vector ``grad``, all groups end to end in layout order,
-    each group's tensors in layout order, each flattened. ``flat[group]``
-    and ``flat_grad[group]`` are a group's views of them, and every
+    each group's tensors in layout order, each flattened. ``slices[group]``
+    is where a group sits in any vector laid out like ``vector``: the
+    gradient, the Adam moments and the gate's snapshot alike. Every
     tensor's ``data`` and ``grad`` are views with the tensor's shape, so a
     backward pass accumulates straight into ``grad`` and one in-place
-    update of ``flat[group]`` moves all of the group's tensors.
-    ``group_views`` splits any vector laid out like ``vector`` by group.
+    update of ``vector[slices[group]]`` moves all of the group's tensors.
 
     ``Parameters(config, num_channels, rng)`` draws a fresh initialisation,
     tensor by tensor in layout order; ``Parameters.over`` lays the tensors
@@ -212,7 +212,9 @@ class Parameters:
         vector."""
         self.config, self.num_channels = config, num_channels
         self.layout = layout(config, num_channels)
-        total = sum(group_sizes(self.layout).values())
+        ends = list(accumulate(group_sizes(self.layout).values(), initial=0))
+        self.slices = {g: slice(lo, hi) for g, lo, hi in zip(self.layout, ends, ends[1:])}
+        total = ends[-1]
         drawn = vector is None
         if drawn:
             vector = np.empty(total)
@@ -233,7 +235,6 @@ class Parameters:
             lo += size
         self.groups = {group: [name for name, _, _ in specs]
                        for group, specs in self.layout.items()}
-        self.flat, self.flat_grad = self.group_views(vector), self.group_views(self.grad)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -244,20 +245,15 @@ class Parameters:
     def grads(self) -> dict:
         """The live per-group views of ``grad``, not copies: valid until the
         next ``zero_grads`` or backward pass writes into them."""
-        return dict(self.flat_grad)
-
-    def group_views(self, vector: np.ndarray) -> dict:
-        """Views into a vector laid out like ``vector``, one per group."""
-        ends = list(accumulate(group_sizes(self.layout).values()))
-        return dict(zip(self.layout, np.split(vector, ends[:-1])))
+        return {g: self.grad[s] for g, s in self.slices.items()}
 
     def reinit_channels(self, num_channels: int, rng: np.random.Generator):
         """Lay the model out anew for ``num_channels`` in a new ``vector``:
         every group but the channel groups, which ``layout`` puts last, keeps
         its values, and the channel tensors are drawn from ``rng`` in layout
         order."""
-        kept = self.vector.size - sum(self.flat[g].size for g in CHANNEL_GROUPS)
-        self._lay_out(self.config, num_channels, rng=rng, kept=self.vector[:kept])
+        kept = self.vector[:self.slices[CHANNEL_GROUPS[0]].start]
+        self._lay_out(self.config, num_channels, rng=rng, kept=kept)
 
 
 @dataclass(frozen=True)

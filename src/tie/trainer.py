@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -28,13 +27,11 @@ from .codec import encode
 from .data import Dataset, Vocabulary
 from .evaluate import evaluate_split
 from .instructions import InstructionPool, select
-from .model import (Parameters, at_least, check_fields, forward, group_sizes, make_batch,
-                    rule)
+from .model import Parameters, at_least, check_fields, forward, make_batch, rule
 
 __all__ = [
     "TrainConfig",
     "BatchPlan",
-    "GradientSnapshot",
     "Adam",
     "StepReport",
     "TrainState",
@@ -156,38 +153,19 @@ def plan_epoch(sizes: dict, batch_size: int, rng: np.random.Generator,
     return BatchPlan(batches=batches, forced_adjacent=forced)
 
 
-class GradientSnapshot:
-    """The previous batch's gradient (g at t-1): one vector ``vector`` laid
-    out like ``Parameters.grad``, with group views ``prev``; None and empty
-    before the first step."""
-
-    def __init__(self):
-        self.vector: np.ndarray | None = None
-        self.prev: dict[str, np.ndarray] = {}
-
-    def store(self, params: Parameters):
-        """Copy ``params.grad``, the live gradient that the next backward
-        overwrites, into ``vector``, made at the first store and reused."""
-        if self.vector is None:
-            self.vector = params.grad.copy()
-            self.prev = params.group_views(self.vector)
-        else:
-            self.vector[...] = params.grad
-
-
 class Adam:
     """Adaptive update with per-group step counters so frozen groups keep
     their moments and bias correction untouched.
 
     The moments are two vectors ``moments`` laid out like
     ``Parameters.vector``: zeros, or, given ``moments``, two such vectors
-    as a loaded checkpoint holds them. ``m[group]`` and ``v[group]`` are
-    their group views, fixed to the layout of ``params`` as given: after
-    ``reinit_channels`` the run needs a new ``Adam``, as ``finetune`` makes.
-    ``update`` steps the groups it is given in place. Each maximal run of
-    groups adjacent in the layout is one slice of the vectors, updated by
-    one pass of each operation, in two whole-vector work buffers made at
-    the first update. Only the bias-correction divides go per group, or per
+    as a loaded checkpoint holds them; a group's moments are their slices
+    at ``params.slices[group]``. They keep the layout of ``params`` as
+    given: after ``reinit_channels`` the run needs a new ``Adam``, as
+    ``finetune`` makes. ``update`` steps the groups it is given in place.
+    Each maximal run of groups adjacent in the layout is one slice of the
+    vectors, updated by one pass of each operation, in two whole-vector
+    work buffers made at the first update. Only the bias-correction divides go per group, or per
     run of groups at the same step count. Every operation is elementwise,
     so the result is the per-group step's, bit for bit.
     """
@@ -202,20 +180,18 @@ class Adam:
         if moments is None:
             moments = (np.zeros_like(params.vector), np.zeros_like(params.vector))
         self.moments = moments
-        self.m, self.v = (params.group_views(vec) for vec in moments)
-        ends = list(accumulate(group_sizes(params.layout).values(), initial=0))
-        self._bounds = dict(zip(params.groups, zip(ends, ends[1:])))   # group -> (lo, hi)
         self._work = None
         self.t: dict[str, int] = dict.fromkeys(params.groups, 0)
 
-    def _runs(self, groups) -> list:
+    def _runs(self, slices: dict, groups) -> list:
         """[lo, hi, [[lo, hi, t], ...]] for each maximal run of ``groups``
-        adjacent in the layout, split into parts of equal step count."""
+        adjacent in the layout of ``slices``, split into parts of equal step
+        count."""
         runs = []
-        for group, (lo, hi) in self._bounds.items():
+        for group, where in slices.items():
             if group not in groups:
                 continue
-            t = self.t[group]
+            lo, hi, t = where.start, where.stop, self.t[group]
             if runs and runs[-1][1] == lo:
                 run = runs[-1]
                 run[1] = hi
@@ -236,7 +212,7 @@ class Adam:
         if self._work is None:
             self._work = (np.empty_like(params.vector), np.empty_like(params.vector))
         (m_all, v_all), (step_all, denom_all) = self.moments, self._work
-        for lo, hi, parts in self._runs(groups):
+        for lo, hi, parts in self._runs(params.slices, groups):
             p, g = params.vector[lo:hi], params.grad[lo:hi]
             m, v, step, denom = m_all[lo:hi], v_all[lo:hi], step_all[lo:hi], denom_all[lo:hi]
             m *= self.beta1
@@ -277,20 +253,36 @@ class StepReport:
         }
 
 
-def gated_step(params: Parameters, snapshot: GradientSnapshot, optimizer: Adam, *,
-               gate: bool = True, granularity: str = "group") -> dict:
-    """Apply one optimizer step from the gradient in ``params.grad`` under
-    the gradient-agreement gate.
+@dataclass
+class TrainState:
+    """A run's parameters, optimizer, step count and the gate's ``snapshot``:
+    the previous batch's gradient, laid out like ``params.grad``, or None
+    before the first step."""
+
+    params: Parameters
+    optimizer: Adam
+    snapshot: np.ndarray | None = None
+    step: int = 0
+
+    @classmethod
+    def fresh(cls, params: Parameters, lr: float) -> "TrainState":
+        return cls(params=params, optimizer=Adam(params, lr))
+
+
+def gated_step(state: TrainState, *, gate: bool = True, granularity: str = "group") -> dict:
+    """Apply one step of ``state.optimizer`` from the gradient in
+    ``state.params.grad`` under the gradient-agreement gate.
 
     A group updates iff the inner product of its current gradient (its view
-    from ``params.grads()``) with the previous batch's gradient is strictly
-    positive; with no previous gradient (first step) it always updates.
+    from ``params.grads()``) with its slice of ``state.snapshot`` is
+    strictly positive; with no snapshot (first step) it always updates.
     Under ``"global"`` granularity one dot over the whole gradient decides
-    for all groups. Every group is decided before ``optimizer.update`` steps
-    the updated ones. The snapshot then stores a copy of the current
-    gradient, every group's, updated or not. Returns per-group decisions
-    {"dot", "updated"}.
+    for all groups. Every group is decided before the optimizer steps the
+    updated ones. The snapshot then holds a copy of the current gradient,
+    every group's, updated or not: made at the first step, overwritten in
+    place after. Returns per-group decisions {"dot", "updated"}.
     """
+    params, snapshot = state.params, state.snapshot
     # the sum screens; an overflowing sum of finite values is rechecked
     if not np.isfinite(params.grad.sum()) and not np.isfinite(params.grad).all():
         name = next(n for n, t in params.tensors.items() if not np.isfinite(t.grad).all())
@@ -300,9 +292,10 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, optimizer: Adam, 
     # a gate unit is (its groups, its gradient, the snapshot's): one group,
     # or all groups together under "global"
     if granularity == "group":
-        units = [([g], grads[g], snapshot.prev.get(g)) for g in params.groups]
+        units = [([g], grads[g], None if snapshot is None else snapshot[s])
+                 for g, s in params.slices.items()]
     else:
-        units = [(list(params.groups), params.grad, snapshot.vector)]
+        units = [(list(params.groups), params.grad, snapshot)]
     decisions = {}
     for unit, current, previous in units:
         if gate and previous is not None:
@@ -312,23 +305,13 @@ def gated_step(params: Parameters, snapshot: GradientSnapshot, optimizer: Adam, 
             dot, updated = None, True
         for group in unit:
             decisions[group] = {"dot": dot, "updated": updated}
-    optimizer.update(params, [g for g, d in decisions.items() if d["updated"]])
+    state.optimizer.update(params, [g for g, d in decisions.items() if d["updated"]])
 
-    snapshot.store(params)
+    if snapshot is None:
+        state.snapshot = params.grad.copy()
+    else:
+        snapshot[...] = params.grad
     return decisions
-
-
-@dataclass
-class TrainState:
-    params: Parameters
-    optimizer: Adam
-    snapshot: GradientSnapshot
-    step: int = 0
-
-    @classmethod
-    def fresh(cls, params: Parameters, lr: float) -> "TrainState":
-        return cls(params=params, optimizer=Adam(params, lr),
-                   snapshot=GradientSnapshot(), step=0)
 
 
 def _prepared(dataset: Dataset, vocab: Vocabulary):
@@ -357,8 +340,7 @@ def _train_step(state: TrainState, dataset: Dataset, token_ids, golds,
         fwd = forward(params, batch, rng=rng_drop)
         batch_loss = loss(fwd.logits, [golds[i] for i in batch_indices])
         ad.backward(batch_loss)
-    decisions = gated_step(params, state.snapshot, state.optimizer,
-                           gate=gate, granularity=cfg.gate_granularity)
+    decisions = gated_step(state, gate=gate, granularity=cfg.gate_granularity)
     state.step += 1
     return float(batch_loss.data), decisions
 

@@ -22,7 +22,7 @@ from tie.model import ModelConfig, Parameters
 from tie.synth import make_synth
 from tie import trainer as T
 from tie.evaluate import predict_split
-from tie.trainer import Adam, GradientSnapshot, TrainConfig, TrainState, gated_step
+from tie.trainer import TrainConfig, TrainState, gated_step
 
 from fuzz import FUZZ_SPACES, fuzz_instance
 from grids import lift
@@ -105,8 +105,8 @@ def test_regularization_gate():
     problems = []
 
     def fresh():
-        p = Parameters(cfg, 2, np.random.default_rng(0))
-        return p, GradientSnapshot(), Adam(p, lr=1e-3)
+        state = TrainState.fresh(Parameters(cfg, 2, np.random.default_rng(0)), lr=1e-3)
+        return state, state.params, state.optimizer
 
     def grads(p, sign=1.0):
         p.grad[...] = sign
@@ -114,18 +114,18 @@ def test_regularization_gate():
 
     # per-group: flipping exactly one group's gradient freezes exactly it,
     # bit-identically, optimizer moments included
-    base_p, _, _ = fresh()
+    _, base_p, _ = fresh()
     for flipped in base_p.groups:
-        p, snap, adam = fresh()
+        state, p, adam = fresh()
         grads(p)
-        gated_step(p, snap, adam)
+        gated_step(state)
         before = {n: t.data.copy() for n, t in p.tensors.items()}
-        m_before = {n: a.copy() for n, a in adam.m.items()}
-        v_before = {n: a.copy() for n, a in adam.v.items()}
+        m_before = {g: adam.moments[0][s].copy() for g, s in p.slices.items()}
+        v_before = {g: adam.moments[1][s].copy() for g, s in p.slices.items()}
         t_before = dict(adam.t)
         g2 = grads(p)
         g2[flipped] *= -1.0
-        decisions = gated_step(p, snap, adam)
+        decisions = gated_step(state)
         for group, d in decisions.items():
             want = group != flipped
             if d["updated"] != want or (d["dot"] > 0) != want:
@@ -133,8 +133,8 @@ def test_regularization_gate():
         for name in p.groups[flipped]:
             if not np.array_equal(p.tensors[name].data, before[name]):
                 problems.append(f"{flipped}: {name} not bit-identical when frozen")
-        if not (np.array_equal(adam.m[flipped], m_before[flipped])
-                and np.array_equal(adam.v[flipped], v_before[flipped])):
+        if not (np.array_equal(adam.moments[0][p.slices[flipped]], m_before[flipped])
+                and np.array_equal(adam.moments[1][p.slices[flipped]], v_before[flipped])):
             problems.append(f"{flipped}: moments not bit-identical when frozen")
         if adam.t[flipped] != t_before[flipped]:
             problems.append(f"{flipped}: step counter advanced while frozen")
@@ -146,22 +146,22 @@ def test_regularization_gate():
             problems.append(f"{flipped}: other groups did not update")
 
     # strict inequality at zero
-    p, snap, adam = fresh()
+    state, p, _ = fresh()
     grads(p, sign=0.0)
-    gated_step(p, snap, adam)
+    gated_step(state)
     grads(p)
-    decisions = gated_step(p, snap, adam)
+    decisions = gated_step(state)
     if any(d["dot"] != 0.0 or d["updated"] for d in decisions.values()):
         problems.append("zero dot did not skip")
 
     # first step always updates; equal/negated gradients behave as signed dots
-    p, snap, adam = fresh()
+    state, p, _ = fresh()
     grads(p)
-    d0 = gated_step(p, snap, adam)
+    d0 = gated_step(state)
     grads(p)
-    d1 = gated_step(p, snap, adam)
+    d1 = gated_step(state)
     grads(p, -1.0)
-    d2 = gated_step(p, snap, adam)
+    d2 = gated_step(state)
     if not all(v["updated"] and v["dot"] is None for v in d0.values()):
         problems.append("first step did not update unconditionally")
     if not all(v["updated"] and v["dot"] > 0 for v in d1.values()):

@@ -51,9 +51,8 @@ def run_pretrain(steps, tmp_path, resume_at=None):
         assert state.step == resume_at
         # parameters, moments and snapshot are views of one buffer, the
         # file as read
-        vectors = [state.params.vector, *state.optimizer.moments, state.snapshot.vector]
-        views = [*state.params.flat.values(), *state.optimizer.m.values(),
-                 *state.optimizer.v.values(), *state.snapshot.prev.values()]
+        vectors = [state.params.vector, *state.optimizer.moments, state.snapshot]
+        views = [vec[s] for vec in vectors for s in state.params.slices.values()]
         assert len(views) == 4 * len(state.params.groups)
         buffer = vectors[0].base
         assert all(vec.base is buffer and np.shares_memory(vec, buffer)
@@ -81,13 +80,13 @@ def test_roundtrip_preserves_everything(tmp_path):
     assert loaded.vocab.id_to_token == vocab.id_to_token
     for name, t in state.params.tensors.items():
         assert np.array_equal(loaded.state.params.tensors[name].data, t.data)
-    for group in state.params.groups:
-        assert np.array_equal(loaded.state.optimizer.m[group], state.optimizer.m[group])
-        assert np.array_equal(loaded.state.optimizer.v[group], state.optimizer.v[group])
+    for s in state.params.slices.values():
+        for mine, theirs in zip(loaded.state.optimizer.moments, state.optimizer.moments):
+            assert np.array_equal(mine[s], theirs[s])
     assert loaded.state.optimizer.t == state.optimizer.t
-    assert set(loaded.state.snapshot.prev) == set(state.snapshot.prev)
-    for g, arr in state.snapshot.prev.items():
-        assert np.array_equal(loaded.state.snapshot.prev[g], arr)
+    assert loaded.state.snapshot.shape == state.snapshot.shape
+    for s in state.params.slices.values():
+        assert np.array_equal(loaded.state.snapshot[s], state.snapshot[s])
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -113,9 +112,9 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert direct.step == resumed.step == 51
     for name, t in direct.params.tensors.items():
         assert np.array_equal(t.data, resumed.params.tensors[name].data), name
-    for group in direct.optimizer.m:
-        assert np.array_equal(direct.optimizer.m[group], resumed.optimizer.m[group])
-        assert np.array_equal(direct.optimizer.v[group], resumed.optimizer.v[group])
+    for s in direct.params.slices.values():
+        for mine, theirs in zip(direct.optimizer.moments, resumed.optimizer.moments):
+            assert np.array_equal(mine[s], theirs[s])
     assert direct.optimizer.t == resumed.optimizer.t
 
 
@@ -157,7 +156,7 @@ def test_checkpoint_after_retarget_resaves_and_resumes(tmp_path):
     for mine, theirs in zip(direct.optimizer.moments, resumed.optimizer.moments):
         assert np.array_equal(mine, theirs)
     assert direct.optimizer.t == resumed.optimizer.t
-    assert np.array_equal(direct.snapshot.vector, resumed.snapshot.vector)
+    assert np.array_equal(direct.snapshot, resumed.snapshot)
 
 
 # A TIE1 file written by an earlier version of this code: synth aligned_pair
@@ -180,12 +179,12 @@ def test_committed_checkpoint_loads_its_bytes_and_resaves_them(tmp_path):
              for key, vec in (("param", params.vector), ("adam.m", optimizer.moments[0]),
                               ("adam.v", optimizer.moments[1]))
              for n, view in named(params, vec).items()}
-    for group in params.groups:
-        found[f"snapshot/{group}"] = state.snapshot.prev[group]
-        assert state.snapshot.prev[group].any(), group
-        for key, vec in (("param", params.flat[group]), ("adam.m", optimizer.m[group]),
-                         ("adam.v", optimizer.v[group])):
-            assert vec.any(), (key, group)   # two steps made the moments non-zero
+    for group, s in params.slices.items():
+        found[f"snapshot/{group}"] = state.snapshot[s]
+        assert state.snapshot[s].any(), group
+        for key, vec in (("param", params.vector), ("adam.m", optimizer.moments[0]),
+                         ("adam.v", optimizer.moments[1])):
+            assert vec[s].any(), (key, group)   # two steps made the moments non-zero
     assert found.keys() == stored.keys()
     for name, arr in found.items():
         assert np.array_equal(arr, stored[name]), name
@@ -248,6 +247,28 @@ def test_crc_mismatch_detected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="CRC"):
         load_checkpoint(path)
+
+
+def test_state_before_its_first_step_roundtrips_and_then_steps_ungated(tmp_path):
+    (_a, _b, _t), vocab, _pool, params, cfg, k = fixture()
+    first, again = tmp_path / "fresh.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(first, Checkpoint(config=cfg, num_channels=k, seed=4, step=0,
+                                      vocab=vocab, state=TrainState.fresh(params, 1e-3)))
+    loaded = load_checkpoint(first)
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == first.read_bytes()
+    header, _ = _split_header(first.read_bytes())
+    assert not [e for e in header["manifest"] if e["name"].startswith("snapshot/")]
+    state = loaded.state
+    assert state.snapshot is None and state.step == 0
+    state.params.grad[...] = 1.0
+    before = state.params.vector.copy()
+    decisions = T.gated_step(state)
+    assert set(decisions) == set(state.params.groups)
+    assert all(d == {"dot": None, "updated": True} for d in decisions.values())
+    for s in state.params.slices.values():
+        assert not np.array_equal(state.params.vector[s], before[s])
+    assert np.array_equal(state.snapshot, state.params.grad)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -381,7 +402,7 @@ def test_non_finite_tensor_is_rejected_by_name(tmp_path):
     targets = {"param/score.b": params["score.b"].data,
                "adam.m/enc.0.attn.wq": named(params, state.optimizer.moments[0])["enc.0.attn.wq"],
                "adam.v/dec.norm.g": named(params, state.optimizer.moments[1])["dec.norm.g"],
-               "snapshot/score": state.snapshot.prev["score"]}
+               "snapshot/score": state.snapshot[params.slices["score"]]}
     path = tmp_path / "x.ckpt"
     for name, arr in targets.items():
         for bad in (np.nan, np.inf):

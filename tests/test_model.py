@@ -319,7 +319,7 @@ def test_group_partition_covers_all_params():
 
 def test_parameters_laid_over_a_vector_are_views_of_it_in_layout_order():
     drawn = toy_params()
-    vector = np.arange(sum(vec.size for vec in drawn.flat.values()), dtype=float)
+    vector = np.arange(drawn.vector.size, dtype=float)
     over = Parameters.over(drawn.config, 3, vector)
     assert over.groups == drawn.groups
     assert list(over.tensors) == list(drawn.tensors)
@@ -332,6 +332,31 @@ def test_parameters_laid_over_a_vector_are_views_of_it_in_layout_order():
     assert lo == vector.size
     with pytest.raises(ValueError, match="floats for a layout of"):
         Parameters.over(drawn.config, 3, vector[1:])
+
+
+def test_slices_tile_the_vector_and_hold_their_groups_tensors():
+    p = toy_params(k=3, seed=14)
+    p.vector[...] = np.arange(p.vector.size)   # distinct values place every element
+    p.grad[...] = -np.arange(p.grad.size)
+    ends = [0]
+    for group, where in p.slices.items():   # in layout order, without gaps
+        assert where.start == ends[-1] and where.stop > where.start, group
+        ends.append(where.stop)
+        for part, vec in (("data", p.vector), ("grad", p.grad)):
+            tensors = [getattr(p[name], part) for name in p.groups[group]]
+            assert all(np.shares_memory(t, vec[where]) for t in tensors), (group, part)
+            assert np.array_equal(np.concatenate([t.reshape(-1) for t in tensors]), vec[where])
+    assert list(p.slices) == list(p.groups) and ends[-1] == p.vector.size == p.grad.size
+    grads = p.grads()
+    for group, where in p.slices.items():
+        assert np.array_equal(grads[group], p.grad[where])
+        assert np.shares_memory(grads[group], p.grad)
+    before = {g: p.vector[s].copy() for g, s in p.slices.items()}
+    p.reinit_channels(5, np.random.default_rng(15))
+    kept = list(p.slices)[:list(p.slices).index("biaffine")]
+    assert kept and "score" not in kept
+    for group in kept:
+        assert np.array_equal(p.vector[p.slices[group]], before[group]), group
 
 
 def test_reinit_channels_touches_only_channel_groups():

@@ -9,7 +9,6 @@ from tie.synth import make_synth
 from tie import trainer as T
 from tie.trainer import (
     Adam,
-    GradientSnapshot,
     TrainConfig,
     TrainState,
     TrainingDiverged,
@@ -172,77 +171,76 @@ def copied(params):
 
 def test_gate_first_step_always_updates():
     p = tiny_params()
-    snap = GradientSnapshot()
-    adam = Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
-    decisions = gated_step(p, snap, adam)
+    decisions = gated_step(state)
     assert all(d["updated"] and d["dot"] is None for d in decisions.values())
-    assert set(snap.prev) == set(p.groups)
+    assert state.snapshot.shape == p.grad.shape
 
 
 def test_snapshot_keeps_copies_of_the_live_gradients():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
-    gated_step(p, snap, adam)
-    vector = snap.vector
+    gated_step(state)
+    vector = state.snapshot
     p.zero_grads()
     assert not np.shares_memory(vector, p.grad) and np.all(vector == 1.0)
-    for group, vec in snap.prev.items():
-        assert vec is not p.flat_grad[group] and np.all(vec == 1.0)
-        assert np.shares_memory(vec, vector)
+    for where in p.slices.values():
+        assert not np.shares_memory(vector[where], p.grad) and np.all(vector[where] == 1.0)
     # the next step copies into the same vector, still apart from the gradient
     ones_grads(p, sign=2.0)
-    gated_step(p, snap, adam)
+    gated_step(state)
     p.zero_grads()
-    assert snap.vector is vector and not np.shares_memory(vector, p.grad)
+    assert state.snapshot is vector and not np.shares_memory(vector, p.grad)
     assert np.all(vector == 2.0)
 
 
 def test_gate_equal_gradients_update_all():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
-    gated_step(p, snap, adam)
+    gated_step(state)
     ones_grads(p)
-    decisions = gated_step(p, snap, adam)
+    decisions = gated_step(state)
     for group, d in decisions.items():
         assert d["updated"] and d["dot"] > 0
 
 
 def test_gate_negated_gradients_freeze_all():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
-    gated_step(p, snap, adam)
+    gated_step(state)
+    adam = state.optimizer
     before = copied(p)
-    m_before = {n: a.copy() for n, a in adam.m.items()}
-    v_before = {n: a.copy() for n, a in adam.v.items()}
+    m_before = {g: adam.moments[0][s].copy() for g, s in p.slices.items()}
+    v_before = {g: adam.moments[1][s].copy() for g, s in p.slices.items()}
     t_before = dict(adam.t)
     ones_grads(p, sign=-1.0)
-    decisions = gated_step(p, snap, adam)
+    decisions = gated_step(state)
     for d in decisions.values():
         assert not d["updated"] and d["dot"] < 0
     # frozen means bit-identical parameters and optimizer state
     for name, t in p.tensors.items():
         assert np.array_equal(t.data, before[name].data)
     for group in p.groups:
-        assert np.array_equal(adam.m[group], m_before[group])
-        assert np.array_equal(adam.v[group], v_before[group])
+        assert np.array_equal(adam.moments[0][p.slices[group]], m_before[group])
+        assert np.array_equal(adam.moments[1][p.slices[group]], v_before[group])
     assert adam.t == t_before
     # but the snapshot still stores the new gradients
-    assert all(np.all(a == -1.0) for a in snap.prev.values())
+    assert all(np.all(state.snapshot[s] == -1.0) for s in p.slices.values())
 
 
 def test_gate_mixed_groups():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
-    gated_step(p, snap, adam)
+    gated_step(state)
     g1 = ones_grads(p)
     g1["embed"] *= -1.0
     before = copied(p)
-    decisions = gated_step(p, snap, adam)
+    decisions = gated_step(state)
     assert not decisions["embed"]["updated"] and decisions["embed"]["dot"] < 0
     assert decisions["score"]["updated"] and decisions["score"]["dot"] > 0
     for name in p.groups["embed"]:
@@ -252,28 +250,28 @@ def test_gate_mixed_groups():
 
 def test_gate_zero_previous_gradient_skips():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p, sign=0.0)
-    gated_step(p, snap, adam)
+    gated_step(state)
     ones_grads(p)
-    decisions = gated_step(p, snap, adam)
+    decisions = gated_step(state)
     for d in decisions.values():
         assert d["dot"] == 0.0 and not d["updated"]
 
 
 def test_gate_global_granularity():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
-    gated_step(p, snap, adam, granularity="global")
+    gated_step(state, granularity="global")
     # embed dominates the global dot; flip everything else
     g1 = ones_grads(p, sign=-1.0)
     g1["embed"][...] = 1.0
-    sizes = {g: vec.size for g, vec in p.flat.items()}
+    sizes = {g: p.vector[s].size for g, s in p.slices.items()}
     embed_size = sizes["embed"]
     rest = sum(s for g, s in sizes.items() if g != "embed")
     expected = embed_size - rest > 0
-    decisions = gated_step(p, snap, adam, granularity="global")
+    decisions = gated_step(state, granularity="global")
     dots = {d["dot"] for d in decisions.values()}
     assert len(dots) == 1  # one global decision
     assert all(d["updated"] == expected for d in decisions.values())
@@ -281,42 +279,42 @@ def test_gate_global_granularity():
 
 def test_gate_off_updates_without_dots():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
-    gated_step(p, snap, adam, gate=False)
+    gated_step(state, gate=False)
     ones_grads(p, sign=-1.0)
-    decisions = gated_step(p, snap, adam, gate=False)
+    decisions = gated_step(state, gate=False)
     assert all(d["updated"] and d["dot"] is None for d in decisions.values())
 
 
 def test_gate_nan_gradient_aborts():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
     p["score.w"].grad[0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="score.w"):
-        gated_step(p, snap, adam)
+        gated_step(state)
 
 
 def test_gate_nan_in_the_middle_of_a_large_group_is_named():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     ones_grads(p)
     p["dec.0.cross.wv"].grad[1, 2] = np.inf
     names = p.groups["dec.0"]
     assert 0 < names.index("dec.0.cross.wv") < len(names) - 1
     with pytest.raises(TrainingDiverged, match=r"dec\.0\.cross\.wv"):
-        gated_step(p, snap, adam)
+        gated_step(state)
 
 
 def test_gate_accepts_finite_gradients_whose_sum_overflows():
     p = tiny_params()
-    snap, adam = GradientSnapshot(), Adam(p, lr=1e-3)
+    state = TrainState.fresh(p, lr=1e-3)
     big = ones_grads(p)
     p["score.w"].grad[...] = 1e308
     with np.errstate(over="ignore"):
         assert not np.isfinite(big["score"].sum())
-        decisions = gated_step(p, snap, adam)
+        decisions = gated_step(state)
     assert decisions["score"]["updated"]
     assert np.isfinite(p["score.w"].data).all()
 
@@ -389,18 +387,18 @@ def test_adam_in_place_step_matches_the_group_formula_across_a_relayout():
             p.reinit_channels(3, np.random.default_rng(5))
             adam = Adam(p, lr=2e-3)
             ref = {"m": {}, "v": {}, "t": {}}
-        for group in p.groups:
-            p.flat_grad[group][...] = rng.normal(scale=10.0 ** rng.integers(-6, 3),
-                                                 size=p.flat[group].size)
+        for group, s in p.slices.items():
+            p.grad[s] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.vector[s].size)
         updated = [g for g in p.groups if g not in FROZEN.get(step, ())]
-        before = {g: p.flat[g].copy() for g in p.groups}
-        expected = {g: p.flat[g] - reference_step(g, p.flat_grad[g]) for g in updated}
+        before = {g: p.vector[s].copy() for g, s in p.slices.items()}
+        expected = {g: p.vector[p.slices[g]] - reference_step(g, p.grad[p.slices[g]])
+                    for g in updated}
         adam.update(p, updated)
-        for group in p.groups:
+        for group, s in p.slices.items():
             want = expected.get(group, before[group])
-            assert np.array_equal(p.flat[group], want), (step, group)
-            assert np.array_equal(adam.m[group], ref["m"][group]), (step, group)
-            assert np.array_equal(adam.v[group], ref["v"][group]), (step, group)
+            assert np.array_equal(p.vector[s], want), (step, group)
+            assert np.array_equal(adam.moments[0][s], ref["m"][group]), (step, group)
+            assert np.array_equal(adam.moments[1][s], ref["v"][group]), (step, group)
     assert adam.t == {g: ref["t"].get(g, 0) for g in p.groups}
 
 
@@ -408,19 +406,19 @@ def test_parameter_views_share_the_group_vectors():
     p = tiny_params()
     assert list(p.tensors) == [n for names in p.groups.values() for n in names]
     for group, names in p.groups.items():
-        assert sum(p[n].size for n in names) == p.flat[group].size == p.flat_grad[group].size
-        assert np.shares_memory(p.flat[group], p.vector)
-        assert np.shares_memory(p.flat_grad[group], p.grad)
+        s = p.slices[group]
+        assert sum(p[n].size for n in names) == p.vector[s].size == p.grad[s].size
         for n in names:
-            assert np.shares_memory(p[n].data, p.flat[group])
-            assert np.shares_memory(p[n].grad, p.flat_grad[group])
+            assert np.shares_memory(p[n].data, p.vector[s])
+            assert np.shares_memory(p[n].grad, p.grad[s])
     batch = make_batch([[3, 4, 5]], [[3, 6, 7]], [[1, 2]])
     with Tape():
         fwd = forward(p, batch)
         backward(T.loss(fwd.logits, [np.zeros((3, 3, 2))]))
     grads = p.grads()
     for group, names in p.groups.items():
-        assert grads[group] is p.flat_grad[group]
+        assert np.array_equal(grads[group], p.grad[p.slices[group]])
+        assert np.shares_memory(grads[group], p.grad)
         np.testing.assert_array_equal(
             grads[group], np.concatenate([p[n].grad.reshape(-1) for n in names]))
     assert grads["enc.0"].any() and grads["score"].any()
