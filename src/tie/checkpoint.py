@@ -15,13 +15,14 @@ Layout:
 The vectors are ``Parameters.vector`` (all groups end to end), the Adam
 first and second moments laid out like it, then ``TrainState.snapshot``, the
 gate's copy of the previous batch's gradient, if the run has made one, so a
-loaded checkpoint resumes the exact training trajectory. The manifest is
+loaded checkpoint resumes the exact training trajectory. Only gated steps
+make a snapshot, so a finetuned file holds none. The manifest is
 derived from the model's ``layout`` (names and shapes, no arrays): a tensor
 entry for each tensor of the first three vectors, and a ``snapshot/<group>``
 entry for each group's slice of the snapshot. A loaded file's manifest must
-equal the one its model_config implies. A loaded state's parameters, Adam
-moments and snapshot are views of one aligned copy of the payload, the file
-as read.
+equal the one its model_config implies, which also holds ``RESIDUAL_KEY``,
+always true. A loaded state's parameters, Adam moments and snapshot are
+views of one aligned copy of the payload, the file as read.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"
 MAGIC = b"TIE1"
 FORMAT_VERSION = 1
 PHASES = ("pretrain", "finetune")
+# a model_config key of every TIE1 file, for an option the model no longer
+# has: the label-attention residual is always on, so the key is always true
+RESIDUAL_KEY = "residual_label_attn"
 
 
 class CheckpointError(ValueError):
@@ -87,7 +91,7 @@ def save_checkpoint(path, checkpoint: Checkpoint):
     state = checkpoint.state
     header = {
         "format_version": FORMAT_VERSION,
-        "model_config": asdict(checkpoint.config),
+        "model_config": {**asdict(checkpoint.config), RESIDUAL_KEY: True},
         "num_channels": checkpoint.num_channels,
         "seed": checkpoint.seed,
         "step": checkpoint.step,
@@ -174,10 +178,13 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
         raise CheckpointError(f"{path}: header format_version {header['format_version']} "
                               f"does not match the file's {FORMAT_VERSION}")
     config_json = header["model_config"]
-    if set(config_json) != {f.name for f in fields(ModelConfig)}:
+    if set(config_json) != {f.name for f in fields(ModelConfig)} | {RESIDUAL_KEY}:
         # a missing field would silently take its default, e.g. another head count
         raise CheckpointError(f"{path}: model_config fields {sorted(config_json)} do not "
                               f"match the model's")
+    if (residual := config_json.pop(RESIDUAL_KEY)) is not True:
+        raise CheckpointError(f"{path}: model_config.{RESIDUAL_KEY} must be true, "
+                              f"got {json.dumps(residual)}")
     try:
         config = ModelConfig(**config_json)
     except ValueError as exc:
@@ -212,7 +219,8 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
 
     manifest = header["manifest"]
     # the gate stores the whole gradient at once, so a snapshot is absent
-    # (before the first step) or covers every group
+    # (before the first gated step, and in every finetuned file) or covers
+    # every group
     with_snapshot = len(manifest) > 3 * sum(map(len, groups.values()))
     sizes = group_sizes(groups)
     expected = _manifest(groups, with_snapshot)

@@ -36,7 +36,7 @@ def predict_instances(params: Parameters, vocab: Vocabulary, pool: InstructionPo
         chunk = order[lo:lo + INFER_CHUNK]
         batch = make_batch([ids[i] for i in chunk], [instruction.token_ids] * len(chunk),
                            [slots] * len(chunk))
-        probs = ad.sigmoid(forward(params, batch).logits.data)
+        probs = ad.sigmoid(forward(params, batch).data)
         for b, i in enumerate(chunk):
             n = len(ids[i])
             preds[i] = decode(probs[b, :n, :n], dataset.label_space, tau, dataset.task_kind)

@@ -39,7 +39,6 @@ __all__ = [
     "layout",
     "group_sizes",
     "Parameters",
-    "ForwardState",
     "CHANNEL_GROUPS",
     "Batch",
     "make_batch",
@@ -61,7 +60,7 @@ CHANNEL_GROUPS = ("biaffine", "score")
 # JSON types a config value may have, by the annotation of the field it sets;
 # a boolean is never taken for a number.
 _JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-               "bool": (bool, "true or false"), "str": (str, "a string")}
+               "str": (str, "a string")}
 
 
 def rule(check, described: str) -> dict:
@@ -87,7 +86,7 @@ def check_fields(obj):
             continue
         if base in _JSON_TYPES:
             expected, described = _JSON_TYPES[base]
-            if isinstance(value, bool) != (base == "bool") or not isinstance(value, expected):
+            if isinstance(value, bool) or not isinstance(value, expected):
                 raise ValueError(f"{f.name}: must be {described}"
                                  f"{' or null' if optional else ''}, got {value!r}")
         check, described = f.metadata.get("rule", (None, ""))
@@ -109,11 +108,6 @@ class ModelConfig:
     # ids 0-2 are reserved (padding, unknown, slot marker)
     vocab_size: int = field(default=3, metadata=at_least(3))
     ffn_mult: int = field(default=4, metadata=at_least(1))
-    # Feeding the label-attention mixture alone starves the pair scorer of
-    # token identity (rows live on a K-corner simplex) and stalls training
-    # at small d; the residual keeps both. Set False for the mixture-only
-    # variant.
-    residual_label_attn: bool = True
 
     def __post_init__(self):
         check_fields(self)
@@ -289,19 +283,6 @@ def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
     return Batch(tokens=tokens, instr=instr, slots=slots, n=n, m=m)
 
 
-@dataclass
-class ForwardState:
-    """The taped intermediates of one forward; the decoder's only output is
-    its slot states ``h_slot``."""
-
-    h_enc: Tensor    # (B, n_max, d)
-    h_slot: Tensor   # (B, K, d)
-    h_x: Tensor      # (B, n_max, d)
-    h_head: Tensor   # (B, n_max, d)
-    h_tail: Tensor   # (B, n_max, d)
-    logits: Tensor   # (B, n_max, n_max, K)
-
-
 def _attention(params, prefix, x_q, x_kv, heads, mask=None, rng=None):
     """(B, n_q, d) queries over (B, n_k, d) keys; ``mask`` is additive and
     broadcastable to the (B, heads, n_q, n_k) scores, or None. Dropout runs
@@ -408,35 +389,35 @@ def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Te
     return ad.attention(proj_x, proj_slot, proj_slot, 1)
 
 
-def biaffine_score(h_x: Tensor, params: Parameters):
-    """Head and tail FFN states of (B, n, d) token states, and their
-    (B, n, n, K) token-pair logits: a bilinear head/tail interaction plus a
-    linear term ``W4 [h_head_i; h_tail_j]``, then a per-cell K -> K linear
-    map, all one ``ad.pair_scores`` op."""
+def biaffine_score(h_x: Tensor, params: Parameters) -> Tensor:
+    """(B, n, n, K) token-pair logits of (B, n, d) token states: head and
+    tail FFN states, a bilinear head/tail interaction plus a linear term
+    ``W4 [h_head_i; h_tail_j]``, then a per-cell K -> K linear map, the last
+    three one ``ad.pair_scores`` op."""
     h_head = _ffn(params, "head_mlp", h_x)
     h_tail = _ffn(params, "tail_mlp", h_x)
-    logits = ad.pair_scores(h_head, h_tail, params["biaffine.w3"], params["biaffine.w4"],
-                            params["score.w"], params["score.b"])
-    return h_head, h_tail, logits
+    return ad.pair_scores(h_head, h_tail, params["biaffine.w3"], params["biaffine.w4"],
+                          params["score.w"], params["score.b"])
 
 
-def forward(params: Parameters, batch: Batch, rng=None) -> ForwardState:
-    """Full pipeline over a padded batch. Dropout, at ``config.dropout``,
-    draws from ``rng`` if one is given; without one the forward is
-    deterministic. Each instance's real cells equal its own B=1 forward up
-    to float rounding."""
+def forward(params: Parameters, batch: Batch, rng=None) -> Tensor:
+    """Full pipeline over a padded batch: its (B, n_max, n_max, K) logits.
+    Each token's state is its encoder state plus its label-attention
+    mixture: the mixture alone starves the pair scorer of token identity
+    (its rows live on a K-corner simplex) and stalls training at small d.
+    Dropout, at ``config.dropout``, draws from ``rng`` if one is given;
+    without one the forward is deterministic. Each instance's real cells
+    equal its own B=1 forward up to float rounding."""
     if batch.slots.shape[1] != params.num_channels:
         raise ValueError(
             f"{batch.slots.shape[1]} slots for a {params.num_channels}-channel model"
         )
     h_enc = encode_sentence(params, batch, rng=rng)
     h_slot = decode_instruction(params, h_enc, batch, rng=rng)
-    h_x = label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"])
-    if params.config.residual_label_attn:
-        h_x = ad.add(h_enc, h_x)
-    h_head, h_tail, logits = biaffine_score(h_x, params)
+    h_x = ad.add(h_enc, label_attention(h_enc, h_slot, params["label_attn.w1"],
+                                        params["label_attn.w2"]))
+    logits = biaffine_score(h_x, params)
     size, n_max = batch.tokens.shape
     assert logits.shape == (size, n_max, n_max, params.num_channels)
     ad.check_finite(logits, "forward logits")
-    return ForwardState(h_enc=h_enc, h_slot=h_slot, h_x=h_x,
-                        h_head=h_head, h_tail=h_tail, logits=logits)
+    return logits

@@ -256,8 +256,8 @@ class StepReport:
 @dataclass
 class TrainState:
     """A run's parameters, optimizer, step count and the gate's ``snapshot``:
-    the previous batch's gradient, laid out like ``params.grad``, or None
-    before the first step."""
+    the previous gated batch's gradient, laid out like ``params.grad``, or
+    None before the first gated step; ungated steps leave it as it is."""
 
     params: Parameters
     optimizer: Adam
@@ -278,9 +278,10 @@ def gated_step(state: TrainState, *, gate: bool = True, granularity: str = "grou
     strictly positive; with no snapshot (first step) it always updates.
     Under ``"global"`` granularity one dot over the whole gradient decides
     for all groups. Every group is decided before the optimizer steps the
-    updated ones. The snapshot then holds a copy of the current gradient,
-    every group's, updated or not: made at the first step, overwritten in
-    place after. Returns per-group decisions {"dot", "updated"}.
+    updated ones. Under the gate the snapshot then holds a copy of the
+    current gradient, every group's, updated or not: made at the first gated
+    step, overwritten in place after; ``gate=False`` leaves it as it is.
+    Returns per-group decisions {"dot", "updated"}.
     """
     params, snapshot = state.params, state.snapshot
     # the sum screens; an overflowing sum of finite values is rechecked
@@ -307,9 +308,9 @@ def gated_step(state: TrainState, *, gate: bool = True, granularity: str = "grou
             decisions[group] = {"dot": dot, "updated": updated}
     state.optimizer.update(params, [g for g, d in decisions.items() if d["updated"]])
 
-    if snapshot is None:
+    if gate and snapshot is None:
         state.snapshot = params.grad.copy()
-    else:
+    elif gate:
         snapshot[...] = params.grad
     return decisions
 
@@ -333,12 +334,12 @@ def _train_step(state: TrainState, dataset: Dataset, token_ids, golds,
                        [ins.slot_positions(dataset.label_space) for ins in instructions])
     params.zero_grads()
     with ad.Tape():
-        # ``fwd`` holds the forward's states until the step returns; freed
-        # during the backward sweep, they let the allocator trim the heap top,
-        # and each step faults those pages back in (~3x the minor faults and
-        # ~15% slower steps at the bench's cli_infer shape)
-        fwd = forward(params, batch, rng=rng_drop)
-        batch_loss = loss(fwd.logits, [golds[i] for i in batch_indices])
+        # ``logits`` stays bound until the step returns; freed during the
+        # backward sweep, the grid lets the allocator trim the heap top, and
+        # each step faults those pages back in (~3x the minor faults and ~15%
+        # slower steps at the bench's cli_infer shape)
+        logits = forward(params, batch, rng=rng_drop)
+        batch_loss = loss(logits, [golds[i] for i in batch_indices])
         ad.backward(batch_loss)
     decisions = gated_step(state, gate=gate, granularity=cfg.gate_granularity)
     state.step += 1

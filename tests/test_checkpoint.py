@@ -323,12 +323,16 @@ def _unseen_faults(header, payload):
                             "vocab has 65 ids .*vocab_size is 100000000000000"),
         "max_len 1e14": ({**header, "model_config": {**cfg, "max_len": 10**14}}, payload,
                          r"manifest entry 1 .*param/embed.pos_x.*\[100000000000000, 4\]"),
+        # the label-attention residual is always on
+        "residual_label_attn false": (
+            {**header, "model_config": {**cfg, "residual_label_attn": False}}, payload,
+            "model_config.residual_label_attn must be true, got false"),
     }
 
 
 @pytest.mark.parametrize("label", ["swapped names", "extra tensor", "extra entry key",
                                    "vocab 5 short", "vocab 5 long", "vocab_size 1e14",
-                                   "max_len 1e14"])
+                                   "max_len 1e14", "residual_label_attn false"])
 def test_header_fault_under_a_valid_crc_is_rejected(tmp_path, label):
     raw = TWO_GATED_STEPS.read_bytes()
     header, rest = _split_header(raw)

@@ -56,6 +56,10 @@ def test_full_pipeline(tmp_path, capsys):
     assert main(["finetune", "--config", str(cfg_path), "--out", str(ft_out),
                  "--checkpoint", str(out / "pretrained.ckpt")]) == 0
     assert (ft_out / "finetuned.ckpt").exists()
+    # only gated steps keep a snapshot, so a finetuned file stores none
+    header, _ = _split_header((ft_out / "finetuned.ckpt").read_bytes())
+    assert header["manifest"]
+    assert not [e for e in header["manifest"] if e["name"].startswith("snapshot/")]
 
     ev_out = tmp_path / "ev"
     assert main(["eval", "--config", str(cfg_path), "--out", str(ev_out),
@@ -175,6 +179,8 @@ MALFORMED_INPUTS = {
     "finetune_epochs is negative": (_set("train", "finetune_epochs", -2),
                                     "train.finetune_epochs: must be >= 1, got -2"),
     "min_count is 0": (_set("train", "min_count", 0), "train.min_count: unknown field"),
+    "residual_label_attn is true": (_set("model", "residual_label_attn", True),
+                                    "model.residual_label_attn: unknown field"),
     "max steps is 0": (_set("train", "finetune_max_steps", 0),
                        "train.finetune_max_steps: must be >= 1, got 0"),
     "reset_optimizer_on_finetune is a string": (
@@ -379,7 +385,7 @@ def test_run_from_checkpoint_with_another_model_field_exits_2(tmp_path, capsys, 
     ckpt = str(Path(config["out"]) / "pretrained.ckpt")
     assert main(["pretrain", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
-    for field, value in (("d", 16), ("dropout", 0.5), ("residual_label_attn", False)):
+    for field, value in (("d", 16), ("dropout", 0.5), ("ffn_mult", 1)):
         other = _rewritten(tmp_path, config, "other.json", "model", **{field: value})
         assert main([command, "--config", other, "--checkpoint", ckpt,
                      "--out", str(tmp_path / "other")]) == 2

@@ -71,7 +71,8 @@ def test_config_types_and_cross_field_rule():
     assert ModelConfig(d=28, heads=4).d == 28
     with pytest.raises(ValueError, match="^d: must be a multiple of heads 4, got 30$"):
         ModelConfig(d=30, heads=4)
-    for bad in ({"d": True}, {"d": 32.0}, {"dropout": "0"}, {"residual_label_attn": 1}):
+    for bad in ({"d": True}, {"d": 32.0}, {"dropout": "0"}, {"dropout": False},
+                {"ffn_mult": "4"}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))}: must be "):
             ModelConfig(**bad)
     assert TrainConfig(lr=1, pretrain_max_steps=None).lr == 1   # an integer is a number
@@ -250,8 +251,7 @@ def test_label_attention_convex_hull_bounds():
 def test_biaffine_shape():
     p = toy_params(k=2)
     h_x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 8)))
-    _, _, logits = M.biaffine_score(h_x, p)
-    assert logits.shape == (1, 3, 3, 2)
+    assert M.biaffine_score(h_x, p).shape == (1, 3, 3, 2)
 
 
 def test_biaffine_constructed_weights_gram_matrix():
@@ -266,7 +266,8 @@ def test_biaffine_constructed_weights_gram_matrix():
     for w in ("w1", "b1", "w2", "b2"):
         p.tensors[f"tail_mlp.{w}"].data[...] = p.tensors[f"head_mlp.{w}"].data
     h_x = Tensor(np.random.default_rng(9).normal(size=(1, 4, d)))
-    h_head, h_tail, logits = M.biaffine_score(h_x, p)
+    logits = M.biaffine_score(h_x, p)
+    h_head, h_tail = M._ffn(p, "head_mlp", h_x), M._ffn(p, "tail_mlp", h_x)
     np.testing.assert_array_equal(h_head.data, h_tail.data)
     expected = h_head.data[0] @ h_head.data[0].T
     np.testing.assert_allclose(logits.data[0, :, :, 0], expected, atol=1e-12)
@@ -276,20 +277,22 @@ def test_biaffine_constructed_weights_gram_matrix():
 
 def test_forward_shapes_and_state():
     p = toy_params(k=3)
-    state = M.forward(p, one([1, 2, 3, 4], [5, 6, 7, 8, 9], [1, 2, 4]))
-    assert state.h_enc.shape == (1, 4, 8)
-    assert state.h_slot.shape == (1, 3, 8)
-    assert not hasattr(state, "h_dec")   # the decoder keeps no other rows
-    assert state.h_x.shape == (1, 4, 8)
-    assert state.logits.shape == (1, 4, 4, 3)
+    batch = one([1, 2, 3, 4], [5, 6, 7, 8, 9], [1, 2, 4])
+    h_enc = M.encode_sentence(p, batch)
+    assert h_enc.shape == (1, 4, 8)
+    h_slot = M.decode_instruction(p, h_enc, batch)
+    assert h_slot.shape == (1, 3, 8)   # the decoder keeps no other rows
+    h_x = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"])
+    assert h_x.shape == (1, 4, 8)
+    assert M.forward(p, batch).shape == (1, 4, 4, 3)
 
 
 def test_forward_instruction_changes_logits_not_shapes():
     p = toy_params(k=2)
     s1 = M.forward(p, one([1, 2, 3], [5, 6, 7, 8], [0, 2]))
     s2 = M.forward(p, one([1, 2, 3], [8, 6, 5, 9], [1, 3]))
-    assert s1.logits.shape == s2.logits.shape
-    assert not np.array_equal(s1.logits.data, s2.logits.data)
+    assert s1.shape == s2.shape
+    assert not np.array_equal(s1.data, s2.data)
 
 
 def test_forward_slot_count_must_match_channels():
@@ -298,16 +301,19 @@ def test_forward_slot_count_must_match_channels():
         M.forward(p, one([1, 2], [3, 4], [0]))
 
 
-def test_residual_label_attention_flag():
-    base = toy_params(k=2, seed=11, residual_label_attn=False)
-    res = toy_params(k=2, seed=11, residual_label_attn=True)
-    s_base = M.forward(base, one([1, 2, 3], [4, 5, 6], [0, 2]))
-    s_res = M.forward(res, one([1, 2, 3], [4, 5, 6], [0, 2]))
-    np.testing.assert_allclose(s_res.h_x.data, s_base.h_x.data + s_base.h_enc.data)
-    # mixture-only rows stay inside the projected-slot convex hull
-    proj = s_base.h_slot.data[0] @ base.tensors["label_attn.w2"].data
-    assert np.all(s_base.h_x.data[0] <= proj.max(axis=0) + 1e-9)
-    assert np.all(s_base.h_x.data[0] >= proj.min(axis=0) - 1e-9)
+def test_forward_scores_encoder_states_plus_label_attention():
+    p = toy_params(k=2, seed=11)
+    batch = one([1, 2, 3], [4, 5, 6], [0, 2])
+    h_enc = M.encode_sentence(p, batch)
+    h_slot = M.decode_instruction(p, h_enc, batch)
+    mixture = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"])
+    # mixture rows stay inside the projected-slot convex hull
+    proj = h_slot.data[0] @ p.tensors["label_attn.w2"].data
+    assert np.all(mixture.data[0] <= proj.max(axis=0) + 1e-9)
+    assert np.all(mixture.data[0] >= proj.min(axis=0) - 1e-9)
+    # the scorer sees each token's encoder state plus its mixture
+    expected = M.biaffine_score(ad.add(h_enc, mixture), p)
+    assert np.array_equal(M.forward(p, batch).data, expected.data)
 
 
 def test_group_partition_covers_all_params():
@@ -384,15 +390,15 @@ def test_dropout_only_when_a_stream_is_given():
     batch = one([1, 2, 3], [4, 5], [0, 1])
     eval1 = M.forward(p, batch)
     eval2 = M.forward(p, batch)
-    assert np.array_equal(eval1.logits.data, eval2.logits.data)
+    assert np.array_equal(eval1.data, eval2.data)
     train1 = M.forward(p, batch, rng=np.random.default_rng(1))
     train2 = M.forward(p, batch, rng=np.random.default_rng(2))
-    assert not np.array_equal(train1.logits.data, train2.logits.data)
-    assert not np.array_equal(train1.logits.data, eval1.logits.data)
+    assert not np.array_equal(train1.data, train2.data)
+    assert not np.array_equal(train1.data, eval1.data)
     # at rate 0 a stream changes nothing
     plain = toy_params(k=2)
-    assert np.array_equal(M.forward(plain, batch, rng=np.random.default_rng(1)).logits.data,
-                          M.forward(plain, batch).logits.data)
+    assert np.array_equal(M.forward(plain, batch, rng=np.random.default_rng(1)).data,
+                          M.forward(plain, batch).data)
 
 
 def test_one_attention_block_is_five_tape_records():
@@ -417,7 +423,7 @@ def test_training_step_tape_records_at_bench_shape():
                                        for u in instr])
     golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
     with Tape() as tape:
-        loss(M.forward(p, batch, rng=rng).logits, golds)
+        loss(M.forward(p, batch, rng=rng), golds)
     assert len(tape._records) == 49
 
 
@@ -452,11 +458,11 @@ def _mixed_batch():
 def test_mixed_length_batch_matches_single_instance_forwards():
     p = toy_params(k=3, seed=15)
     batch = _mixed_batch()
-    logits = M.forward(p, batch).logits.data
+    logits = M.forward(p, batch).data
     assert logits.shape == (3, 8, 8, 3)
     for b, (tokens, instr, slots) in enumerate(MIXED):
         n = len(tokens)
-        alone = M.forward(p, one(tokens, instr, slots)).logits.data[0]
+        alone = M.forward(p, one(tokens, instr, slots)).data[0]
         np.testing.assert_allclose(logits[b, :n, :n], alone, rtol=0, atol=1e-10)
 
 
@@ -469,13 +475,13 @@ def test_batch_loss_gradient_is_mean_of_instance_gradients():
     for (tokens, instr, slots), gold in zip(MIXED, golds):
         p.zero_grads()
         with Tape():
-            ad.backward(loss(M.forward(p, one(tokens, instr, slots)).logits, [gold]))
+            ad.backward(loss(M.forward(p, one(tokens, instr, slots)), [gold]))
         for name, t in p.tensors.items():
             expected[name] += t.grad / len(MIXED)
 
     p.zero_grads()
     with Tape():
-        ad.backward(loss(M.forward(p, _mixed_batch()).logits, golds))
+        ad.backward(loss(M.forward(p, _mixed_batch()), golds))
     for name, t in p.tensors.items():
         np.testing.assert_allclose(t.grad, expected[name], rtol=0, atol=1e-9,
                                    err_msg=name)

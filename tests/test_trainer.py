@@ -285,6 +285,7 @@ def test_gate_off_updates_without_dots():
     ones_grads(p, sign=-1.0)
     decisions = gated_step(state, gate=False)
     assert all(d["updated"] and d["dot"] is None for d in decisions.values())
+    assert state.snapshot is None   # ungated steps keep no previous gradient
 
 
 def test_gate_nan_gradient_aborts():
@@ -413,8 +414,7 @@ def test_parameter_views_share_the_group_vectors():
             assert np.shares_memory(p[n].grad, p.grad[s])
     batch = make_batch([[3, 4, 5]], [[3, 6, 7]], [[1, 2]])
     with Tape():
-        fwd = forward(p, batch)
-        backward(T.loss(fwd.logits, [np.zeros((3, 3, 2))]))
+        backward(T.loss(forward(p, batch), [np.zeros((3, 3, 2))]))
     grads = p.grads()
     for group, names in p.groups.items():
         assert np.array_equal(grads[group], p.grad[p.slices[group]])
