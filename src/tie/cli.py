@@ -257,6 +257,10 @@ def cmd_pretrain(config: RunConfig, checkpoint_path: str | None) -> int:
             # there would skip that many of the plan's batches
             raise ConfigError(f"checkpoint: {checkpoint_path} was written by finetune; "
                               f"pretrain resumes only a pretraining checkpoint")
+        if ckpt.phase is None:
+            # written before checkpoints recorded their phase: it may be a
+            # finetune's, whose step count would skip plan batches
+            log("warn", "checkpoint_phase_unknown", path=str(checkpoint_path))
         if ckpt.seed != config.seed:
             raise ConfigError(
                 f"seed: checkpoint was trained with seed {ckpt.seed}, config has {config.seed}"

@@ -512,6 +512,21 @@ def test_pretrain_resume_from_a_finetuned_checkpoint_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 0
 
 
+def test_pretrain_resume_from_a_checkpoint_without_phase_warns(tmp_path, capsys):
+    # the committed fixture predates the phase key: resumed as before, with a warning
+    fixture = Path(__file__).parent / "fixtures" / "two_gated_steps.ckpt"
+    cfg_path, config = make_config(tmp_path, size=4, seed=5, train={"batch_size": 2},
+                                   model={"d": 4, "max_len": 12, "max_instr_len": 20,
+                                          "ffn_mult": 1})
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(cfg_path), "--checkpoint", str(fixture)]) == 0
+    warns = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+             if '"checkpoint_phase_unknown"' in line]
+    assert warns == [{"level": "warn", "event": "checkpoint_phase_unknown",
+                      "path": str(fixture)}]
+    assert (Path(config["out"]) / "pretrained.ckpt").exists()
+
+
 def test_eval_and_decode_parse_only_the_split_they_read(tmp_path):
     from tie.checkpoint import load_checkpoint
     from tie.data import load_manifest
