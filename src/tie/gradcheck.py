@@ -1,10 +1,13 @@
 """Whole-model gradient verification against central finite differences.
 
-Builds a small model and a padded batch of two instances of different
-lengths, runs one taped forward/backward of the weighted training loss, then
-re-derives every parameter element's gradient by perturbing it +/- h and
-re-running the (untaped) forward. The two routes must agree within a relative
-tolerance, elementwise, with a small absolute floor for near-zero gradients.
+Builds a small model and a padded batch of three instances: two of
+different lengths and a third that shares the first one's instruction and
+slots, so that the decoder's shared instruction rows get the summed gradient
+of two instances. Runs one taped forward/backward of the weighted training
+loss, then re-derives every parameter element's gradient by perturbing it
++/- h and re-running the (untaped) forward. The two routes must agree within
+a relative tolerance, elementwise, with a small absolute floor for near-zero
+gradients.
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4
                   n_instr: int = 8, num_channels: int = 3, seed: int = 0,
                   tolerance: float = 1e-3, step: float = 1e-5) -> GradcheckReport:
     """Check every trainable parameter of a toy model end to end, on a
-    padded batch of an ``n_tokens``/``n_instr`` instance and a shorter one."""
+    padded batch of an ``n_tokens``/``n_instr`` instance, a shorter one and
+    a third with a shorter sentence and the first one's instruction and
+    slots."""
     rng = np.random.default_rng(seed)
     vocab_size = 12
     config = ModelConfig(
@@ -77,11 +82,13 @@ def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4
     params = Parameters(config, num_channels, rng)
 
     lengths = [(n_tokens, n_instr), (max(1, n_tokens - 2), max(num_channels, n_instr - 3))]
+    instr = [rng.integers(0, vocab_size, size=m).tolist() for _, m in lengths]
+    slots = [rng.choice(m, size=num_channels, replace=False).tolist() for _, m in lengths]
+    sentence_lengths = [n for n, _ in lengths] + [max(1, n_tokens - 1)]
     batch = make_batch(
-        [rng.integers(0, vocab_size, size=n).tolist() for n, _ in lengths],
-        [rng.integers(0, vocab_size, size=m).tolist() for _, m in lengths],
-        [rng.choice(m, size=num_channels, replace=False).tolist() for _, m in lengths])
-    golds = [(rng.random((n, n, num_channels)) < 0.3).astype(float) for n, _ in lengths]
+        [rng.integers(0, vocab_size, size=n).tolist() for n in sentence_lengths],
+        instr + instr[:1], slots + slots[:1])
+    golds = [(rng.random((n, n, num_channels)) < 0.3).astype(float) for n in sentence_lengths]
 
     def loss_value() -> float:
         return loss(forward(params, batch), golds).item()

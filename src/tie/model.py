@@ -8,7 +8,11 @@ every sentence token as an attention mixture over projected slot states;
 score all token pairs per channel with a biaffine form plus a
 per-cell linear layer. Output logits are (|x|, |x|, K) per instance; a
 forward runs B instances padded into one batch (``make_batch``), and
-attention masks padded keys so that no real position sees padding.
+attention masks padded keys so that no real position sees padding. A batch
+holds each distinct instruction (with its slots) once, and the decoder runs
+the part of its first layer that reads only the instruction once per
+distinct instruction, then fans the rows out to the instances; a forward
+that draws dropout masks gives every instance its own rows instead.
 
 All parameters are named, and names are partitioned into groups (one per
 layer-like unit); the trainer's update gate operates on those groups, and
@@ -252,13 +256,19 @@ class Parameters:
 
 @dataclass(frozen=True)
 class Batch:
-    """B instances padded with ``PAD_ID`` to common lengths: one forward's input."""
+    """B instances padded with ``PAD_ID`` to common lengths: one forward's
+    input. The instruction fields hold U <= B rows, one per distinct
+    (instruction ids, slot positions) pair in first-seen order, and
+    ``which`` maps each instance to its row. ``decode_instruction`` shares
+    the rows up to layer 0's self-attention, or, when it draws dropout
+    masks, gives each instance its own from the start."""
 
     tokens: np.ndarray   # (B, n_max) sentence ids
-    instr: np.ndarray    # (B, m_max) instruction ids
-    slots: np.ndarray    # (B, K) slot positions into each instance's own instruction
     n: np.ndarray        # (B,) sentence lengths
-    m: np.ndarray        # (B,) instruction lengths
+    instr: np.ndarray    # (U, m_max) instruction ids
+    m: np.ndarray        # (U,) instruction lengths
+    slots: np.ndarray    # (U, K) slot positions into each row's own instruction
+    which: np.ndarray    # (B,) each instance's instruction row
 
 
 def _pad(rows):
@@ -271,16 +281,21 @@ def _pad(rows):
 
 def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
     """Pad aligned per-instance lists of sentence ids, instruction ids and
-    slot positions into a ``Batch``."""
+    slot positions into a ``Batch``, each distinct instruction and slots
+    pair kept once."""
     if min(map(len, [*token_ids, *instr_ids]), default=0) < 1:
         raise ValueError("a batch needs instances with non-empty sentences and instructions")
+    if not len(token_ids) == len(instr_ids) == len(slot_positions):
+        raise ValueError("a batch needs an instruction and slot positions per instance")
+    rows = {}
+    which = np.array([rows.setdefault((tuple(u), tuple(s)), len(rows))
+                      for u, s in zip(instr_ids, slot_positions)], dtype=np.int64)
     tokens, n = _pad(token_ids)
-    instr, m = _pad(instr_ids)
-    slots = np.array(slot_positions, dtype=np.int64)   # ragged slot lists raise here
-    if len(m) != len(n) or slots.ndim != 2 or len(slots) != len(n) \
-            or np.any(slots < 0) or np.any(slots >= m[:, None]):
+    instr, m = _pad([u for u, _ in rows])
+    slots = np.array([s for _, s in rows], dtype=np.int64)   # ragged slot lists raise here
+    if slots.ndim != 2 or np.any(slots < 0) or np.any(slots >= m[:, None]):
         raise ValueError("every instance needs K slot positions inside its own instruction")
-    return Batch(tokens=tokens, instr=instr, slots=slots, n=n, m=m)
+    return Batch(tokens=tokens, n=n, instr=instr, m=m, slots=slots, which=which)
 
 
 def _attention(params, prefix, x_q, x_kv, heads, mask=None, rng=None):
@@ -345,40 +360,62 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
     instance's slot positions.
 
     Self-attention over the instruction is causal and skips padded
-    positions; every layer cross-attends to the real sentence tokens. Every
+    positions; every layer cross-attends to the real sentence tokens. The
+    embedding and layer 0's ``ln1``, self-attention (every row a query) and
+    residual add read only the instruction, so they run on the batch's U
+    distinct rows; ``gather_slots`` then gives each instance its rows. Every
     layer but the last runs over all m_max rows, which are the next layer's
-    keys and values. The last layer starts from the residual rows at the
-    slots (``gather_slots``): their ``ln1`` rows are its queries, ``ln1`` of
-    all rows its keys and values, each slot seeing the instruction up to its
-    own position. Its cross-attention, FFN and ``dec.norm`` run on the K
-    slot rows only, so nothing is computed that the model does not read.
+    keys and values. The last layer keeps the residual rows at the slots
+    (with one layer, the fan-out gather picks them): their ``ln1`` rows are
+    its queries, ``ln1`` of all rows its keys and values, each slot seeing
+    the instruction up to its own position. Its cross-attention, FFN and
+    ``dec.norm`` run on the K slot rows only, so nothing is computed that
+    the model does not read.
+
+    A forward that draws dropout masks (a stream ``rng`` and a non-zero
+    ``config.dropout``) gives every instance its own id rows first, so that
+    each instance draws its own masks.
     """
     cfg = params.config
     m_max = batch.instr.shape[1]
     if m_max > cfg.max_instr_len:
         raise ValueError(f"instruction length {m_max} outside [1, {cfg.max_instr_len}]")
     cross_mask = _mask(batch.n, h_enc.shape[1])
-    u = ad.embedding_lookup(params["embed.tok"], batch.instr, params["embed.pos_u"])
+    shared = rng is None or not cfg.dropout
+    instr = batch.instr if shared else batch.instr[batch.which]
+    slots, m = batch.slots[batch.which], batch.m[batch.which]
+    u = ad.embedding_lookup(params["embed.tok"], instr, params["embed.pos_u"])
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
+        last = i == cfg.layers_dec - 1
         normed = _ln(params, f"{p}.ln1", u)
-        queries, positions = normed, np.arange(m_max)
-        if i == cfg.layers_dec - 1:   # from here on only the slot rows
-            u = gather_slots(u, batch.slots)
-            queries, positions = _ln(params, f"{p}.ln1", u), batch.slots
-        u = ad.add(u, _attention(params, f"{p}.self", queries, normed, cfg.heads,
-                                 mask=_mask(batch.m, m_max, positions), rng=rng))
+        if i == 0 and shared:   # the distinct rows, then each instance's own
+            u = ad.add(u, _attention(params, f"{p}.self", normed, normed, cfg.heads,
+                                     mask=_mask(batch.m, m_max, np.arange(m_max))))
+            u = gather_slots(u, slots if last else np.arange(m_max), batch.which)
+        else:
+            queries, positions = normed, np.arange(m_max)
+            if last:   # from here on only the slot rows
+                u = gather_slots(u, slots)
+                queries, positions = _ln(params, f"{p}.ln1", u), slots
+            u = ad.add(u, _attention(params, f"{p}.self", queries, normed, cfg.heads,
+                                     mask=_mask(m, m_max, positions), rng=rng))
         u = ad.add(u, _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u),
                                  h_enc, cfg.heads, mask=cross_mask, rng=rng))
         u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u), rng=rng))
     return _ln(params, "dec.norm", u)
 
 
-def gather_slots(h: Tensor, slot_positions) -> Tensor:
-    """Rows of each instance's (B, m_max, d) states at its (B, K) slot
-    positions, (B, K, d), as one ``embedding_lookup`` over the B*m_max rows."""
+def gather_slots(h: Tensor, positions, which=None) -> Tensor:
+    """Each instance's rows of the (U, m_max, d) states ``h``: for instance
+    b, row ``which[b]`` (b itself if ``which`` is None) at its positions
+    ``positions[b]`` ((B, K), or (K,) shared by all), (B, K, d), as one
+    ``embedding_lookup`` over the U*m_max rows. The decoder's fan-out from
+    shared instruction rows to per-instance rows, and its last layer's pick
+    of the slot rows."""
     size, m_max, _ = h.shape
-    return ad.embedding_lookup(h, np.asarray(slot_positions) + m_max * np.arange(size)[:, None])
+    which = np.arange(size) if which is None else np.asarray(which)
+    return ad.embedding_lookup(h, np.asarray(positions) + m_max * which[:, None])
 
 
 def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Tensor:

@@ -155,14 +155,16 @@ def test_decode_instruction_causal_mask():
 
 
 def _full_row_decoder(params, h_enc, batch):
-    """The decoder that runs every layer and ``dec.norm`` over all m_max
-    instruction rows, then keeps the slot rows: the reference the slot-only
-    last layer must match."""
+    """The decoder that gives every instance its own instruction rows, runs
+    every layer and ``dec.norm`` over all m_max of them, then keeps the slot
+    rows: the reference the shared first layer and the slot-only last layer
+    must match."""
     cfg = params.config
-    m_max = batch.instr.shape[1]
-    self_mask = M._mask(batch.m, m_max, np.arange(m_max))
+    instr, m, slots = batch.instr[batch.which], batch.m[batch.which], batch.slots[batch.which]
+    m_max = instr.shape[1]
+    self_mask = M._mask(m, m_max, np.arange(m_max))
     cross_mask = M._mask(batch.n, h_enc.shape[1])
-    u = ad.embedding_lookup(params["embed.tok"], batch.instr, params["embed.pos_u"])
+    u = ad.embedding_lookup(params["embed.tok"], instr, params["embed.pos_u"])
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
         normed = M._ln(params, f"{p}.ln1", u)
@@ -171,21 +173,23 @@ def _full_row_decoder(params, h_enc, batch):
         u = ad.add(u, M._attention(params, f"{p}.cross", M._ln(params, f"{p}.ln2", u),
                                    h_enc, cfg.heads, mask=cross_mask))
         u = ad.add(u, M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln3", u)))
-    return M.gather_slots(M._ln(params, "dec.norm", u), batch.slots)
+    return M.gather_slots(M._ln(params, "dec.norm", u), slots)
 
 
 # padded: instruction lengths 3, 7 and 5; a repeated slot, a slot at each
-# instance's last position and one at the batch's last position
-SLOT_BATCH = ([[4, 2], [1, 2, 3, 4, 5], [3, 1, 4]],
-              [[5, 6, 7], [9, 8, 7, 6, 5, 4, 3], [2, 7, 1, 8, 2]],
-              [[2, 2, 0], [6, 1, 6], [4, 0, 3]])
+# instance's last position and one at the batch's last position; the fourth
+# instance shares the second one's instruction and slots
+SLOT_BATCH = ([[4, 2], [1, 2, 3, 4, 5], [3, 1, 4], [6, 2, 5]],
+              [[5, 6, 7], [9, 8, 7, 6, 5, 4, 3], [2, 7, 1, 8, 2], [9, 8, 7, 6, 5, 4, 3]],
+              [[2, 2, 0], [6, 1, 6], [4, 0, 3], [6, 1, 6]])
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_slot_only_last_layer_matches_full_row_decoder(layers):
     p = toy_params(layers=layers, seed=19)
     batch = make_batch(*SLOT_BATCH)
-    weights = np.random.default_rng(20).normal(size=(3, 3, 8))
+    assert len(batch.instr) == 3 and list(batch.which) == [0, 1, 2, 1]
+    weights = np.random.default_rng(20).normal(size=(4, 3, 8))
     results = []
     for decoder in (M.decode_instruction, _full_row_decoder):
         p.zero_grads()
@@ -194,7 +198,7 @@ def test_slot_only_last_layer_matches_full_row_decoder(layers):
             ad.backward(inner(out, weights))
         results.append((out.data, {n: t.grad.copy() for n, t in p.tensors.items()}))
     (slot, grads), (full, full_grads) = results
-    assert slot.shape == (3, 3, 8)
+    assert slot.shape == (4, 3, 8)
     np.testing.assert_allclose(slot, full, rtol=0, atol=1e-12)
     assert any(np.any(g != 0) for n, g in grads.items() if n.startswith(f"dec.{layers - 1}"))
     for name, grad in grads.items():
@@ -207,6 +211,15 @@ def test_gather_slots_identity_and_single():
     np.testing.assert_array_equal(all_rows.data, h.data)
     single = M.gather_slots(h, [[3]])
     np.testing.assert_array_equal(single.data, h.data[:, 3:4])
+
+
+def test_gather_slots_fans_rows_out_by_which():
+    h = Tensor(np.arange(24.0).reshape(2, 4, 3))
+    out = M.gather_slots(h, [[3, 0], [1, 1], [2, 0]], which=[1, 0, 1])
+    np.testing.assert_array_equal(out.data, np.stack([h.data[1, [3, 0]], h.data[0, [1, 1]],
+                                                      h.data[1, [2, 0]]]))
+    shared = M.gather_slots(h, np.arange(4), which=[1, 1, 0])
+    np.testing.assert_array_equal(shared.data, h.data[[1, 1, 0]])
 
 
 def test_gather_slots_grad_only_through_gathered_rows():
@@ -424,7 +437,7 @@ def test_training_step_tape_records_at_bench_shape():
     golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
     with Tape() as tape:
         loss(M.forward(p, batch, rng=rng), golds)
-    assert len(tape._records) == 49
+    assert len(tape._records) == 48
 
 
 def test_untaped_forward_with_infinite_parameter_raises():
@@ -487,6 +500,62 @@ def test_batch_loss_gradient_is_mean_of_instance_gradients():
                                    err_msg=name)
 
 
+def test_make_batch_keeps_each_instruction_once_in_first_seen_order():
+    batch = make_batch([[1], [2], [3], [4], [5]],
+                       [[7, 8], [5, 6, 7], [7, 8], [5, 6, 7], [7, 8]],
+                       [[1, 0], [2, 0], [1, 0], [2, 0], [1, 0]])
+    assert batch.tokens.shape == (5, 1) and list(batch.n) == [1] * 5
+    np.testing.assert_array_equal(batch.instr, [[7, 8, 0], [5, 6, 7]])
+    assert list(batch.m) == [2, 3] and batch.slots.tolist() == [[1, 0], [2, 0]]
+    assert list(batch.which) == [0, 1, 0, 1, 0]
+
+
+def test_make_batch_same_instruction_with_other_slots_is_another_row():
+    batch = make_batch([[1], [2], [3]], [[5, 6, 7]] * 3, [[0, 2], [2, 0], [0, 2]])
+    np.testing.assert_array_equal(batch.instr, [[5, 6, 7], [5, 6, 7]])
+    assert batch.slots.tolist() == [[0, 2], [2, 0]] and list(batch.which) == [0, 1, 0]
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_equal_length_batch_with_shared_instructions_matches_single_forwards_bit_for_bit(
+        layers):
+    p = toy_params(layers=layers, seed=23)
+    instances = [([1, 2, 3, 4], [5, 6, 7, 8], [3, 0, 1]),
+                 ([4, 4, 2, 1], [9, 3, 2, 1], [1, 1, 2]),
+                 ([7, 5, 3, 1], [5, 6, 7, 8], [3, 0, 1]),
+                 ([2, 6, 9, 8], [9, 3, 2, 1], [1, 1, 2]),
+                 ([3, 3, 8, 5], [5, 6, 7, 8], [3, 0, 1])]
+    batch = make_batch(*[list(col) for col in zip(*instances)])
+    assert len(batch.instr) == 2
+    logits = M.forward(p, batch).data
+    for b, instance in enumerate(instances):
+        np.testing.assert_array_equal(logits[b], M.forward(p, one(*instance)).data[0])
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_every_instance_draws_its_own_decoder_dropout(layers):
+    # with cross-attention, the FFN's output and every self-attention's
+    # output but layer 0's zeroed, an instance's decoder state depends on its
+    # instruction and on the dropout masks of layer 0's self-attention, the
+    # layer that runs once per distinct instruction without dropout: a mask
+    # shared between instances that share an instruction would make the two
+    # rows equal
+    p = toy_params(layers=layers, seed=24, dropout=0.5)
+    for i in range(layers):
+        for name in ("cross.wo", "cross.bo", "ffn.w2") + (("self.wo", "self.bo") if i else ()):
+            p.tensors[f"dec.{i}.{name}"].data[...] = 0.0
+    batch = make_batch([[1, 2, 3]] * 2, [[5, 6, 7, 8]] * 2, [[3, 1, 2]] * 2)
+    assert len(batch.instr) == 1
+
+    def states(rng):
+        return M.decode_instruction(p, M.encode_sentence(p, batch, rng=rng), batch, rng=rng).data
+
+    dropped = states(np.random.default_rng(25))
+    assert not np.allclose(dropped[0], dropped[1])
+    plain = states(None)
+    np.testing.assert_array_equal(plain[0], plain[1])
+
+
 def test_make_batch_pads_and_validates():
     batch = _mixed_batch()
     assert batch.tokens.shape == (3, 8) and batch.instr.shape == (3, 7)
@@ -496,3 +565,5 @@ def test_make_batch_pads_and_validates():
         make_batch([[1, 2]], [[3, 4]], [[2]])       # slot past its instruction
     with pytest.raises(ValueError):
         make_batch([[1], [2]], [[3], [4]], [[0], [0, 0]])   # ragged slot lists
+    with pytest.raises(ValueError):
+        make_batch([[1], [2]], [[3], [4]], [[0], [0], [0]])   # a slot list too many
