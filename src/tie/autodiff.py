@@ -9,12 +9,13 @@ some input requires gradients; with no active tape they are plain numpy
 computations, so evaluation-time forwards are side-effect free and safe to
 run concurrently.
 
-Nine taped ops: ``linear``, ``add``, ``embedding_lookup`` (rows of a
+Eight taped ops: ``linear``, ``add``, ``embedding_lookup`` (rows of a
 table of 2 or more axes, its leading axes flattened, plus the rows of an
-optional position table in the same record), ``layer_norm``,
-``gelu``, ``attention`` (multi-head scores, mask, softmax, dropout and value
-mix as one record), ``pair_scores`` (the biaffine token-pair grid and its
-per-cell score layer as one record), ``bce_with_logits`` and ``dropout``.
+optional position table in the same record), ``layer_norm``, ``gelu``
+(with its optional dropout in the same record), ``attention`` (multi-head
+scores, mask, softmax, dropout and value mix as one record),
+``pair_scores`` (the biaffine token-pair grid and its per-cell score layer
+as one record) and ``bce_with_logits``.
 ``linear(x, w, b=None)`` is a whole dense layer as one record: ``x @ w
 (+ b)`` for an N-d ``x``, a 2-D ``w`` and an optional ``(out,)`` bias, whose
 backward gives ``w`` one GEMM over every leading row of ``x``. Ops do not
@@ -55,11 +56,11 @@ __all__ = [
     "check_finite",
     "sigmoid",
     "bce_with_logits",
-    "dropout",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN_EPS = 1e-5   # added to layer_norm's variance
 
 
 class ShapeError(ValueError):
@@ -307,7 +308,7 @@ def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None) -> Ten
     return _make(out, (table,) if positions is None else (table, positions), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
@@ -317,7 +318,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.sum(axis=-1, keepdims=True) / n
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -335,13 +336,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out, (x, gain, bias), bw)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU."""
+def gelu(x: Tensor, rate: float = 0.0, rng=None) -> Tensor:
+    """Exact-erf GELU, then, at a non-zero ``rate``, inverted dropout with
+    draws from ``rng``."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     out = x.data * cdf
+    if rate:
+        keep = (rng.random(out.shape) >= rate) / (1.0 - rate)
+        out *= keep
 
     def bw(g):
         if x.requires_grad:
+            if rate:
+                g = g * keep
             pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
             _accumulate(x, g * (cdf + x.data * pdf), owned=True)
 
@@ -481,17 +488,3 @@ def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
 
     return _make(np.asarray((per_cell * w).sum()), (logits,), bw)
 
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * mask, owned=True)
-
-    return _make(a.data * mask, (a,), bw)

@@ -125,17 +125,19 @@ def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint; any damage raises ``CheckpointError``.
 
     The checks run in this order: magic, format version, header JSON, the
-    payload CRC, model_config, vocabulary, Adam settings and step counts,
-    the phase if the header has one, then the manifest, which must equal the
-    one the model's ``layout`` implies (the error names the first entry that
-    differs), and the payload length. The file is read once into a writable buffer in which the
-    payload starts 8-byte aligned, and all checks pass before anything else
-    is allocated, so a small file cannot make the loader lay out a large
-    model. The payload is screened for NaN and Inf in one pass; only when
-    that screen fails is each tensor checked on its own, so the error names
-    the first bad tensor in manifest order. The loaded parameters, Adam
-    moments and gradient snapshot are views of that one copy of the
-    payload.
+    payload CRC, model_config, vocabulary, Adam settings (a finite positive
+    ``lr``, and ``beta1``, ``beta2`` and ``eps`` equal to ``Adam``'s
+    constants, which every file stores) and step counts, the phase if the
+    header has one, then the manifest, which must equal the one the model's
+    ``layout`` implies (the error names the first entry that differs), and
+    the payload length. The file is read once into a writable buffer in
+    which the payload starts 8-byte aligned, and all checks pass before
+    anything else is allocated, so a small file cannot make the loader lay
+    out a large model. The payload is screened for NaN and Inf in one pass;
+    only when that screen fails is each tensor checked on its own, so the
+    error names the first bad tensor in manifest order. The loaded
+    parameters, Adam moments and gradient snapshot are views of that one
+    copy of the payload.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -201,12 +203,11 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
 
     adam_meta = header["adam"]
     lr, beta1, beta2, eps = (adam_meta[k] for k in ("lr", "beta1", "beta2", "eps"))
-    if not (all(type(x) in (int, float) for x in (lr, beta1, beta2, eps))   # no booleans
-            and all(math.isfinite(x) for x in (lr, beta1, beta2, eps))
-            and lr > 0 and eps > 0 and 0 <= beta1 < 1 and 0 <= beta2 < 1):
-        raise CheckpointError(f"{path}: Adam settings must be finite numbers in range: "
+    if not (type(lr) in (int, float) and math.isfinite(lr) and lr > 0   # no booleans
+            and [beta1, beta2, eps] == [Adam.beta1, Adam.beta2, Adam.eps]):
+        raise CheckpointError(f"{path}: Adam settings must be finite, with lr > 0 and "
+                              f"(beta1, beta2, eps) = ({Adam.beta1}, {Adam.beta2}, {Adam.eps}): "
                               f"lr={lr!r} beta1={beta1!r} beta2={beta2!r} eps={eps!r}")
-    lr, beta1, beta2, eps = map(float, (lr, beta1, beta2, eps))
     groups = layout(config, num_channels)
     steps = {g: _count(path, adam_meta["t"], g) for g in adam_meta["t"]}
     if set(steps) != set(groups):
@@ -242,8 +243,7 @@ def _restore(path: Path, header: dict, payload: np.ndarray) -> Checkpoint:
             if not np.isfinite(words[start:start + math.prod(entry["dims"])]).all():
                 raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
     params = Parameters.over(config, num_channels, words[:n])
-    optimizer = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                     moments=(words[n:2 * n], words[2 * n:3 * n]))
+    optimizer = Adam(params, lr=float(lr), moments=(words[n:2 * n], words[2 * n:3 * n]))
     optimizer.t = steps
     state = TrainState(params=params, optimizer=optimizer,
                        snapshot=words[3 * n:] if with_snapshot else None, step=step)

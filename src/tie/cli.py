@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .autodiff import NonFiniteError
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .data import DataError, build_vocab, load_jsonl, load_manifest
+from .data import DataError, build_vocab, load_jsonl, load_manifest, read_text
 from .evaluate import evaluate_split, predict_instances
 from .gradcheck import run_gradcheck
 from .instructions import InstructionError, build_pool, read_templates
@@ -75,7 +75,7 @@ class RunConfig:
         if not path.exists():
             raise ConfigError(f"config: file not found: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(read_text(path, ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: malformed JSON ({exc.msg})") from None
         return cls.from_dict(raw, overrides or {}, base=path.parent)

@@ -37,6 +37,7 @@ __all__ = [
     "tokenize",
     "load_jsonl",
     "load_manifest",
+    "read_text",
     "build_vocab",
 ]
 
@@ -228,21 +229,29 @@ def load_jsonl(path, label_space: LabelSpace, *, dataset_id: str = "",
     path = Path(path)
     instances = []
     dropped = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            inst = parse_instance(obj, label_space, dataset_id, f"{path}:{lineno}")
-            if len(inst.tokens) > max_len:
-                dropped += 1
-                continue
-            instances.append(inst)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        inst = parse_instance(obj, label_space, dataset_id, f"{path}:{lineno}")
+        if len(inst.tokens) > max_len:
+            dropped += 1
+            continue
+        instances.append(inst)
     return instances, dropped
+
+
+def read_text(path: Path, error=DataError) -> str:
+    """An input file's text, every line end read as a newline; bytes that
+    are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _check_task_shape(task: str, space: LabelSpace):
@@ -271,7 +280,7 @@ def load_manifest(path, *, max_len: int = 128, splits=SPLITS) -> Dataset:
     so a reader of it fails rather than seeing an empty split."""
     path = Path(path)
     try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        spec = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
     if not isinstance(spec, dict):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SLOT_ID, LabelSpace, Vocabulary
+from .data import SLOT_ID, LabelSpace, Vocabulary, read_text
 
 __all__ = [
     "Instruction",
@@ -153,8 +153,8 @@ def read_templates(paths) -> dict:
     templates = {}
     for path in map(Path, paths):
         try:
-            spec = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            spec = json.loads(read_text(path, InstructionError))
+        except json.JSONDecodeError as exc:
             raise InstructionError(f"{path}: malformed instruction file ({exc})") from None
         if not isinstance(spec, dict):
             raise InstructionError(f"{path}: instruction file must be a JSON object")

@@ -298,10 +298,11 @@ def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
     return Batch(tokens=tokens, n=n, instr=instr, m=m, slots=slots, which=which)
 
 
-def _attention(params, prefix, x_q, x_kv, heads, mask=None, rng=None):
-    """(B, n_q, d) queries over (B, n_k, d) keys; ``mask`` is additive and
-    broadcastable to the (B, heads, n_q, n_k) scores, or None. Dropout runs
-    at ``config.dropout`` iff a stream ``rng`` is given."""
+def _attention(params, prefix, x_q, x_kv, mask=None, rng=None):
+    """(B, n_q, d) queries over (B, n_k, d) keys in ``config.heads`` heads;
+    ``mask`` is additive and broadcastable to the (B, heads, n_q, n_k)
+    scores, or None. Dropout runs at ``config.dropout`` iff ``rng`` is given."""
+    heads = params.config.heads
     rate = params.config.dropout if rng is not None else 0.0
     q = ad.linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = ad.linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
@@ -313,9 +314,7 @@ def _attention(params, prefix, x_q, x_kv, heads, mask=None, rng=None):
 
 def _ffn(params, prefix, x, rng=None):
     rate = params.config.dropout if rng is not None else 0.0
-    h = ad.gelu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    if rate:
-        h = ad.dropout(h, rate, rng)
+    h = ad.gelu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]), rate, rng)
     return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
@@ -348,8 +347,7 @@ def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
     for i in range(cfg.layers_enc):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
-        x = ad.add(x, _attention(params, f"{p}.attn", normed, normed, cfg.heads,
-                                 mask=mask, rng=rng))
+        x = ad.add(x, _attention(params, f"{p}.attn", normed, normed, mask=mask, rng=rng))
         x = ad.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x), rng=rng))
     return _ln(params, "enc.norm", x)
 
@@ -390,7 +388,7 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
         last = i == cfg.layers_dec - 1
         normed = _ln(params, f"{p}.ln1", u)
         if i == 0 and shared:   # the distinct rows, then each instance's own
-            u = ad.add(u, _attention(params, f"{p}.self", normed, normed, cfg.heads,
+            u = ad.add(u, _attention(params, f"{p}.self", normed, normed,
                                      mask=_mask(batch.m, m_max, np.arange(m_max))))
             u = gather_slots(u, slots if last else np.arange(m_max), batch.which)
         else:
@@ -398,10 +396,10 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
             if last:   # from here on only the slot rows
                 u = gather_slots(u, slots)
                 queries, positions = _ln(params, f"{p}.ln1", u), slots
-            u = ad.add(u, _attention(params, f"{p}.self", queries, normed, cfg.heads,
+            u = ad.add(u, _attention(params, f"{p}.self", queries, normed,
                                      mask=_mask(m, m_max, positions), rng=rng))
         u = ad.add(u, _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u),
-                                 h_enc, cfg.heads, mask=cross_mask, rng=rng))
+                                 h_enc, mask=cross_mask, rng=rng))
         u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u), rng=rng))
     return _ln(params, "dec.norm", u)
 

@@ -165,18 +165,16 @@ class Adam:
     ``finetune`` makes. ``update`` steps the groups it is given in place.
     Each maximal run of groups adjacent in the layout is one slice of the
     vectors, updated by one pass of each operation, in two whole-vector
-    work buffers made at the first update. Only the bias-correction divides go per group, or per
-    run of groups at the same step count. Every operation is elementwise,
-    so the result is the per-group step's, bit for bit.
+    work buffers made at the first update. Only the bias-correction divides
+    go per group, or per run of groups at the same step count. Every
+    operation is elementwise, so the result is the per-group step's, bit
+    for bit. ``beta1``, ``beta2`` and ``eps`` are Kingma & Ba's constants.
     """
 
-    def __init__(self, params: Parameters, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 moments: tuple | None = None):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Parameters, lr: float, moments: tuple | None = None):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         if moments is None:
             moments = (np.zeros_like(params.vector), np.zeros_like(params.vector))
         self.moments = moments

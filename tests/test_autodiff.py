@@ -343,9 +343,12 @@ def test_embedding_lookup_bounds():
         ad.embedding_lookup(table, 1, Tensor(np.zeros((2, 2))))
 
 
-def test_dropout_zero_rate_is_identity():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+def test_gelu_at_zero_rate_is_plain_gelu_and_draws_nothing():
+    x = Tensor(np.random.default_rng(5).normal(size=(3, 4)), requires_grad=True)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert np.array_equal(ad.gelu(x, 0.0, rng).data, ad.gelu(x).data)
+    assert rng.bit_generator.state == before
 
 
 def test_op_output_grad_is_lazy_and_keeps_strides():
@@ -519,6 +522,8 @@ def _op_cases(rng):
     cases.append(("layer_norm", [x, g, bb], lambda t: ad.layer_norm(t[0], t[1], t[2])))
 
     cases.append(("gelu", [x], lambda t: ad.gelu(t[0])))
+    # a fresh stream per build, so every build draws the same dropout mask
+    cases.append(("gelu_dropout", [x], lambda t: ad.gelu(t[0], 0.3, np.random.default_rng(3))))
 
     # attention: 2 heads of width k over m queries and n keys, batch 2
     q = rng.normal(size=(2, m, 2 * k))

@@ -206,6 +206,17 @@ def test_non_finite_adam_setting_is_rejected(tmp_path, key, value):
         load_checkpoint(bad)
 
 
+def test_other_adam_constant_is_rejected(tmp_path):
+    # beta1, beta2 and eps are Adam's constants: a file that stores another
+    # value, even one in range, would train on under settings it did not have
+    raw = TWO_GATED_STEPS.read_bytes()
+    header, _ = _split_header(raw)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(raw, {**header, "adam": {**header["adam"], "beta1": 0.8}}))
+    with pytest.raises(CheckpointError, match=r"= \(0\.9, 0\.999, 1e-08\): .* beta1=0\.8 "):
+        load_checkpoint(bad)
+
+
 @pytest.mark.parametrize("phase", ["pretrained", "", None, 1, ["finetune"]])
 def test_unknown_phase_is_rejected(tmp_path, phase):
     raw = TWO_GATED_STEPS.read_bytes()

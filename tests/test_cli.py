@@ -245,6 +245,20 @@ def _written(out):
     return written, echoed
 
 
+@pytest.mark.parametrize("kind", ["config", "manifest", "jsonl"])
+def test_input_that_is_not_utf8_exits_2_naming_its_file(tmp_path, capsys, kind):
+    cfg_path, config = make_config(tmp_path)
+    manifest = tmp_path / config["sources"][0]
+    damaged = {"config": cfg_path, "manifest": manifest,
+               "jsonl": manifest.parent / "train.jsonl"}[kind]
+    damaged.write_bytes(damaged.read_bytes() + b"\xff\n")
+    assert main(["pretrain", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    error_line = next(line for line in err.splitlines() if line.startswith("error: "))
+    assert str(damaged) in error_line and "not UTF-8" in error_line
+    assert "Traceback" not in err
+
+
 def test_training_ignores_a_malformed_test_split(tmp_path):
     # pretrain and finetune read only the train and dev splits
     cfg_path, config = make_config(tmp_path)

@@ -168,10 +168,9 @@ def _full_row_decoder(params, h_enc, batch):
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
         normed = M._ln(params, f"{p}.ln1", u)
-        u = ad.add(u, M._attention(params, f"{p}.self", normed, normed, cfg.heads,
-                                   mask=self_mask))
+        u = ad.add(u, M._attention(params, f"{p}.self", normed, normed, mask=self_mask))
         u = ad.add(u, M._attention(params, f"{p}.cross", M._ln(params, f"{p}.ln2", u),
-                                   h_enc, cfg.heads, mask=cross_mask))
+                                   h_enc, mask=cross_mask))
         u = ad.add(u, M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln3", u)))
     return M.gather_slots(M._ln(params, "dec.norm", u), slots)
 
@@ -184,7 +183,7 @@ SLOT_BATCH = ([[4, 2], [1, 2, 3, 4, 5], [3, 1, 4], [6, 2, 5]],
               [[2, 2, 0], [6, 1, 6], [4, 0, 3], [6, 1, 6]])
 
 
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("layers", [1, 2, 3])
 def test_slot_only_last_layer_matches_full_row_decoder(layers):
     p = toy_params(layers=layers, seed=19)
     batch = make_batch(*SLOT_BATCH)
@@ -419,25 +418,29 @@ def test_one_attention_block_is_five_tape_records():
     p = toy_params(heads=2)
     x = Tensor(np.random.default_rng(18).normal(size=(2, 3, 8)), requires_grad=True)
     with Tape() as tape:
-        M._attention(p, "enc.0.attn", x, x, 2, mask=M._mask(np.array([3, 2]), 3))
+        M._attention(p, "enc.0.attn", x, x, mask=M._mask(np.array([3, 2]), 3))
     assert len(tape._records) == 5
 
 
 def test_training_step_tape_records_at_bench_shape():
     # one training forward plus loss at the benchmark's short_pretrain shape
     # (d=32, 4 heads, one layer each, K=3, batch 16): each op split in two or
-    # each added op shows up here, on every Python version
-    cfg = ModelConfig(d=32, heads=4, max_len=32, max_instr_len=32, vocab_size=40)
-    p = Parameters(cfg, 3, np.random.default_rng(0))
-    rng = np.random.default_rng(21)
-    tokens = [list(rng.integers(3, 40, size=rng.integers(3, 8))) for _ in range(16)]
-    instr = [list(rng.integers(3, 40, size=rng.integers(9, 13))) for _ in range(16)]
-    batch = make_batch(tokens, instr, [sorted(rng.choice(len(u), 3, replace=False))
-                                       for u in instr])
-    golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
-    with Tape() as tape:
-        loss(M.forward(p, batch, rng=rng), golds)
-    assert len(tape._records) == 48
+    # each added op shows up here, on every Python version. Under dropout the
+    # decoder's first layer runs per instance (one more record: the slot
+    # rows' ``ln1``), and each FFN's dropout is part of its ``gelu`` record
+    for dropout, records in ((0.0, 48), (0.1, 49)):
+        cfg = ModelConfig(d=32, heads=4, max_len=32, max_instr_len=32, vocab_size=40,
+                          dropout=dropout)
+        p = Parameters(cfg, 3, np.random.default_rng(0))
+        rng = np.random.default_rng(21)
+        tokens = [list(rng.integers(3, 40, size=rng.integers(3, 8))) for _ in range(16)]
+        instr = [list(rng.integers(3, 40, size=rng.integers(9, 13))) for _ in range(16)]
+        batch = make_batch(tokens, instr, [sorted(rng.choice(len(u), 3, replace=False))
+                                           for u in instr])
+        golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
+        with Tape() as tape:
+            loss(M.forward(p, batch, rng=rng), golds)
+        assert len(tape._records) == records, dropout
 
 
 def test_untaped_forward_with_infinite_parameter_raises():
@@ -532,7 +535,7 @@ def test_equal_length_batch_with_shared_instructions_matches_single_forwards_bit
         np.testing.assert_array_equal(logits[b], M.forward(p, one(*instance)).data[0])
 
 
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("layers", [1, 2, 3])
 def test_every_instance_draws_its_own_decoder_dropout(layers):
     # with cross-attention, the FFN's output and every self-attention's
     # output but layer 0's zeroed, an instance's decoder state depends on its
