@@ -30,6 +30,15 @@ owned, and the array becomes the buffer, with no copy, when its strides
 equal those of the output's data. Any other first contribution is copied
 into a buffer with the data's strides. ``add`` and ``embedding_lookup``
 never pass owned: ``add`` hands one gradient to both operands.
+
+``gelu`` is the exact GELU ``x * Φ(x)``, with Φ the standard normal CDF.
+Φ comes from a table, built at import in a few ms and 0.35 MB: the
+degree-4 Taylor coefficients of Φ about the centres of 1/512-wide cells,
+the multiples of 1/512 in [-8.5, 8.5], taken from ``math.erfc`` and the
+Hermite recurrence. A call clips, gathers its cells' coefficients and runs
+four Horner steps, with no branch and no float-to-int cast; it is within
+2^-52 (absolute) of ``math.erfc``'s Φ. Past the cells Φ is exactly 0 (it
+is under 1e-17 there) and exactly 1 (the float64 rounding of its value).
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -58,9 +66,14 @@ __all__ = [
     "bce_with_logits",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN_EPS = 1e-5   # added to layer_norm's variance
+_CDF_PER_UNIT = 512   # Φ's table: cells per unit of x, centred on k / 512
+_CDF_CELLS = 4352     # for |k| <= 4352, so that the centres span [-8.5, 8.5]
+# x + _ROUND, for |x| < 2^42, is x rounded to a multiple of 1/512, and
+# its low bits hold 512 times that
+_ROUND = 1.5 * 2.0 ** 43
+_ROUND_BITS = int(np.array(_ROUND).view(np.int64))
 
 
 class ShapeError(ValueError):
@@ -336,10 +349,70 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out, (x, gain, bias), bw)
 
 
+def _cdf_table() -> np.ndarray:
+    """Five rows over the cells of Φ's range, plus a cell at each end: the
+    Taylor coefficients Φ^(k)(c) / k!, k = 0..4, about each cell's centre
+    c. Φ(c) comes from ``math.erfc``, and Φ^(k)(c) is (-1)^(k-1)
+    He_(k-1)(c) φ(c), with the Hermite polynomials from He_(n+1) =
+    c He_n - n He_(n-1). The end cells are the constants 0 and 1."""
+    c = np.arange(-_CDF_CELLS, _CDF_CELLS + 1) / _CDF_PER_UNIT
+    # erfc of a positive argument keeps its relative precision in the tail
+    tail = [0.5 * math.erfc(abs(v) / math.sqrt(2.0)) for v in c.tolist()]
+    pdf = np.exp(-0.5 * c * c) * _INV_SQRT_2PI
+    he = [np.ones_like(c), c]
+    for n in (1, 2):
+        he.append(c * he[n] - n * he[n - 1])
+    table = np.zeros((5, c.size + 2))
+    table[0, 1:-1] = np.where(c < 0, tail, 1.0 - np.array(tail))
+    table[0, -1] = 1.0
+    for k in range(1, 5):
+        table[k, 1:-1] = (-1) ** (k - 1) * he[k - 1] * pdf / math.factorial(k)
+    return table
+
+
+_CDF_TABLE = tuple(_cdf_table())
+
+
+def _normal_cdf_c_order(x: np.ndarray) -> np.ndarray:
+    """Φ(x) from ``_CDF_TABLE`` for an array of one or more axes; the
+    result is in C order."""
+    # x clipped to the end cells' centres; NaN stays NaN
+    end = (_CDF_CELLS + 1) / _CDF_PER_UNIT
+    xc = np.maximum(x, -end)
+    np.minimum(xc, end, out=xc)
+    rounded = xc + _ROUND
+    t = rounded - _ROUND              # the nearest centre k / 512, exactly
+    np.subtract(xc, t, out=t)         # xc less that centre, exactly
+    i = rounded.view(np.int64)        # k's row, from the low bits of xc + _ROUND
+    i -= _ROUND_BITS - _CDF_CELLS - 1
+    b0, b1, b2, b3, b4 = _CDF_TABLE
+    # only a NaN has a row outside the table; the clipping takes keep it
+    # inside, and its t, and so its Φ, stay NaN
+    p = b4.take(i, mode="clip")
+    for b in (b3, b2, b1, b0):
+        p *= t
+        p += b.take(i, out=xc, mode="clip")
+    return p
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Φ, the standard normal CDF, elementwise, within 2^-52 of the exact
+    value; NaN gives NaN. The result has the strides of ``x``."""
+    if not x.ndim:
+        return _normal_cdf_c_order(x.reshape(1)).reshape(())
+    if x.flags.c_contiguous:
+        return _normal_cdf_c_order(x)
+    # run on x's axes in memory order, then put the axes back
+    axes = np.argsort([-abs(s) for s in x.strides], kind="stable")
+    return _normal_cdf_c_order(x.transpose(axes)).transpose(np.argsort(axes))
+
+
 def gelu(x: Tensor, rate: float = 0.0, rng=None) -> Tensor:
-    """Exact-erf GELU, then, at a non-zero ``rate``, inverted dropout with
-    draws from ``rng``."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """Exact GELU, ``x * Φ(x)`` with the table kernel for Φ (module
+    docstring), then, at a non-zero ``rate``, inverted dropout with draws
+    from ``rng``. ``gelu(inf)`` is inf; ``gelu(-inf)`` and ``gelu(nan)`` are
+    NaN, and nothing raises."""
+    cdf = _normal_cdf(x.data)
     out = x.data * cdf
     if rate:
         keep = (rng.random(out.shape) >= rate) / (1.0 - rate)

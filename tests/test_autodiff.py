@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,54 @@ def test_gelu_at_zero_rate_is_plain_gelu_and_draws_nothing():
     assert rng.bit_generator.state == before
 
 
+def _phi_erfc(x: float) -> float:
+    """Φ from ``math.erfc``, taken at a positive argument, where erfc keeps
+    its relative precision."""
+    tail = 0.5 * math.erfc(abs(x) / math.sqrt(2.0))
+    return tail if x < 0 else 1.0 - tail
+
+
+def test_normal_cdf_is_within_2_to_the_minus_52_of_erfc():
+    # a dense grid well past the table's range, the cell edges and centres
+    # of the table and around its ends, and normal draws
+    grid = np.linspace(-40.0, 40.0, 700_001)
+    lattice = np.arange(-9 * 4096, 9 * 4096 + 1) / 4096
+    draws = np.random.default_rng(11).normal(size=100_000)
+    for x in (grid, lattice, draws):
+        ref = np.array([_phi_erfc(v) for v in x.tolist()])
+        assert np.abs(ad._normal_cdf(x) - ref).max() <= 2.0 ** -52
+        assert np.abs(ad._normal_cdf(x) + ad._normal_cdf(-x) - 1.0).max() <= 2.0 ** -52
+    # past the end cells, and at the top centre 8.5, the values are exact
+    assert ad._normal_cdf(np.array([-8.6, -40.0])).tolist() == [0.0, 0.0]
+    assert ad._normal_cdf(np.array([8.5, 40.0])).tolist() == [1.0, 1.0]
+
+
+def test_gelu_keeps_the_erf_values_at_zeros_range_edges_and_huge_inputs():
+    # 0.5 * x * (1 + erf(x / sqrt(2))) in float64 at each x; at -8.5, where
+    # 1 + erf cancels to 0, the kernel gives the true -8.06e-17 instead
+    x = np.array([0.0, -0.0, 8.5, -8.5, 1e300, -1e300])
+    erf_values = np.array([0.0, -0.0, 8.5, -0.0, 1e300, -0.0])
+    out = ad.gelu(Tensor(x)).data
+    exact = np.arange(len(x)) != 3
+    assert out[exact].tolist() == erf_values[exact].tolist()
+    assert (np.signbit(out[exact]) == np.signbit(erf_values[exact])).all()
+    assert abs(out[3] - erf_values[3]) <= 2.0 ** -52
+    assert out[3] == pytest.approx(-8.0576e-17, rel=1e-4)
+
+
+def test_normal_cdf_and_gelu_at_infinities_and_nan_raise_nothing():
+    x = np.array([np.inf, -np.inf, np.nan])
+    with np.errstate(all="raise"):
+        cdf = ad._normal_cdf(x)
+        assert ad._normal_cdf(np.asarray(-np.inf)) == 0.0
+        assert np.isnan(ad._normal_cdf(np.asarray(np.nan)))
+    np.testing.assert_array_equal(cdf, [1.0, 0.0, np.nan])
+    # -inf * Φ(-inf) is -inf * 0, numpy's invalid product: NaN, as with erf
+    with np.errstate(invalid="ignore"):
+        out = ad.gelu(Tensor(x)).data
+    np.testing.assert_array_equal(out, [np.inf, np.nan, np.nan])
+
+
 def test_op_output_grad_is_lazy_and_keeps_strides():
     # an elementwise op keeps the layout of a transposed leaf, so its output
     # is strided; its gradient buffer, made lazily, takes the same strides
@@ -524,6 +574,9 @@ def _op_cases(rng):
     cases.append(("gelu", [x], lambda t: ad.gelu(t[0])))
     # a fresh stream per build, so every build draws the same dropout mask
     cases.append(("gelu_dropout", [x], lambda t: ad.gelu(t[0], 0.3, np.random.default_rng(3))))
+    # both tails, out to the outer cells of the normal-CDF table and past them
+    tails = rng.uniform(2.0, 9.0, size=(m, n)) * rng.choice([-1.0, 1.0], size=(m, n))
+    cases.append(("gelu_tails", [tails], lambda t: ad.gelu(t[0])))
 
     # attention: 2 heads of width k over m queries and n keys, batch 2
     q = rng.normal(size=(2, m, 2 * k))
