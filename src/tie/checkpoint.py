@@ -108,7 +108,6 @@ def save_checkpoint(path, checkpoint: Checkpoint):
     if checkpoint.phase is not None:
         header["phase"] = checkpoint.phase
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(vec, dtype="<f8").tobytes() for vec in _stored(state))
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -117,8 +116,14 @@ def save_checkpoint(path, checkpoint: Checkpoint):
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        # each vector goes to the file as it is held (a copy only on a
+        # big-endian host), the payload CRC chained over them
+        crc = 0
+        for vec in _stored(state):
+            data = np.ascontiguousarray(vec, dtype="<f8")
+            fh.write(data)
+            crc = zlib.crc32(data, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -1,7 +1,8 @@
 """Bidirectional mapping between annotations and the token-pair label grid.
 
 An instance over |x| tokens with K label channels becomes a binary
-|x| x |x| x K matrix. Entity mentions occupy one cell: (start, end, channel).
+|x| x |x| x K matrix, held as the list of its positive cells. Entity
+mentions occupy one cell: (start, end, channel).
 A typed link occupies two cells in its relation channel: the head-head cell
 (subject start, object start) and the tail-tail cell (subject end, object
 end); a link is decoded only when both cells clear the threshold.
@@ -34,15 +35,48 @@ __all__ = [
 
 @dataclass
 class GoldMatrix:
-    """Binary target grid plus a count of relation-cell collisions.
+    """The positive cells of a binary ``(n, n, K)`` target grid, plus a count
+    of relation-cell collisions.
 
-    A collision is a relation-channel cell claimed by more than one link;
-    such instances are degenerate (they cannot round-trip) and are counted
-    rather than repaired.
+    ``cells`` holds one ``(i, j, channel)`` row per cell set to 1, sorted and
+    unique; every other cell is 0, and no grid is held. A collision is a
+    relation-channel cell claimed by more than one link; such instances are
+    degenerate (they cannot round-trip) and are counted rather than
+    repaired. Raises ValueError for a cell outside the grid.
     """
 
-    data: np.ndarray  # (n, n, K) float64 in {0, 1}
+    n: int
+    num_channels: int
+    cells: np.ndarray  # (P, 3) integer rows (i, j, channel)
     collisions: int = 0
+
+    def __post_init__(self):
+        cells = np.asarray(self.cells)
+        if cells.ndim != 2 or cells.shape[1] != 3 or cells.dtype.kind not in "iu":
+            raise ValueError(f"gold cells must be (P, 3) integer rows, got {cells.dtype} "
+                             f"{cells.shape}")
+        rows = list(map(tuple, cells.tolist()))
+        n, k = self.n, self.num_channels
+        if not all(0 <= i < n and 0 <= j < n and 0 <= c < k for i, j, c in rows):
+            raise ValueError(f"gold cells outside the {self.shape} grid")
+        if rows != (canonical := sorted(set(rows))):
+            cells = np.array(canonical).reshape(-1, 3)
+        self.cells = cells.astype(np.intp, copy=False)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n, self.n, self.num_channels)
+
+    @classmethod
+    def from_grid(cls, grid: np.ndarray) -> "GoldMatrix":
+        """The cells of a dense ``(n, n, K)`` grid of 0s and 1s; raises
+        ValueError for any other shape or value."""
+        grid = np.asarray(grid)
+        if grid.ndim != 3 or grid.shape[0] != grid.shape[1]:
+            raise ValueError(f"gold grid {grid.shape} is not (n, n, K)")
+        if not np.all((grid == 0) | (grid == 1)):
+            raise ValueError("gold grid holds values other than 0 and 1")
+        return cls(grid.shape[0], grid.shape[2], np.argwhere(grid))
 
 
 @dataclass(frozen=True)
@@ -89,26 +123,20 @@ def gold_link_set(instance: Instance):
 
 
 def encode(instance: Instance, label_space: LabelSpace) -> GoldMatrix:
-    """Write an instance's annotations into a fresh binary grid."""
-    n = len(instance.tokens)
-    grid = np.zeros((n, n, label_space.num_channels), dtype=np.float64)
-
-    for m in instance.entities:
-        grid[m.start, m.end, label_space.channel(m.type)] = 1.0
-
+    """The positive cells of an instance's annotations; no grid is made."""
+    cells = {(m.start, m.end, label_space.channel(m.type)) for m in instance.entities}
     collisions = 0
     claimed = set()
     for link in instance.links:
         k = label_space.channel(link.type)
         subj_span, _ = instance.resolve(link.subject)
         obj_span, _ = instance.resolve(link.object)
-        cells = {(subj_span[0], obj_span[0], k), (subj_span[1], obj_span[1], k)}
-        for cell in cells:
+        for cell in {(subj_span[0], obj_span[0], k), (subj_span[1], obj_span[1], k)}:
             if cell in claimed:
                 collisions += 1
             claimed.add(cell)
-            grid[cell] = 1.0
-    return GoldMatrix(data=grid, collisions=collisions)
+    rows = np.array(sorted(cells | claimed), dtype=np.intp).reshape(-1, 3)
+    return GoldMatrix(len(instance.tokens), label_space.num_channels, rows, collisions)
 
 
 def _decode_entities(scores, label_space, tau):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .codec import GoldMatrix
 from .model import ModelConfig, Parameters, forward, make_batch
 from .trainer import loss
 
@@ -88,7 +89,8 @@ def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4
     batch = make_batch(
         [rng.integers(0, vocab_size, size=n).tolist() for n in sentence_lengths],
         instr + instr[:1], slots + slots[:1])
-    golds = [(rng.random((n, n, num_channels)) < 0.3).astype(float) for n in sentence_lengths]
+    golds = [GoldMatrix.from_grid(rng.random((n, n, num_channels)) < 0.3)
+             for n in sentence_lengths]
 
     def loss_value() -> float:
         return loss(forward(params, batch), golds).item()

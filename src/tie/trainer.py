@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .codec import encode
+from .codec import GoldMatrix, encode
 from .data import Dataset, Vocabulary
 from .evaluate import evaluate_split
 from .instructions import InstructionPool, select
@@ -83,19 +83,24 @@ class TrainConfig:
 
 def loss(logits, golds):
     """Binary cross-entropy of a batch's (B, n_max, n_max, K) logits against
-    its instances' (n_b, n_b, K) gold grids (scalar tensor): the mean over
-    each instance's real cells, then over the batch; instance b's cells weigh
-    1/(B * n_b^2 * K), padding 0. Raises ShapeError unless B golds fit."""
+    its instances' ``GoldMatrix`` golds (scalar tensor): the mean over each
+    instance's real cells, then over the batch; instance b's cells weigh
+    1/(B * n_b^2 * K), padding 0. The target grid is zeros with 1.0 at each
+    gold's cells, set by one scatter. Raises ShapeError unless B golds of
+    n_b <= n_max tokens and K channels fit."""
     size, n_max, _, k = logits.shape
-    shapes = [np.shape(gold) for gold in golds]
-    if len(shapes) != size or not all(len(s) == 3 and s[1:] == (s[0], k)
-                                      and 0 < s[0] <= n_max for s in shapes):
+    if len(golds) != size or not all(isinstance(gold, GoldMatrix) and gold.num_channels == k
+                                     and 0 < gold.n <= n_max for gold in golds):
+        shapes = [gold.shape if isinstance(gold, GoldMatrix) else type(gold).__name__
+                  for gold in golds]
         raise ad.ShapeError(f"gold grids {shapes} for logits {logits.shape}")
     targets = np.zeros(logits.shape)
+    cells = np.concatenate([gold.cells for gold in golds])
+    rows = np.repeat(np.arange(size), [len(gold.cells) for gold in golds])
+    targets[rows, cells[:, 0], cells[:, 1], cells[:, 2]] = 1.0
     weights = np.zeros((size, n_max, n_max, 1))
-    for b, (gold, (n, _, _)) in enumerate(zip(golds, shapes)):
-        targets[b, :n, :n] = gold
-        weights[b, :n, :n] = 1.0 / (size * n * n * k)
+    for b, gold in enumerate(golds):
+        weights[b, :gold.n, :gold.n] = 1.0 / (size * gold.n * gold.n * k)
     return ad.bce_with_logits(logits, targets, np.broadcast_to(weights, logits.shape))
 
 
@@ -315,7 +320,7 @@ def gated_step(state: TrainState, *, gate: bool = True, granularity: str = "grou
 
 def _prepared(dataset: Dataset, vocab: Vocabulary):
     ids = [vocab.encode(inst.tokens) for inst in dataset.splits.train]
-    golds = [encode(inst, dataset.label_space).data for inst in dataset.splits.train]
+    golds = [encode(inst, dataset.label_space) for inst in dataset.splits.train]
     return ids, golds
 
 

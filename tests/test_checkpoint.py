@@ -106,6 +106,34 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_streams_the_payload(tmp_path):
+    # the vectors go to the file as they are held: saving allocates a small
+    # fraction of the payload, not a joined copy of it
+    (a, b, _t), vocab, pool, _, _, k = fixture()
+    cfg = ModelConfig(d=64, heads=2, max_len=16, max_instr_len=24, vocab_size=len(vocab))
+    params = Parameters(cfg, k, rng_for(4, "init"))
+    state = TrainState.fresh(params, 1e-3)
+    params.grad[...] = np.random.default_rng(4).normal(size=params.grad.shape)
+    T.gated_step(state)
+    assert state.snapshot is not None
+    payload = 4 * params.vector.nbytes
+    path = tmp_path / "x.ckpt"
+    ckpt = Checkpoint(config=cfg, num_channels=k, seed=4, step=1, vocab=vocab,
+                      state=state, phase="pretrain")
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, ckpt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < payload / 10, (peak, payload)
+    loaded = load_checkpoint(path)
+    for mine, theirs in zip((params.vector, *state.optimizer.moments, state.snapshot),
+                            (loaded.state.params.vector, *loaded.state.optimizer.moments,
+                             loaded.state.snapshot)):
+        assert np.array_equal(mine, theirs)
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     direct = run_pretrain(51, tmp_path)
     resumed = run_pretrain(51, tmp_path, resume_at=50)

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tie import codec
-from tie.codec import decode, encode, gold_entity_set, gold_link_set
+from tie.codec import GoldMatrix, decode, encode, gold_entity_set, gold_link_set
 from tie.data import Instance, LabelSpace, Link, Mention
 
 from fuzz import FUZZ_SPACES, fuzz_instance
-from grids import lift
+from grids import dense, lift
 
 CONLL_LIKE = LabelSpace(["PER", "ORG", "LOC", "MISC"], [])
 
@@ -17,15 +19,15 @@ def test_encode_single_entity_cell():
         entities=[Mention("ORG", 1, 1)],
     )
     gold = encode(inst, CONLL_LIKE)
-    assert gold.data.shape == (6, 6, 4)
-    assert gold.data.sum() == 1.0
-    assert gold.data[1, 1, CONLL_LIKE.channel("ORG")] == 1.0
+    assert gold.shape == (6, 6, 4)
+    assert gold.cells.tolist() == [[1, 1, CONLL_LIKE.channel("ORG")]]
 
 
 def test_encode_empty_instance_all_zero():
     inst = Instance(tokens=["a", "b", "c"])
     gold = encode(inst, CONLL_LIKE)
-    assert gold.data.sum() == 0.0
+    assert gold.cells.shape == (0, 3)
+    assert dense(gold).shape == (3, 3, 4) and dense(gold).sum() == 0.0
     assert gold.collisions == 0
 
 
@@ -38,13 +40,12 @@ def test_encode_relation_two_cell_convention():
     )
     gold = encode(inst, space)
     wf = space.channel("Work_For")
-    nz = {tuple(ix) for ix in np.argwhere(gold.data > 0)}
-    assert nz == {
-        (0, 1, space.channel("PER")),
-        (4, 6, space.channel("ORG")),
-        (0, 4, wf),
-        (1, 6, wf),
-    }
+    assert gold.cells.tolist() == sorted([
+        [0, 1, space.channel("PER")],
+        [4, 6, space.channel("ORG")],
+        [0, 4, wf],
+        [1, 6, wf],
+    ])
 
 
 def test_encode_counts_collisions():
@@ -68,7 +69,61 @@ def test_encode_single_token_link_is_one_cell_no_collision():
     )
     gold = encode(inst, space)
     assert gold.collisions == 0
-    assert gold.data[:, :, space.channel("r")].sum() == 1.0
+    assert gold.cells.tolist() == [[0, 0, 0], [0, 2, space.channel("r")], [2, 2, 0]]
+
+
+def test_encode_allocates_no_grid():
+    # 128 tokens x 8 channels: the dense float64 grid would take 1 MB
+    space = LabelSpace(["A", "B", "C", "D"], ["r", "s", "t", "u"])
+    inst = Instance(
+        tokens=["w"] * 128,
+        entities=[Mention("ABCD"[i % 4], 4 * i, 4 * i + 2) for i in range(32)],
+        links=[Link("rstu"[i % 4], 2 * i, 2 * i + 1) for i in range(16)],
+    )
+    encode(inst, space)  # first-call set-up stays out of the measurement
+    tracemalloc.start()
+    try:
+        gold = encode(inst, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gold.cells) == 32 + 2 * 16
+    assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("cells", [
+    [[3, 0, 0]],        # row past n
+    [[0, 3, 1]],        # column past n
+    [[0, 0, 2]],        # channel past K
+    [[-1, 0, 0]],       # negative
+    [[0, 0]],           # not (i, j, channel) rows
+    [[0.0, 0.0, 0.0]],  # not integers
+], ids=["row", "column", "channel", "negative", "two columns", "float"])
+def test_gold_cells_outside_the_grid_are_rejected(cells):
+    with pytest.raises(ValueError, match="gold cells"):
+        GoldMatrix(3, 2, np.array(cells))
+
+
+def test_gold_cells_are_kept_sorted_and_unique():
+    gold = GoldMatrix(3, 2, np.array([[2, 1, 0], [0, 2, 1], [2, 1, 0]]))
+    assert gold.cells.tolist() == [[0, 2, 1], [2, 1, 0]]
+
+
+@pytest.mark.parametrize("grid", [
+    np.zeros((3, 3)),             # no channel axis
+    np.zeros((3, 2, 2)),          # not square
+    np.pad([[[0.5]]], ((1, 1), (1, 1), (0, 1))),   # one 0.5 cell
+], ids=["2-D", "not square", "half"])
+def test_from_grid_rejects_what_is_not_a_0_1_grid(grid):
+    with pytest.raises(ValueError, match="gold grid"):
+        GoldMatrix.from_grid(grid)
+
+
+def test_from_grid_round_trips_the_dense_grid():
+    grid = (np.random.default_rng(3).random((5, 5, 3)) < 0.3).astype(float)
+    gold = GoldMatrix.from_grid(grid)
+    assert gold.shape == (5, 5, 3)
+    assert np.array_equal(dense(gold), grid)
 
 
 def test_decode_all_low_scores_empty():

@@ -8,6 +8,7 @@ import pytest
 
 from tie import autodiff as ad
 from tie.autodiff import Tape, Tensor
+from tie.codec import GoldMatrix
 from tie.gradcheck import run_gradcheck
 from tie import model as M
 from tie.model import ModelConfig, Parameters, make_batch
@@ -437,7 +438,7 @@ def test_training_step_tape_records_at_bench_shape():
         instr = [list(rng.integers(3, 40, size=rng.integers(9, 13))) for _ in range(16)]
         batch = make_batch(tokens, instr, [sorted(rng.choice(len(u), 3, replace=False))
                                            for u in instr])
-        golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t in tokens]
+        golds = [GoldMatrix.from_grid(rng.random((len(t), len(t), 3)) < 0.3) for t in tokens]
         with Tape() as tape:
             loss(M.forward(p, batch, rng=rng), golds)
         assert len(tape._records) == records, dropout
@@ -485,7 +486,7 @@ def test_mixed_length_batch_matches_single_instance_forwards():
 def test_batch_loss_gradient_is_mean_of_instance_gradients():
     p = toy_params(k=3, seed=16)
     rng = np.random.default_rng(17)
-    golds = [(rng.random((len(t), len(t), 3)) < 0.3).astype(float) for t, _, _ in MIXED]
+    golds = [GoldMatrix.from_grid(rng.random((len(t), len(t), 3)) < 0.3) for t, _, _ in MIXED]
 
     expected = {name: np.zeros_like(t.data) for name, t in p.tensors.items()}
     for (tokens, instr, slots), gold in zip(MIXED, golds):

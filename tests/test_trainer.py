@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from tie.autodiff import ShapeError, Tape, Tensor, backward, bce_with_logits
-from tie.data import build_vocab
+from tie.codec import GoldMatrix, encode
+from tie.data import Instance, LabelSpace, Link, Mention, build_vocab
 from tie.instructions import build_pool
 from tie.model import ModelConfig, Parameters, forward, make_batch
-from tie.synth import make_synth
+from tie.synth import SYNTH_KINDS, make_synth
 from tie import trainer as T
 from tie.trainer import (
     Adam,
@@ -17,19 +18,22 @@ from tie.trainer import (
     rng_for,
 )
 
+from fuzz import FUZZ_SPACES, fuzz_instance
+from grids import annotation_grid
+
 
 # --- loss ---------------------------------------------------------------
 
 
 def test_loss_saturated_zero():
     logits = Tensor(np.full((1, 3, 3, 2), -30.0))
-    gold = np.zeros((3, 3, 2))
+    gold = GoldMatrix.from_grid(np.zeros((3, 3, 2)))
     assert T.loss(logits, [gold]).item() < 1e-9
 
 
 def test_loss_zero_logits_ln2():
     logits = Tensor(np.zeros((1, 3, 3, 2)))
-    gold = (np.random.default_rng(0).random((3, 3, 2)) < 0.5).astype(float)
+    gold = GoldMatrix.from_grid(np.random.default_rng(0).random((3, 3, 2)) < 0.5)
     assert T.loss(logits, [gold]).item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -39,21 +43,30 @@ def test_loss_matches_formula():
     g = (rng.random((4, 4, 3)) < 0.3).astype(float)
     s = 1.0 / (1.0 + np.exp(-z))
     direct = -(g * np.log(s) + (1 - g) * np.log(1 - s)).mean()
-    assert T.loss(Tensor(z[None]), [g]).item() == pytest.approx(direct, abs=1e-10)
+    assert T.loss(Tensor(z[None]), [GoldMatrix.from_grid(g)]).item() == pytest.approx(
+        direct, abs=1e-10)
 
 
-def _dense_grid_loss(logits, golds):
+def _dense_grid_loss(logits, grids):
     """The loss over dense padded (B, n_max, n_max, K) target and weight
-    grids, filled instance by instance: 1/(B * n_b^2 * K) on instance b's
-    real cells, 0 on padding."""
+    grids, filled instance by instance from dense (n_b, n_b, K) gold grids:
+    1/(B * n_b^2 * K) on instance b's real cells, 0 on padding."""
     size, n_max, _, k = logits.shape
     targets = np.zeros((size, n_max, n_max, k))
     weights = np.zeros((size, n_max, n_max, k))
-    for b, gold in enumerate(golds):
-        n = len(gold)
-        targets[b, :n, :n] = gold
+    for b, grid in enumerate(grids):
+        n = len(grid)
+        targets[b, :n, :n] = grid
         weights[b, :n, :n] = 1.0 / (size * n * n * k)
     return bce_with_logits(logits, targets, weights)
+
+
+def _value_and_grad(route, z, golds):
+    logits = Tensor(z.copy(), requires_grad=True)
+    with Tape():
+        value = route(logits, golds)
+        backward(value)
+    return value.data, logits.grad
 
 
 @pytest.mark.parametrize("size", [1, 3, 16])
@@ -61,29 +74,67 @@ def _dense_grid_loss(logits, golds):
 def test_loss_equals_the_dense_grid_loss_bit_for_bit(size, k):
     rng = np.random.default_rng(100 * size + k)
     lengths = rng.integers(1, 9, size=size)
-    golds = [(rng.random((n, n, k)) < 0.3).astype(float) for n in lengths]
+    grids = [(rng.random((n, n, k)) < 0.3).astype(float) for n in lengths]
     z = rng.normal(scale=3.0, size=(size, lengths.max(), lengths.max(), k))
-    values, grads = [], []
-    for route in (T.loss, _dense_grid_loss):
-        logits = Tensor(z.copy(), requires_grad=True)
-        with Tape():
-            value = route(logits, golds)
-            backward(value)
-        values.append(value.data)
-        grads.append(logits.grad)
-    assert np.array_equal(values[0], values[1])
-    assert np.array_equal(grads[0], grads[1])
+    value, grad = _value_and_grad(T.loss, z, [GoldMatrix.from_grid(g) for g in grids])
+    dense_value, dense_grad = _value_and_grad(_dense_grid_loss, z, grids)
+    assert np.array_equal(value, dense_value)
+    assert np.array_equal(grad, dense_grad)
+
+
+def _annotated_sets():
+    """(label space, instances) for each synth dataset, each fuzz space and
+    the degenerate instance whose two links claim one head-head cell."""
+    for kind in SYNTH_KINDS:
+        for ds, _ in make_synth(kind, 12, 4):
+            yield ds.id, ds.label_space, ds.splits.train
+    rng = np.random.default_rng(8)
+    for task, space in FUZZ_SPACES.items():
+        yield f"fuzz-{task}", space, [fuzz_instance(task, rng) for _ in range(24)]
+    yield "degenerate", LabelSpace(["E"], ["r"]), [Instance(
+        tokens=["a", "b", "c", "d", "e"],
+        entities=[Mention("E", 0, 0), Mention("E", 2, 3), Mention("E", 2, 4)],
+        links=[Link("r", 0, 1), Link("r", 0, 2)],
+    )]
+
+
+def test_loss_target_equals_the_annotation_grid():
+    # at zero logits the gradient of each real cell is its weight times
+    # (0.5 - target), so equal gradients mean equal scattered targets
+    rng = np.random.default_rng(9)
+    for name, space, instances in _annotated_sets():
+        golds = [encode(inst, space) for inst in instances]
+        references = [annotation_grid(inst, space) for inst in instances]
+        assert [g.collisions for g in golds] == [c for _, c in references], name
+        # the cells are the grid's ones in row-major order
+        assert [g.cells.tolist() for g in golds] == [np.argwhere(grid).tolist()
+                                                     for grid, _ in references], name
+        for lo in range(0, len(golds), 8):
+            batch = slice(lo, lo + 8)
+            n_max = max(g.n for g in golds[batch])
+            shape = (len(golds[batch]), n_max, n_max, space.num_channels)
+            for z in (np.zeros(shape), rng.normal(scale=3.0, size=shape)):
+                value, grad = _value_and_grad(T.loss, z, golds[batch])
+                dense_value, dense_grad = _value_and_grad(
+                    _dense_grid_loss, z, [grid for grid, _ in references[batch]])
+                assert np.array_equal(value, dense_value), name
+                assert np.array_equal(grad, dense_grad), name
+
+
+def _cells(n, k):
+    return GoldMatrix(n, k, np.empty((0, 3), dtype=np.intp))
 
 
 @pytest.mark.parametrize("golds", [
-    [np.zeros((3, 3, 2))],                           # one gold for two instances
-    [np.zeros((3, 3, 2))] * 3,                       # three
-    [np.zeros((3, 3, 2)), np.zeros((2, 2, 3))],      # the wrong K
-    [np.zeros((3, 3, 2)), np.zeros((2, 3, 2))],      # not square
-    [np.zeros((3, 3, 2)), np.zeros((4, 4, 2))],      # longer than the grid
-    [np.zeros((3, 3, 2)), np.zeros((0, 0, 2))],      # empty
-    [np.zeros((3, 3, 2)), np.zeros((2, 2))],         # no channel axis
-], ids=["too few", "too many", "wrong K", "not square", "too long", "empty", "2-D"])
+    [_cells(3, 2)],                                   # one gold for two instances
+    [_cells(3, 2)] * 3,                               # three
+    [_cells(3, 2), _cells(2, 3)],                     # the wrong K
+    [_cells(3, 2), _cells(4, 2)],                     # longer than the grid
+    [_cells(3, 2), _cells(0, 2)],                     # empty
+    [_cells(3, 2), np.zeros((2, 2, 2))],              # a dense grid, not cells
+    [_cells(3, 2), np.zeros((2, 3, 2))],              # dense and not square
+    [_cells(3, 2), np.zeros((2, 2))],                 # dense with no channel axis
+], ids=["too few", "too many", "wrong K", "too long", "empty", "dense", "not square", "2-D"])
 def test_loss_rejects_golds_that_do_not_fit_the_logits(golds):
     with pytest.raises(ShapeError, match="gold grids"):
         T.loss(Tensor(np.zeros((2, 3, 3, 2))), golds)
@@ -414,7 +465,7 @@ def test_parameter_views_share_the_group_vectors():
             assert np.shares_memory(p[n].grad, p.grad[s])
     batch = make_batch([[3, 4, 5]], [[3, 6, 7]], [[1, 2]])
     with Tape():
-        backward(T.loss(forward(p, batch), [np.zeros((3, 3, 2))]))
+        backward(T.loss(forward(p, batch), [_cells(3, 2)]))
     grads = p.grads()
     for group, names in p.groups.items():
         assert np.array_equal(grads[group], p.grad[p.slices[group]])
