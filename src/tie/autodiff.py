@@ -24,6 +24,20 @@ where ``check_finite`` screens the model's logits and ``backward`` the
 loss, naming the first recorded op whose output is non-finite. The trainer
 screens the gradients.
 
+Row maps: a batch of B variable-length instances can hold its rows packed,
+the T real rows of a padded (B, n, ...) layout in instance order, so that
+row-wise ops (``linear``, ``add``, ``layer_norm``, ``gelu``) run on real
+rows only. A ``RowMap``, built once from the lengths, records each packed
+row's flat position ``b * n + i`` in the padded layout. The ops that mix
+rows take it as an argument: ``attention`` (``q_rows`` for packed queries,
+``kv_rows`` for packed keys and values) and ``pair_scores`` (``rows``)
+scatter packed operands into zero-filled padded buffers inside their own
+record, run their padded arithmetic and gather the real rows back, and
+their backward does the reverse; ``embedding_lookup`` (``rows``) gives
+each packed id the position row of its place in its instance; ``gelu``
+(``rows``) draws its dropout masks for the padded layout and keeps the
+real rows'.
+
 An op output's gradient buffer is made by its first contribution: an op
 that computed that contribution into a fresh array of its own passes it as
 owned, and the array becomes the buffer, with no copy, when its strides
@@ -50,6 +64,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
+    "RowMap",
     "ShapeError",
     "NonFiniteError",
     "TapeError",
@@ -124,6 +139,39 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class RowMap:
+    """Where the rows of a packed operand sit in its padded layout: row r of
+    a packed (T, ...) array is row ``flat[r]`` of the B * n rows of a padded
+    (B, n, ...) array, whose other rows are padding. ``RowMap(lengths)``
+    packs each instance's first n_b rows, in instance order, with n the
+    longest length; ``positions`` holds each packed row's place in its
+    instance."""
+
+    __slots__ = ("flat", "positions", "size", "n")
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.size, self.n = len(lengths), int(lengths.max())
+        place = np.arange(self.n)
+        real = place < lengths[:, None]
+        self.flat = (place + self.n * np.arange(self.size)[:, None])[real]
+        self.positions = self.flat % self.n
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """The packed rows ``x`` in a zero-filled (B, n, ...) array."""
+        out = np.zeros((self.size * self.n,) + x.shape[1:])
+        out[self.flat] = x
+        return out.reshape((self.size, self.n) + x.shape[1:])
+
+    def pack(self, x: np.ndarray) -> np.ndarray:
+        """The real rows of a padded (B, n, ...) array, packed."""
+        return x.reshape((self.size * self.n,) + x.shape[2:]).take(self.flat, axis=0)
+
+    def fits(self, x: Tensor) -> bool:
+        """Whether ``x`` is a packed (T, d) operand of this map."""
+        return x.data.ndim == 2 and x.shape[0] == len(self.flat)
 
 
 _tape_stack: list["Tape"] = []
@@ -282,24 +330,28 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None) -> Tensor:
+def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None,
+                     rows: RowMap | None = None) -> Tensor:
     """Gather rows of a table of 2 or more axes by an N-d id array. Row
     ``r`` is row ``r`` of the table's leading axes flattened, so a (B, m, d)
     table has B*m rows; the result has shape ``ids.shape + (d,)``.
     Gradients scatter-add into those rows in place, whatever the strides of
     the table's gradient buffer.
 
-    Given a (rows, d) ``positions`` table, its first n rows, n the length
-    of the last axis of ``ids``, are added to the result as ``add`` would
-    add them, broadcast over the leading axes, and their gradient is the
-    result's summed over those axes."""
+    Given a (rows, d) ``positions`` table, each id gets the position row of
+    its place: its index along the last axis of ``ids``, or, for packed
+    (T,) ``ids`` with their ``RowMap``, its place in its instance. The
+    positions' gradient is the result's summed over the instances, in the
+    padded layout."""
     if table.data.ndim < 2:
         raise ShapeError(f"embedding_lookup needs a table of 2 or more axes, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    rows = math.prod(table.shape[:-1])
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ShapeError(f"row id out of range [0, {rows}) in embedding_lookup")
-    n = idx.shape[-1] if idx.ndim else 0
+    table_rows = math.prod(table.shape[:-1])
+    if idx.size and (idx.min() < 0 or idx.max() >= table_rows):
+        raise ShapeError(f"row id out of range [0, {table_rows}) in embedding_lookup")
+    if rows is not None and idx.shape != rows.flat.shape:
+        raise ShapeError(f"embedding_lookup needs packed ids {rows.flat.shape}, got {idx.shape}")
+    n = rows.n if rows is not None else idx.shape[-1] if idx.ndim else 0
     if positions is not None and (not idx.ndim or positions.data.ndim != 2
                                   or positions.shape[0] < n
                                   or positions.shape[1:] != table.shape[-1:]):
@@ -310,13 +362,14 @@ def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None) -> Ten
     at = np.unravel_index(idx, table.shape[:-1])
     out = table.data[at]
     if positions is not None:
-        out += positions.data[:n]
+        out += positions.data[:n] if rows is None else positions.data[rows.positions]
 
     def bw(g):
         if table.requires_grad:
             np.add.at(_grad_of(table), at, g)
         if positions is not None and positions.requires_grad:
-            _grad_of(positions)[:n] += _unbroadcast(g, (n, g.shape[-1]))
+            padded = g if rows is None else rows.pad(g)
+            _grad_of(positions)[:n] += _unbroadcast(padded, (n, g.shape[-1]))
 
     return _make(out, (table,) if positions is None else (table, positions), bw)
 
@@ -407,15 +460,19 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return _normal_cdf_c_order(x.transpose(axes)).transpose(np.argsort(axes))
 
 
-def gelu(x: Tensor, rate: float = 0.0, rng=None) -> Tensor:
+def gelu(x: Tensor, rate: float = 0.0, rng=None, rows: RowMap | None = None) -> Tensor:
     """Exact GELU, ``x * Φ(x)`` with the table kernel for Φ (module
     docstring), then, at a non-zero ``rate``, inverted dropout with draws
-    from ``rng``. ``gelu(inf)`` is inf; ``gelu(-inf)`` and ``gelu(nan)`` are
-    NaN, and nothing raises."""
+    from ``rng``; for a packed ``x`` with its ``RowMap`` the draws are made
+    for the padded layout and the real rows' kept, so that they are the
+    padded ``x``'s. ``gelu(inf)`` is inf; ``gelu(-inf)`` and ``gelu(nan)``
+    are NaN, and nothing raises."""
     cdf = _normal_cdf(x.data)
     out = x.data * cdf
     if rate:
-        keep = (rng.random(out.shape) >= rate) / (1.0 - rate)
+        draws = rng.random(out.shape) if rows is None else \
+            rows.pack(rng.random((rows.size, rows.n) + out.shape[1:]))
+        keep = (draws >= rate) / (1.0 - rate)
         out *= keep
 
     def bw(g):
@@ -429,22 +486,35 @@ def gelu(x: Tensor, rate: float = 0.0, rng=None) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
-              scale: float = 1.0, rate: float = 0.0, rng=None) -> Tensor:
+              scale: float = 1.0, rate: float = 0.0, rng=None,
+              q_rows: RowMap | None = None, kv_rows: RowMap | None = None) -> Tensor:
     """Multi-head attention of (B, n_q, d) queries over (B, n_k, d) keys and
     values, as one op: split heads, score ``(q_h @ k_h^T) * scale``, add
     ``mask`` (an additive array broadcastable to (B, heads, n_q, n_k)) if
     given, take the softmax over keys, apply inverted dropout at ``rate``
     with draws from ``rng``, mix the v_h rows, and merge the heads back to
-    (B, n_q, d). Backward reuses the forward's softmax."""
-    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape \
-            or q.shape[::2] != k.shape[::2] or q.shape[2] % heads:
+    (B, n_q, d). Backward reuses the forward's softmax.
+
+    Packed (T, d) queries come with their ``RowMap`` ``q_rows``, packed keys
+    and values with ``kv_rows``: the op lays them out padded with zero rows
+    and returns packed (T, d) outputs for packed queries; backward hands
+    each packed operand its real rows' gradient."""
+    shapes = f"{q.shape}, {k.shape} and {v.shape}"
+    if k.shape != v.shape or (q_rows is not None and not q_rows.fits(q)) \
+            or (kv_rows is not None and not kv_rows.fits(k)):
+        raise ShapeError(f"attention needs keys and values of one shape, each packed operand "
+                         f"with its row map, got {shapes}")
+    qd = q.data if q_rows is None else q_rows.pad(q.data)
+    kd = k.data if kv_rows is None else kv_rows.pad(k.data)
+    vd = v.data if kv_rows is None else kv_rows.pad(v.data)
+    if qd.ndim != 3 or kd.ndim != 3 or qd.shape[::2] != kd.shape[::2] or qd.shape[2] % heads:
         raise ShapeError(f"attention needs (B, n_q, d) q and (B, n_k, d) k, v with {heads} heads "
-                         f"dividing d, got {q.shape}, {k.shape} and {v.shape}")
-    size, n_q, d = q.shape
-    n_k, dh = k.shape[1], d // heads
-    qh = q.data.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
-    k_t = k.data.reshape(size, n_k, heads, dh).transpose(0, 2, 3, 1)
-    vh = v.data.reshape(size, n_k, heads, dh).transpose(0, 2, 1, 3)
+                         f"dividing d, got {shapes}")
+    size, n_q, d = qd.shape
+    n_k, dh = kd.shape[1], d // heads
+    qh = qd.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
+    k_t = kd.reshape(size, n_k, heads, dh).transpose(0, 2, 3, 1)
+    vh = vd.reshape(size, n_k, heads, dh).transpose(0, 2, 1, 3)
     scores = (qh @ k_t) * scale                                  # (B, h, n_q, n_k)
     if mask is not None:
         scores = scores + mask
@@ -455,41 +525,48 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     out = (att_d @ vh).transpose(0, 2, 1, 3).reshape(size, n_q, d)
 
     def bw(g):
+        if q_rows is not None:
+            g = q_rows.pad(g)
         g_o = g.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
         g_att = g_o @ np.swapaxes(vh, -1, -2)
         if rate:
             g_att = g_att * keep
         g_s = ((g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att) * scale
         if q.requires_grad:
-            g_q = g_s @ np.swapaxes(k_t, -1, -2)
-            _accumulate(q, g_q.transpose(0, 2, 1, 3).reshape(size, n_q, d), owned=True)
+            g_q = (g_s @ np.swapaxes(k_t, -1, -2)).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+            _accumulate(q, g_q if q_rows is None else q_rows.pack(g_q), owned=True)
         if k.requires_grad:
-            g_k = np.swapaxes(qh, -1, -2) @ g_s
-            _accumulate(k, g_k.transpose(0, 3, 1, 2).reshape(size, n_k, d), owned=True)
+            g_k = (np.swapaxes(qh, -1, -2) @ g_s).transpose(0, 3, 1, 2).reshape(size, n_k, d)
+            _accumulate(k, g_k if kv_rows is None else kv_rows.pack(g_k), owned=True)
         if v.requires_grad:
-            g_v = np.swapaxes(att_d, -1, -2) @ g_o
-            _accumulate(v, g_v.transpose(0, 2, 1, 3).reshape(size, n_k, d), owned=True)
+            g_v = (np.swapaxes(att_d, -1, -2) @ g_o).transpose(0, 2, 1, 3).reshape(size, n_k, d)
+            _accumulate(v, g_v if kv_rows is None else kv_rows.pack(g_v), owned=True)
 
-    return _make(out, (q, k, v), bw)
+    return _make(out if q_rows is None else q_rows.pack(out), (q, k, v), bw)
 
 
 def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,
-                score_w: Tensor, score_b: Tensor) -> Tensor:
+                score_w: Tensor, score_b: Tensor, rows: RowMap | None = None) -> Tensor:
     """Token-pair logits of the biaffine grid head, as one op. For (B, n, d)
     head and tail states, a (d, K, d) bilinear ``w3``, a (K, 2d) linear
     ``w4`` and a (K, K) score layer ``score_w``, ``score_b``, cell (i, j) is
     ``m = [h_i w3[:, c, :] t_j]_c + w4[:, :d] h_i + w4[:, d:] t_j`` mapped to
     ``score_w m + score_b``: (B, n, n, K) logits. The head term is added per
     row and the tail term per column, so no (B, n, n, 2d) pair tensor is
-    built."""
+    built. Packed (T, d) heads and tails come with their ``RowMap``: the op
+    lays them out padded with zero rows, and backward hands them their real
+    rows' gradient."""
     d, k = h_head.shape[-1], w4.shape[0]
-    if h_head.data.ndim != 3 or h_tail.shape != h_head.shape or w3.shape != (d, k, d) \
-            or w4.shape != (k, 2 * d) or score_w.shape != (k, k) or score_b.shape != (k,):
-        raise ShapeError(f"pair_scores needs (B, n, d) heads and tails, (d, K, d) w3, (K, 2d) w4, "
+    if (h_head.data.ndim != 3 if rows is None else not rows.fits(h_head)) \
+            or h_tail.shape != h_head.shape or w3.shape != (d, k, d) or w4.shape != (k, 2 * d) \
+            or score_w.shape != (k, k) or score_b.shape != (k,):
+        raise ShapeError(f"pair_scores needs (B, n, d) heads and tails, or packed (T, d) ones "
+                         f"with their row map, (d, K, d) w3, (K, 2d) w4, "
                          f"(K, K) score_w and (K,) score_b, got {h_head.shape}, {h_tail.shape}, "
                          f"{w3.shape}, {w4.shape}, {score_w.shape} and {score_b.shape}")
-    size, n, _ = h_head.shape
-    hh, ht = h_head.data, h_tail.data
+    hh = h_head.data if rows is None else rows.pad(h_head.data)
+    ht = h_tail.data if rows is None else rows.pad(h_tail.data)
+    size, n, _ = hh.shape
     w3_2d = w3.data.reshape(d, k * d)
     a = (hh @ w3_2d).reshape(size, n * k, d)                      # row (i, c): h_i w3[:, c, :]
     bilinear = (a @ ht.transpose(0, 2, 1)).reshape(size, n, k, n).transpose(0, 1, 3, 2)
@@ -510,11 +587,11 @@ def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,
         g_bil = g_grid.transpose(0, 1, 3, 2).reshape(size, n * k, n)
         g_a = g_bil @ ht
         if h_head.requires_grad:
-            _accumulate(h_head, g_head @ w4_head.T + g_a.reshape(size, n, k * d) @ w3_2d.T,
-                        owned=True)
+            g_hh = g_head @ w4_head.T + g_a.reshape(size, n, k * d) @ w3_2d.T
+            _accumulate(h_head, g_hh if rows is None else rows.pack(g_hh), owned=True)
         if h_tail.requires_grad:
-            _accumulate(h_tail, g_tail @ w4_tail.T
-                        + (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1), owned=True)
+            g_ht = g_tail @ w4_tail.T + (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1)
+            _accumulate(h_tail, g_ht if rows is None else rows.pack(g_ht), owned=True)
         if w3.requires_grad:
             _accumulate(w3, (hh.reshape(-1, d).T @ g_a.reshape(-1, k * d)).reshape(d, k, d),
                         owned=True)

@@ -15,6 +15,7 @@ human-readable tables go to stdout. Exit code 0 means the command completed;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -411,7 +412,10 @@ def cmd_synth(kind: str, size: int, seed: int, out_dir: str) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and reused: building
+    it costs about as much as a small ``tie eval``'s checkpoint load."""
     parser = argparse.ArgumentParser(
         prog="tie",
         description="Instruction-conditioned token-pair extraction pipeline.",

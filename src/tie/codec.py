@@ -55,12 +55,16 @@ class GoldMatrix:
         if cells.ndim != 2 or cells.shape[1] != 3 or cells.dtype.kind not in "iu":
             raise ValueError(f"gold cells must be (P, 3) integer rows, got {cells.dtype} "
                              f"{cells.shape}")
-        rows = list(map(tuple, cells.tolist()))
+        # plain Python on the rows: a gold holds a few cells, where each
+        # numpy call costs more than the whole loop
+        rows = cells.tolist()
         n, k = self.n, self.num_channels
         if not all(0 <= i < n and 0 <= j < n and 0 <= c < k for i, j, c in rows):
             raise ValueError(f"gold cells outside the {self.shape} grid")
-        if rows != (canonical := sorted(set(rows))):
-            cells = np.array(canonical).reshape(-1, 3)
+        # sorted and unique iff each row is past the one before (lists
+        # compare in order, as tuples do)
+        if any(a >= b for a, b in zip(rows, rows[1:])):
+            cells = np.array(sorted(set(map(tuple, rows)))).reshape(-1, 3)
         self.cells = cells.astype(np.intp, copy=False)
 
     @property

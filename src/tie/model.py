@@ -8,7 +8,9 @@ every sentence token as an attention mixture over projected slot states;
 score all token pairs per channel with a biaffine form plus a
 per-cell linear layer. Output logits are (|x|, |x|, K) per instance; a
 forward runs B instances padded into one batch (``make_batch``), and
-attention masks padded keys so that no real position sees padding. A batch
+attention masks padded keys so that no real position sees padding. The
+sentence side holds only the real tokens, packed (``Batch.rows``); attention
+and the grid head lay them out padded inside their own ops. A batch
 holds each distinct instruction (with its slots) once, and the decoder runs
 the part of its first layer that reads only the instruction once per
 distinct instruction, then fans the rows out to the instances; a forward
@@ -257,14 +259,17 @@ class Parameters:
 @dataclass(frozen=True)
 class Batch:
     """B instances padded with ``PAD_ID`` to common lengths: one forward's
-    input. The instruction fields hold U <= B rows, one per distinct
-    (instruction ids, slot positions) pair in first-seen order, and
-    ``which`` maps each instance to its row. ``decode_instruction`` shares
-    the rows up to layer 0's self-attention, or, when it draws dropout
-    masks, gives each instance its own from the start."""
+    input. ``rows`` packs the T = sum(n) real sentence tokens, in instance
+    order, and places them in the padded (B, n_max) layout. The instruction
+    fields hold U <= B rows, one per distinct (instruction ids, slot
+    positions) pair in first-seen order, and ``which`` maps each instance
+    to its row. ``decode_instruction`` shares the rows up to layer 0's
+    self-attention, or, when it draws dropout masks, gives each instance its
+    own from the start."""
 
     tokens: np.ndarray   # (B, n_max) sentence ids
     n: np.ndarray        # (B,) sentence lengths
+    rows: ad.RowMap      # the real tokens' places in the (B, n_max) layout
     instr: np.ndarray    # (U, m_max) instruction ids
     m: np.ndarray        # (U,) instruction lengths
     slots: np.ndarray    # (U, K) slot positions into each row's own instruction
@@ -295,26 +300,31 @@ def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
     slots = np.array([s for _, s in rows], dtype=np.int64)   # ragged slot lists raise here
     if slots.ndim != 2 or np.any(slots < 0) or np.any(slots >= m[:, None]):
         raise ValueError("every instance needs K slot positions inside its own instruction")
-    return Batch(tokens=tokens, n=n, instr=instr, m=m, slots=slots, which=which)
+    return Batch(tokens=tokens, n=n, rows=ad.RowMap(n), instr=instr, m=m, slots=slots,
+                 which=which)
 
 
-def _attention(params, prefix, x_q, x_kv, mask=None, rng=None):
+def _attention(params, prefix, x_q, x_kv, mask=None, rng=None, q_rows=None, kv_rows=None):
     """(B, n_q, d) queries over (B, n_k, d) keys in ``config.heads`` heads;
     ``mask`` is additive and broadcastable to the (B, heads, n_q, n_k)
-    scores, or None. Dropout runs at ``config.dropout`` iff ``rng`` is given."""
+    scores, or None. Packed queries or keys come with their row maps, as
+    ``ad.attention`` takes them. Dropout runs at ``config.dropout`` iff
+    ``rng`` is given."""
     heads = params.config.heads
     rate = params.config.dropout if rng is not None else 0.0
     q = ad.linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = ad.linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = ad.linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    out = ad.attention(q, k, v, heads, mask=mask, scale=1.0 / math.sqrt(q.shape[2] // heads),
-                       rate=rate, rng=rng)
+    out = ad.attention(q, k, v, heads, mask=mask, scale=1.0 / math.sqrt(q.shape[-1] // heads),
+                       rate=rate, rng=rng, q_rows=q_rows, kv_rows=kv_rows)
     return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
-def _ffn(params, prefix, x, rng=None):
+def _ffn(params, prefix, x, rng=None, rows=None):
+    """The two-layer GELU block; a packed ``x`` with its ``rows`` draws its
+    dropout masks as its padded layout would."""
     rate = params.config.dropout if rng is not None else 0.0
-    h = ad.gelu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]), rate, rng)
+    h = ad.gelu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]), rate, rng, rows)
     return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
@@ -336,26 +346,29 @@ def _mask(lengths, n: int, queries=None):
 
 
 def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
-    """Padded sentence ids -> (B, n_max, d) hidden states; no token attends
-    to a padded one."""
+    """Sentence ids -> (T, d) hidden states of the batch's real tokens,
+    packed as ``batch.rows`` packs them. Attention alone lays them out
+    padded, and no token attends to a padded one."""
     cfg = params.config
     n_max = batch.tokens.shape[1]
     if n_max > cfg.max_len:
         raise ValueError(f"sentence length {n_max} outside [1, {cfg.max_len}]")
-    mask = _mask(batch.n, n_max)
-    x = ad.embedding_lookup(params["embed.tok"], batch.tokens, params["embed.pos_x"])
+    rows, mask = batch.rows, _mask(batch.n, n_max)
+    x = ad.embedding_lookup(params["embed.tok"], batch.tokens.reshape(-1)[rows.flat],
+                            params["embed.pos_x"], rows)
     for i in range(cfg.layers_enc):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
-        x = ad.add(x, _attention(params, f"{p}.attn", normed, normed, mask=mask, rng=rng))
-        x = ad.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x), rng=rng))
+        x = ad.add(x, _attention(params, f"{p}.attn", normed, normed, mask=mask, rng=rng,
+                                 q_rows=rows, kv_rows=rows))
+        x = ad.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x), rng=rng, rows=rows))
     return _ln(params, "enc.norm", x)
 
 
 def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
                        rng=None) -> Tensor:
     """Padded instruction ids -> (B, K, d) sentence-aware states at each
-    instance's slot positions.
+    instance's slot positions, for the packed sentence states ``h_enc``.
 
     Self-attention over the instruction is causal and skips padded
     positions; every layer cross-attends to the real sentence tokens. The
@@ -378,7 +391,7 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
     m_max = batch.instr.shape[1]
     if m_max > cfg.max_instr_len:
         raise ValueError(f"instruction length {m_max} outside [1, {cfg.max_instr_len}]")
-    cross_mask = _mask(batch.n, h_enc.shape[1])
+    cross_mask = _mask(batch.n, batch.tokens.shape[1])
     shared = rng is None or not cfg.dropout
     instr = batch.instr if shared else batch.instr[batch.which]
     slots, m = batch.slots[batch.which], batch.m[batch.which]
@@ -399,7 +412,7 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
             u = ad.add(u, _attention(params, f"{p}.self", queries, normed,
                                      mask=_mask(m, m_max, positions), rng=rng))
         u = ad.add(u, _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u),
-                                 h_enc, mask=cross_mask, rng=rng))
+                                 h_enc, mask=cross_mask, rng=rng, kv_rows=batch.rows))
         u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u), rng=rng))
     return _ln(params, "dec.norm", u)
 
@@ -416,33 +429,37 @@ def gather_slots(h: Tensor, positions, which=None) -> Tensor:
     return ad.embedding_lookup(h, np.asarray(positions) + m_max * which[:, None])
 
 
-def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor,
+                    rows: ad.RowMap | None = None) -> Tensor:
     """Each token becomes a convex mixture of its instance's projected slot
-    states."""
+    states; packed token states come with their ``rows``."""
     proj_x = ad.linear(h_enc, w1)
     proj_slot = ad.linear(h_slot, w2)
-    return ad.attention(proj_x, proj_slot, proj_slot, 1)
+    return ad.attention(proj_x, proj_slot, proj_slot, 1, q_rows=rows)
 
 
-def biaffine_score(h_x: Tensor, params: Parameters) -> Tensor:
-    """(B, n, n, K) token-pair logits of (B, n, d) token states: head and
-    tail FFN states, a bilinear head/tail interaction plus a linear term
-    ``W4 [h_head_i; h_tail_j]``, then a per-cell K -> K linear map, the last
-    three one ``ad.pair_scores`` op."""
+def biaffine_score(h_x: Tensor, params: Parameters, rows: ad.RowMap | None = None) -> Tensor:
+    """(B, n, n, K) token-pair logits of (B, n, d) token states, or of
+    packed ones with their ``rows``: head and tail FFN states, a bilinear
+    head/tail interaction plus a linear term ``W4 [h_head_i; h_tail_j]``,
+    then a per-cell K -> K linear map, the last three one ``ad.pair_scores``
+    op."""
     h_head = _ffn(params, "head_mlp", h_x)
     h_tail = _ffn(params, "tail_mlp", h_x)
     return ad.pair_scores(h_head, h_tail, params["biaffine.w3"], params["biaffine.w4"],
-                          params["score.w"], params["score.b"])
+                          params["score.w"], params["score.b"], rows)
 
 
 def forward(params: Parameters, batch: Batch, rng=None) -> Tensor:
     """Full pipeline over a padded batch: its (B, n_max, n_max, K) logits.
+    The sentence side runs on the packed real tokens (``batch.rows``).
     Each token's state is its encoder state plus its label-attention
     mixture: the mixture alone starves the pair scorer of token identity
     (its rows live on a K-corner simplex) and stalls training at small d.
     Dropout, at ``config.dropout``, draws from ``rng`` if one is given;
     without one the forward is deterministic. Each instance's real cells
-    equal its own B=1 forward up to float rounding."""
+    equal its own B=1 forward up to float rounding; a cell with a padded
+    token scores zero states and is read by nothing."""
     if batch.slots.shape[1] != params.num_channels:
         raise ValueError(
             f"{batch.slots.shape[1]} slots for a {params.num_channels}-channel model"
@@ -450,8 +467,8 @@ def forward(params: Parameters, batch: Batch, rng=None) -> Tensor:
     h_enc = encode_sentence(params, batch, rng=rng)
     h_slot = decode_instruction(params, h_enc, batch, rng=rng)
     h_x = ad.add(h_enc, label_attention(h_enc, h_slot, params["label_attn.w1"],
-                                        params["label_attn.w2"]))
-    logits = biaffine_score(h_x, params)
+                                        params["label_attn.w2"], batch.rows))
+    logits = biaffine_score(h_x, params, batch.rows)
     size, n_max = batch.tokens.shape
     assert logits.shape == (size, n_max, n_max, params.num_channels)
     ad.check_finite(logits, "forward logits")

@@ -636,3 +636,109 @@ def test_gradients_match_finite_differences():
                 tensor.grad[...] = 0.0
             trials += 1
     assert trials >= 100
+
+
+# Packed operands: the real rows of a padded (B, n_max, ...) layout, with
+# their RowMap. Each layout is one of: equal lengths, unequal lengths, and
+# B=1; in every layout an instance is at n_max.
+PACKED_LENGTHS = ([3, 3], [2, 4, 1], [3])
+
+
+def _key_mask(lengths, n):
+    return np.where(np.arange(n) >= np.asarray(lengths)[:, None, None, None], -1e30, 0.0)
+
+
+def _packed_cases(rng, lengths):
+    rows = ad.RowMap(lengths)
+    size, n, total, d = len(lengths), rows.n, int(sum(lengths)), 4
+    mask = _key_mask(lengths, n)
+    cases = []
+    # packed queries over padded keys and values (label attention's shape),
+    # padded queries over packed keys and values (the decoder's
+    # cross-attention), and both packed (encoder self-attention), that one
+    # with dropout drawn from a fresh stream per build
+    slots = [rng.normal(size=(size, 2, d)) for _ in range(2)]
+    cases.append(("attention_packed_queries", [rng.normal(size=(total, d)), *slots],
+                  lambda t: ad.attention(t[0], t[1], t[2], 2, scale=0.6, q_rows=rows)))
+    cases.append(("attention_packed_keys", [rng.normal(size=(size, 3, d)),
+                                            *[rng.normal(size=(total, d)) for _ in range(2)]],
+                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=mask, scale=0.6,
+                                         kv_rows=rows)))
+    cases.append(("attention_packed_both", [rng.normal(size=(total, d)) for _ in range(3)],
+                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=mask, scale=0.6, rate=0.3,
+                                         rng=np.random.default_rng(3), q_rows=rows,
+                                         kv_rows=rows)))
+    k = 2
+    cases.append(("pair_scores_packed", [rng.normal(size=s) for s in (
+        (total, d), (total, d), (d, k, d), (k, 2 * d), (k, k), (k,))],
+                  lambda t: ad.pair_scores(*t, rows=rows)))
+    ids = rng.integers(0, 5, size=total)
+    cases.append(("embedding_lookup_position_ids", [rng.normal(size=(5, d)),
+                                                    rng.normal(size=(n + 2, d))],
+                  lambda t: ad.embedding_lookup(t[0], ids, t[1], rows)))
+    cases.append(("gelu_packed_dropout", [rng.normal(size=(total, d))],
+                  lambda t: ad.gelu(t[0], 0.3, np.random.default_rng(3), rows)))
+    return cases
+
+
+@pytest.mark.parametrize("lengths", PACKED_LENGTHS, ids=["equal", "unequal", "one"])
+def test_packed_ops_match_finite_differences(lengths):
+    rng = np.random.default_rng(31)
+    for name, arrays, build in _packed_cases(rng, lengths):
+        tensors = [Tensor(arr, requires_grad=True) for arr in arrays]
+        weights = rng.normal(size=build(tensors).shape)
+        with Tape():
+            ad.backward(inner(build(tensors), weights))
+        for i, tensor in enumerate(tensors):
+            fd = central_diff(lambda: inner(build(tensors), weights).item(), tensor.data)
+            err = max_rel_err(fd, tensor.grad)
+            assert err < 1e-4, f"{name} operand {i}: rel err {err:.2e}"
+
+
+@pytest.mark.parametrize("lengths", PACKED_LENGTHS, ids=["equal", "unequal", "one"])
+def test_packed_operands_match_the_padded_op_bit_for_bit(lengths):
+    # packed rows give the padded op's real rows, and their gradients the
+    # padded operands' real rows, when the padding holds zeros; dropout
+    # draws the padded layout's masks
+    rng = np.random.default_rng(32)
+    rows = ad.RowMap(lengths)
+    size, n, total = len(lengths), rows.n, int(sum(lengths))
+    assert rows.flat.tolist() == [b * n + i for b, m in enumerate(lengths) for i in range(m)]
+    assert rows.positions.tolist() == [i for m in lengths for i in range(m)]
+    mask = _key_mask(lengths, n)
+    packed = [rng.normal(size=(total, 8)) for _ in range(3)]
+    weights = [rng.normal(size=s) for s in ((8, 2, 8), (2, 16), (2, 2), (2,))]
+    g, g_grid = rng.normal(size=(total, 8)), rng.normal(size=(size, n, n, 2))
+    # (op, its packed operands, its other operands, the output's gradient,
+    # whether the output is packed)
+    ops = [
+        (lambda t, r: ad.attention(*t, 2, mask=mask, scale=0.5, rate=0.25,
+                                   rng=np.random.default_rng(4), q_rows=r, kv_rows=r),
+         packed, [], g, True),
+        (lambda t, r: ad.gelu(t[0], 0.25, np.random.default_rng(4), r), packed[:1], [], g, True),
+        (lambda t, r: ad.pair_scores(*t, rows=r), packed[:2], weights, g_grid, False),
+    ]
+    for build, rows_in, others, grad, packed_out in ops:
+        results = []
+        for r, lay_out in ((rows, lambda a: a), (None, rows.pad)):
+            tensors = [Tensor(a, requires_grad=True) for a in [*map(lay_out, rows_in), *others]]
+            with Tape():
+                out = build(tensors, r)
+                ad.backward(inner(out, lay_out(grad) if packed_out else grad))
+            results.append((out.data, [t.grad for t in tensors]))
+        (out, grads), (padded_out, padded_grads) = results
+        assert np.array_equal(out, rows.pack(padded_out) if packed_out else padded_out)
+        for i, (got, want) in enumerate(zip(grads, padded_grads)):
+            assert np.array_equal(got, rows.pack(want) if i < len(rows_in) else want)
+
+
+def test_packed_operand_shape_errors():
+    rows = ad.RowMap([2, 1])
+    with pytest.raises(ad.ShapeError, match="row map"):
+        ad.attention(Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 2, 4))),
+                     Tensor(np.zeros((2, 2, 4))), 2, q_rows=rows)
+    with pytest.raises(ad.ShapeError, match="row map"):
+        ad.pair_scores(*(Tensor(np.zeros(s)) for s in ((2, 3), (2, 3), (3, 1, 3), (1, 6),
+                                                        (1, 1), (1,))), rows=rows)
+    with pytest.raises(ad.ShapeError, match="packed ids"):
+        ad.embedding_lookup(Tensor(np.zeros((3, 2))), [0, 1], Tensor(np.zeros((2, 2))), rows)

@@ -14,6 +14,7 @@ from tie import model as M
 from tie.model import ModelConfig, Parameters, make_batch
 from tie.trainer import TrainConfig, loss
 
+import padded_reference
 from fdcheck import central_diff, inner, max_rel_err
 
 
@@ -86,7 +87,7 @@ def test_config_types_and_cross_field_rule():
 def test_encode_sentence_shape():
     p = toy_params()
     h = M.encode_sentence(p, one([1, 2, 3, 4]))
-    assert h.shape == (1, 4, 8)
+    assert h.shape == (4, 8)   # the packed rows of the real tokens
 
 
 def test_encode_sentence_deterministic_in_eval():
@@ -164,14 +165,14 @@ def _full_row_decoder(params, h_enc, batch):
     instr, m, slots = batch.instr[batch.which], batch.m[batch.which], batch.slots[batch.which]
     m_max = instr.shape[1]
     self_mask = M._mask(m, m_max, np.arange(m_max))
-    cross_mask = M._mask(batch.n, h_enc.shape[1])
+    cross_mask = M._mask(batch.n, batch.tokens.shape[1])
     u = ad.embedding_lookup(params["embed.tok"], instr, params["embed.pos_u"])
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
         normed = M._ln(params, f"{p}.ln1", u)
         u = ad.add(u, M._attention(params, f"{p}.self", normed, normed, mask=self_mask))
         u = ad.add(u, M._attention(params, f"{p}.cross", M._ln(params, f"{p}.ln2", u),
-                                   h_enc, mask=cross_mask))
+                                   h_enc, mask=cross_mask, kv_rows=batch.rows))
         u = ad.add(u, M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln3", u)))
     return M.gather_slots(M._ln(params, "dec.norm", u), slots)
 
@@ -292,11 +293,11 @@ def test_forward_shapes_and_state():
     p = toy_params(k=3)
     batch = one([1, 2, 3, 4], [5, 6, 7, 8, 9], [1, 2, 4])
     h_enc = M.encode_sentence(p, batch)
-    assert h_enc.shape == (1, 4, 8)
+    assert h_enc.shape == (4, 8)   # the sentence side holds packed rows
     h_slot = M.decode_instruction(p, h_enc, batch)
     assert h_slot.shape == (1, 3, 8)   # the decoder keeps no other rows
-    h_x = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"])
-    assert h_x.shape == (1, 4, 8)
+    h_x = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"], batch.rows)
+    assert h_x.shape == (4, 8)
     assert M.forward(p, batch).shape == (1, 4, 4, 3)
 
 
@@ -319,13 +320,14 @@ def test_forward_scores_encoder_states_plus_label_attention():
     batch = one([1, 2, 3], [4, 5, 6], [0, 2])
     h_enc = M.encode_sentence(p, batch)
     h_slot = M.decode_instruction(p, h_enc, batch)
-    mixture = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"])
+    mixture = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"],
+                                batch.rows)
     # mixture rows stay inside the projected-slot convex hull
     proj = h_slot.data[0] @ p.tensors["label_attn.w2"].data
-    assert np.all(mixture.data[0] <= proj.max(axis=0) + 1e-9)
-    assert np.all(mixture.data[0] >= proj.min(axis=0) - 1e-9)
+    assert np.all(mixture.data <= proj.max(axis=0) + 1e-9)
+    assert np.all(mixture.data >= proj.min(axis=0) - 1e-9)
     # the scorer sees each token's encoder state plus its mixture
-    expected = M.biaffine_score(ad.add(h_enc, mixture), p)
+    expected = M.biaffine_score(ad.add(h_enc, mixture), p, batch.rows)
     assert np.array_equal(M.forward(p, batch).data, expected.data)
 
 
@@ -571,3 +573,25 @@ def test_make_batch_pads_and_validates():
         make_batch([[1], [2]], [[3], [4]], [[0], [0, 0]])   # ragged slot lists
     with pytest.raises(ValueError):
         make_batch([[1], [2]], [[3], [4]], [[0], [0], [0]])   # a slot list too many
+
+
+@pytest.mark.parametrize("layers, dropout", [(1, 0.0), (2, 0.0), (1, 0.3), (2, 0.3)])
+def test_packed_forward_matches_the_padded_reference_on_every_real_cell(layers, dropout):
+    # the mixed batch (lengths 1, n_max and 4) and a batch of one: the same
+    # logits bit for bit on every real cell, dropout drawing the same masks,
+    # and the same parameter gradients up to the input gradients' rounding
+    p = toy_params(k=3, layers=layers, seed=27, dropout=dropout)
+    rng = np.random.default_rng(28)
+    for batch in (_mixed_batch(), one(*MIXED[2])):
+        golds = [GoldMatrix.from_grid(rng.random((n, n, 3)) < 0.3) for n in batch.n]
+        results = []
+        for run in (M.forward, padded_reference.forward):
+            p.zero_grads()
+            with Tape():
+                logits = run(p, batch, rng=np.random.default_rng(29) if dropout else None)
+                ad.backward(loss(logits, golds))
+            results.append((logits.data, p.grad.copy()))
+        (packed, grad), (padded, padded_grad) = results
+        for b, n in enumerate(batch.n):
+            assert np.array_equal(packed[b, :n, :n], padded[b, :n, :n])
+        np.testing.assert_allclose(grad, padded_grad, rtol=1e-12, atol=1e-15)
