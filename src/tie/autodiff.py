@@ -499,17 +499,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     and values with ``kv_rows``: the op lays them out padded with zero rows
     and returns packed (T, d) outputs for packed queries; backward hands
     each packed operand its real rows' gradient."""
-    shapes = f"{q.shape}, {k.shape} and {v.shape}"
     if k.shape != v.shape or (q_rows is not None and not q_rows.fits(q)) \
             or (kv_rows is not None and not kv_rows.fits(k)):
         raise ShapeError(f"attention needs keys and values of one shape, each packed operand "
-                         f"with its row map, got {shapes}")
+                         f"with its row map, got {q.shape}, {k.shape} and {v.shape}")
     qd = q.data if q_rows is None else q_rows.pad(q.data)
     kd = k.data if kv_rows is None else kv_rows.pad(k.data)
     vd = v.data if kv_rows is None else kv_rows.pad(v.data)
     if qd.ndim != 3 or kd.ndim != 3 or qd.shape[::2] != kd.shape[::2] or qd.shape[2] % heads:
         raise ShapeError(f"attention needs (B, n_q, d) q and (B, n_k, d) k, v with {heads} heads "
-                         f"dividing d, got {shapes}")
+                         f"dividing d, got {q.shape}, {k.shape} and {v.shape}")
     size, n_q, d = qd.shape
     n_k, dh = kd.shape[1], d // heads
     qh = qd.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
