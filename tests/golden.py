@@ -14,8 +14,8 @@ of the first two onto ``re``, whose channel count differs, so
 it for each finetuned model. It imports ``tie`` from this checkout's
 ``src/``.
 
-The record holds each run's step losses as ``float.hex`` and each step's
-``updated`` bit per group, every headline F1 (each finetune epoch's dev F1
+The record holds each run's step datasets, its step losses as
+``float.hex`` and each step's ``updated`` bit per group, every headline F1 (each finetune epoch's dev F1
 and each eval's test F1), the SHA-256 of every output file but the echoed
 config and file list (they name the temporary directory) and the numpy and
 BLAS versions it was made with. ``--check`` prints the digests that
@@ -115,6 +115,7 @@ def run(work: Path) -> dict:
     for out in sorted(p for p in work.iterdir() if (p / "step_reports.jsonl").exists()):
         reports = _reports(out)
         runs[out.name] = {"groups": list(reports[0]["groups"]),
+                          "dataset": [r["dataset"] for r in reports],
                           "loss": [float(r["loss"]).hex() for r in reports],
                           "updated": ["".join("01"[g["updated"]] for g in r["groups"].values())
                                       for r in reports]}
@@ -135,18 +136,20 @@ def run(work: Path) -> dict:
 def compare(fixture: dict, record: dict) -> dict:
     """What differs between two records: the changed digests, the largest
     relative loss difference, the changed decisions as (run, step, group),
-    the changed F1s, and whether both come from the same numpy and BLAS."""
+    the changed F1s, and whether both come from the same numpy and BLAS. A
+    run missing from one record, or with other datasets or groups, counts
+    as an infinite loss difference and a decision (run, None, None)."""
     digests = sorted(k for k in fixture["digests"].keys() | record["digests"].keys()
                      if fixture["digests"].get(k) != record["digests"].get(k))
     worst, decisions = 0.0, []
     for name in fixture["runs"].keys() | record["runs"].keys():
         want, got = fixture["runs"].get(name), record["runs"].get(name)
-        if want is None or got is None or len(want["loss"]) != len(got["loss"]) \
+        if want is None or got is None or want["dataset"] != got["dataset"] \
                 or want["groups"] != got["groups"]:
             worst = math.inf
             decisions.append((name, None, None))
             continue
-        for step, (a, b) in enumerate(zip(want["loss"], got["loss"]), start=1):
+        for a, b in zip(want["loss"], got["loss"]):
             a, b = float.fromhex(a), float.fromhex(b)
             worst = max(worst, abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0)
         for step, (a, b) in enumerate(zip(want["updated"], got["updated"]), start=1):
