@@ -354,8 +354,8 @@ def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
     if n_max > cfg.max_len:
         raise ValueError(f"sentence length {n_max} outside [1, {cfg.max_len}]")
     rows, mask = batch.rows, _mask(batch.n, n_max)
-    x = ad.embedding_lookup(params["embed.tok"], batch.tokens.reshape(-1)[rows.flat],
-                            params["embed.pos_x"], rows)
+    x = ad.embedding_lookup(params["embed.tok"], rows.pack(batch.tokens), params["embed.pos_x"],
+                            rows)
     for i in range(cfg.layers_enc):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
