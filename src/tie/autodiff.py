@@ -1,58 +1,46 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-Shape discipline is strict: unless an op documents otherwise, operand shapes
-must match exactly. The sanctioned broadcasts are numpy broadcasting in
-``add``, whose backward sums each operand's gradient over the axes it was
-broadcast along, and a ``linear`` layer's weight and bias over the leading
-axes of its input. Ops record onto the innermost active ``Tape`` only when
-some input requires gradients; with no active tape they are plain numpy
-computations, so evaluation-time forwards are side-effect free and safe to
-run concurrently.
+Shape discipline is strict: operand shapes must match exactly, save a dense
+layer's weight and bias, which apply over the leading axes of its input,
+and an attention mask, which broadcasts over the scores. Ops record onto
+the innermost active ``Tape`` only when some input requires gradients; with
+no active tape they are plain numpy computations, so evaluation-time
+forwards are side-effect free and safe to run concurrently.
 
-Eight taped ops: ``linear``, ``add``, ``embedding_lookup`` (rows of a
-table of 2 or more axes, its leading axes flattened, plus the rows of an
-optional position table in the same record), ``layer_norm``, ``gelu``
-(with its optional dropout in the same record), ``attention`` (multi-head
-scores, mask, softmax, dropout and value mix as one record),
-``pair_scores`` (the biaffine token-pair grid and its per-cell score layer
-as one record) and ``bce_with_logits``.
-``linear(x, w, b=None)`` is a whole dense layer as one record: ``x @ w
-(+ b)`` for an N-d ``x``, a 2-D ``w`` and an optional ``(out,)`` bias, whose
-backward gives ``w`` one GEMM over every leading row of ``x``. Ops do not
-check their results: NaN/Inf propagate to the forward/backward boundary,
-where ``check_finite`` screens the model's logits and ``backward`` the
-loss, naming the first recorded op whose output is non-finite. The trainer
+Six taped ops: ``embedding_lookup`` (rows of a table of 2 or more axes, its
+leading axes flattened, plus the rows of an optional position table in the
+same record), ``layer_norm``, ``ffn`` (two dense layers around an exact
+GELU, with its optional dropout), ``attention`` (the q, k, v and output
+projections around multi-head scores, mask, softmax, dropout and value
+mix), ``pair_scores`` (the biaffine token-pair grid and its per-cell score
+layer) and ``bce_with_logits``. ``ffn`` and ``attention`` each add an
+optional ``residual`` to their output, so a pre-norm transformer branch is
+one record, and each of their dense layers takes its weight's gradient as
+one GEMM over every leading row of its input. Ops do not check their
+results: NaN/Inf propagate to the forward/backward boundary, where
+``check_finite`` screens the model's logits and ``backward`` the loss,
+naming the first recorded op whose output is non-finite. The trainer
 screens the gradients.
 
 Row maps: a batch of B variable-length instances can hold its rows packed,
 the T real rows of a padded (B, n, ...) layout in instance order, so that
-row-wise ops (``linear``, ``add``, ``layer_norm``, ``gelu``) run on real
+row-wise work (``layer_norm``, the dense layers and the GELU) runs on real
 rows only. A ``RowMap``, built once from the lengths, records each packed
-row's flat position ``b * n + i`` in the padded layout. The ops that mix
-rows take it as an argument: ``attention`` (``q_rows`` for packed queries,
-``kv_rows`` for packed keys and values) and ``pair_scores`` (``rows``)
-scatter packed operands into zero-filled padded buffers inside their own
-record, run their padded arithmetic and gather the real rows back, and
-their backward does the reverse; ``embedding_lookup`` (``rows``) gives
-each packed id the position row of its place in its instance; ``gelu``
-(``rows``) draws its dropout masks for the padded layout and keeps the
-real rows'.
+row's flat position ``b * n + i`` in the padded layout. ``attention``
+(``q_rows`` for packed queries, ``kv_rows`` for packed keys and values)
+and ``pair_scores`` (``rows``) scatter packed rows into zero-filled padded
+buffers inside their own record, run their padded arithmetic and gather
+the real rows back, and their backward does the reverse;
+``embedding_lookup`` (``rows``) gives each packed id the position row of
+its place in its instance; ``ffn`` (``rows``) draws its dropout masks for
+the padded layout and keeps the real rows'.
 
 An op output's gradient buffer is made by its first contribution: an op
 that computed that contribution into a fresh array of its own passes it as
 owned, and the array becomes the buffer, with no copy, when its strides
-equal those of the output's data. Any other first contribution is copied
-into a buffer with the data's strides. ``add`` and ``embedding_lookup``
-never pass owned: ``add`` hands one gradient to both operands.
-
-``gelu`` is the exact GELU ``x * Φ(x)``, with Φ the standard normal CDF.
-Φ comes from a table, built at import in a few ms and 0.35 MB: the
-degree-4 Taylor coefficients of Φ about the centres of 1/512-wide cells,
-the multiples of 1/512 in [-8.5, 8.5], taken from ``math.erfc`` and the
-Hermite recurrence. A call clips, gathers its cells' coefficients and runs
-four Horner steps, with no branch and no float-to-int cast; it is within
-2^-52 (absolute) of ``math.erfc``'s Φ. Past the cells Φ is exactly 0 (it
-is under 1e-17 there) and exactly 1 (the float64 rounding of its value).
+equal those of the output's data. Any other first contribution, such as
+the gradient a residual shares with its branch, is copied into a buffer
+with the data's strides.
 """
 
 from __future__ import annotations
@@ -69,11 +57,9 @@ __all__ = [
     "NonFiniteError",
     "TapeError",
     "backward",
-    "linear",
-    "add",
     "embedding_lookup",
     "layer_norm",
-    "gelu",
+    "ffn",
     "attention",
     "pair_scores",
     "check_finite",
@@ -279,55 +265,30 @@ def _grad_of(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient over the axes along which an operand of ``shape`` was
-    broadcast to ``g.shape``."""
-    lead = g.ndim - len(shape)
-    if lead:
-        g = g.sum(axis=tuple(range(lead)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dense layer ``x @ w (+ b)`` over the last axis of an N-d ``x``, for a
-    2-D (in, out) ``w`` and an optional (out,) bias, as one op; backward
-    takes ``w``'s gradient as one product over all leading rows of ``x``."""
+def _dense(x: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """``x @ w (+ b)`` over the last axis of ``x``, as a fresh C-order array."""
     if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] \
             or (b is not None and b.shape != w.shape[1:]):
-        raise ShapeError(f"linear needs (..., in) x, (in, out) w and (out,) b, got {x.shape}, "
-                         f"{w.shape} and {None if b is None else b.shape}")
-    out = x.data @ w.data
+        raise ShapeError(f"a dense layer needs (..., in) x, (in, out) w and (out,) b, got "
+                         f"{x.shape}, {w.shape} and {None if b is None else b.shape}")
+    out = x @ w.data
     if b is not None:
         out += b.data
-
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T, owned=True)
-        if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]),
-                        owned=True)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
-
-    return _make(out, (x, w) if b is None else (x, w, b), bw)
+    return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; shapes broadcast as in numpy, and backward sums each
-    operand's gradient over the axes it was broadcast along."""
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add shapes do not broadcast: {a.shape} vs {b.shape}") from None
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(out, (a, b), bw)
+def _dense_bw(x: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
+              into: Tensor | None = None):
+    """Accumulate the gradients of ``_dense(x, w, b)`` for its output's
+    gradient ``g``: the weight's as one GEMM over every leading row of
+    ``x``, the bias's, and the input's into ``into``, the tensor ``x``
+    holds the data of, if given."""
+    if w.requires_grad:
+        _accumulate(w, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]), owned=True)
+    if b is not None and b.requires_grad:
+        _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
+    if into is not None and into.requires_grad:
+        _accumulate(into, g @ w.data.T, owned=True)
 
 
 def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None,
@@ -369,7 +330,7 @@ def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None,
             np.add.at(_grad_of(table), at, g)
         if positions is not None and positions.requires_grad:
             padded = g if rows is None else rows.pad(g)
-            _grad_of(positions)[:n] += _unbroadcast(padded, (n, g.shape[-1]))
+            _grad_of(positions)[:n] += padded.sum(axis=tuple(range(padded.ndim - 2)))
 
     return _make(out, (table,) if positions is None else (table, positions), bw)
 
@@ -426,9 +387,10 @@ def _cdf_table() -> np.ndarray:
 _CDF_TABLE = tuple(_cdf_table())
 
 
-def _normal_cdf_c_order(x: np.ndarray) -> np.ndarray:
-    """Φ(x) from ``_CDF_TABLE`` for an array of one or more axes; the
-    result is in C order."""
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Φ, the standard normal CDF, elementwise from ``_CDF_TABLE`` for an
+    array of one or more axes, within 2^-52 of the exact value; NaN gives
+    NaN. The result is in C order."""
     # x clipped to the end cells' centres; NaN stays NaN
     end = (_CDF_CELLS + 1) / _CDF_PER_UNIT
     xc = np.maximum(x, -end)
@@ -448,67 +410,87 @@ def _normal_cdf_c_order(x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Φ, the standard normal CDF, elementwise, within 2^-52 of the exact
-    value; NaN gives NaN. The result has the strides of ``x``."""
-    if not x.ndim:
-        return _normal_cdf_c_order(x.reshape(1)).reshape(())
-    if x.flags.c_contiguous:
-        return _normal_cdf_c_order(x)
-    # run on x's axes in memory order, then put the axes back
-    axes = np.argsort([-abs(s) for s in x.strides], kind="stable")
-    return _normal_cdf_c_order(x.transpose(axes)).transpose(np.argsort(axes))
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float = 0.0,
+        rng=None, rows: RowMap | None = None, residual: Tensor | None = None) -> Tensor:
+    """The feed-forward branch ``(GELU(x @ w1 + b1) @ w2 + b2)`` over the
+    last axis of ``x``, plus ``residual`` if given, as one op.
 
+    GELU is the exact ``h * Φ(h)``, with Φ from a table built at import in a
+    few ms and 0.35 MB: the degree-4 Taylor coefficients of Φ about the
+    centres of 1/512-wide cells, the multiples of 1/512 in [-8.5, 8.5], taken
+    from ``math.erfc`` and the Hermite recurrence. A call clips, gathers its
+    cells' coefficients and runs four Horner steps, with no branch and no
+    float-to-int cast; it is within 2^-52 (absolute) of ``math.erfc``'s Φ.
+    Past the cells Φ is exactly 0 (it is under 1e-17 there) and exactly 1
+    (the float64 rounding of its value). ``GELU(inf)`` is inf;
+    ``GELU(-inf)`` and ``GELU(nan)`` are NaN, and nothing raises.
 
-def gelu(x: Tensor, rate: float = 0.0, rng=None, rows: RowMap | None = None) -> Tensor:
-    """Exact GELU, ``x * Φ(x)`` with the table kernel for Φ (module
-    docstring), then, at a non-zero ``rate``, inverted dropout with draws
+    At a non-zero ``rate`` inverted dropout follows the GELU, with draws
     from ``rng``; for a packed ``x`` with its ``RowMap`` the draws are made
     for the padded layout and the real rows' kept, so that they are the
-    padded ``x``'s. ``gelu(inf)`` is inf; ``gelu(-inf)`` and ``gelu(nan)``
-    are NaN, and nothing raises."""
-    cdf = _normal_cdf(x.data)
-    out = x.data * cdf
+    padded ``x``'s."""
+    pre = _dense(x.data, w1, b1)
+    cdf = _normal_cdf(pre)
+    h = pre * cdf
     if rate:
-        draws = rng.random(out.shape) if rows is None else \
-            rows.pack(rng.random((rows.size, rows.n) + out.shape[1:]))
+        draws = rng.random(h.shape) if rows is None else \
+            rows.pack(rng.random((rows.size, rows.n) + h.shape[1:]))
         keep = (draws >= rate) / (1.0 - rate)
-        out *= keep
+        h *= keep
+    out = _dense(h, w2, b2)
+    if residual is not None:
+        out = residual.data + out
 
     def bw(g):
-        if x.requires_grad:
-            if rate:
-                g = g * keep
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            _accumulate(x, g * (cdf + x.data * pdf), owned=True)
+        if residual is not None and residual.requires_grad:
+            _accumulate(residual, g)
+        _dense_bw(h, w2, b2, g)
+        g_h = g @ w2.data.T
+        if rate:
+            g_h = g_h * keep
+        pdf = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+        g_pre = g_h * (cdf + pre * pdf)
+        _dense_bw(x.data, w1, b1, g_pre, x)
 
-    return _make(out, (x,), bw)
+    return _make(out, [t for t in (x, w1, b1, w2, b2, residual) if t is not None], bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
-              scale: float = 1.0, rate: float = 0.0, rng=None,
-              q_rows: RowMap | None = None, kv_rows: RowMap | None = None) -> Tensor:
-    """Multi-head attention of (B, n_q, d) queries over (B, n_k, d) keys and
-    values, as one op: split heads, score ``(q_h @ k_h^T) * scale``, add
+def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor | None = None,
+              wo: Tensor | None = None, biases=(None, None, None, None), heads: int = 1,
+              mask=None, scale: float = 1.0, rate: float = 0.0, rng=None,
+              q_rows: RowMap | None = None, kv_rows: RowMap | None = None,
+              residual: Tensor | None = None) -> Tensor:
+    """The attention branch as one op: (B, n_q, d_in) inputs ``x_q`` project
+    to queries ``x_q @ wq + bq``, and (B, n_k, d_in) inputs ``x_kv`` to keys
+    ``x_kv @ wk + bk`` and values ``x_kv @ wv + bv``, or, without ``wv``, to
+    keys that are also the values; ``biases`` holds (bq, bk, bv, bo), each
+    optional. The op splits heads, scores ``(q_h @ k_h^T) * scale``, adds
     ``mask`` (an additive array broadcastable to (B, heads, n_q, n_k)) if
-    given, take the softmax over keys, apply inverted dropout at ``rate``
-    with draws from ``rng``, mix the v_h rows, and merge the heads back to
-    (B, n_q, d). Backward reuses the forward's softmax.
+    given, takes the softmax over keys, applies inverted dropout at ``rate``
+    with draws from ``rng``, mixes the v_h rows, merges the heads back to
+    (B, n_q, d), then projects by ``wo`` (+ bo) if given and adds
+    ``residual`` if given. Backward reuses the forward's softmax.
 
-    Packed (T, d) queries come with their ``RowMap`` ``q_rows``, packed keys
-    and values with ``kv_rows``: the op lays them out padded with zero rows
-    and returns packed (T, d) outputs for packed queries; backward hands
-    each packed operand its real rows' gradient."""
-    if k.shape != v.shape or (q_rows is not None and not q_rows.fits(q)) \
-            or (kv_rows is not None and not kv_rows.fits(k)):
-        raise ShapeError(f"attention needs keys and values of one shape, each packed operand "
-                         f"with its row map, got {q.shape}, {k.shape} and {v.shape}")
-    qd = q.data if q_rows is None else q_rows.pad(q.data)
-    kd = k.data if kv_rows is None else kv_rows.pad(k.data)
-    vd = v.data if kv_rows is None else kv_rows.pad(v.data)
-    if qd.ndim != 3 or kd.ndim != 3 or qd.shape[::2] != kd.shape[::2] or qd.shape[2] % heads:
-        raise ShapeError(f"attention needs (B, n_q, d) q and (B, n_k, d) k, v with {heads} heads "
-                         f"dividing d, got {q.shape}, {k.shape} and {v.shape}")
+    Packed (T, d_in) ``x_q`` come with their ``RowMap`` ``q_rows``, packed
+    ``x_kv`` with ``kv_rows``: the projections run on the packed rows, the
+    op lays the projected rows out padded with zero rows, and packed
+    queries give packed (T, d) outputs; backward hands each packed operand
+    its real rows' gradient."""
+    bq, bk, bv, bo = biases
+    if (q_rows is not None and not q_rows.fits(x_q)) \
+            or (kv_rows is not None and not kv_rows.fits(x_kv)):
+        raise ShapeError(f"attention needs each packed operand with its row map, "
+                         f"got {x_q.shape} and {x_kv.shape}")
+    q, k = _dense(x_q.data, wq, bq), _dense(x_kv.data, wk, bk)
+    v = k if wv is None else _dense(x_kv.data, wv, bv)
+    qd = q if q_rows is None else q_rows.pad(q)
+    kd = k if kv_rows is None else kv_rows.pad(k)
+    vd = kd if wv is None else v if kv_rows is None else kv_rows.pad(v)
+    if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 3 or qd.shape[::2] != kd.shape[::2] \
+            or qd.shape[2] % heads:
+        raise ShapeError(f"attention needs (B, n_q, d) queries and (B, n_k, d) keys and values "
+                         f"with {heads} heads dividing d, got {qd.shape}, {kd.shape} and "
+                         f"{vd.shape}")
     size, n_q, d = qd.shape
     n_k, dh = kd.shape[1], d // heads
     qh = qd.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
@@ -521,9 +503,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     att = e / e.sum(axis=-1, keepdims=True)
     keep = (rng.random(att.shape) >= rate) / (1.0 - rate) if rate else None
     att_d = att * keep if rate else att
-    out = (att_d @ vh).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+    mixed = (att_d @ vh).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+    if q_rows is not None:
+        mixed = q_rows.pack(mixed)
+    out = mixed if wo is None else _dense(mixed, wo, bo)
+    if residual is not None:
+        out = residual.data + out
 
     def bw(g):
+        if residual is not None and residual.requires_grad:
+            _accumulate(residual, g)
+        if wo is not None:
+            _dense_bw(mixed, wo, bo, g)
+            g = g @ wo.data.T
         if q_rows is not None:
             g = q_rows.pad(g)
         g_o = g.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
@@ -531,17 +523,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
         if rate:
             g_att = g_att * keep
         g_s = ((g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att) * scale
-        if q.requires_grad:
-            g_q = (g_s @ np.swapaxes(k_t, -1, -2)).transpose(0, 2, 1, 3).reshape(size, n_q, d)
-            _accumulate(q, g_q if q_rows is None else q_rows.pack(g_q), owned=True)
-        if k.requires_grad:
-            g_k = (np.swapaxes(qh, -1, -2) @ g_s).transpose(0, 3, 1, 2).reshape(size, n_k, d)
-            _accumulate(k, g_k if kv_rows is None else kv_rows.pack(g_k), owned=True)
-        if v.requires_grad:
-            g_v = (np.swapaxes(att_d, -1, -2) @ g_o).transpose(0, 2, 1, 3).reshape(size, n_k, d)
-            _accumulate(v, g_v if kv_rows is None else kv_rows.pack(g_v), owned=True)
+        g_q = (g_s @ np.swapaxes(k_t, -1, -2)).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+        g_k = (np.swapaxes(qh, -1, -2) @ g_s).transpose(0, 3, 1, 2).reshape(size, n_k, d)
+        g_v = (np.swapaxes(att_d, -1, -2) @ g_o).transpose(0, 2, 1, 3).reshape(size, n_k, d)
+        if q_rows is not None:
+            g_q = q_rows.pack(g_q)
+        if kv_rows is not None:
+            g_k, g_v = kv_rows.pack(g_k), kv_rows.pack(g_v)
+        # g_k, a transposed reshape, can be strided; C order, as g_q and g_v
+        # have, keeps its products' bits. Input gradients add v's, k's, q's
+        g_k = np.ascontiguousarray(g_k)
+        if wv is None:
+            g_k += g_v
+        else:
+            _dense_bw(x_kv.data, wv, bv, g_v, x_kv)
+        _dense_bw(x_kv.data, wk, bk, g_k, x_kv)
+        _dense_bw(x_q.data, wq, bq, g_q, x_q)
 
-    return _make(out if q_rows is None else q_rows.pack(out), (q, k, v), bw)
+    parents = (x_q, x_kv, wq, wk, *(t for t in (wv, wo, *biases, residual) if t is not None))
+    return _make(out, parents, bw)
 
 
 def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,

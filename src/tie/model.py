@@ -260,7 +260,9 @@ class Parameters:
 class Batch:
     """B instances padded with ``PAD_ID`` to common lengths: one forward's
     input. ``rows`` packs the T = sum(n) real sentence tokens, in instance
-    order, and places them in the padded (B, n_max) layout. The instruction
+    order, and places them in the padded (B, n_max) layout; ``mask`` hides
+    the padded tokens from the encoder's and the decoder's cross-attention
+    scores, built once for both. The instruction
     fields hold U <= B rows, one per distinct (instruction ids, slot
     positions) pair in first-seen order, and ``which`` maps each instance
     to its row. ``decode_instruction`` shares the rows up to layer 0's
@@ -270,6 +272,7 @@ class Batch:
     tokens: np.ndarray   # (B, n_max) sentence ids
     n: np.ndarray        # (B,) sentence lengths
     rows: ad.RowMap      # the real tokens' places in the (B, n_max) layout
+    mask: np.ndarray | None   # (B, 1, 1, n_max) additive mask of the padded tokens, if any
     instr: np.ndarray    # (U, m_max) instruction ids
     m: np.ndarray        # (U,) instruction lengths
     slots: np.ndarray    # (U, K) slot positions into each row's own instruction
@@ -300,32 +303,30 @@ def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
     slots = np.array([s for _, s in rows], dtype=np.int64)   # ragged slot lists raise here
     if slots.ndim != 2 or np.any(slots < 0) or np.any(slots >= m[:, None]):
         raise ValueError("every instance needs K slot positions inside its own instruction")
-    return Batch(tokens=tokens, n=n, rows=ad.RowMap(n), instr=instr, m=m, slots=slots,
-                 which=which)
+    return Batch(tokens=tokens, n=n, rows=ad.RowMap(n), mask=_mask(n, tokens.shape[1]),
+                 instr=instr, m=m, slots=slots, which=which)
 
 
-def _attention(params, prefix, x_q, x_kv, mask=None, rng=None, q_rows=None, kv_rows=None):
-    """(B, n_q, d) queries over (B, n_k, d) keys in ``config.heads`` heads;
-    ``mask`` is additive and broadcastable to the (B, heads, n_q, n_k)
-    scores, or None. Packed queries or keys come with their row maps, as
-    ``ad.attention`` takes them. Dropout runs at ``config.dropout`` iff
-    ``rng`` is given."""
+def _attention(params, prefix, x_q, x_kv, residual, mask=None, rng=None, q_rows=None,
+               kv_rows=None):
+    """``residual`` plus (B, n_q, d) queries over (B, n_k, d) keys in
+    ``config.heads`` heads; ``mask`` is additive and broadcastable to the
+    (B, heads, n_q, n_k) scores, or None. Packed queries or keys come with
+    their row maps, as ``ad.attention`` takes them. Dropout runs at
+    ``config.dropout`` iff ``rng`` is given."""
     heads = params.config.heads
-    rate = params.config.dropout if rng is not None else 0.0
-    q = ad.linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = ad.linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = ad.linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    out = ad.attention(q, k, v, heads, mask=mask, scale=1.0 / math.sqrt(q.shape[-1] // heads),
-                       rate=rate, rng=rng, q_rows=q_rows, kv_rows=kv_rows)
-    return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return ad.attention(x_q, x_kv, *(params[f"{prefix}.w{c}"] for c in "qkvo"),
+                        biases=tuple(params[f"{prefix}.b{c}"] for c in "qkvo"), heads=heads,
+                        mask=mask, scale=1.0 / math.sqrt(x_q.shape[-1] // heads),
+                        rate=params.config.dropout if rng is not None else 0.0, rng=rng,
+                        q_rows=q_rows, kv_rows=kv_rows, residual=residual)
 
 
-def _ffn(params, prefix, x, rng=None, rows=None):
-    """The two-layer GELU block; a packed ``x`` with its ``rows`` draws its
-    dropout masks as its padded layout would."""
-    rate = params.config.dropout if rng is not None else 0.0
-    h = ad.gelu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]), rate, rng, rows)
-    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+def _ffn(params, prefix, x, residual=None, rng=None, rows=None):
+    """The two-layer GELU block, plus ``residual`` if given; a packed ``x``
+    with its ``rows`` draws its dropout masks as its padded layout would."""
+    return ad.ffn(x, *(params[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2")),
+                  params.config.dropout if rng is not None else 0.0, rng, rows, residual)
 
 
 def _ln(params, prefix, x):
@@ -353,15 +354,14 @@ def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
     n_max = batch.tokens.shape[1]
     if n_max > cfg.max_len:
         raise ValueError(f"sentence length {n_max} outside [1, {cfg.max_len}]")
-    rows, mask = batch.rows, _mask(batch.n, n_max)
-    x = ad.embedding_lookup(params["embed.tok"], rows.pack(batch.tokens), params["embed.pos_x"],
-                            rows)
+    x = ad.embedding_lookup(params["embed.tok"], batch.rows.pack(batch.tokens),
+                            params["embed.pos_x"], batch.rows)
     for i in range(cfg.layers_enc):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
-        x = ad.add(x, _attention(params, f"{p}.attn", normed, normed, mask=mask, rng=rng,
-                                 q_rows=rows, kv_rows=rows))
-        x = ad.add(x, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x), rng=rng, rows=rows))
+        x = _attention(params, f"{p}.attn", normed, normed, x, mask=batch.mask, rng=rng,
+                       q_rows=batch.rows, kv_rows=batch.rows)
+        x = _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x), x, rng=rng, rows=batch.rows)
     return _ln(params, "enc.norm", x)
 
 
@@ -391,7 +391,6 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
     m_max = batch.instr.shape[1]
     if m_max > cfg.max_instr_len:
         raise ValueError(f"instruction length {m_max} outside [1, {cfg.max_instr_len}]")
-    cross_mask = _mask(batch.n, batch.tokens.shape[1])
     shared = rng is None or not cfg.dropout
     instr = batch.instr if shared else batch.instr[batch.which]
     slots, m = batch.slots[batch.which], batch.m[batch.which]
@@ -401,19 +400,19 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
         last = i == cfg.layers_dec - 1
         normed = _ln(params, f"{p}.ln1", u)
         if i == 0 and shared:   # the distinct rows, then each instance's own
-            u = ad.add(u, _attention(params, f"{p}.self", normed, normed,
-                                     mask=_mask(batch.m, m_max, np.arange(m_max))))
+            u = _attention(params, f"{p}.self", normed, normed, u,
+                           mask=_mask(batch.m, m_max, np.arange(m_max)))
             u = gather_slots(u, slots if last else np.arange(m_max), batch.which)
         else:
             queries, positions = normed, np.arange(m_max)
             if last:   # from here on only the slot rows
                 u = gather_slots(u, slots)
                 queries, positions = _ln(params, f"{p}.ln1", u), slots
-            u = ad.add(u, _attention(params, f"{p}.self", queries, normed,
-                                     mask=_mask(m, m_max, positions), rng=rng))
-        u = ad.add(u, _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u),
-                                 h_enc, mask=cross_mask, rng=rng, kv_rows=batch.rows))
-        u = ad.add(u, _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u), rng=rng))
+            u = _attention(params, f"{p}.self", queries, normed, u,
+                           mask=_mask(m, m_max, positions), rng=rng)
+        u = _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u), h_enc, u,
+                       mask=batch.mask, rng=rng, kv_rows=batch.rows)
+        u = _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u), u, rng=rng)
     return _ln(params, "dec.norm", u)
 
 
@@ -431,11 +430,11 @@ def gather_slots(h: Tensor, positions, which=None) -> Tensor:
 
 def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor,
                     rows: ad.RowMap | None = None) -> Tensor:
-    """Each token becomes a convex mixture of its instance's projected slot
-    states; packed token states come with their ``rows``."""
-    proj_x = ad.linear(h_enc, w1)
-    proj_slot = ad.linear(h_slot, w2)
-    return ad.attention(proj_x, proj_slot, proj_slot, 1, q_rows=rows)
+    """Each token's state plus a convex mixture of its instance's slot
+    states projected by ``w2``, weighted by their scores against the token's
+    state projected by ``w1``; packed token states come with their
+    ``rows``."""
+    return ad.attention(h_enc, h_slot, w1, w2, q_rows=rows, residual=h_enc)
 
 
 def biaffine_score(h_x: Tensor, params: Parameters, rows: ad.RowMap | None = None) -> Tensor:
@@ -466,8 +465,8 @@ def forward(params: Parameters, batch: Batch, rng=None) -> Tensor:
         )
     h_enc = encode_sentence(params, batch, rng=rng)
     h_slot = decode_instruction(params, h_enc, batch, rng=rng)
-    h_x = ad.add(h_enc, label_attention(h_enc, h_slot, params["label_attn.w1"],
-                                        params["label_attn.w2"], batch.rows))
+    h_x = label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"],
+                          batch.rows)
     logits = biaffine_score(h_x, params, batch.rows)
     size, n_max = batch.tokens.shape
     assert logits.shape == (size, n_max, n_max, params.num_channels)

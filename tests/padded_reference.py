@@ -15,13 +15,12 @@ from tie import model as M
 
 def encode_sentence(params, batch, rng=None):
     """(B, n_max, d) states of the padded ids, padding included."""
-    mask = M._mask(batch.n, batch.tokens.shape[1])
     x = ad.embedding_lookup(params["embed.tok"], batch.tokens, params["embed.pos_x"])
     for i in range(params.config.layers_enc):
         p = f"enc.{i}"
         normed = M._ln(params, f"{p}.ln1", x)
-        x = ad.add(x, M._attention(params, f"{p}.attn", normed, normed, mask=mask, rng=rng))
-        x = ad.add(x, M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln2", x), rng=rng))
+        x = M._attention(params, f"{p}.attn", normed, normed, x, mask=batch.mask, rng=rng)
+        x = M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln2", x), x, rng=rng)
     return M._ln(params, "enc.norm", x)
 
 
@@ -30,6 +29,5 @@ def forward(params, batch, rng=None):
     padded = dataclasses.replace(batch, rows=None)
     h_enc = encode_sentence(params, padded, rng)
     h_slot = M.decode_instruction(params, h_enc, padded, rng=rng)
-    h_x = ad.add(h_enc, M.label_attention(h_enc, h_slot, params["label_attn.w1"],
-                                          params["label_attn.w2"]))
+    h_x = M.label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"])
     return M.biaffine_score(h_x, params)

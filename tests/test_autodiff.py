@@ -9,14 +9,18 @@ from tie.autodiff import Tape, Tensor
 from fdcheck import central_diff, inner, max_rel_err, mean_weights
 
 
+def _eye(n):
+    return Tensor(np.eye(n))
+
+
 def test_attention_uniform_and_stability():
     # equal scores average the value rows; huge scores put all weight on one key
     v = Tensor([[[1.0, -2.0], [3.0, 0.5], [-4.0, 6.0]]])
-    out = ad.attention(Tensor(np.zeros((1, 2, 2))), Tensor(np.ones((1, 3, 2))), v, 2)
+    out = ad.attention(Tensor(np.zeros((1, 2, 2))), v, _eye(2), Tensor(np.zeros((2, 2))),
+                       _eye(2), heads=2)
     np.testing.assert_allclose(out.data, np.repeat(v.data.mean(axis=1, keepdims=True), 2, 1),
                                atol=1e-12)
-    eye = Tensor(np.eye(2)[None])
-    big = ad.attention(Tensor([[[1000.0, 0.0]]]), eye, eye, 1)
+    big = ad.attention(Tensor([[[1000.0, 0.0]]]), Tensor(np.eye(2)[None]), _eye(2), _eye(2))
     assert np.isfinite(big.data).all()
     np.testing.assert_allclose(big.data, [[[1.0, 0.0]]], atol=1e-12)
 
@@ -26,16 +30,38 @@ def test_attention_rows_sum_to_one_property():
     rng = np.random.default_rng(1)
     for _ in range(50):
         m, n = rng.integers(1, 6, size=2)
-        q = Tensor(rng.normal(scale=rng.uniform(0.1, 50.0), size=(1, m, n)))
-        k = Tensor(rng.normal(scale=rng.uniform(0.1, 50.0), size=(1, n, n)))
-        out = ad.attention(q, k, Tensor(np.eye(n)[None]), 1)
+        x_q = Tensor(rng.normal(scale=rng.uniform(0.1, 50.0), size=(1, m, n)))
+        wk = Tensor(rng.normal(scale=rng.uniform(0.1, 50.0), size=(n, n)))
+        out = ad.attention(x_q, Tensor(np.eye(n)[None]), _eye(n), wk, _eye(n))
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones((1, m)), atol=1e-9)
 
 
-def _unfused_attention(q, k, v, heads, mask, scale, keep, g):
-    """The attention chain as separate numpy steps, each gradient stored
-    contiguously as a tape of single ops would keep it: (output, dq, dk, dv)
-    for upstream gradient ``g``."""
+def _unfused_attention(x_q, x_kv, p, heads, mask, scale, keep, g, shared=False):
+    """The attention branch as the chain of single ops it replaced, in plain
+    numpy: a dense layer ``x @ w + b`` per projection, the attention steps,
+    the output layer and the residual add, each gradient stored contiguously
+    as a tape of single ops kept it. ``p`` maps "wq", "bq", ... and
+    "residual" to arrays; without "wv" the keys are the values, without
+    "wo" the output is not projected, and a missing bias or residual is
+    left out. With ``shared`` ``x_q`` is ``x_kv``. Returns (output,
+    {"x_q", "x_kv" and each name in ``p``: its gradient}) for upstream
+    gradient ``g``, each input's gradient summed in the order of the old
+    tape's reverse sweep: the residual's, then v's, k's and q's."""
+    def dense(x, w, b):
+        out = x @ p[w]
+        if b in p:
+            out += p[b]
+        return out
+
+    def dense_grads(x, w, b, g_out):
+        grads[w] = x.reshape(-1, p[w].shape[0]).T @ g_out.reshape(-1, p[w].shape[1])
+        if b in p:
+            grads[b] = g_out.sum(axis=tuple(range(g_out.ndim - 1)))
+        return g_out @ p[w].T
+
+    grads = {}
+    q, k = dense(x_q, "wq", "bq"), dense(x_kv, "wk", "bk")
+    v = dense(x_kv, "wv", "bv") if "wv" in p else k
     size, n_q, d = q.shape
     n_k, dh = k.shape[1], d // heads
     qh = q.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3)
@@ -48,54 +74,84 @@ def _unfused_attention(q, k, v, heads, mask, scale, keep, g):
     e = np.exp(z)
     att = e / e.sum(axis=-1, keepdims=True)
     att_d = att if keep is None else att * keep
-    out = (att_d @ vh).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+    mixed = (att_d @ vh).transpose(0, 2, 1, 3).reshape(size, n_q, d)
+    out = dense(mixed, "wo", "bo") if "wo" in p else mixed
+    if "residual" in p:
+        out = p["residual"] + out
+        grads["residual"] = g.copy()
 
-    g_o = np.ascontiguousarray(g.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3))
+    g_mixed = dense_grads(mixed, "wo", "bo", g) if "wo" in p else g
+    g_o = np.ascontiguousarray(g_mixed.reshape(size, n_q, heads, dh).transpose(0, 2, 1, 3))
     g_att = g_o @ np.swapaxes(vh, -1, -2)
     if keep is not None:
         g_att = g_att * keep
     g_s = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
     g_s = g_s * scale
-    dq = (g_s @ np.swapaxes(k_t, -1, -2)).transpose(0, 2, 1, 3).reshape(size, n_q, d)
-    dk = (np.swapaxes(qh, -1, -2) @ g_s).transpose(0, 3, 1, 2).reshape(size, n_k, d)
-    dv = (np.swapaxes(att_d, -1, -2) @ g_o).transpose(0, 2, 1, 3).reshape(size, n_k, d)
-    return out, dq, dk, dv
+    dq, dk, dv = (np.ascontiguousarray(a) for a in (
+        (g_s @ np.swapaxes(k_t, -1, -2)).transpose(0, 2, 1, 3).reshape(size, n_q, d),
+        (np.swapaxes(qh, -1, -2) @ g_s).transpose(0, 3, 1, 2).reshape(size, n_k, d),
+        (np.swapaxes(att_d, -1, -2) @ g_o).transpose(0, 2, 1, 3).reshape(size, n_k, d)))
+    if "wv" in p:
+        grads["x_kv"] = dense_grads(x_kv, "wv", "bv", dv)
+    else:
+        dk += dv
+    g_k = dense_grads(x_kv, "wk", "bk", dk)
+    grads["x_kv"] = grads["x_kv"] + g_k if "x_kv" in grads else g_k
+    g_q = dense_grads(x_q, "wq", "bq", dq)
+    if shared:
+        grads["x_kv"] += g_q
+    else:
+        grads["x_q"] = g_q
+    return out, grads
 
 
 def test_attention_matches_unfused_chain_bit_for_bit():
     rng = np.random.default_rng(8)
-    size, n_q, n_k, d = 3, 5, 4, 8
-    mask = np.where(np.arange(n_k) >= np.array([4, 2, 3])[:, None, None, None], -1e30, 0.0)
-    for heads, use_mask, rate in ((2, True, 0.0), (4, False, 0.25), (1, True, 0.5)):
-        arrays = [rng.normal(size=(size, n, d)) for n in (n_q, n_k, n_k)]
+    size, n_q, n_k, d_in, d = 3, 5, 4, 6, 8
+    # (heads, mask, dropout rate, the weights and biases given, whether x_q
+    # is x_kv and a residual is added)
+    every = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
+    for heads, use_mask, rate, names, shared in (
+            (2, True, 0.0, every, False), (4, False, 0.25, ("wq", "wk", "wv", "wo"), False),
+            (1, True, 0.5, every, True), (2, False, 0.0, ("wq", "wk", "wv", "bv"), True),
+            (1, False, 0.0, ("wq", "wk"), False)):   # the last as label attention
+        n_kv = n_q if shared else n_k
+        x_q = rng.normal(size=(size, n_q, d_in))
+        x_kv = x_q if shared else rng.normal(size=(size, n_kv, d_in))
+        p = {n: rng.normal(size=(d, d) if n == "wo" else (d_in, d) if n[0] == "w" else (d,))
+             for n in names}
+        p["residual"] = rng.normal(size=(size, n_q, d))
         g = rng.normal(size=(size, n_q, d))
-        m = mask if use_mask else None
-        keep = ((np.random.default_rng(9).random((size, heads, n_q, n_k)) >= rate)
+        m = _key_mask([4, 2, 3], n_kv) if use_mask else None
+        keep = ((np.random.default_rng(9).random((size, heads, n_q, n_kv)) >= rate)
                 / (1.0 - rate)) if rate else None
-        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        tensors = {n: Tensor(a, requires_grad=True) for n, a in p.items()}
+        tensors["x_q"] = Tensor(x_q, requires_grad=True)
+        tensors["x_kv"] = tensors["x_q"] if shared else Tensor(x_kv, requires_grad=True)
         with Tape():
-            out = ad.attention(q, k, v, heads, mask=m, scale=0.3, rate=rate,
-                               rng=np.random.default_rng(9))
+            out = ad.attention(tensors["x_q"], tensors["x_kv"],
+                               *(tensors.get(n) for n in ("wq", "wk", "wv", "wo")),
+                               biases=tuple(tensors.get(n) for n in ("bq", "bk", "bv", "bo")),
+                               heads=heads, mask=m, scale=0.3, rate=rate,
+                               rng=np.random.default_rng(9), residual=tensors["residual"])
             ad.backward(inner(out, g))
-        expected = _unfused_attention(*arrays, heads, m, 0.3, keep, g)
-        for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
-            assert np.array_equal(got, want)
-    # k is v (label attention): one gradient buffer gets both parts
-    q, kv = Tensor(arrays[0], requires_grad=True), Tensor(arrays[1], requires_grad=True)
-    with Tape():
-        ad.backward(inner(ad.attention(q, kv, kv, 1), g))
-    _, dq, dk, dv = _unfused_attention(arrays[0], arrays[1], arrays[1], 1, None, 1.0, None, g)
-    dv += dk
-    assert np.array_equal(q.grad, dq) and np.array_equal(kv.grad, dv)
+        want, grads = _unfused_attention(x_q, x_kv, p, heads, m, 0.3, keep, g, shared)
+        assert np.array_equal(out.data, want)
+        assert set(grads) == set(tensors) - ({"x_q"} if shared else set())
+        for name, grad in grads.items():
+            assert np.array_equal(tensors[name].grad, grad), name
 
 
 def test_attention_shape_errors():
-    with pytest.raises(ad.ShapeError):
-        ad.attention(Tensor(np.zeros((1, 2, 6))), Tensor(np.zeros((1, 3, 6))),
-                     Tensor(np.zeros((1, 3, 6))), 4)
-    with pytest.raises(ad.ShapeError):
-        ad.attention(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 3, 4))),
-                     Tensor(np.zeros((1, 2, 4))), 2)
+    x, w = Tensor(np.zeros((1, 2, 6))), Tensor(np.zeros((6, 6)))
+    with pytest.raises(ad.ShapeError):   # 4 heads do not divide 6
+        ad.attention(x, x, w, w, heads=4)
+    with pytest.raises(ad.ShapeError):   # queries and keys of other widths
+        ad.attention(x, x, w, Tensor(np.zeros((6, 4))))
+    with pytest.raises(ad.ShapeError):   # values of another width than the keys
+        ad.attention(x, x, w, w, Tensor(np.zeros((6, 4))))
+    with pytest.raises(ad.ShapeError):   # queries and keys of other batch sizes
+        ad.attention(x, Tensor(np.zeros((2, 2, 6))), w, w)
 
 
 def _unfused_pair_scores(hh, ht, w3, w4, score_w, score_b, g):
@@ -224,70 +280,55 @@ def test_backward_twice_errors():
             ad.backward(y)
 
 
+def _scaled(x: Tensor, c: float) -> Tensor:
+    """A test-local elementwise op, ``c * x``: its output keeps the layout
+    of ``x``, and its backward passes ``x`` an owned gradient in that
+    layout."""
+    def bw(g):
+        if x.requires_grad:
+            ad._accumulate(x, g * c, owned=True)
+
+    return ad._make(x.data * c, (x,), bw)
+
+
+def _ffn_weights(rng, d_in, hidden, d_out):
+    return [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in ((d_in, hidden), (hidden,), (hidden, d_out), (d_out,))]
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape():
-        y = ad.add(x, x)
+        y = _scaled(x, 2.0)
         with pytest.raises(ad.ShapeError):
             ad.backward(y)
 
 
 def test_no_tape_means_no_tracking():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = ad.add(x, x)
+    y = ad.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
     assert not y.requires_grad and y._tape is None
 
 
 def test_backward_names_the_op_that_overflowed():
     big = Tensor(np.full((2, 2), 1e308), requires_grad=True)
-    with np.errstate(over="ignore"), Tape():
-        loss = inner(ad.add(big, big), np.ones((2, 2)))
-        with pytest.raises(ad.NonFiniteError, match=r"loss.*\badd\b"):
+    ones = [Tensor(np.ones(s)) for s in ((2, 2), (2,), (2, 2), (2,))]
+    with np.errstate(over="ignore", invalid="ignore"), Tape():
+        loss = inner(ad.ffn(big, *ones), np.ones((2, 2)))
+        with pytest.raises(ad.NonFiniteError, match=r"loss.*\bffn\b"):
             ad.backward(loss)
 
 
-def test_linear_matches_per_matrix_products():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 2, 4))
-    b = rng.normal(size=(4, 5))
-    out = ad.linear(Tensor(a), Tensor(b))
-    for i in range(3):
-        np.testing.assert_allclose(out.data[i], a[i] @ b, atol=1e-12)
-
-
-def _matmul_then_add(x, w, b, g):
-    """A dense layer as a product then a bias, with ``w`` broadcast over the
-    batch axes of ``x``, in plain numpy: (output, dx, dw, db) for upstream
-    gradient ``g``. ``dw`` is a product per leading index, summed over the
-    leading axes."""
-    lead = tuple(range(x.ndim - 1))
-    return (x @ w + b, g.copy() @ w.T, (np.swapaxes(x, -1, -2) @ g).sum(axis=lead[:-1]),
-            g.sum(axis=lead))
-
-
-def test_linear_matches_matmul_then_add():
-    rng = np.random.default_rng(6)
-    for shape in ((6, 4), (3, 5, 4), (2, 3, 3, 4)):
-        arrays = [rng.normal(size=shape), rng.normal(size=(4, 7)), rng.normal(size=(7,))]
-        g = rng.normal(size=shape[:-1] + (7,))
-        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
-        with Tape():
-            out = ad.linear(x, w, b)
-            ad.backward(inner(out, g))
-        want, dx, dw, db = _matmul_then_add(*arrays, g)
-        assert np.array_equal(out.data, want)
-        assert np.array_equal(x.grad, dx) and np.array_equal(b.grad, db)
-        np.testing.assert_allclose(w.grad, dw, rtol=1e-13, atol=0)
-
-
-def test_linear_shape_error_names_all_three_shapes():
+def test_dense_layer_shape_error_names_all_three_shapes():
+    x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
     with pytest.raises(ad.ShapeError) as err:
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((5,))))
+        ad.ffn(x, w, Tensor(np.zeros((5,))), Tensor(np.zeros((4, 3))), Tensor(np.zeros((3,))))
     assert all(s in str(err.value) for s in ("(2, 3)", "(3, 4)", "(5,)"))
-    with pytest.raises(ad.ShapeError):
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 4))))
-    with pytest.raises(ad.ShapeError):
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3, 4))))
+    # a projection whose rows do not match the inputs' width, or not 2-D
+    x_3d = Tensor(np.zeros((1, 2, 3)))
+    for projection in (Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 3, 4)))):
+        with pytest.raises(ad.ShapeError):
+            ad.attention(x_3d, x_3d, w, projection)
 
 
 def _masked_sigmoid(z):
@@ -323,12 +364,6 @@ def test_bce_weighted_is_weighted_sum_and_checks_shape():
         ad.bce_with_logits(Tensor(z), t, np.ones((3, 2)))
 
 
-def test_add_shapes_must_broadcast():
-    with pytest.raises(ad.ShapeError) as err:
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-    assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
-
-
 def test_embedding_lookup_bounds():
     table = Tensor(np.arange(6.0).reshape(3, 2))
     with pytest.raises(ad.ShapeError):
@@ -346,10 +381,11 @@ def test_embedding_lookup_bounds():
 
 
 def test_gelu_at_zero_rate_is_plain_gelu_and_draws_nothing():
-    x = Tensor(np.random.default_rng(5).normal(size=(3, 4)), requires_grad=True)
+    gen = np.random.default_rng(5)
+    x, weights = Tensor(gen.normal(size=(3, 4))), _ffn_weights(gen, 4, 6, 2)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert np.array_equal(ad.gelu(x, 0.0, rng).data, ad.gelu(x).data)
+    assert np.array_equal(ad.ffn(x, *weights, 0.0, rng).data, ad.ffn(x, *weights).data)
     assert rng.bit_generator.state == before
 
 
@@ -375,15 +411,24 @@ def test_normal_cdf_is_within_2_to_the_minus_52_of_erfc():
     assert ad._normal_cdf(np.array([8.5, 40.0])).tolist() == [1.0, 1.0]
 
 
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """GELU through ``ffn`` with 1 x 1 identity layers, so that ``x`` and
+    its GELU pass the dense products unchanged but for the sign of a zero."""
+    one, zero = Tensor([[1.0]]), Tensor([0.0])
+    return ad.ffn(Tensor(x[:, None]), one, zero, one, zero).data[:, 0]
+
+
 def test_gelu_keeps_the_erf_values_at_zeros_range_edges_and_huge_inputs():
     # 0.5 * x * (1 + erf(x / sqrt(2))) in float64 at each x; at -8.5, where
     # 1 + erf cancels to 0, the kernel gives the true -8.06e-17 instead
     x = np.array([0.0, -0.0, 8.5, -8.5, 1e300, -1e300])
     erf_values = np.array([0.0, -0.0, 8.5, -0.0, 1e300, -0.0])
-    out = ad.gelu(Tensor(x)).data
+    out = _gelu(x)
     exact = np.arange(len(x)) != 3
     assert out[exact].tolist() == erf_values[exact].tolist()
-    assert (np.signbit(out[exact]) == np.signbit(erf_values[exact])).all()
+    # the product x * Φ(x) inside ffn keeps erf's signed zeros
+    kernel = x * ad._normal_cdf(x)
+    assert (np.signbit(kernel[exact]) == np.signbit(erf_values[exact])).all()
     assert abs(out[3] - erf_values[3]) <= 2.0 ** -52
     assert out[3] == pytest.approx(-8.0576e-17, rel=1e-4)
 
@@ -392,29 +437,32 @@ def test_normal_cdf_and_gelu_at_infinities_and_nan_raise_nothing():
     x = np.array([np.inf, -np.inf, np.nan])
     with np.errstate(all="raise"):
         cdf = ad._normal_cdf(x)
-        assert ad._normal_cdf(np.asarray(-np.inf)) == 0.0
-        assert np.isnan(ad._normal_cdf(np.asarray(np.nan)))
     np.testing.assert_array_equal(cdf, [1.0, 0.0, np.nan])
     # -inf * Φ(-inf) is -inf * 0, numpy's invalid product: NaN, as with erf
     with np.errstate(invalid="ignore"):
-        out = ad.gelu(Tensor(x)).data
+        out = _gelu(x)
     np.testing.assert_array_equal(out, [np.inf, np.nan, np.nan])
 
 
 def test_op_output_grad_is_lazy_and_keeps_strides():
     # an elementwise op keeps the layout of a transposed leaf, so its output
     # is strided; its gradient buffer, made lazily, takes the same strides
+    # though ffn passes it a C-order gradient
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(3, 5)).T, requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2)))
-    with Tape():
-        h = ad.gelu(x)
-        out = ad.linear(h, w)
-        assert h.grad is None and out.grad is None
-        ad.backward(inner(out, np.ones(out.shape)))
-    assert not h.data.flags.c_contiguous
-    assert h.grad.strides == h.data.strides
-    np.testing.assert_array_equal(h.grad, np.ones((5, 2)) @ w.data.T)
+    weights = _ffn_weights(rng, 3, 4, 2)
+    outputs = []
+    for leaf in (x, Tensor(np.ascontiguousarray(x.data), requires_grad=True)):
+        with Tape():
+            h = _scaled(leaf, 2.0)
+            out = ad.ffn(h, *weights)
+            assert h.grad is None and out.grad is None
+            ad.backward(inner(out, np.ones(out.shape)))
+        outputs.append(h)
+    strided, contiguous = outputs
+    assert not strided.data.flags.c_contiguous
+    assert strided.grad.strides == strided.data.strides
+    np.testing.assert_allclose(strided.grad, contiguous.grad, rtol=1e-13)
     # a 3-D op output with swapped leading axes as an embedding table: its
     # rows cannot be flattened without a copy, so the scatter must add into
     # the strided buffer in place
@@ -422,14 +470,14 @@ def test_op_output_grad_is_lazy_and_keeps_strides():
     ids = np.array([[0, 4], [4, 1], [5, 5]])
     leaf = Tensor(rng.normal(size=(m, 2, k)).transpose(1, 0, 2), requires_grad=True)
     with Tape():
-        table = ad.gelu(leaf)
+        table = _scaled(leaf, 2.0)
         rows = ad.embedding_lookup(table, ids)
         ad.backward(inner(rows, np.ones(rows.shape)))
     assert table.grad.strides == table.data.strides
     assert not np.shares_memory(table.grad.reshape(-1, k), table.grad)
     counts = np.bincount(ids.ravel(), minlength=2 * m).reshape(2, m, 1) * np.ones(k)
     np.testing.assert_array_equal(table.grad, counts)
-    assert np.count_nonzero(leaf.grad) == np.count_nonzero(counts)
+    np.testing.assert_array_equal(leaf.grad, 2.0 * counts)
     # an owned first gradient with the output's strides becomes the buffer
     out = Tensor(rng.normal(size=(4, 3)))     # an op output: no buffer yet
     g = rng.normal(size=(4, 3))
@@ -446,20 +494,6 @@ def test_op_output_grad_is_lazy_and_keeps_strides():
     shared = Tensor(rng.normal(size=(4, 3)))
     ad._accumulate(shared, g)
     assert not np.shares_memory(shared.grad, g)
-    # through the ops: the operands of an add, and the add's output, each
-    # get a buffer of their own, though the add hands both operands one
-    # gradient; each operand's later contributions then add in place
-    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    w = rng.normal(size=(2, 3))
-    with Tape():
-        a, b = ad.gelu(x), ad.gelu(ad.gelu(x))
-        s = ad.add(a, b)
-        total = ad.add(s, a)
-        ad.backward(inner(total, w))
-    bufs = [a.grad, b.grad, s.grad, total.grad]
-    assert all(not np.shares_memory(p, q) for i, p in enumerate(bufs) for q in bufs[i + 1:])
-    np.testing.assert_array_equal(a.grad, w + w)
-    np.testing.assert_array_equal(b.grad, w)
 
 
 def test_branch_off_the_loss_path_is_skipped():
@@ -468,7 +502,8 @@ def test_branch_off_the_loss_path_is_skipped():
     calls = []
     with Tape():
         side = ad._make(x.data * 3.0, (x,), calls.append)
-        touched = ad.add(side, unused)   # consumes the leaf, but off the path too
+        # consumes the leaf, but off the path too
+        touched = ad.layer_norm(side, unused, Tensor(np.zeros(3)))
         ad.backward(inner(x, x))
     assert side.grad is None and touched.grad is None
     assert calls == []
@@ -478,25 +513,36 @@ def test_branch_off_the_loss_path_is_skipped():
 
 
 def test_tensor_reached_twice_gets_exact_sum_in_its_own_buffer():
+    # y is an ffn's input and its residual: the op hands the residual its
+    # own output's gradient, which y's buffer must copy, not take
     rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-    w = rng.normal(size=(3, 1))
+    x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    weights = _ffn_weights(rng, 2, 4, 2)
+    w = rng.normal(size=(3, 2))
     with Tape():
-        y = ad.linear(x, Tensor([[0.7]]))
-        z = ad.add(y, y)
+        y = _scaled(x, 0.7)
+        z = ad.ffn(y, *weights, residual=y)
         ad.backward(inner(z, w))
-    np.testing.assert_array_equal(z.grad, w)   # not doubled in place by y's second add
-    np.testing.assert_array_equal(y.grad, w + w)
+    with Tape():   # the input's part alone
+        y_alone = _scaled(Tensor(x.data, requires_grad=True), 0.7)
+        ad.backward(inner(ad.ffn(y_alone, *weights), w))
+    np.testing.assert_array_equal(z.grad, w)   # not added to in place by y's second part
+    np.testing.assert_array_equal(y.grad, w + y_alone.grad)
     assert not np.shares_memory(y.grad, z.grad)
-    np.testing.assert_array_equal(x.grad, (w + w) * 0.7)
+    np.testing.assert_array_equal(x.grad, y.grad * 0.7)
 
 
 def test_determinism():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 4, 4))
-    a = ad.attention(*[ad.gelu(Tensor(x))] * 3, 2)
-    b = ad.attention(*[ad.gelu(Tensor(x))] * 3, 2)
-    assert np.array_equal(a.data, b.data)
+    weights = [Tensor(w.data) for w in _ffn_weights(rng, 4, 8, 4)]
+    projections = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+
+    def branch():
+        h = ad.ffn(Tensor(x), *weights)
+        return ad.attention(h, h, *projections, heads=2, residual=h)
+
+    assert np.array_equal(branch().data, branch().data)
 
 
 # Finite-difference property suite: every differentiable op, randomized small
@@ -507,37 +553,8 @@ def _op_cases(rng):
     m, k, n = rng.integers(2, 5, size=3)
     cases = []
 
-    a = rng.normal(size=(m, k))
     b = rng.normal(size=(k, n))
-
     x = rng.normal(size=(m, n))
-    y = rng.normal(size=(m, n))
-    cases.append(("add", [x, y], lambda t: ad.add(t[0], t[1])))
-
-    # add broadcasts: a bias onto a batch, both operands over a pair grid,
-    # and a size-1 leading axis
-    bias = rng.normal(size=(k,))
-    batch = rng.normal(size=(2, m, k))
-    cases.append(("add_bias_broadcast", [batch, bias], lambda t: ad.add(t[0], t[1])))
-    rows = rng.normal(size=(2, m, 1, k))
-    cols = rng.normal(size=(2, 1, m, k))
-    cases.append(("add_both_broadcast", [rows, cols], lambda t: ad.add(t[0], t[1])))
-    lead = rng.normal(size=(1, m, k))
-    cases.append(("add_size1_leading", [lead, batch], lambda t: ad.add(t[0], t[1])))
-
-    batched = rng.normal(size=(2, m, k))
-
-    # linear: a bias over a batch, no bias, a (B, n, n, K) grid like the
-    # score layer, and a weight that is an op output
-    out_bias = rng.normal(size=(n,))
-    cases.append(("linear_batched_bias", [batched, b, out_bias],
-                  lambda t: ad.linear(t[0], t[1], t[2])))
-    cases.append(("linear_2d_no_bias", [a, b], lambda t: ad.linear(t[0], t[1])))
-    grid = rng.normal(size=(2, m, m, k))
-    cases.append(("linear_grid_bias", [grid, b, out_bias],
-                  lambda t: ad.linear(t[0], t[1], t[2])))
-    cases.append(("linear_op_output_weight", [batched, b],
-                  lambda t: ad.linear(t[0], ad.gelu(t[1]))))
 
     table = rng.normal(size=(5, k))
     ids = rng.integers(0, 5, size=m)
@@ -552,7 +569,7 @@ def _op_cases(rng):
                   lambda t: ad.embedding_lookup(t[0], ids_2d, t[1])))
     # a table that is itself an op output gets its gradient buffer from the scatter
     cases.append(("embedding_lookup_of_op_output", [b],
-                  lambda t: ad.embedding_lookup(ad.gelu(t[0]), ids % k)))
+                  lambda t: ad.embedding_lookup(_scaled(t[0], 1.5), ids % k)))
     # a 3-D table gives rows of its two leading axes flattened, as the
     # decoder's slot gather does, also when the table is an op output
     states = rng.normal(size=(2, m, k))
@@ -560,43 +577,72 @@ def _op_cases(rng):
     cases.append(("embedding_lookup_3d", [states],
                   lambda t: ad.embedding_lookup(t[0], slot_rows)))
     cases.append(("embedding_lookup_3d_of_op_output", [states],
-                  lambda t: ad.embedding_lookup(ad.gelu(t[0]), slot_rows)))
+                  lambda t: ad.embedding_lookup(_scaled(t[0], 1.5), slot_rows)))
     # a table with swapped leading axes: its gradient buffer keeps those
     # strides, so no reshape to rows can be a view of it
     swapped = rng.normal(size=(m, 2, k)).transpose(1, 0, 2)
     cases.append(("embedding_lookup_3d_transposed_op_output", [swapped],
-                  lambda t: ad.embedding_lookup(ad.gelu(t[0]), slot_rows)))
+                  lambda t: ad.embedding_lookup(_scaled(t[0], 1.5), slot_rows)))
 
     g = rng.normal(size=(n,)) + 1.0
     bb = rng.normal(size=(n,))
     cases.append(("layer_norm", [x, g, bb], lambda t: ad.layer_norm(t[0], t[1], t[2])))
 
-    cases.append(("gelu", [x], lambda t: ad.gelu(t[0])))
-    # a fresh stream per build, so every build draws the same dropout mask
-    cases.append(("gelu_dropout", [x], lambda t: ad.gelu(t[0], 0.3, np.random.default_rng(3))))
-    # both tails, out to the outer cells of the normal-CDF table and past them
-    tails = rng.uniform(2.0, 9.0, size=(m, n)) * rng.choice([-1.0, 1.0], size=(m, n))
-    cases.append(("gelu_tails", [tails], lambda t: ad.gelu(t[0])))
+    # ffn: (m, n) rows through a hidden width of k, a batch of rows with
+    # a residual, dropout drawn from a fresh stream per build, and inputs
+    # out to each tail of the normal-CDF table and past it, through
+    # identity layers. The tails are two cases: the lower tail's gradients
+    # fall to 1e-9 and below, under the rounding of a loss that holds the
+    # upper tail's values
+    layers = [rng.normal(size=s) for s in ((n, k), (k,), (k, n), (n,))]
+    cases.append(("ffn", [x, *layers], lambda t: ad.ffn(*t)))
+    batch = rng.normal(size=(2, m, n))
+    cases.append(("ffn_batched_residual", [batch, *layers, rng.normal(size=(2, m, n))],
+                  lambda t: ad.ffn(*t[:5], residual=t[5])))
+    cases.append(("ffn_dropout", [x, *layers],
+                  lambda t: ad.ffn(*t, 0.3, np.random.default_rng(3))))
+    eye, zeros = Tensor(np.eye(n)), Tensor(np.zeros(n))
+    for case, sign in (("ffn_upper_tail", 1.0), ("ffn_lower_tail", -1.0)):
+        cases.append((case, [sign * rng.uniform(2.0, 9.0, size=(m, n))],
+                      lambda t: ad.ffn(t[0], eye, zeros, eye, zeros)))
 
-    # attention: 2 heads of width k over m queries and n keys, batch 2
-    q = rng.normal(size=(2, m, 2 * k))
-    kv = [rng.normal(size=(2, n, 2 * k)) for _ in range(2)]
-    cases.append(("attention", [q, *kv],
-                  lambda t: ad.attention(t[0], t[1], t[2], 2, scale=0.6)))
+    # attention: 2 heads of width k over m queries and n keys, batch 2, from
+    # inputs of width 3; every projection with a bias and a residual, no
+    # value or output projection (keys are values, as in label attention),
+    # padded keys, a causal mask over padded keys, and dropout. The key
+    # bias moves all of a query's scores alike, so its gradient is 0 and a
+    # finite difference reads only rounding: the bit-for-bit test covers it
+    def projections(d_in, names):
+        return [rng.normal(size=(2 * k, 2 * k) if w == "wo" else (d_in, 2 * k)
+                           if w[0] == "w" else (2 * k,)) for w in names]
+
+    def branch(t, names, **kw):
+        given = dict(zip(names, t[2:]))
+        return ad.attention(t[0], t[1], *(given.get(w) for w in ("wq", "wk", "wv", "wo")),
+                            biases=tuple(given.get(b) for b in ("bq", "bk", "bv", "bo")),
+                            heads=2, scale=0.6, residual=given.get("residual"), **kw)
+
+    every = ("wq", "wk", "wv", "wo", "bq", "bv", "bo")
+    x_q, x_kv = rng.normal(size=(2, m, 3)), rng.normal(size=(2, n, 3))
+    full = [x_q, x_kv, *projections(3, every), rng.normal(size=(2, m, 2 * k))]
+    cases.append(("attention", full, lambda t: branch(t, every + ("residual",))))
+    cases.append(("attention_keys_are_values", [x_q, x_kv, *projections(3, ("wq", "wk"))],
+                  lambda t: branch(t, ("wq", "wk"))))
+    unprojected = ("wq", "wk", "wv", "bv")
+    cases.append(("attention_no_output_projection", [x_q, x_kv, *projections(3, unprojected)],
+                  lambda t: branch(t, unprojected)))
+    unbiased = ("wq", "wk", "wv", "wo")
+    weights = projections(3, unbiased)
     pad = np.where(np.arange(n) >= np.array([n, n - 1])[:, None, None, None], -1e30, 0.0)
-    cases.append(("attention_padded_keys", [q, *kv],
-                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=pad, scale=0.6)))
+    cases.append(("attention_padded_keys", [x_q, x_kv, *weights],
+                  lambda t: branch(t, unbiased, mask=pad)))
     keys = np.arange(m)
     causal = np.where((keys > keys[:, None]) | (keys >= np.array([m, m - 1])[:, None, None, None]),
                       -1e30, 0.0)
-    square = [rng.normal(size=(2, m, 2 * k)) for _ in range(2)]
-    cases.append(("attention_causal_padded", [q, *square],
-                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=causal, scale=0.6)))
-    cases.append(("attention_dropout", [q, *kv],
-                  lambda t: ad.attention(t[0], t[1], t[2], 2, rate=0.3,
-                                         rng=np.random.default_rng(3))))
-    cases.append(("attention_one_head_k_is_v", [q, kv[0]],
-                  lambda t: ad.attention(t[0], t[1], t[1], 1)))
+    cases.append(("attention_causal_padded", [x_q, rng.normal(size=(2, m, 3)), *weights],
+                  lambda t: branch(t, unbiased, mask=causal)))
+    cases.append(("attention_dropout", [x_q, x_kv, *weights],
+                  lambda t: branch(t, unbiased, rate=0.3, rng=np.random.default_rng(3))))
 
     # the token-pair grid: batch 2, K > 1 channels over n > 1 tokens, and
     # one channel over one token
@@ -653,21 +699,26 @@ def _packed_cases(rng, lengths):
     size, n, total, d = len(lengths), rows.n, int(sum(lengths)), 4
     mask = _key_mask(lengths, n)
     cases = []
-    # packed queries over padded keys and values (label attention's shape),
-    # padded queries over packed keys and values (the decoder's
-    # cross-attention), and both packed (encoder self-attention), that one
-    # with dropout drawn from a fresh stream per build
-    slots = [rng.normal(size=(size, 2, d)) for _ in range(2)]
-    cases.append(("attention_packed_queries", [rng.normal(size=(total, d)), *slots],
-                  lambda t: ad.attention(t[0], t[1], t[2], 2, scale=0.6, q_rows=rows)))
+    # packed queries over padded keys that are the values, with a packed
+    # residual (label attention's shape); padded queries over packed keys
+    # and values with every projection and bias (the decoder's
+    # cross-attention); and both packed with a residual (encoder
+    # self-attention), that one with dropout drawn from a fresh stream per
+    # build
+    w = [rng.normal(size=(d, d)) for _ in range(4)]
+    biases = [rng.normal(size=(d,)) for _ in range(3)]   # bq, bv and bo
+    cases.append(("attention_packed_queries", [rng.normal(size=(total, d)),
+                                               rng.normal(size=(size, 2, d)), *w[:2],
+                                               rng.normal(size=(total, d))],
+                  lambda t: ad.attention(*t[:4], scale=0.6, q_rows=rows, residual=t[4])))
     cases.append(("attention_packed_keys", [rng.normal(size=(size, 3, d)),
-                                            *[rng.normal(size=(total, d)) for _ in range(2)]],
-                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=mask, scale=0.6,
-                                         kv_rows=rows)))
-    cases.append(("attention_packed_both", [rng.normal(size=(total, d)) for _ in range(3)],
-                  lambda t: ad.attention(t[0], t[1], t[2], 2, mask=mask, scale=0.6, rate=0.3,
-                                         rng=np.random.default_rng(3), q_rows=rows,
-                                         kv_rows=rows)))
+                                            rng.normal(size=(total, d)), *w, *biases],
+                  lambda t: ad.attention(*t[:6], biases=(t[6], None, *t[7:]), heads=2,
+                                         mask=mask, scale=0.6, kv_rows=rows)))
+    cases.append(("attention_packed_both", [rng.normal(size=(total, d)) for _ in range(3)] + w,
+                  lambda t: ad.attention(t[0], t[1], *t[3:], heads=2, mask=mask, scale=0.6,
+                                         rate=0.3, rng=np.random.default_rng(3), q_rows=rows,
+                                         kv_rows=rows, residual=t[2])))
     k = 2
     cases.append(("pair_scores_packed", [rng.normal(size=s) for s in (
         (total, d), (total, d), (d, k, d), (k, 2 * d), (k, k), (k,))],
@@ -676,8 +727,9 @@ def _packed_cases(rng, lengths):
     cases.append(("embedding_lookup_position_ids", [rng.normal(size=(5, d)),
                                                     rng.normal(size=(n + 2, d))],
                   lambda t: ad.embedding_lookup(t[0], ids, t[1], rows)))
-    cases.append(("gelu_packed_dropout", [rng.normal(size=(total, d))],
-                  lambda t: ad.gelu(t[0], 0.3, np.random.default_rng(3), rows)))
+    cases.append(("ffn_packed_dropout", [rng.normal(size=s) for s in (
+        (total, d), (d, 6), (6,), (6, d), (d,), (total, d))],
+                  lambda t: ad.ffn(*t[:5], 0.3, np.random.default_rng(3), rows, t[5])))
     return cases
 
 
@@ -708,14 +760,19 @@ def test_packed_operands_match_the_padded_op_bit_for_bit(lengths):
     mask = _key_mask(lengths, n)
     packed = [rng.normal(size=(total, 8)) for _ in range(3)]
     weights = [rng.normal(size=s) for s in ((8, 2, 8), (2, 16), (2, 2), (2,))]
+    projections = [rng.normal(size=(8, 8)) for _ in range(4)] + \
+        [rng.normal(size=(8,)) for _ in range(4)]
+    layers = [rng.normal(size=s) for s in ((8, 16), (16,), (16, 8), (8,))]
     g, g_grid = rng.normal(size=(total, 8)), rng.normal(size=(size, n, n, 2))
     # (op, its packed operands, its other operands, the output's gradient,
     # whether the output is packed)
     ops = [
-        (lambda t, r: ad.attention(*t, 2, mask=mask, scale=0.5, rate=0.25,
-                                   rng=np.random.default_rng(4), q_rows=r, kv_rows=r),
-         packed, [], g, True),
-        (lambda t, r: ad.gelu(t[0], 0.25, np.random.default_rng(4), r), packed[:1], [], g, True),
+        (lambda t, r: ad.attention(t[0], t[1], *t[3:7], biases=tuple(t[7:]), heads=2,
+                                   mask=mask, scale=0.5, rate=0.25, rng=np.random.default_rng(4),
+                                   q_rows=r, kv_rows=r, residual=t[2]),
+         packed, projections, g, True),
+        (lambda t, r: ad.ffn(t[0], *t[2:], 0.25, np.random.default_rng(4), r, t[1]),
+         packed[:2], layers, g, True),
         (lambda t, r: ad.pair_scores(*t, rows=r), packed[:2], weights, g_grid, False),
     ]
     for build, rows_in, others, grad, packed_out in ops:
@@ -736,7 +793,10 @@ def test_packed_operand_shape_errors():
     rows = ad.RowMap([2, 1])
     with pytest.raises(ad.ShapeError, match="row map"):
         ad.attention(Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 2, 4))),
-                     Tensor(np.zeros((2, 2, 4))), 2, q_rows=rows)
+                     Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), q_rows=rows)
+    with pytest.raises(ad.ShapeError, match="row map"):
+        ad.attention(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 2, 4))),
+                     Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), kv_rows=rows)
     with pytest.raises(ad.ShapeError, match="row map"):
         ad.pair_scores(*(Tensor(np.zeros(s)) for s in ((2, 3), (2, 3), (3, 1, 3), (1, 6),
                                                         (1, 1), (1,))), rows=rows)

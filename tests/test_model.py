@@ -165,15 +165,14 @@ def _full_row_decoder(params, h_enc, batch):
     instr, m, slots = batch.instr[batch.which], batch.m[batch.which], batch.slots[batch.which]
     m_max = instr.shape[1]
     self_mask = M._mask(m, m_max, np.arange(m_max))
-    cross_mask = M._mask(batch.n, batch.tokens.shape[1])
     u = ad.embedding_lookup(params["embed.tok"], instr, params["embed.pos_u"])
     for i in range(cfg.layers_dec):
         p = f"dec.{i}"
         normed = M._ln(params, f"{p}.ln1", u)
-        u = ad.add(u, M._attention(params, f"{p}.self", normed, normed, mask=self_mask))
-        u = ad.add(u, M._attention(params, f"{p}.cross", M._ln(params, f"{p}.ln2", u),
-                                   h_enc, mask=cross_mask, kv_rows=batch.rows))
-        u = ad.add(u, M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln3", u)))
+        u = M._attention(params, f"{p}.self", normed, normed, u, mask=self_mask)
+        u = M._attention(params, f"{p}.cross", M._ln(params, f"{p}.ln2", u), h_enc, u,
+                         mask=batch.mask, kv_rows=batch.rows)
+        u = M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln3", u), u)
     return M.gather_slots(M._ln(params, "dec.norm", u), slots)
 
 
@@ -243,7 +242,7 @@ def test_label_attention_k1_degenerate():
     w2 = Tensor(rng.normal(size=(8, 8)))
     out = M.label_attention(h_enc, h_slot, w1, w2)
     projected = h_slot.data[0] @ w2.data
-    for row in out.data[0]:
+    for row in (out.data - h_enc.data)[0]:   # each token's mixture
         np.testing.assert_allclose(row, projected[0], atol=1e-12)
 
 
@@ -255,11 +254,11 @@ def test_label_attention_convex_hull_bounds():
         h_slot = Tensor(rng.normal(size=(1, k, d)))
         w1 = Tensor(rng.normal(size=(d, d)))
         w2 = Tensor(rng.normal(size=(d, d)))
-        out = M.label_attention(h_enc, h_slot, w1, w2)
+        mixture = (M.label_attention(h_enc, h_slot, w1, w2).data - h_enc.data)[0]
         projected = h_slot.data[0] @ w2.data
         lo = projected.min(axis=0) - 1e-9
         hi = projected.max(axis=0) + 1e-9
-        assert np.all(out.data[0] >= lo) and np.all(out.data[0] <= hi)
+        assert np.all(mixture >= lo) and np.all(mixture <= hi)
 
 
 def test_biaffine_shape():
@@ -320,14 +319,15 @@ def test_forward_scores_encoder_states_plus_label_attention():
     batch = one([1, 2, 3], [4, 5, 6], [0, 2])
     h_enc = M.encode_sentence(p, batch)
     h_slot = M.decode_instruction(p, h_enc, batch)
-    mixture = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"],
-                                batch.rows)
-    # mixture rows stay inside the projected-slot convex hull
+    h_x = M.label_attention(h_enc, h_slot, p["label_attn.w1"], p["label_attn.w2"], batch.rows)
+    # label attention adds to each encoder state a mixture inside the
+    # projected-slot convex hull
+    mixture = h_x.data - h_enc.data
     proj = h_slot.data[0] @ p.tensors["label_attn.w2"].data
-    assert np.all(mixture.data <= proj.max(axis=0) + 1e-9)
-    assert np.all(mixture.data >= proj.min(axis=0) - 1e-9)
-    # the scorer sees each token's encoder state plus its mixture
-    expected = M.biaffine_score(ad.add(h_enc, mixture), p, batch.rows)
+    assert np.all(mixture <= proj.max(axis=0) + 1e-9)
+    assert np.all(mixture >= proj.min(axis=0) - 1e-9)
+    # the scorer sees the encoder states plus their mixtures
+    expected = M.biaffine_score(h_x, p, batch.rows)
     assert np.array_equal(M.forward(p, batch).data, expected.data)
 
 
@@ -416,22 +416,26 @@ def test_dropout_only_when_a_stream_is_given():
                           M.forward(plain, batch).data)
 
 
-def test_one_attention_block_is_five_tape_records():
-    # q, k and v linears, the attention op, the output linear
+def test_one_attention_block_is_one_tape_record():
+    # the q, k, v and output projections, the attention and the residual
+    # add are one ``attention`` record, and the FFN with its residual one
+    # ``ffn`` record
     p = toy_params(heads=2)
     x = Tensor(np.random.default_rng(18).normal(size=(2, 3, 8)), requires_grad=True)
     with Tape() as tape:
-        M._attention(p, "enc.0.attn", x, x, mask=M._mask(np.array([3, 2]), 3))
-    assert len(tape._records) == 5
+        out = M._attention(p, "enc.0.attn", x, x, x, mask=M._mask(np.array([3, 2]), 3))
+        M._ffn(p, "enc.0.ffn", out, out)
+    assert [fn.__qualname__.split(".")[0] for _, fn in tape._records] == ["attention", "ffn"]
 
 
 def test_training_step_tape_records_at_bench_shape():
     # one training forward plus loss at the benchmark's short_pretrain shape
     # (d=32, 4 heads, one layer each, K=3, batch 16): each op split in two or
-    # each added op shows up here, on every Python version. Under dropout the
-    # decoder's first layer runs per instance (one more record: the slot
-    # rows' ``ln1``), and each FFN's dropout is part of its ``gelu`` record
-    for dropout, records in ((0.0, 48), (0.1, 49)):
+    # each added op shows up here, on every Python version. Each attention
+    # or FFN branch, with its projections and residual, is one record. Under
+    # dropout the decoder's first layer runs per instance (one more record:
+    # the slot rows' ``ln1``), and each FFN's dropout is part of its record
+    for dropout, records in ((0.0, 20), (0.1, 21)):
         cfg = ModelConfig(d=32, heads=4, max_len=32, max_instr_len=32, vocab_size=40,
                           dropout=dropout)
         p = Parameters(cfg, 3, np.random.default_rng(0))
@@ -567,6 +571,11 @@ def test_make_batch_pads_and_validates():
     assert batch.tokens.shape == (3, 8) and batch.instr.shape == (3, 7)
     assert list(batch.n) == [1, 8, 4] and list(batch.m) == [3, 7, 5]
     assert np.all(batch.tokens[0, 1:] == 0) and np.all(batch.instr[2, 5:] == 0)
+    # the key mask hides each sentence's padded tokens, and is None when
+    # no token is padded
+    assert batch.mask.shape == (3, 1, 1, 8)
+    assert (batch.mask[:, 0, 0] < 0).tolist() == [[i >= n for i in range(8)] for n in (1, 8, 4)]
+    assert one([1, 2]).mask is None
     with pytest.raises(ValueError):
         make_batch([[1, 2]], [[3, 4]], [[2]])       # slot past its instruction
     with pytest.raises(ValueError):
