@@ -7,20 +7,23 @@ the innermost active ``Tape`` only when some input requires gradients; with
 no active tape they are plain numpy computations, so evaluation-time
 forwards are side-effect free and safe to run concurrently.
 
-Six taped ops: ``embedding_lookup`` (rows of a table of 2 or more axes, its
-leading axes flattened, plus the rows of an optional position table in the
-same record), ``layer_norm``, ``ffn`` (two dense layers around an exact
+Five taped ops: ``embedding_lookup`` (rows of a table of 2 or more axes,
+its leading axes flattened, plus the rows of an optional position table in
+the same record), ``layer_norm``, ``ffn`` (two dense layers around an exact
 GELU, with its optional dropout), ``attention`` (the q, k, v and output
 projections around multi-head scores, mask, softmax, dropout and value
-mix), ``pair_scores`` (the biaffine token-pair grid and its per-cell score
-layer) and ``bce_with_logits``. ``ffn`` and ``attention`` each add an
-optional ``residual`` to their output, so a pre-norm transformer branch is
-one record, and each of their dense layers takes its weight's gradient as
-one GEMM over every leading row of its input. Ops do not check their
-results: NaN/Inf propagate to the forward/backward boundary, where
-``check_finite`` screens the model's logits and ``backward`` the loss,
-naming the first recorded op whose output is non-finite. The trainer
-screens the gradients.
+mix) and ``pair_scores`` (the biaffine token-pair grid and its per-cell
+score layer). ``ffn`` and ``attention`` each add an optional ``residual``
+to their output, so a pre-norm transformer branch is one record, and each
+of their dense layers takes its weight's gradient as one GEMM over every
+leading row of its input. No loss is an op: ``backward(out, grad)`` starts
+from any op output with a same-shape seed ``grad``, the gradient of the
+caller's scalar with respect to ``out``, so a loss computed in plain numpy
+(``tie.trainer.loss``) hands over its value's gradient with respect to the
+logits. Ops do not check their results: NaN/Inf propagate to the
+forward/backward boundary, where ``check_finite`` screens the model's
+logits and ``backward`` its start, naming the first recorded op whose
+output is non-finite. The trainer screens the gradients.
 
 Row maps: a batch of B variable-length instances can hold its rows packed,
 the T real rows of a padded (B, n, ...) layout in instance order, so that
@@ -64,7 +67,6 @@ __all__ = [
     "pair_scores",
     "check_finite",
     "sigmoid",
-    "bce_with_logits",
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -195,28 +197,33 @@ class Tape:
         self._records.append((out, backward_fn))
 
 
-def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every requires-grad leaf,
-    in one reverse sweep of the loss's tape; a tape runs backward once.
+def backward(out: Tensor, grad):
+    """Accumulate the gradient of ``sum(out * grad)`` into every
+    requires-grad leaf, in one reverse sweep of ``out``'s tape; a tape runs
+    backward once. ``grad``, the seed, must have ``out``'s shape.
 
-    A loss with no tape attachment (a constant) is a no-op: untouched leaves
-    keep their zero gradients. Op outputs off the path to the loss keep
-    ``grad = None``.
+    The seed becomes ``out``'s gradient buffer, without a copy when it has
+    the strides of ``out.data``: nothing adds into that buffer after
+    seeding and the sweep only reads it, so ``grad`` is left as given. An
+    ``out`` with no tape attachment (a constant) is a no-op: untouched
+    leaves keep their zero gradients. Op outputs off the path to ``out``
+    keep ``grad = None``.
     """
-    if loss.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = loss._tape
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != out.shape:
+        raise ShapeError(f"backward needs a seed of shape {out.shape}, got {grad.shape}")
+    tape = out._tape
     if tape is None:
         return
     if tape._consumed:
         raise TapeError("backward already ran on this tape; zero grads and rebuild the graph")
-    check_finite(loss, "loss")
+    check_finite(out, "backward's output")
     tape._consumed = True
-    _accumulate(loss, np.ones_like(loss.data), owned=True)
+    _accumulate(out, grad, owned=True)
     while tape._records:
-        out, fn = tape._records.pop()
-        if out.grad is not None:
-            fn(out.grad)
+        node, fn = tape._records.pop()
+        if node.grad is not None:
+            fn(node.grad)
 
 
 def check_finite(t: Tensor, what: str):
@@ -612,28 +619,3 @@ def sigmoid(z: np.ndarray, e=None) -> np.ndarray:
     if e is None:
         e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
-def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
-    """Binary cross-entropy against {0,1} targets, in stable form.
-
-    Per cell: max(z, 0) - z*t + log(1 + exp(-|z|)); the result is the sum
-    under same-shape per-cell ``weights``.
-    """
-    t = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if logits.shape != t.shape or logits.shape != w.shape:
-        raise ShapeError(f"bce shapes disagree: logits {logits.shape}, "
-                         f"targets {t.shape}, weights {w.shape}")
-    if not np.all((t == 0.0) | (t == 1.0)):
-        raise ValueError("bce_with_logits targets must be exactly 0 or 1")
-    z = logits.data
-    e = np.exp(-np.abs(z))
-    per_cell = np.maximum(z, 0.0) - z * t + np.log1p(e)
-
-    def bw(g):
-        if logits.requires_grad:
-            _accumulate(logits, (sigmoid(z, e) - t) * (w * float(g)), owned=True)
-
-    return _make(np.asarray((per_cell * w).sum()), (logits,), bw)
-

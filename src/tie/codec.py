@@ -28,8 +28,6 @@ __all__ = [
     "Prediction",
     "encode",
     "decode",
-    "gold_entity_set",
-    "gold_link_set",
 ]
 
 
@@ -105,25 +103,6 @@ class PredLink:
 class Prediction:
     entities: list = field(default_factory=list)
     links: list = field(default_factory=list)
-
-    def entity_set(self):
-        return {(e.type, e.start, e.end) for e in self.entities}
-
-    def link_set(self):
-        return {(l.type, l.subject, l.object) for l in self.links}
-
-
-def gold_entity_set(instance: Instance):
-    return {(m.type, m.start, m.end) for m in instance.entities}
-
-
-def gold_link_set(instance: Instance):
-    out = set()
-    for link in instance.links:
-        subj_span, _ = instance.resolve(link.subject)
-        obj_span, _ = instance.resolve(link.object)
-        out.add((link.type, subj_span, obj_span))
-    return out
 
 
 def encode(instance: Instance, label_space: LabelSpace) -> GoldMatrix:

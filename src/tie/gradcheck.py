@@ -93,11 +93,12 @@ def run_gradcheck(d: int = 8, layers: int = 1, heads: int = 2, n_tokens: int = 4
              for n in sentence_lengths]
 
     def loss_value() -> float:
-        return loss(forward(params, batch), golds).item()
+        return loss(forward(params, batch), golds)[0]
 
     params.zero_grads()
     with ad.Tape():
-        ad.backward(loss(forward(params, batch), golds))
+        logits = forward(params, batch)
+        ad.backward(logits, loss(logits, golds)[1])
 
     report = GradcheckReport(passed=True, tolerance=tolerance, worst_rel_err=0.0,
                              worst_tensor="", n_elements=0)

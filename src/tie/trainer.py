@@ -81,27 +81,36 @@ class TrainConfig:
         check_fields(self)
 
 
-def loss(logits, golds):
+def loss(logits, golds) -> tuple:
     """Binary cross-entropy of a batch's (B, n_max, n_max, K) logits against
-    its instances' ``GoldMatrix`` golds (scalar tensor): the mean over each
-    instance's real cells, then over the batch; instance b's cells weigh
-    1/(B * n_b^2 * K), padding 0. The target grid is zeros with 1.0 at each
-    gold's cells, set by one scatter. Raises ShapeError unless B golds of
-    n_b <= n_max tokens and K channels fit."""
+    its instances' ``GoldMatrix`` golds, in plain numpy: ``(value, grad)``,
+    the loss and its gradient with respect to the logits, to seed
+    ``ad.backward``. The value is the mean over each instance's real cells,
+    then over the batch; instance b's cells weigh 1/(B * n_b^2 * K), padding
+    0. No target grid is made: the gold cells' logits and 1s are subtracted
+    at their indices. Raises ShapeError unless B golds of n_b <= n_max
+    tokens and K channels fit."""
     size, n_max, _, k = logits.shape
     if len(golds) != size or not all(isinstance(gold, GoldMatrix) and gold.num_channels == k
                                      and 0 < gold.n <= n_max for gold in golds):
         shapes = [gold.shape if isinstance(gold, GoldMatrix) else type(gold).__name__
                   for gold in golds]
         raise ad.ShapeError(f"gold grids {shapes} for logits {logits.shape}")
-    targets = np.zeros(logits.shape)
     cells = np.concatenate([gold.cells for gold in golds])
     rows = np.repeat(np.arange(size), [len(gold.cells) for gold in golds])
-    targets[rows, cells[:, 0], cells[:, 1], cells[:, 2]] = 1.0
+    positives = (rows, *cells.T)   # each cell once: golds hold unique cells
     weights = np.zeros((size, n_max, n_max, 1))
     for b, gold in enumerate(golds):
         weights[b, :gold.n, :gold.n] = 1.0 / (size * gold.n * gold.n * k)
-    return ad.bce_with_logits(logits, targets, np.broadcast_to(weights, logits.shape))
+    z = logits.data
+    e = np.exp(-np.abs(z))
+    per_cell = np.maximum(z, 0.0)
+    per_cell[positives] -= z[positives]
+    per_cell += np.log1p(e)
+    grad = ad.sigmoid(z, e)
+    grad[positives] -= 1.0
+    grad *= weights
+    return (per_cell * weights).sum(), grad
 
 
 @dataclass
@@ -337,17 +346,16 @@ def _train_step(state: TrainState, dataset: Dataset, token_ids, golds,
                        [ins.slot_positions(dataset.label_space) for ins in instructions])
     params.zero_grads()
     with ad.Tape():
-        # the logits are freed during the backward sweep: with the heap top
-        # kept (see tie/__init__.py) that faults no pages back in, and at the
-        # bench's cli_infer shape steps ran as fast as with the logits bound
-        # until the step returns (released faster in 14 of 30 alternating
-        # rounds, median difference 0.007 ms of ~11 ms)
-        batch_loss = loss(forward(params, batch, rng=rng_drop),
-                          [golds[i] for i in batch_indices])
-        ad.backward(batch_loss)
+        logits = forward(params, batch, rng=rng_drop)
+        value, grad = loss(logits, [golds[i] for i in batch_indices])
+        # ``grad`` becomes the logits' gradient buffer, with no copy. Both
+        # stay bound until the step returns: with the heap top kept (see
+        # tie/__init__.py) freeing the logits during the sweep made steps at
+        # the bench's cli_infer shape no faster
+        ad.backward(logits, grad)
     decisions = gated_step(state, gate=gate, granularity=cfg.gate_granularity)
     state.step += 1
-    return float(batch_loss.data), decisions
+    return float(value), decisions
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """The finite-difference oracle for gradient tests, at the tests' step, and
-the taped scalar probes and uniform loss weights they build losses from.
+a taped scalar probe for a tensor that meets itself (``inner(x, x)``); any
+other probe seeds ``autodiff.backward`` with its output's weights.
 
 The oracle (``tie.gradcheck``) is independent of the tape: it re-runs a
 closure over raw parameter arrays with per-element +/- h perturbations.
@@ -20,13 +21,9 @@ def central_diff(f, arr: np.ndarray, h: float = STEP) -> np.ndarray:
     return gradcheck.central_diff(f, arr, h)
 
 
-def inner(a: Tensor, b) -> Tensor:
-    """sum(a * b) over all entries as a scalar tensor, taped as one record
-    of its own; ``b`` is a tensor or a same-shape array of constant
-    weights."""
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-
+def inner(a: Tensor, b: Tensor) -> Tensor:
+    """sum(a * b) over all entries of two tensors as a scalar tensor, taped
+    as one record of its own."""
     def bw(g):
         if a.requires_grad:
             ad._accumulate(a, g * b.data)
@@ -35,8 +32,3 @@ def inner(a: Tensor, b) -> Tensor:
 
     return ad._make(np.asarray((a.data * b.data).sum()), (a, b), bw)
 
-
-def mean_weights(shape) -> np.ndarray:
-    """Per-cell weights of 1/size: ``bce_with_logits`` under them is the
-    mean over all cells."""
-    return np.full(shape, 1.0 / np.prod(shape))

@@ -1,4 +1,5 @@
-"""Score-grid helpers shared by the codec and trainer tests."""
+"""Score-grid helpers shared by the codec and trainer tests, and the
+structure sets the codec and acceptance tests compare."""
 
 import numpy as np
 
@@ -38,3 +39,21 @@ def annotation_grid(instance, label_space) -> tuple:
             claimed.add(cell)
             grid[cell] = 1.0
     return grid, collisions
+
+
+def entity_set(structures) -> set:
+    """``(type, start, end)`` of each entity of a ``Prediction`` or an
+    ``Instance``."""
+    return {(e.type, e.start, e.end) for e in structures.entities}
+
+
+def link_set(prediction) -> set:
+    """``(type, subject span, object span)`` of each predicted link."""
+    return {(l.type, l.subject, l.object) for l in prediction.links}
+
+
+def gold_link_set(instance) -> set:
+    """``(type, subject span, object span)`` of each gold link, its
+    endpoints resolved to spans."""
+    return {(link.type, instance.resolve(link.subject)[0], instance.resolve(link.object)[0])
+            for link in instance.links}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tie.cli import main
-from tie.codec import decode, encode, gold_entity_set, gold_link_set
+from tie.codec import decode, encode
 from tie.data import Instance, LabelSpace, Link, Mention, build_vocab
 from tie.instructions import build_pool
 from tie.metrics import arg_f1, ent_f1, rel_f1, senti_triplet_f1, trig_f1
@@ -25,7 +25,7 @@ from tie.evaluate import predict_split
 from tie.trainer import TrainConfig, TrainState, gated_step
 
 from fuzz import FUZZ_SPACES, fuzz_instance
-from grids import lift
+from grids import entity_set, gold_link_set, lift, link_set
 
 
 _live_capsys = None
@@ -79,8 +79,8 @@ def test_codec_roundtrip():
                 failures += 1
                 continue
             pred = decode(lift(gold), space, 0.5, task)
-            if (pred.entity_set() != gold_entity_set(inst)
-                    or pred.link_set() != gold_link_set(inst)):
+            if (entity_set(pred) != entity_set(inst)
+                    or link_set(pred) != gold_link_set(inst)):
                 failures += 1
 
     # constructed degenerate case: two links claim the same head-head cell

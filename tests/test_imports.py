@@ -22,7 +22,7 @@ params = model.Parameters(config, 1, np.random.default_rng(0))
 batch = model.make_batch([[4, 5, 6]], [[1, 2]], [[0]])
 with ad.Tape():
     logits = model.forward(params, batch)
-    ad.backward(ad.bce_with_logits(logits, np.zeros(logits.shape), np.ones(logits.shape)))
+    ad.backward(logits, np.ones(logits.shape))
 assert params.grad.any()
 try:
     with redirect_stdout(io.StringIO()):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tie.autodiff import ShapeError, Tape, Tensor, backward, bce_with_logits
+from tie.autodiff import ShapeError, Tape, Tensor, backward, sigmoid
 from tie.codec import GoldMatrix, encode
 from tie.data import Instance, LabelSpace, Link, Mention, build_vocab
 from tie.instructions import build_pool
@@ -18,6 +18,7 @@ from tie.trainer import (
     rng_for,
 )
 
+from fdcheck import central_diff, max_rel_err
 from fuzz import FUZZ_SPACES, fuzz_instance
 from grids import annotation_grid
 
@@ -25,16 +26,25 @@ from grids import annotation_grid
 # --- loss ---------------------------------------------------------------
 
 
+def _value(logits, golds) -> float:
+    return T.loss(logits, golds)[0]
+
+
 def test_loss_saturated_zero():
-    logits = Tensor(np.full((1, 3, 3, 2), -30.0))
-    gold = GoldMatrix.from_grid(np.zeros((3, 3, 2)))
-    assert T.loss(logits, [gold]).item() < 1e-9
+    # saturated logits on each side of no gold and of a diagonal gold
+    for t in (np.zeros((3, 3, 2)), np.eye(3)[:, :, None] * np.ones(2)):
+        value, grad = T.loss(Tensor(np.where(t == 1.0, 30.0, -30.0)[None]),
+                             [GoldMatrix.from_grid(t)])
+        assert 0.0 <= value < 1e-9
+        assert np.abs(grad).max() < 1e-13
 
 
 def test_loss_zero_logits_ln2():
     logits = Tensor(np.zeros((1, 3, 3, 2)))
-    gold = GoldMatrix.from_grid(np.random.default_rng(0).random((3, 3, 2)) < 0.5)
-    assert T.loss(logits, [gold]).item() == pytest.approx(np.log(2.0), abs=1e-12)
+    rng = np.random.default_rng(0)
+    for grid in (rng.random((3, 3, 2)) < 0.5, np.ones((3, 3, 2))):
+        assert _value(logits, [GoldMatrix.from_grid(grid)]) == pytest.approx(np.log(2.0),
+                                                                             abs=1e-12)
 
 
 def test_loss_matches_formula():
@@ -43,30 +53,64 @@ def test_loss_matches_formula():
     g = (rng.random((4, 4, 3)) < 0.3).astype(float)
     s = 1.0 / (1.0 + np.exp(-z))
     direct = -(g * np.log(s) + (1 - g) * np.log(1 - s)).mean()
-    assert T.loss(Tensor(z[None]), [GoldMatrix.from_grid(g)]).item() == pytest.approx(
+    assert _value(Tensor(z[None]), [GoldMatrix.from_grid(g)]) == pytest.approx(
         direct, abs=1e-10)
 
 
-def _dense_grid_loss(logits, grids):
-    """The loss over dense padded (B, n_max, n_max, K) target and weight
-    grids, filled instance by instance from dense (n_b, n_b, K) gold grids:
-    1/(B * n_b^2 * K) on instance b's real cells, 0 on padding."""
-    size, n_max, _, k = logits.shape
-    targets = np.zeros((size, n_max, n_max, k))
-    weights = np.zeros((size, n_max, n_max, k))
+def test_loss_weighs_each_instance_by_its_real_cells():
+    # unequal lengths: the mean over each instance's real cells, then over
+    # the batch, whatever the padding's logits
+    rng = np.random.default_rng(5)
+    lengths, k = [2, 4, 1], 3
+    z = rng.normal(scale=2.0, size=(3, 4, 4, k))
+    grids = [(rng.random((n, n, k)) < 0.4).astype(float) for n in lengths]
+    s = 1.0 / (1.0 + np.exp(-z))
+    direct = np.mean([-(g * np.log(s[b, :n, :n]) + (1 - g) * np.log(1 - s[b, :n, :n])).mean()
+                      for b, (n, g) in enumerate(zip(lengths, grids))])
+    golds = [GoldMatrix.from_grid(g) for g in grids]
+    assert _value(Tensor(z), golds) == pytest.approx(direct, abs=1e-12)
+    z[0, 2:] = z[2, 1:] = 1e3
+    assert _value(Tensor(z), golds) == pytest.approx(direct, abs=1e-12)
+
+
+def test_loss_nonnegative_property():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        z = rng.normal(scale=rng.uniform(0.1, 20.0), size=(1, 3, 3, 4))
+        gold = GoldMatrix.from_grid(rng.random((3, 3, 4)) < 0.5)
+        assert _value(Tensor(z), [gold]) >= 0.0
+
+
+@pytest.mark.parametrize("lengths, k", [([2, 4, 1], 3), ([3], 2), ([3, 2], 1)],
+                         ids=["unequal", "one", "one channel"])
+def test_loss_gradient_matches_finite_differences(lengths, k):
+    rng = np.random.default_rng(14)
+    n_max = max(lengths)
+    logits = Tensor(rng.normal(scale=2.0, size=(len(lengths), n_max, n_max, k)))
+    golds = [GoldMatrix.from_grid(rng.random((n, n, k)) < 0.4) for n in lengths]
+    _, grad = T.loss(logits, golds)
+    fd = central_diff(lambda: _value(logits, golds), logits.data)
+    assert max_rel_err(fd, grad) < 1e-4
+    # padding cells get no gradient
+    for b, n in enumerate(lengths):
+        assert not grad[b, n:].any() and not grad[b, :, n:].any()
+
+
+def _dense_grid_loss(z, grids):
+    """The loss and its gradient over dense padded (B, n_max, n_max, K)
+    target and weight grids, filled instance by instance from dense
+    (n_b, n_b, K) gold grids: 1/(B * n_b^2 * K) on instance b's real cells,
+    0 on padding."""
+    size, n_max, _, k = z.shape
+    targets = np.zeros(z.shape)
+    weights = np.zeros(z.shape)
     for b, grid in enumerate(grids):
         n = len(grid)
         targets[b, :n, :n] = grid
         weights[b, :n, :n] = 1.0 / (size * n * n * k)
-    return bce_with_logits(logits, targets, weights)
-
-
-def _value_and_grad(route, z, golds):
-    logits = Tensor(z.copy(), requires_grad=True)
-    with Tape():
-        value = route(logits, golds)
-        backward(value)
-    return value.data, logits.grad
+    e = np.exp(-np.abs(z))
+    per_cell = np.maximum(z, 0.0) - z * targets + np.log1p(e)
+    return (per_cell * weights).sum(), (sigmoid(z, e) - targets) * weights
 
 
 @pytest.mark.parametrize("size", [1, 3, 16])
@@ -76,8 +120,8 @@ def test_loss_equals_the_dense_grid_loss_bit_for_bit(size, k):
     lengths = rng.integers(1, 9, size=size)
     grids = [(rng.random((n, n, k)) < 0.3).astype(float) for n in lengths]
     z = rng.normal(scale=3.0, size=(size, lengths.max(), lengths.max(), k))
-    value, grad = _value_and_grad(T.loss, z, [GoldMatrix.from_grid(g) for g in grids])
-    dense_value, dense_grad = _value_and_grad(_dense_grid_loss, z, grids)
+    value, grad = T.loss(Tensor(z), [GoldMatrix.from_grid(g) for g in grids])
+    dense_value, dense_grad = _dense_grid_loss(z, grids)
     assert np.array_equal(value, dense_value)
     assert np.array_equal(grad, dense_grad)
 
@@ -114,9 +158,9 @@ def test_loss_target_equals_the_annotation_grid():
             n_max = max(g.n for g in golds[batch])
             shape = (len(golds[batch]), n_max, n_max, space.num_channels)
             for z in (np.zeros(shape), rng.normal(scale=3.0, size=shape)):
-                value, grad = _value_and_grad(T.loss, z, golds[batch])
-                dense_value, dense_grad = _value_and_grad(
-                    _dense_grid_loss, z, [grid for grid, _ in references[batch]])
+                value, grad = T.loss(Tensor(z), golds[batch])
+                dense_value, dense_grad = _dense_grid_loss(
+                    z, [grid for grid, _ in references[batch]])
                 assert np.array_equal(value, dense_value), name
                 assert np.array_equal(grad, dense_grad), name
 
@@ -465,7 +509,8 @@ def test_parameter_views_share_the_group_vectors():
             assert np.shares_memory(p[n].grad, p.grad[s])
     batch = make_batch([[3, 4, 5]], [[3, 6, 7]], [[1, 2]])
     with Tape():
-        backward(T.loss(forward(p, batch), [_cells(3, 2)]))
+        logits = forward(p, batch)
+        backward(logits, T.loss(logits, [_cells(3, 2)])[1])
     grads = p.grads()
     for group, names in p.groups.items():
         assert np.array_equal(grads[group], p.grad[p.slices[group]])
