@@ -13,10 +13,15 @@ the same record), ``layer_norm``, ``ffn`` (two dense layers around an exact
 GELU, with its optional dropout), ``attention`` (the q, k, v and output
 projections around multi-head scores, mask, softmax, dropout and value
 mix) and ``pair_scores`` (the biaffine token-pair grid and its per-cell
-score layer). ``ffn`` and ``attention`` each add an optional ``residual``
-to their output, so a pre-norm transformer branch is one record, and each
-of their dense layers takes its weight's gradient as one GEMM over every
-leading row of its input. No loss is an op: ``backward(out, grad)`` starts
+score layer, from heads and tails stacked on a leading axis of 2, their
+gradients one array). ``ffn`` and ``attention`` each add an optional
+``residual`` to their output, so a pre-norm transformer branch is one
+record, and each of their dense layers takes its weight's gradient as one
+GEMM over every leading row of its input. ``ffn`` also takes weights and
+biases with a leading stack axis: S branches over the same input in one
+record, each layer one batched product whose slices are the separate
+branches' products, so the stack's values and gradients are theirs bit
+for bit. No loss is an op: ``backward(out, grad)`` starts
 from any op output with a same-shape seed ``grad``, the gradient of the
 caller's scalar with respect to ``out``, so a loss computed in plain numpy
 (``tie.trainer.loss``) hands over its value's gradient with respect to the
@@ -272,30 +277,58 @@ def _grad_of(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _dense(x: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
-    """``x @ w (+ b)`` over the last axis of ``x``, as a fresh C-order array."""
-    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] \
-            or (b is not None and b.shape != w.shape[1:]):
-        raise ShapeError(f"a dense layer needs (..., in) x, (in, out) w and (out,) b, got "
-                         f"{x.shape}, {w.shape} and {None if b is None else b.shape}")
-    out = x @ w.data
+def _over(a: np.ndarray, ndim: int) -> np.ndarray:
+    """A stacked array, (S, ...) with one entry per layer of a stack, with
+    ones after its stack axis up to ``ndim`` axes, so that it broadcasts over
+    the middle axes of an operand of ``ndim`` axes."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def _dense(x: np.ndarray, w: Tensor, b: Tensor | None, stacked: bool = False) -> np.ndarray:
+    """``x @ w (+ b)`` over the last axis of ``x``, as a fresh C-order array.
+    A ``stacked`` dense layer is S layers, a (S, in, out) ``w`` and (S, out)
+    ``b``, over an ``x`` whose first axis is the stack's, or 1 to share
+    ``x`` among the layers; it gives (S, ..., out) with one GEMM per layer
+    and leading index, each with the shapes and strides of that layer's own
+    unstacked product."""
+    wd = w.data
+    if wd.ndim != 2 + stacked or x.shape[-1:] != wd.shape[-2:-1] \
+            or (b is not None and b.data.shape != wd.shape[:-2] + wd.shape[-1:]) \
+            or (stacked and (x.ndim < 3 or x.shape[0] not in (1, wd.shape[0]))):
+        raise ShapeError(f"a dense layer needs (..., in) x, (in, out) w and (out,) b, or a "
+                         f"stack of them over x's first axis, got {x.shape}, {wd.shape} and "
+                         f"{None if b is None else b.shape}")
+    out = x @ (_over(wd, x.ndim) if stacked else wd)
     if b is not None:
-        out += b.data
+        out += _over(b.data, out.ndim) if stacked else b.data
     return out
 
 
 def _dense_bw(x: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
               into: Tensor | None = None):
     """Accumulate the gradients of ``_dense(x, w, b)`` for its output's
-    gradient ``g``: the weight's as one GEMM over every leading row of
-    ``x``, the bias's, and the input's into ``into``, the tensor ``x``
-    holds the data of, if given."""
+    gradient ``g``: each layer's weight's as one GEMM over every leading row
+    of ``x``, its bias's, and the input's into ``into``, the tensor ``x``
+    holds the data of, if given. A 3-D ``w`` is a stacked layer, whose
+    layers, when they share ``x``, sum their input gradients from the last
+    layer to the first: the order in which separate layers' records run."""
+    wd = w.data
+    s = wd.ndim - 2   # 1 for a stacked layer, whose first axis no gradient sums over
     if w.requires_grad:
-        _accumulate(w, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]), owned=True)
+        rows = x.reshape(x.shape[:s] + (-1, wd.shape[-2])).swapaxes(-1, -2)
+        _accumulate(w, rows @ g.reshape(g.shape[:s] + (-1, wd.shape[-1])), owned=True)
     if b is not None and b.requires_grad:
-        _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
+        _accumulate(b, g.sum(axis=tuple(range(s, g.ndim - 1))), owned=True)
     if into is not None and into.requires_grad:
-        _accumulate(into, g @ w.data.T, owned=True)
+        g_x = _times_wt(g, wd)
+        _accumulate(into, g_x[::-1].sum(axis=0) if g_x.ndim > into.data.ndim else g_x,
+                    owned=True)
+
+
+def _times_wt(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``g @ w^T`` for a dense layer's (in, out) weight ``w``, or for a
+    stacked layer's (S, in, out) one over a (S, ..., out) ``g``."""
+    return g @ (_over(w, g.ndim) if w.ndim == 3 else w).swapaxes(-1, -2)
 
 
 def embedding_lookup(table: Tensor, ids, positions: Tensor | None = None,
@@ -422,6 +455,13 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
     """The feed-forward branch ``(GELU(x @ w1 + b1) @ w2 + b2)`` over the
     last axis of ``x``, plus ``residual`` if given, as one op.
 
+    Weights and biases with a leading axis S, (S, d, h) ``w1``, (S, h)
+    ``b1``, (S, h, d') ``w2`` and (S, d') ``b2``, stack S branches over the
+    same ``x`` into one (S, *x.shape[:-1], d') output: each dense layer is
+    one batched product, the GELU one call over the stack, and every slice's
+    values and gradients are those of its own ``ffn`` call, bit for bit. A
+    stack takes no ``rate``, ``rows`` or ``residual``.
+
     GELU is the exact ``h * Φ(h)``, with Φ from a table built at import in a
     few ms and 0.35 MB: the degree-4 Taylor coefficients of Φ about the
     centres of 1/512-wide cells, the multiples of 1/512 in [-8.5, 8.5], taken
@@ -436,7 +476,11 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
     from ``rng``; for a packed ``x`` with its ``RowMap`` the draws are made
     for the padded layout and the real rows' kept, so that they are the
     padded ``x``'s."""
-    pre = _dense(x.data, w1, b1)
+    stacked = w1.data.ndim == 3
+    if stacked and (rate or rows is not None or residual is not None):
+        raise ShapeError("a stack of ffn branches takes no dropout, row map or residual")
+    x_in = x.data[None] if stacked else x.data
+    pre = _dense(x_in, w1, b1, stacked)
     cdf = _normal_cdf(pre)
     h = pre * cdf
     if rate:
@@ -444,7 +488,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
             rows.pack(rng.random((rows.size, rows.n) + h.shape[1:]))
         keep = (draws >= rate) / (1.0 - rate)
         h *= keep
-    out = _dense(h, w2, b2)
+    out = _dense(h, w2, b2, stacked)
     if residual is not None:
         out = residual.data + out
 
@@ -452,12 +496,12 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
         if residual is not None and residual.requires_grad:
             _accumulate(residual, g)
         _dense_bw(h, w2, b2, g)
-        g_h = g @ w2.data.T
+        g_h = _times_wt(g, w2.data)
         if rate:
             g_h = g_h * keep
         pdf = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
         g_pre = g_h * (cdf + pre * pdf)
-        _dense_bw(x.data, w1, b1, g_pre, x)
+        _dense_bw(x_in, w1, b1, g_pre, x)
 
     return _make(out, [t for t in (x, w1, b1, w2, b2, residual) if t is not None], bw)
 
@@ -551,27 +595,28 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor | No
     return _make(out, parents, bw)
 
 
-def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,
-                score_w: Tensor, score_b: Tensor, rows: RowMap | None = None) -> Tensor:
-    """Token-pair logits of the biaffine grid head, as one op. For (B, n, d)
-    head and tail states, a (d, K, d) bilinear ``w3``, a (K, 2d) linear
-    ``w4`` and a (K, K) score layer ``score_w``, ``score_b``, cell (i, j) is
-    ``m = [h_i w3[:, c, :] t_j]_c + w4[:, :d] h_i + w4[:, d:] t_j`` mapped to
-    ``score_w m + score_b``: (B, n, n, K) logits. The head term is added per
-    row and the tail term per column, so no (B, n, n, 2d) pair tensor is
-    built. Packed (T, d) heads and tails come with their ``RowMap``: the op
-    lays them out padded with zero rows, and backward hands them their real
-    rows' gradient."""
-    d, k = h_head.shape[-1], w4.shape[0]
-    if (h_head.data.ndim != 3 if rows is None else not rows.fits(h_head)) \
-            or h_tail.shape != h_head.shape or w3.shape != (d, k, d) or w4.shape != (k, 2 * d) \
+def pair_scores(h: Tensor, w3: Tensor, w4: Tensor, score_w: Tensor, score_b: Tensor,
+                rows: RowMap | None = None) -> Tensor:
+    """Token-pair logits of the biaffine grid head, as one op. For (2, B,
+    n, d) stacked states ``h``, heads ``h[0]`` and tails ``h[1]``, a (d, K,
+    d) bilinear ``w3``, a (K, 2d) linear ``w4`` and a (K, K) score layer
+    ``score_w``, ``score_b``, cell (i, j) is ``m = [h_i w3[:, c, :] t_j]_c +
+    w4[:, :d] h_i + w4[:, d:] t_j`` mapped to ``score_w m + score_b``: (B, n,
+    n, K) logits. The head term is added per row and the tail term per
+    column, so no (B, n, n, 2d) pair tensor is built. Packed (2, T, d)
+    states come with their ``RowMap``: the op lays them out padded with zero
+    rows, and backward hands them their real rows' gradient. Both halves'
+    gradients are one (2, ..., d) array."""
+    d, k = h.shape[-1], w4.shape[0]
+    if h.data.ndim != (4 if rows is None else 3) or h.shape[0] != 2 \
+            or (rows is not None and h.shape[1] != len(rows.flat)) \
+            or w3.shape != (d, k, d) or w4.shape != (k, 2 * d) \
             or score_w.shape != (k, k) or score_b.shape != (k,):
-        raise ShapeError(f"pair_scores needs (B, n, d) heads and tails, or packed (T, d) ones "
-                         f"with their row map, (d, K, d) w3, (K, 2d) w4, "
-                         f"(K, K) score_w and (K,) score_b, got {h_head.shape}, {h_tail.shape}, "
-                         f"{w3.shape}, {w4.shape}, {score_w.shape} and {score_b.shape}")
-    hh = h_head.data if rows is None else rows.pad(h_head.data)
-    ht = h_tail.data if rows is None else rows.pad(h_tail.data)
+        raise ShapeError(f"pair_scores needs (2, B, n, d) stacked heads and tails, or packed "
+                         f"(2, T, d) ones with their row map, (d, K, d) w3, (K, 2d) w4, "
+                         f"(K, K) score_w and (K,) score_b, got {h.shape}, {w3.shape}, "
+                         f"{w4.shape}, {score_w.shape} and {score_b.shape}")
+    hh, ht = h.data if rows is None else map(rows.pad, h.data)
     size, n, _ = hh.shape
     w3_2d = w3.data.reshape(d, k * d)
     a = (hh @ w3_2d).reshape(size, n * k, d)                      # row (i, c): h_i w3[:, c, :]
@@ -592,12 +637,14 @@ def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,
         g_head, g_tail = g_grid.sum(axis=2), g_m.sum(axis=1)     # (B, n, K) each
         g_bil = g_grid.transpose(0, 1, 3, 2).reshape(size, n * k, n)
         g_a = g_bil @ ht
-        if h_head.requires_grad:
-            g_hh = g_head @ w4_head.T + g_a.reshape(size, n, k * d) @ w3_2d.T
-            _accumulate(h_head, g_hh if rows is None else rows.pack(g_hh), owned=True)
-        if h_tail.requires_grad:
-            g_ht = g_tail @ w4_tail.T + (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1)
-            _accumulate(h_tail, g_ht if rows is None else rows.pack(g_ht), owned=True)
+        if h.requires_grad:
+            g_h = np.empty((2, size, n, d))
+            np.add(g_head @ w4_head.T, g_a.reshape(size, n, k * d) @ w3_2d.T, out=g_h[0])
+            np.add(g_tail @ w4_tail.T, (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1),
+                   out=g_h[1])
+            if rows is not None:
+                g_h = g_h.reshape(2, size * n, d).take(rows.flat, axis=1)
+            _accumulate(h, g_h, owned=True)
         if w3.requires_grad:
             _accumulate(w3, (hh.reshape(-1, d).T @ g_a.reshape(-1, k * d)).reshape(d, k, d),
                         owned=True)
@@ -610,7 +657,7 @@ def pair_scores(h_head: Tensor, h_tail: Tensor, w3: Tensor, w4: Tensor,
         if score_b.requires_grad:
             _accumulate(score_b, g.sum(axis=(0, 1, 2)), owned=True)
 
-    return _make(out, (h_head, h_tail, w3, w4, score_w, score_b), bw)
+    return _make(out, (h, w3, w4, score_w, score_b), bw)
 
 
 def sigmoid(z: np.ndarray, e=None) -> np.ndarray:

@@ -163,10 +163,11 @@ class _OutDir:
         return p
 
     def write_jsonl(self, name: str, rows) -> Path:
+        """One ``json.dumps(row, sort_keys=True)`` line per row, from one
+        encoder, written at once."""
         p = self.path(name)
-        with p.open("w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        encode = json.JSONEncoder(sort_keys=True).encode
+        p.write_text("".join(encode(row) + "\n" for row in rows), encoding="utf-8")
         return p
 
     def finish(self):

@@ -28,6 +28,7 @@ __all__ = [
     "Prediction",
     "encode",
     "decode",
+    "decode_chunk",
 ]
 
 
@@ -122,84 +123,111 @@ def encode(instance: Instance, label_space: LabelSpace) -> GoldMatrix:
     return GoldMatrix(len(instance.tokens), label_space.num_channels, rows, collisions)
 
 
-def _decode_entities(scores, label_space, tau):
-    ents = []
+def decode_chunk(probs: np.ndarray, lengths, label_space: LabelSpace, tau: float,
+                 task_kind: str = "NER") -> list:
+    """Threshold a chunk of probability grids back into typed structures:
+    one ``Prediction`` per instance of the (B, n, n, K) ``probs``, whose
+    instance b is its first ``lengths[b]`` rows and columns. No cell
+    outside them is read, whatever its value.
+
+    probs must already be probabilities in (0, 1); raising tau never adds a
+    structure. Each step is one set of array operations over the chunk:
+    the entity cells (i <= j) past the threshold, then for RE and ABSA the
+    head-head and tail-tail cells of every (subject, object) pair of an
+    instance's entities, and for EE the cells of each trigger's start and
+    end rows. An instance's entities are ordered by (start, end, type) and
+    its links by (subject, object, type, subject type, object type).
+    """
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {tau}")
+    size, n = probs.shape[:2]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if probs.shape != (size, n, n, label_space.num_channels) or lengths.shape != (size,) \
+            or lengths.max(initial=0) > n:
+        raise ValueError(f"score grids {probs.shape} do not match lengths {lengths.tolist()} "
+                         f"x {label_space.num_channels} channels")
     n_ent = len(label_space.entity_types)
-    for i, j, k in np.argwhere(scores[:, :, :n_ent] >= tau):
-        if i <= j:
-            ents.append(PredEntity(
-                type=label_space.entity_types[k],
-                start=int(i), end=int(j),
-                score=float(scores[i, j, k]),
-            ))
-    ents.sort(key=lambda e: (e.start, e.end, e.type))
-    return ents
+    # the entity channels in the order of their type names, so that the
+    # cells come out of the search in (instance, start, end, type) order
+    by_name = np.array(sorted(range(n_ent), key=label_space.entity_types.__getitem__),
+                       dtype=np.intp)
+    types = [label_space.entity_types[k] for k in by_name]
+    cols = np.arange(n)
+    real = cols < lengths[:, None]                 # (B, n): each instance's tokens
+    upper = cols[:, None] <= cols                  # (n, n): i <= j
+    hit = probs >= tau
+    spans = hit[..., by_name] & (upper & real[:, None])[..., None]
+    owner, start, end, kind = cells = np.array(_where(spans))   # rows b, i, j, type
+    scores = probs[owner, start, end, by_name[kind]]
+    entities = list(map(PredEntity, [types[t] for t in kind.tolist()], start.tolist(),
+                        end.tolist(), scores.tolist()))
+    preds = [Prediction(part) for part in _split(entities, owner, size)]
+    if not label_space.relation_types or task_kind == "NER":
+        return preds
+
+    rel, rel_hit = probs[..., n_ent:], hit[..., n_ent:]
+    if task_kind == "EE":
+        # Arguments have no entity channel: read their spans (o_s <= o_e,
+        # inside the instance) off each trigger's start and end rows.
+        ends = rel_hit[owner, end] & real[owner][..., None]
+        found = rel_hit[owner, start][:, :, None] & ends[:, None] & upper[..., None]
+        subj, o_s, o_e, r = _where(found)                                # (E, o_s, o_e, R)
+        obj_types = [None] * len(subj)
+    else:  # RE, ABSA: both endpoints are decoded entities of the instance
+        subj, obj = _pairs(owner)
+        found = rel_hit[owner[subj], start[subj], start[obj]] \
+            & rel_hit[owner[subj], end[subj], end[obj]]                  # (pairs, R)
+        pair, r = _where(found)
+        subj = subj[pair]
+        _, o_s, o_e, o_kind = cells[:, obj[pair]]
+        obj_types = [types[t] for t in o_kind.tolist()]
+    s_owner, s_start, s_end, s_kind = cells[:, subj]
+    scores = np.minimum(rel[s_owner, s_start, o_s, r], rel[s_owner, s_end, o_e, r])
+    names = label_space.relation_types
+    links = list(map(PredLink, [names[c] for c in r.tolist()],
+                     zip(s_start.tolist(), s_end.tolist()), zip(o_s.tolist(), o_e.tolist()),
+                     scores.tolist(), [types[t] for t in s_kind.tolist()], obj_types))
+    for pred, part in zip(preds, _split(links, s_owner, size)):
+        pred.links = sorted(part, key=lambda l: (l.subject, l.object, l.type,
+                                                 l.subject_type or "", l.object_type or ""))
+    return preds
 
 
-def _pair_score(scores, subj, obj, k):
-    head = scores[subj[0], obj[0], k]
-    tail = scores[subj[1], obj[1], k]
-    return float(min(head, tail))
+def _split(items: list, owner: np.ndarray, size: int) -> list:
+    """``items``, grouped by their sorted ``owner`` in [0, size), as one
+    list per owner."""
+    bounds = np.searchsorted(owner, np.arange(size + 1)).tolist()
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _where(mask: np.ndarray) -> tuple:
+    """``np.nonzero(mask)``, the indices of its true entries in C order,
+    through a flat view: several times faster for more than one axis."""
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
+
+
+def _pairs(owner: np.ndarray) -> tuple:
+    """Every ordered pair of indices into the grouped ``owner`` whose two
+    entries have the same owner, subject-major: (subjects, objects)."""
+    first = np.searchsorted(owner, owner)
+    count = np.searchsorted(owner, owner, side="right") - first
+    subj = np.repeat(np.arange(len(owner)), count)
+    offset = np.cumsum(count) - count - first   # each pair's place less its object's index
+    return subj, np.arange(len(subj)) - np.repeat(offset, count)
 
 
 def decode(scores: np.ndarray, label_space: LabelSpace, tau: float,
            task_kind: str = "NER") -> Prediction:
-    """Threshold a probability grid back into typed structures.
+    """Threshold one instance's (n, n, K) probability grid back into typed
+    structures: ``decode_chunk`` of a chunk of one.
 
     scores must already be probabilities in (0, 1); raising tau never adds
     a structure.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {tau}")
     n = scores.shape[0]
     if scores.shape != (n, n, label_space.num_channels):
         raise ValueError(
             f"score grid {scores.shape} does not match {n} tokens "
             f"x {label_space.num_channels} channels"
         )
-
-    entities = _decode_entities(scores, label_space, tau)
-    prediction = Prediction(entities=entities)
-    n_ent = len(label_space.entity_types)
-    if not label_space.relation_types or task_kind == "NER":
-        return prediction
-
-    links = []
-    if task_kind == "EE":
-        # Arguments have no entity channel: read their spans off the cells.
-        for subj in entities:
-            for rk, rname in enumerate(label_space.relation_types):
-                k = n_ent + rk
-                starts = np.flatnonzero(scores[subj.start, :, k] >= tau)
-                ends = np.flatnonzero(scores[subj.end, :, k] >= tau)
-                for o_s in starts:
-                    for o_e in ends:
-                        if o_s <= o_e:
-                            links.append(PredLink(
-                                type=rname,
-                                subject=(subj.start, subj.end),
-                                object=(int(o_s), int(o_e)),
-                                score=_pair_score(scores, (subj.start, subj.end),
-                                                  (int(o_s), int(o_e)), k),
-                                subject_type=subj.type,
-                            ))
-    else:  # RE, ABSA: both endpoints must be decoded entities
-        for subj in entities:
-            for obj in entities:
-                for rk, rname in enumerate(label_space.relation_types):
-                    k = n_ent + rk
-                    if (scores[subj.start, obj.start, k] >= tau
-                            and scores[subj.end, obj.end, k] >= tau):
-                        links.append(PredLink(
-                            type=rname,
-                            subject=(subj.start, subj.end),
-                            object=(obj.start, obj.end),
-                            score=_pair_score(scores, (subj.start, subj.end),
-                                              (obj.start, obj.end), k),
-                            subject_type=subj.type,
-                            object_type=obj.type,
-                        ))
-    links.sort(key=lambda l: (l.subject, l.object, l.type, l.subject_type or "",
-                              l.object_type or ""))
-    prediction.links = links
-    return prediction
+    return decode_chunk(scores[None], [n], label_space, tau, task_kind)[0]

@@ -12,7 +12,7 @@ Batching can move a score in its last bits, so every inference caller
 from __future__ import annotations
 
 from . import autodiff as ad
-from .codec import decode
+from .codec import decode, decode_chunk  # noqa: F401 - decode: bench/tests probe its alias here
 from .data import DataError, Dataset, Vocabulary
 from .instructions import InstructionPool
 from .metrics import headline_f1, task_metric
@@ -26,7 +26,8 @@ INFER_CHUNK = 32   # instances per forward; bounds the (chunk, n, n, K) grids he
 def predict_instances(params: Parameters, vocab: Vocabulary, pool: InstructionPool,
                       dataset: Dataset, instances, tau: float):
     """Decoded predictions for ``instances`` of ``dataset``, in input order;
-    forwards run on length-sorted chunks of INFER_CHUNK instances."""
+    forwards run on length-sorted chunks of INFER_CHUNK instances, and each
+    chunk's grids are decoded together (``decode_chunk``)."""
     instruction = pool.first(dataset.id)
     slots = instruction.slot_positions(dataset.label_space)
     ids = [vocab.encode(inst.tokens) for inst in instances]
@@ -37,9 +38,9 @@ def predict_instances(params: Parameters, vocab: Vocabulary, pool: InstructionPo
         batch = make_batch([ids[i] for i in chunk], [instruction.token_ids] * len(chunk),
                            [slots] * len(chunk))
         probs = ad.sigmoid(forward(params, batch).data)
-        for b, i in enumerate(chunk):
-            n = len(ids[i])
-            preds[i] = decode(probs[b, :n, :n], dataset.label_space, tau, dataset.task_kind)
+        decoded = decode_chunk(probs, batch.n, dataset.label_space, tau, dataset.task_kind)
+        for i, pred in zip(chunk, decoded):
+            preds[i] = pred
     return preds
 
 

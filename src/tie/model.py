@@ -171,6 +171,13 @@ def group_sizes(groups: dict) -> dict:
     return {g: sum(math.prod(shape) for _, shape, _ in specs) for g, specs in groups.items()}
 
 
+def _leaf(data: np.ndarray, grad: np.ndarray) -> Tensor:
+    """A parameter tensor over views of the data and gradient vectors."""
+    tensor = Tensor(data)
+    tensor.requires_grad, tensor.grad = True, grad
+    return tensor
+
+
 class Parameters:
     """Named parameter tensors, laid out in one data vector and one
     gradient vector.
@@ -186,6 +193,10 @@ class Parameters:
     tensor's ``data`` and ``grad`` are views with the tensor's shape, so a
     backward pass accumulates straight into ``grad`` and one in-place
     update of ``vector[slices[group]]`` moves all of the group's tensors.
+    ``mlps[kind]`` (``w1``, ``b1``, ``w2``, ``b2``) stacks the head and tail
+    MLPs' tensors of one kind as a (2, ...) view of the same vectors, so
+    that one ``ad.ffn`` runs both; it is not in ``tensors``, which hold
+    every parameter once.
 
     ``Parameters(config, num_channels, rng)`` draws a fresh initialisation,
     tensor by tensor in layout order; ``Parameters.over`` lays the tensors
@@ -230,11 +241,22 @@ class Parameters:
             data = vector[lo:lo + size].reshape(shape)
             if drawn and lo >= len(kept):
                 data[...] = rng.uniform(-bound, bound, size=shape) if fill is None else fill
-            tensor = self.tensors[name] = Tensor(data)
-            tensor.requires_grad, tensor.grad = True, self.grad[lo:lo + size].reshape(shape)
+            self.tensors[name] = _leaf(data, self.grad[lo:lo + size].reshape(shape))
             lo += size
         self.groups = {group: [name for name, _, _ in specs]
                        for group, specs in self.layout.items()}
+        # the head and tail MLPs are adjacent groups of the same specs: each
+        # tensor kind of the two is one (2, ...) view, its leading stride a
+        # group's size
+        both = slice(self.slices["head_mlp"].start, self.slices["tail_mlp"].stop)
+        data, grad = vector[both].reshape(2, -1), self.grad[both].reshape(2, -1)
+        self.mlps: dict[str, Tensor] = {}
+        lo = 0
+        for name, shape, _ in self.layout["head_mlp"]:
+            cols, stacked = slice(lo, lo + math.prod(shape)), (2, *shape)
+            self.mlps[name.split(".")[1]] = _leaf(data[:, cols].reshape(stacked),
+                                                  grad[:, cols].reshape(stacked))
+            lo = cols.stop
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -439,14 +461,13 @@ def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor,
 
 def biaffine_score(h_x: Tensor, params: Parameters, rows: ad.RowMap | None = None) -> Tensor:
     """(B, n, n, K) token-pair logits of (B, n, d) token states, or of
-    packed ones with their ``rows``: head and tail FFN states, a bilinear
-    head/tail interaction plus a linear term ``W4 [h_head_i; h_tail_j]``,
-    then a per-cell K -> K linear map, the last three one ``ad.pair_scores``
-    op."""
-    h_head = _ffn(params, "head_mlp", h_x)
-    h_tail = _ffn(params, "tail_mlp", h_x)
-    return ad.pair_scores(h_head, h_tail, params["biaffine.w3"], params["biaffine.w4"],
-                          params["score.w"], params["score.b"], rows)
+    packed ones with their ``rows``: the head and tail FFN states, one
+    stacked ``ad.ffn`` over ``params.mlps``, then a bilinear head/tail
+    interaction plus a linear term ``W4 [h_head_i; h_tail_j]`` and a
+    per-cell K -> K linear map, one ``ad.pair_scores`` op."""
+    h = ad.ffn(h_x, *(params.mlps[w] for w in ("w1", "b1", "w2", "b2")))
+    return ad.pair_scores(h, params["biaffine.w3"], params["biaffine.w4"], params["score.w"],
+                          params["score.b"], rows)
 
 
 def forward(params: Parameters, batch: Batch, rng=None) -> Tensor:

@@ -204,22 +204,24 @@ def test_pair_scores_matches_unfused_chain_bit_for_bit():
         arrays = [rng.normal(size=s) for s in ((size, n, d), (size, n, d), (d, k, d), (k, 2 * d),
                                                (k, k), (k,))]
         g = rng.normal(size=(size, n, n, k))
-        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        tensors = [Tensor(a, requires_grad=True) for a in [np.stack(arrays[:2]), *arrays[2:]]]
         with Tape():
             out = ad.pair_scores(*tensors)
             ad.backward(out, g)
         expected = _unfused_pair_scores(*arrays, g)
-        for got, want in zip([out.data] + [t.grad for t in tensors], expected):
+        got = [out.data, *tensors[0].grad, *(t.grad for t in tensors[1:])]
+        for got, want in zip(got, expected, strict=True):
             assert np.array_equal(got, want)
 
 
 def test_pair_scores_shape_error_names_every_shape():
-    shapes = [(2, 3, 4), (2, 3, 4), (4, 2, 4), (2, 8), (2, 2), (3,)]
+    shapes = [(2, 2, 3, 4), (4, 2, 4), (2, 8), (2, 2), (3,)]
     with pytest.raises(ad.ShapeError) as err:
         ad.pair_scores(*(Tensor(np.zeros(s)) for s in shapes))
     assert all(str(s) in str(err.value) for s in shapes)
-    with pytest.raises(ad.ShapeError):
-        ad.pair_scores(*(Tensor(np.zeros(s)) for s in [(3, 4)] * 2 + shapes[2:]))
+    for h in ((2, 3, 4), (3, 2, 3, 4), (1, 2, 3, 4)):   # unstacked, or a stack of 3 or 1
+        with pytest.raises(ad.ShapeError):
+            ad.pair_scores(*(Tensor(np.zeros(s)) for s in [h, (4, 1, 4), (1, 8), (1, 1), (1,)]))
 
 
 def test_backward_square():
@@ -605,6 +607,9 @@ def _op_cases(rng):
                   lambda t: ad.ffn(*t[:5], residual=t[5])))
     cases.append(("ffn_dropout", [x, *layers],
                   lambda t: ad.ffn(*t, 0.3, np.random.default_rng(3))))
+    # a stack of two branches over the same rows, as the head and tail MLPs
+    stack = [rng.normal(size=s) for s in ((2, n, k), (2, k), (2, k, n), (2, n))]
+    cases.append(("ffn_stacked", [x, *stack], lambda t: ad.ffn(*t)))
     eye, zeros = Tensor(np.eye(n)), Tensor(np.zeros(n))
     for case, sign in (("ffn_upper_tail", 1.0), ("ffn_lower_tail", -1.0)):
         cases.append((case, [sign * rng.uniform(2.0, 9.0, size=(m, n))],
@@ -652,9 +657,9 @@ def _op_cases(rng):
     # one channel over one token
     for case, tokens, chans in (("pair_scores", m, k), ("pair_scores_one_token_one_channel", 1, 1)):
         d = 3
-        cases.append((case, [rng.normal(size=s) for s in ((2, tokens, d), (2, tokens, d),
-                                                          (d, chans, d), (chans, 2 * d),
-                                                          (chans, chans), (chans,))],
+        cases.append((case, [rng.normal(size=s) for s in ((2, 2, tokens, d), (d, chans, d),
+                                                          (chans, 2 * d), (chans, chans),
+                                                          (chans,))],
                       lambda t: ad.pair_scores(*t)))
 
     return cases
@@ -731,7 +736,7 @@ def _packed_cases(rng, lengths):
                                          kv_rows=rows, residual=t[2])))
     k = 2
     cases.append(("pair_scores_packed", [rng.normal(size=s) for s in (
-        (total, d), (total, d), (d, k, d), (k, 2 * d), (k, k), (k,))],
+        (2, total, d), (d, k, d), (k, 2 * d), (k, k), (k,))],
                   lambda t: ad.pair_scores(*t, rows=rows)))
     ids = rng.integers(0, 5, size=total)
     cases.append(("embedding_lookup_position_ids", [rng.normal(size=(5, d)),
@@ -774,29 +779,33 @@ def test_packed_operands_match_the_padded_op_bit_for_bit(lengths):
         [rng.normal(size=(8,)) for _ in range(4)]
     layers = [rng.normal(size=s) for s in ((8, 16), (16,), (16, 8), (8,))]
     g, g_grid = rng.normal(size=(total, 8)), rng.normal(size=(size, n, n, 2))
+    # pair_scores' operand stacks heads and tails: each half is laid out
+    stacked = (lambda a: np.stack([rows.pad(x) for x in a]),
+               lambda a: np.stack([rows.pack(x) for x in a]))
     # (op, its packed operands, its other operands, the output's gradient,
-    # whether the output is packed)
+    # whether the output is packed, how a packed operand is padded and packed)
     ops = [
         (lambda t, r: ad.attention(t[0], t[1], *t[3:7], biases=tuple(t[7:]), heads=2,
                                    mask=mask, scale=0.5, rate=0.25, rng=np.random.default_rng(4),
                                    q_rows=r, kv_rows=r, residual=t[2]),
-         packed, projections, g, True),
+         packed, projections, g, True, (rows.pad, rows.pack)),
         (lambda t, r: ad.ffn(t[0], *t[2:], 0.25, np.random.default_rng(4), r, t[1]),
-         packed[:2], layers, g, True),
-        (lambda t, r: ad.pair_scores(*t, rows=r), packed[:2], weights, g_grid, False),
+         packed[:2], layers, g, True, (rows.pad, rows.pack)),
+        (lambda t, r: ad.pair_scores(*t, rows=r), [np.stack(packed[:2])], weights, g_grid, False,
+         stacked),
     ]
-    for build, rows_in, others, grad, packed_out in ops:
+    for build, rows_in, others, grad, packed_out, (pad, pack) in ops:
         results = []
-        for r, lay_out in ((rows, lambda a: a), (None, rows.pad)):
+        for r, lay_out in ((rows, lambda a: a), (None, pad)):
             tensors = [Tensor(a, requires_grad=True) for a in [*map(lay_out, rows_in), *others]]
             with Tape():
                 out = build(tensors, r)
                 ad.backward(out, lay_out(grad) if packed_out else grad)
             results.append((out.data, [t.grad for t in tensors]))
         (out, grads), (padded_out, padded_grads) = results
-        assert np.array_equal(out, rows.pack(padded_out) if packed_out else padded_out)
+        assert np.array_equal(out, pack(padded_out) if packed_out else padded_out)
         for i, (got, want) in enumerate(zip(grads, padded_grads)):
-            assert np.array_equal(got, rows.pack(want) if i < len(rows_in) else want)
+            assert np.array_equal(got, pack(want) if i < len(rows_in) else want)
 
 
 def test_packed_operand_shape_errors():
@@ -808,7 +817,46 @@ def test_packed_operand_shape_errors():
         ad.attention(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 2, 4))),
                      Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), kv_rows=rows)
     with pytest.raises(ad.ShapeError, match="row map"):
-        ad.pair_scores(*(Tensor(np.zeros(s)) for s in ((2, 3), (2, 3), (3, 1, 3), (1, 6),
-                                                        (1, 1), (1,))), rows=rows)
+        ad.pair_scores(*(Tensor(np.zeros(s)) for s in ((2, 2, 3), (3, 1, 3), (1, 6), (1, 1),
+                                                        (1,))), rows=rows)
     with pytest.raises(ad.ShapeError, match="packed ids"):
         ad.embedding_lookup(Tensor(np.zeros((3, 2))), [0, 1], Tensor(np.zeros((2, 2))), rows)
+
+
+@pytest.mark.parametrize("x_shape", [(6, 4), (7, 4), (3, 4), (2, 3, 4)],
+                         ids=["packed_equal", "packed_unequal", "packed_one", "padded"])
+def test_stacked_ffn_equals_separate_ffn_calls_bit_for_bit(x_shape):
+    # the head and tail MLPs as one stacked record and as two records: the
+    # same outputs, weight and bias gradients, and input gradient (tail's
+    # contribution first, then head's, as the two records run); the packed
+    # shapes are PACKED_LENGTHS' row counts
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=x_shape)
+    stack = [rng.normal(size=s) for s in ((2, 4, 6), (2, 6), (2, 6, 4), (2, 4))]
+    g = rng.normal(size=(2, *x_shape))
+    x_stacked = Tensor(x, requires_grad=True)
+    weights = [Tensor(w, requires_grad=True) for w in stack]
+    with Tape():
+        out = ad.ffn(x_stacked, *weights)
+        ad.backward(out, g)
+    x_alone = Tensor(x, requires_grad=True)
+    for s in (1, 0):
+        alone = [Tensor(w[s], requires_grad=True) for w in stack]
+        with Tape():
+            branch = ad.ffn(x_alone, *alone)
+            ad.backward(branch, g[s])
+        assert np.array_equal(out.data[s], branch.data)
+        for stacked, one in zip(weights, alone):
+            assert np.array_equal(stacked.grad[s], one.grad)
+    assert np.array_equal(x_stacked.grad, x_alone.grad)
+
+
+def test_stacked_ffn_takes_no_dropout_row_map_or_residual():
+    x = Tensor(np.zeros((3, 4)))
+    stack = [Tensor(np.zeros(s)) for s in ((2, 4, 6), (2, 6), (2, 6, 4), (2, 4))]
+    for extra in ({"rate": 0.1, "rng": np.random.default_rng(0)}, {"rows": ad.RowMap([3])},
+                  {"residual": x}):
+        with pytest.raises(ad.ShapeError, match="stack"):
+            ad.ffn(x, *stack, **extra)
+    with pytest.raises(ad.ShapeError):   # a stack of biases of another width
+        ad.ffn(x, *stack[:3], Tensor(np.zeros((2, 5))))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from tie import codec
-from tie.codec import GoldMatrix, decode, encode
+from tie.codec import GoldMatrix, decode, decode_chunk, encode
 from tie.data import Instance, LabelSpace, Link, Mention
 
 from fuzz import FUZZ_SPACES, fuzz_instance
-from grids import dense, entity_set, gold_link_set, lift, link_set
+from grids import dense, entity_set, gold_link_set, lift, link_set, reference_decode
 
 CONLL_LIKE = LabelSpace(["PER", "ORG", "LOC", "MISC"], [])
 
@@ -238,3 +238,37 @@ def test_decode_keeps_nested_entities():
     )
     pred = decode(lift(encode(inst, space)), space, 0.5, "NER")
     assert entity_set(pred) == entity_set(inst)
+
+
+@pytest.mark.parametrize("task", ["NER", "RE", "EE", "ABSA"])
+@pytest.mark.parametrize("tau", [0.3, 0.5, 0.7])
+def test_decode_chunk_equals_the_instance_by_instance_reference(task, tau):
+    # chunks of 1-6 instances of unequal lengths, with every padded cell
+    # above tau: the same structures, in the same order, with the same float
+    # scores as each instance's grid decoded on its own; skewed draws keep
+    # some grids sparse and others dense in hits
+    rng = np.random.default_rng(40 + int(10 * tau) + len(task))
+    space = FUZZ_SPACES[task]
+    for _ in range(12):
+        lengths = rng.integers(1, 8, size=int(rng.integers(1, 7)))
+        n = int(lengths.max())
+        probs = np.full((len(lengths), n, n, space.num_channels), 0.99)
+        for b, m in enumerate(lengths):
+            probs[b, :m, :m] = rng.random((m, m, space.num_channels)) ** rng.choice([1.0, 3.0])
+        got = decode_chunk(probs, lengths, space, tau, task)
+        assert len(got) == len(lengths)
+        for pred, grid, m in zip(got, probs, lengths):
+            want = reference_decode(grid[:m, :m], space, tau, task)
+            assert pred.entities == want.entities and pred.links == want.links
+            assert decode(grid[:m, :m], space, tau, task) == pred
+
+
+def test_decode_chunk_rejects_lengths_that_do_not_fit():
+    space = FUZZ_SPACES["NER"]
+    probs = np.full((2, 3, 3, space.num_channels), 0.5)
+    with pytest.raises(ValueError, match="do not match"):
+        decode_chunk(probs, [3, 4], space, 0.5)
+    with pytest.raises(ValueError, match="do not match"):
+        decode_chunk(probs, [3], space, 0.5)
+    with pytest.raises(ValueError, match="threshold"):
+        decode_chunk(probs, [3, 2], space, 1.0)

@@ -379,6 +379,27 @@ def test_slices_tile_the_vector_and_hold_their_groups_tensors():
         assert np.array_equal(p.vector[p.slices[group]], before[group]), group
 
 
+def test_stacked_mlps_are_views_of_the_head_and_tail_groups_outside_tensors():
+    # each kind's (2, ...) view is the head's tensor then the tail's, over
+    # the same data and gradient memory, after ``over`` and after
+    # ``reinit_channels`` too; ``tensors`` holds every parameter once
+    drawn = toy_params(k=3, seed=16)
+    over = Parameters.over(drawn.config, 3, drawn.vector.copy())
+    retargeted = toy_params(k=3, seed=16)
+    retargeted.reinit_channels(5, np.random.default_rng(17))
+    for p in (drawn, over, retargeted):
+        assert list(p.mlps) == ["w1", "b1", "w2", "b2"]
+        assert sum(t.size for t in p.tensors.values()) == p.vector.size
+        assert not any(t is stacked for t in p.tensors.values() for stacked in p.mlps.values())
+        for kind, stacked in p.mlps.items():
+            assert stacked.requires_grad
+            for s, group in enumerate(("head_mlp", "tail_mlp")):
+                one = p[f"{group}.{kind}"]
+                for view, memory in ((stacked.data[s], one.data), (stacked.grad[s], one.grad)):
+                    memory[...] = s + 7.0
+                    assert np.shares_memory(view, memory) and np.array_equal(view, memory)
+
+
 def test_reinit_channels_touches_only_channel_groups():
     p = toy_params(k=3, seed=12)
     before = {n: t.data.copy() for n, t in p.tensors.items()}
@@ -434,8 +455,9 @@ def test_training_step_tape_records_at_bench_shape():
     # or FFN branch, with its projections and residual, is one record. Under
     # dropout the decoder's first layer runs per instance (one more record:
     # the slot rows' ``ln1``), and each FFN's dropout is part of its record.
-    # The loss is plain numpy: it records nothing
-    for dropout, records in ((0.0, 19), (0.1, 20)):
+    # The head and tail MLPs are one stacked ``ffn`` record. The loss is
+    # plain numpy: it records nothing
+    for dropout, records in ((0.0, 18), (0.1, 19)):
         cfg = ModelConfig(d=32, heads=4, max_len=32, max_instr_len=32, vocab_size=40,
                           dropout=dropout)
         p = Parameters(cfg, 3, np.random.default_rng(0))
