@@ -25,10 +25,10 @@ for bit. No loss is an op: ``backward(out, grad)`` starts
 from any op output with a same-shape seed ``grad``, the gradient of the
 caller's scalar with respect to ``out``, so a loss computed in plain numpy
 (``tie.trainer.loss``) hands over its value's gradient with respect to the
-logits. Ops do not check their results: NaN/Inf propagate to the
-forward/backward boundary, where ``check_finite`` screens the model's
-logits and ``backward`` its start, naming the first recorded op whose
-output is non-finite. The trainer screens the gradients.
+logits. Neither ops nor ``backward`` check their results: NaN/Inf
+propagate to where callers screen them, ``tie.model.forward`` its logits
+with ``check_finite``, which names the first recorded op whose output is
+non-finite, and ``tie.trainer.gated_step`` the gradients.
 
 Row maps: a batch of B variable-length instances can hold its rows packed,
 the T real rows of a padded (B, n, ...) layout in instance order, so that
@@ -36,9 +36,10 @@ row-wise work (``layer_norm``, the dense layers and the GELU) runs on real
 rows only. A ``RowMap``, built once from the lengths, records each packed
 row's flat position ``b * n + i`` in the padded layout. ``attention``
 (``q_rows`` for packed queries, ``kv_rows`` for packed keys and values)
-and ``pair_scores`` (``rows``) scatter packed rows into zero-filled padded
-buffers inside their own record, run their padded arithmetic and gather
-the real rows back, and their backward does the reverse;
+scatters packed rows into zero-filled padded buffers inside its own
+record, runs its padded arithmetic and gathers the real rows back, and its
+backward does the reverse; ``pair_scores`` takes packed rows only (its
+``rows`` is required) and returns the padded (B, n, n, K) grid;
 ``embedding_lookup`` (``rows``) gives each packed id the position row of
 its place in its instance; ``ffn`` (``rows``) draws its dropout masks for
 the padded layout and keeps the real rows'.
@@ -212,7 +213,8 @@ def backward(out: Tensor, grad):
     seeding and the sweep only reads it, so ``grad`` is left as given. An
     ``out`` with no tape attachment (a constant) is a no-op: untouched
     leaves keep their zero gradients. Op outputs off the path to ``out``
-    keep ``grad = None``.
+    keep ``grad = None``. Nothing is screened for NaN/Inf here:
+    ``tie.model.forward`` screens the logits, ``tie.trainer.gated_step`` the gradients.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != out.shape:
@@ -222,7 +224,6 @@ def backward(out: Tensor, grad):
         return
     if tape._consumed:
         raise TapeError("backward already ran on this tape; zero grads and rebuild the graph")
-    check_finite(out, "backward's output")
     tape._consumed = True
     _accumulate(out, grad, owned=True)
     while tape._records:
@@ -596,27 +597,25 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor | No
 
 
 def pair_scores(h: Tensor, w3: Tensor, w4: Tensor, score_w: Tensor, score_b: Tensor,
-                rows: RowMap | None = None) -> Tensor:
-    """Token-pair logits of the biaffine grid head, as one op. For (2, B,
-    n, d) stacked states ``h``, heads ``h[0]`` and tails ``h[1]``, a (d, K,
-    d) bilinear ``w3``, a (K, 2d) linear ``w4`` and a (K, K) score layer
-    ``score_w``, ``score_b``, cell (i, j) is ``m = [h_i w3[:, c, :] t_j]_c +
-    w4[:, :d] h_i + w4[:, d:] t_j`` mapped to ``score_w m + score_b``: (B, n,
-    n, K) logits. The head term is added per row and the tail term per
-    column, so no (B, n, n, 2d) pair tensor is built. Packed (2, T, d)
-    states come with their ``RowMap``: the op lays them out padded with zero
-    rows, and backward hands them their real rows' gradient. Both halves'
-    gradients are one (2, ..., d) array."""
+                rows: RowMap) -> Tensor:
+    """Token-pair logits of the biaffine grid head, as one op, from packed
+    (2, T, d) states ``h`` with their ``RowMap``: heads ``h[0]``, tails
+    ``h[1]``. With a (d, K, d) bilinear ``w3``, a (K, 2d) linear ``w4`` and
+    a (K, K) score layer ``score_w``, ``score_b``, cell (i, j) is ``m = [h_i
+    w3[:, c, :] t_j]_c + w4[:, :d] h_i + w4[:, d:] t_j`` mapped to ``score_w
+    m + score_b``: (B, n, n, K) logits. The op lays the states out padded
+    with zero rows, adds the head term per row and the tail term per column
+    (no (B, n, n, 2d) pair tensor is built), and hands back both halves'
+    real rows' gradient as one (2, T, d) array."""
     d, k = h.shape[-1], w4.shape[0]
-    if h.data.ndim != (4 if rows is None else 3) or h.shape[0] != 2 \
-            or (rows is not None and h.shape[1] != len(rows.flat)) \
+    if h.data.ndim != 3 or h.shape[:2] != (2, len(rows.flat)) \
             or w3.shape != (d, k, d) or w4.shape != (k, 2 * d) \
             or score_w.shape != (k, k) or score_b.shape != (k,):
-        raise ShapeError(f"pair_scores needs (2, B, n, d) stacked heads and tails, or packed "
-                         f"(2, T, d) ones with their row map, (d, K, d) w3, (K, 2d) w4, "
-                         f"(K, K) score_w and (K,) score_b, got {h.shape}, {w3.shape}, "
-                         f"{w4.shape}, {score_w.shape} and {score_b.shape}")
-    hh, ht = h.data if rows is None else map(rows.pad, h.data)
+        raise ShapeError(f"pair_scores needs packed (2, T, d) stacked heads and tails with "
+                         f"their row map, (d, K, d) w3, (K, 2d) w4, (K, K) score_w and (K,) "
+                         f"score_b, got {h.shape}, {w3.shape}, {w4.shape}, {score_w.shape} "
+                         f"and {score_b.shape}")
+    hh, ht = map(rows.pad, h.data)
     size, n, _ = hh.shape
     w3_2d = w3.data.reshape(d, k * d)
     a = (hh @ w3_2d).reshape(size, n * k, d)                      # row (i, c): h_i w3[:, c, :]
@@ -642,9 +641,7 @@ def pair_scores(h: Tensor, w3: Tensor, w4: Tensor, score_w: Tensor, score_b: Ten
             np.add(g_head @ w4_head.T, g_a.reshape(size, n, k * d) @ w3_2d.T, out=g_h[0])
             np.add(g_tail @ w4_tail.T, (np.swapaxes(a, -1, -2) @ g_bil).transpose(0, 2, 1),
                    out=g_h[1])
-            if rows is not None:
-                g_h = g_h.reshape(2, size * n, d).take(rows.flat, axis=1)
-            _accumulate(h, g_h, owned=True)
+            _accumulate(h, g_h.reshape(2, size * n, d).take(rows.flat, axis=1), owned=True)
         if w3.requires_grad:
             _accumulate(w3, (hh.reshape(-1, d).T @ g_a.reshape(-1, k * d)).reshape(d, k, d),
                         owned=True)

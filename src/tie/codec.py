@@ -219,15 +219,10 @@ def _pairs(owner: np.ndarray) -> tuple:
 def decode(scores: np.ndarray, label_space: LabelSpace, tau: float,
            task_kind: str = "NER") -> Prediction:
     """Threshold one instance's (n, n, K) probability grid back into typed
-    structures: ``decode_chunk`` of a chunk of one.
+    structures: ``decode_chunk`` of a chunk of one, which raises ValueError
+    for a grid of another shape.
 
     scores must already be probabilities in (0, 1); raising tau never adds
     a structure.
     """
-    n = scores.shape[0]
-    if scores.shape != (n, n, label_space.num_channels):
-        raise ValueError(
-            f"score grid {scores.shape} does not match {n} tokens "
-            f"x {label_space.num_channels} channels"
-        )
-    return decode_chunk(scores[None], [n], label_space, tau, task_kind)[0]
+    return decode_chunk(scores[None], [len(scores)], label_space, tau, task_kind)[0]

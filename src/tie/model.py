@@ -451,20 +451,19 @@ def gather_slots(h: Tensor, positions, which=None) -> Tensor:
 
 
 def label_attention(h_enc: Tensor, h_slot: Tensor, w1: Tensor, w2: Tensor,
-                    rows: ad.RowMap | None = None) -> Tensor:
-    """Each token's state plus a convex mixture of its instance's slot
-    states projected by ``w2``, weighted by their scores against the token's
-    state projected by ``w1``; packed token states come with their
-    ``rows``."""
+                    rows: ad.RowMap) -> Tensor:
+    """Each packed token state (``rows`` places it) plus a convex mixture
+    of its instance's slot states projected by ``w2``, weighted by their
+    scores against the token's state projected by ``w1``."""
     return ad.attention(h_enc, h_slot, w1, w2, q_rows=rows, residual=h_enc)
 
 
-def biaffine_score(h_x: Tensor, params: Parameters, rows: ad.RowMap | None = None) -> Tensor:
-    """(B, n, n, K) token-pair logits of (B, n, d) token states, or of
-    packed ones with their ``rows``: the head and tail FFN states, one
-    stacked ``ad.ffn`` over ``params.mlps``, then a bilinear head/tail
-    interaction plus a linear term ``W4 [h_head_i; h_tail_j]`` and a
-    per-cell K -> K linear map, one ``ad.pair_scores`` op."""
+def biaffine_score(h_x: Tensor, params: Parameters, rows: ad.RowMap) -> Tensor:
+    """(B, n, n, K) token-pair logits of packed (T, d) token states placed
+    by ``rows``: the head and tail FFN states, one stacked ``ad.ffn`` over
+    ``params.mlps``, then a bilinear head/tail interaction plus a linear
+    term ``W4 [h_head_i; h_tail_j]`` and a per-cell K -> K linear map, one
+    ``ad.pair_scores`` op."""
     h = ad.ffn(h_x, *(params.mlps[w] for w in ("w1", "b1", "w2", "b2")))
     return ad.pair_scores(h, params["biaffine.w3"], params["biaffine.w4"], params["score.w"],
                           params["score.b"], rows)

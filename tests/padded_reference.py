@@ -3,31 +3,21 @@ reference: every sentence-side op runs on all B * n_max rows of the batch,
 padding included, and the padded rows compute values that nothing real
 reads. ``tie.model.forward`` must equal it on every real cell.
 
-The decoder, label attention and grid head are the model's own, run
-without row maps: that is their padded arithmetic.
+It is the model's own forward over a row map that covers every padded row,
+so each op runs its padded arithmetic: the same ops, none of them skipping
+a padded row.
 """
 
 import dataclasses
+
+import numpy as np
 
 from tie import autodiff as ad
 from tie import model as M
 
 
-def encode_sentence(params, batch, rng=None):
-    """(B, n_max, d) states of the padded ids, padding included."""
-    x = ad.embedding_lookup(params["embed.tok"], batch.tokens, params["embed.pos_x"])
-    for i in range(params.config.layers_enc):
-        p = f"enc.{i}"
-        normed = M._ln(params, f"{p}.ln1", x)
-        x = M._attention(params, f"{p}.attn", normed, normed, x, mask=batch.mask, rng=rng)
-        x = M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln2", x), x, rng=rng)
-    return M._ln(params, "enc.norm", x)
-
-
 def forward(params, batch, rng=None):
     """(B, n_max, n_max, K) logits, every sentence row computed padded."""
-    padded = dataclasses.replace(batch, rows=None)
-    h_enc = encode_sentence(params, padded, rng)
-    h_slot = M.decode_instruction(params, h_enc, padded, rng=rng)
-    h_x = M.label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"])
-    return M.biaffine_score(h_x, params)
+    size, n_max = batch.tokens.shape
+    full = ad.RowMap(np.full(size, n_max))
+    return M.forward(params, dataclasses.replace(batch, rows=full), rng=rng)

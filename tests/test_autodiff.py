@@ -197,31 +197,37 @@ def _unfused_pair_scores(hh, ht, w3, w4, score_w, score_b, g):
 
 
 def test_pair_scores_matches_unfused_chain_bit_for_bit():
-    # n past 8 tokens makes numpy's pairwise sums depend on the layout summed
+    # n past 8 tokens makes numpy's pairwise sums depend on the layout summed;
+    # the states are packed through a row map that covers every row
     rng = np.random.default_rng(10)
     for size, n, d, k in ((2, 1, 4, 1), (2, 3, 4, 2), (16, 10, 32, 3), (3, 17, 8, 8),
                           (1, 12, 4, 1)):
         arrays = [rng.normal(size=s) for s in ((size, n, d), (size, n, d), (d, k, d), (k, 2 * d),
                                                (k, k), (k,))]
         g = rng.normal(size=(size, n, n, k))
-        tensors = [Tensor(a, requires_grad=True) for a in [np.stack(arrays[:2]), *arrays[2:]]]
+        h = np.stack(arrays[:2]).reshape(2, size * n, d)
+        tensors = [Tensor(a, requires_grad=True) for a in [h, *arrays[2:]]]
         with Tape():
-            out = ad.pair_scores(*tensors)
+            out = ad.pair_scores(*tensors, ad.RowMap(np.full(size, n)))
             ad.backward(out, g)
         expected = _unfused_pair_scores(*arrays, g)
-        got = [out.data, *tensors[0].grad, *(t.grad for t in tensors[1:])]
+        got = [out.data, *tensors[0].grad.reshape(2, size, n, d), *(t.grad for t in tensors[1:])]
         for got, want in zip(got, expected, strict=True):
             assert np.array_equal(got, want)
 
 
 def test_pair_scores_shape_error_names_every_shape():
-    shapes = [(2, 2, 3, 4), (4, 2, 4), (2, 8), (2, 2), (3,)]
+    rows = ad.RowMap([2, 3])
+    shapes = [(2, 5, 3), (4, 2, 4), (2, 8), (2, 2), (3,)]
     with pytest.raises(ad.ShapeError) as err:
-        ad.pair_scores(*(Tensor(np.zeros(s)) for s in shapes))
+        ad.pair_scores(*(Tensor(np.zeros(s)) for s in shapes), rows)
     assert all(str(s) in str(err.value) for s in shapes)
-    for h in ((2, 3, 4), (3, 2, 3, 4), (1, 2, 3, 4)):   # unstacked, or a stack of 3 or 1
+    # unstacked, a stack of 3 or 1, rows that are not the map's, and the
+    # padded (2, B, n, d) layout the op no longer takes
+    for h in ((5, 4), (3, 5, 4), (1, 5, 4), (2, 6, 4), (2, 2, 3, 4)):
         with pytest.raises(ad.ShapeError):
-            ad.pair_scores(*(Tensor(np.zeros(s)) for s in [h, (4, 1, 4), (1, 8), (1, 1), (1,)]))
+            ad.pair_scores(*(Tensor(np.zeros(s)) for s in [h, (4, 1, 4), (1, 8), (1, 1), (1,)]),
+                           rows)
 
 
 def test_backward_square():
@@ -328,13 +334,14 @@ def test_no_tape_means_no_tracking():
     assert not y.requires_grad and y._tape is None
 
 
-def test_backward_names_the_op_that_overflowed():
+def test_check_finite_names_the_op_that_overflowed():
     big = Tensor(np.full((2, 2), 1e308), requires_grad=True)
     ones = [Tensor(np.ones(s)) for s in ((2, 2), (2,), (2, 2), (2,))]
     with np.errstate(over="ignore", invalid="ignore"), Tape():
         out = ad.ffn(big, *ones)
         with pytest.raises(ad.NonFiniteError, match=r"output.*\bffn\b"):
-            ad.backward(out, np.ones((2, 2)))
+            ad.check_finite(out, "the output")
+        ad.backward(out, np.ones((2, 2)))   # backward screens nothing: its caller does
 
 
 def test_dense_layer_shape_error_names_all_three_shapes():
@@ -657,10 +664,11 @@ def _op_cases(rng):
     # one channel over one token
     for case, tokens, chans in (("pair_scores", m, k), ("pair_scores_one_token_one_channel", 1, 1)):
         d = 3
-        cases.append((case, [rng.normal(size=s) for s in ((2, 2, tokens, d), (d, chans, d),
-                                                          (chans, 2 * d), (chans, chans),
-                                                          (chans,))],
-                      lambda t: ad.pair_scores(*t)))
+        arrays = [rng.normal(size=s) for s in ((2, 2, tokens, d), (d, chans, d), (chans, 2 * d),
+                                               (chans, chans), (chans,))]
+        arrays[0] = arrays[0].reshape(2, 2 * tokens, d)   # packed, every row real
+        cases.append((case, arrays,
+                      lambda t, rows=ad.RowMap([tokens, tokens]): ad.pair_scores(*t, rows)))
 
     return cases
 
@@ -766,7 +774,8 @@ def test_packed_ops_match_finite_differences(lengths):
 def test_packed_operands_match_the_padded_op_bit_for_bit(lengths):
     # packed rows give the padded op's real rows, and their gradients the
     # padded operands' real rows, when the padding holds zeros; dropout
-    # draws the padded layout's masks
+    # draws the padded layout's masks. pair_scores takes packed rows only:
+    # its padded operand is every row, packed through a map that covers them
     rng = np.random.default_rng(32)
     rows = ad.RowMap(lengths)
     size, n, total = len(lengths), rows.n, int(sum(lengths))
@@ -779,24 +788,27 @@ def test_packed_operands_match_the_padded_op_bit_for_bit(lengths):
         [rng.normal(size=(8,)) for _ in range(4)]
     layers = [rng.normal(size=s) for s in ((8, 16), (16,), (16, 8), (8,))]
     g, g_grid = rng.normal(size=(total, 8)), rng.normal(size=(size, n, n, 2))
-    # pair_scores' operand stacks heads and tails: each half is laid out
-    stacked = (lambda a: np.stack([rows.pad(x) for x in a]),
-               lambda a: np.stack([rows.pack(x) for x in a]))
+    # pair_scores' operand stacks heads and tails: each half is laid out in
+    # the full-cover rows
+    full = ad.RowMap(np.full(size, n))
+    stacked = (lambda a: np.stack([rows.pad(x).reshape(size * n, -1) for x in a]),
+               lambda a: a[:, rows.flat])
     # (op, its packed operands, its other operands, the output's gradient,
-    # whether the output is packed, how a packed operand is padded and packed)
+    # whether the output is packed, the padded operand's row map, and how a
+    # packed operand is padded and packed)
     ops = [
         (lambda t, r: ad.attention(t[0], t[1], *t[3:7], biases=tuple(t[7:]), heads=2,
                                    mask=mask, scale=0.5, rate=0.25, rng=np.random.default_rng(4),
                                    q_rows=r, kv_rows=r, residual=t[2]),
-         packed, projections, g, True, (rows.pad, rows.pack)),
+         packed, projections, g, True, None, (rows.pad, rows.pack)),
         (lambda t, r: ad.ffn(t[0], *t[2:], 0.25, np.random.default_rng(4), r, t[1]),
-         packed[:2], layers, g, True, (rows.pad, rows.pack)),
-        (lambda t, r: ad.pair_scores(*t, rows=r), [np.stack(packed[:2])], weights, g_grid, False,
-         stacked),
+         packed[:2], layers, g, True, None, (rows.pad, rows.pack)),
+        (lambda t, r: ad.pair_scores(*t, r), [np.stack(packed[:2])], weights, g_grid, False,
+         full, stacked),
     ]
-    for build, rows_in, others, grad, packed_out, (pad, pack) in ops:
+    for build, rows_in, others, grad, packed_out, padded_rows, (pad, pack) in ops:
         results = []
-        for r, lay_out in ((rows, lambda a: a), (None, pad)):
+        for r, lay_out in ((rows, lambda a: a), (padded_rows, pad)):
             tensors = [Tensor(a, requires_grad=True) for a in [*map(lay_out, rows_in), *others]]
             with Tape():
                 out = build(tensors, r)

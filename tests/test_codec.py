@@ -142,6 +142,16 @@ def test_decode_threshold_range():
         decode(scores, space, 0.0, "NER")
 
 
+def test_decode_rejects_a_grid_of_another_shape():
+    # decode_chunk checks the grid of a chunk of one: non-square, the wrong
+    # channel count, and a 2-D array
+    space = FUZZ_SPACES["NER"]
+    k = space.num_channels
+    for shape in ((3, 4, k), (3, 3, k + 1), (3, k)):
+        with pytest.raises(ValueError, match="do not match"):
+            decode(np.full(shape, 0.5), space, 0.5, "NER")
+
+
 def test_decode_requires_both_link_cells():
     space = LabelSpace(["E"], ["r"])
     inst = Instance(

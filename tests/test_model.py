@@ -235,13 +235,13 @@ def test_gather_slots_grad_only_through_gathered_rows():
 
 def test_label_attention_k1_degenerate():
     rng = np.random.default_rng(5)
-    h_enc = Tensor(rng.normal(size=(1, 4, 8)))
+    h_enc = Tensor(rng.normal(size=(4, 8)))
     h_slot = Tensor(rng.normal(size=(1, 1, 8)))
     w1 = Tensor(rng.normal(size=(8, 8)))
     w2 = Tensor(rng.normal(size=(8, 8)))
-    out = M.label_attention(h_enc, h_slot, w1, w2)
+    out = M.label_attention(h_enc, h_slot, w1, w2, ad.RowMap([4]))
     projected = h_slot.data[0] @ w2.data
-    for row in (out.data - h_enc.data)[0]:   # each token's mixture
+    for row in out.data - h_enc.data:   # each token's mixture
         np.testing.assert_allclose(row, projected[0], atol=1e-12)
 
 
@@ -249,11 +249,11 @@ def test_label_attention_convex_hull_bounds():
     rng = np.random.default_rng(6)
     for _ in range(20):
         n, k, d = rng.integers(2, 6), rng.integers(1, 5), 8
-        h_enc = Tensor(rng.normal(size=(1, n, d)))
+        h_enc = Tensor(rng.normal(size=(n, d)))
         h_slot = Tensor(rng.normal(size=(1, k, d)))
         w1 = Tensor(rng.normal(size=(d, d)))
         w2 = Tensor(rng.normal(size=(d, d)))
-        mixture = (M.label_attention(h_enc, h_slot, w1, w2).data - h_enc.data)[0]
+        mixture = M.label_attention(h_enc, h_slot, w1, w2, ad.RowMap([n])).data - h_enc.data
         projected = h_slot.data[0] @ w2.data
         lo = projected.min(axis=0) - 1e-9
         hi = projected.max(axis=0) + 1e-9
@@ -262,8 +262,8 @@ def test_label_attention_convex_hull_bounds():
 
 def test_biaffine_shape():
     p = toy_params(k=2)
-    h_x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 8)))
-    assert M.biaffine_score(h_x, p).shape == (1, 3, 3, 2)
+    h_x = Tensor(np.random.default_rng(7).normal(size=(3, 8)))
+    assert M.biaffine_score(h_x, p, ad.RowMap([3])).shape == (1, 3, 3, 2)
 
 
 def test_biaffine_constructed_weights_gram_matrix():
@@ -277,11 +277,11 @@ def test_biaffine_constructed_weights_gram_matrix():
     p.tensors["score.b"].data[...] = 0.0
     for w in ("w1", "b1", "w2", "b2"):
         p.tensors[f"tail_mlp.{w}"].data[...] = p.tensors[f"head_mlp.{w}"].data
-    h_x = Tensor(np.random.default_rng(9).normal(size=(1, 4, d)))
-    logits = M.biaffine_score(h_x, p)
+    h_x = Tensor(np.random.default_rng(9).normal(size=(4, d)))
+    logits = M.biaffine_score(h_x, p, ad.RowMap([4]))
     h_head, h_tail = M._ffn(p, "head_mlp", h_x), M._ffn(p, "tail_mlp", h_x)
     np.testing.assert_array_equal(h_head.data, h_tail.data)
-    expected = h_head.data[0] @ h_head.data[0].T
+    expected = h_head.data @ h_head.data.T
     np.testing.assert_allclose(logits.data[0, :, :, 0], expected, atol=1e-12)
     np.testing.assert_allclose(logits.data[0, :, :, 0], logits.data[0, :, :, 0].T,
                                atol=1e-12)
