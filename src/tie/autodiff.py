@@ -33,9 +33,10 @@ non-finite, and ``tie.trainer.gated_step`` the gradients.
 Row maps: a batch of B variable-length instances can hold its rows packed,
 the T real rows of a padded (B, n, ...) layout in instance order, so that
 row-wise work (``layer_norm``, the dense layers and the GELU) runs on real
-rows only. A ``RowMap``, built once from the lengths, records each packed
-row's flat position ``b * n + i`` in the padded layout. ``attention``
-(``q_rows`` for packed queries, ``kv_rows`` for packed keys and values)
+rows only. A ``RowMap``, built once from the lengths, keeps them, each
+packed row's flat position ``b * n + i`` in the padded layout and the key
+mask of the padded rows. ``attention`` (``q_rows`` for packed queries,
+``kv_rows`` for packed keys and values, masked by ``kv_rows.mask``)
 scatters packed rows into zero-filled padded buffers inside its own
 record, runs its padded arithmetic and gathers the real rows back, and its
 backward does the reverse; ``pair_scores`` takes packed rows only (its
@@ -62,6 +63,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "RowMap",
+    "MASKED",
     "ShapeError",
     "NonFiniteError",
     "TapeError",
@@ -75,6 +77,7 @@ __all__ = [
     "sigmoid",
 ]
 
+MASKED = -1e30   # a mask's finite stand-in for -inf, so masked scores stay checkable
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN_EPS = 1e-5   # added to layer_norm's variance
 _CDF_PER_UNIT = 512   # Φ's table: cells per unit of x, centred on k / 512
@@ -126,11 +129,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -139,19 +137,23 @@ class RowMap:
     """Where the rows of a packed operand sit in its padded layout: row r of
     a packed (T, ...) array is row ``flat[r]`` of the B * n rows of a padded
     (B, n, ...) array, whose other rows are padding. ``RowMap(lengths)``
-    packs each instance's first n_b rows, in instance order, with n the
-    longest length; ``positions`` holds each packed row's place in its
-    instance."""
+    packs each instance's first n_b rows (``lengths``), in instance order,
+    with n the longest length; ``positions`` holds each packed row's place
+    in its instance, and ``mask``, the additive (B, 1, 1, n) key mask, is
+    ``MASKED`` at padded rows and 0.0 at real ones, or None if none is
+    padded."""
 
-    __slots__ = ("flat", "positions", "size", "n")
+    __slots__ = ("lengths", "flat", "positions", "size", "n", "mask")
 
     def __init__(self, lengths):
-        lengths = np.asarray(lengths, dtype=np.int64)
+        self.lengths = lengths = np.asarray(lengths, dtype=np.int64)
         self.size, self.n = len(lengths), int(lengths.max())
         place = np.arange(self.n)
         real = place < lengths[:, None]
         self.flat = (place + self.n * np.arange(self.size)[:, None])[real]
         self.positions = self.flat % self.n
+        self.mask = None if real.all() else \
+            np.where(real, 0.0, MASKED).reshape(self.size, 1, 1, self.n)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """The packed rows ``x`` in a zero-filled (B, n, ...) array."""
@@ -517,22 +519,25 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor | No
     ``x_kv @ wk + bk`` and values ``x_kv @ wv + bv``, or, without ``wv``, to
     keys that are also the values; ``biases`` holds (bq, bk, bv, bo), each
     optional. The op splits heads, scores ``(q_h @ k_h^T) * scale``, adds
-    ``mask`` (an additive array broadcastable to (B, heads, n_q, n_k)) if
-    given, takes the softmax over keys, applies inverted dropout at ``rate``
-    with draws from ``rng``, mixes the v_h rows, merges the heads back to
-    (B, n_q, d), then projects by ``wo`` (+ bo) if given and adds
-    ``residual`` if given. Backward reuses the forward's softmax.
+    the key mask if any, takes the softmax over keys, applies inverted
+    dropout at ``rate`` with draws from ``rng``, mixes the v_h rows, merges
+    the heads back to (B, n_q, d), then projects by ``wo`` (+ bo) if given
+    and adds ``residual`` if given. Backward reuses the forward's softmax.
 
-    Packed (T, d_in) ``x_q`` come with their ``RowMap`` ``q_rows``, packed
-    ``x_kv`` with ``kv_rows``: the projections run on the packed rows, the
-    op lays the projected rows out padded with zero rows, and packed
-    queries give packed (T, d) outputs; backward hands each packed operand
-    its real rows' gradient."""
+    Padded keys take ``mask``, additive and broadcastable to (B, heads,
+    n_q, n_k), if any. Packed (T, d_in) ``x_q`` come with their ``RowMap``
+    ``q_rows``, packed ``x_kv`` with ``kv_rows``, whose ``mask`` is theirs:
+    the projections run on the packed rows, the op lays the projected rows
+    out padded with zero rows, and packed queries give packed (T, d)
+    outputs; backward hands each packed operand its real rows' gradient."""
     bq, bk, bv, bo = biases
     if (q_rows is not None and not q_rows.fits(x_q)) \
             or (kv_rows is not None and not kv_rows.fits(x_kv)):
         raise ShapeError(f"attention needs each packed operand with its row map, "
                          f"got {x_q.shape} and {x_kv.shape}")
+    if kv_rows is not None and mask is not None:
+        raise ShapeError("packed keys take their mask from kv_rows, not from mask")
+    mask = mask if kv_rows is None else kv_rows.mask
     q, k = _dense(x_q.data, wq, bq), _dense(x_kv.data, wk, bk)
     v = k if wv is None else _dense(x_kv.data, wv, bv)
     qd = q if q_rows is None else q_rows.pad(q)

@@ -38,7 +38,8 @@ def predict_instances(params: Parameters, vocab: Vocabulary, pool: InstructionPo
         batch = make_batch([ids[i] for i in chunk], [instruction.token_ids] * len(chunk),
                            [slots] * len(chunk))
         probs = ad.sigmoid(forward(params, batch).data)
-        decoded = decode_chunk(probs, batch.n, dataset.label_space, tau, dataset.task_kind)
+        decoded = decode_chunk(probs, batch.rows.lengths, dataset.label_space, tau,
+                               dataset.task_kind)
         for i, pred in zip(chunk, decoded):
             preds[i] = pred
     return preds

@@ -64,7 +64,6 @@ def parse_template(template: str, label_space: LabelSpace, vocab: Vocabulary,
     label channels stay identifiable to the model.
     """
     channels = set(label_space.channels)
-    seen = []
     tokens = []
     slot_index = {}
 
@@ -85,11 +84,10 @@ def parse_template(template: str, label_space: LabelSpace, vocab: Vocabulary,
         tokens.extend(template[pos:match.start()].split())
         slot_index[name] = len(tokens)
         tokens.extend(surface)
-        seen.append(name)
         pos = match.end()
     tokens.extend(template[pos:].split())
 
-    missing = sorted(channels - set(seen))
+    missing = sorted(channels - set(slot_index))
     if missing:
         raise InstructionError(
             f"template is missing placeholders for channels {missing}"
@@ -99,13 +97,11 @@ def parse_template(template: str, label_space: LabelSpace, vocab: Vocabulary,
             f"rendered instruction has {len(tokens)} tokens, limit is {max_instr_len}"
         )
 
-    slot_positions = set(slot_index.values())
     token_ids = vocab.encode(tokens)
-    for name, p in slot_index.items():
+    for p in slot_index.values():
         if tokens[p] not in vocab:
             token_ids[p] = SLOT_ID
 
-    assert len(slot_positions) == len(slot_index)
     return Instruction(
         dataset_id=dataset_id,
         template=template,

@@ -7,14 +7,16 @@ the rows the model reads, so that it returns the K slot states; re-represent
 every sentence token as an attention mixture over projected slot states;
 score all token pairs per channel with a biaffine form plus a
 per-cell linear layer. Output logits are (|x|, |x|, K) per instance; a
-forward runs B instances padded into one batch (``make_batch``), and
-attention masks padded keys so that no real position sees padding. The
-sentence side holds only the real tokens, packed (``Batch.rows``); attention
-and the grid head lay them out padded inside their own ops. A batch
-holds each distinct instruction (with its slots) once, and the decoder runs
-the part of its first layer that reads only the instruction once per
-distinct instruction, then fans the rows out to the instances; a forward
-that draws dropout masks gives every instance its own rows instead.
+forward runs B instances in one batch (``make_batch``) and returns their
+grids padded to the longest sentence. The batch holds the real sentence
+tokens' ids packed (``Batch.ids``) and their ``ad.RowMap`` (``Batch.rows``:
+lengths, places in the padded layout and the padded rows' key mask); the
+sentence side runs on packed rows, which attention and the grid head lay
+out padded inside their own ops, where no real position sees padding. A
+batch holds each distinct instruction (with its slots) once, and the
+decoder runs the part of its first layer that reads only the instruction
+once per distinct instruction, then fans the rows out to the instances; a
+forward that draws dropout masks gives every instance its own rows instead.
 
 All parameters are named, and names are partitioned into groups (one per
 layer-like unit); the trainer's update gate operates on those groups, and
@@ -55,8 +57,6 @@ __all__ = [
     "biaffine_score",
     "forward",
 ]
-
-_MASKED = -1e30  # finite stand-in for -inf so masked logits stay checkable
 
 # Groups whose parameter shapes depend on the channel count K; retargeting a
 # model to a dataset with a different K re-instantiates exactly these.
@@ -280,61 +280,55 @@ class Parameters:
 
 @dataclass(frozen=True)
 class Batch:
-    """B instances padded with ``PAD_ID`` to common lengths: one forward's
-    input. ``rows`` packs the T = sum(n) real sentence tokens, in instance
-    order, and places them in the padded (B, n_max) layout; ``mask`` hides
-    the padded tokens from the encoder's and the decoder's cross-attention
-    scores, built once for both. The instruction
-    fields hold U <= B rows, one per distinct (instruction ids, slot
-    positions) pair in first-seen order, and ``which`` maps each instance
-    to its row. ``decode_instruction`` shares the rows up to layer 0's
-    self-attention, or, when it draws dropout masks, gives each instance its
-    own from the start."""
+    """B instances: one forward's input. ``ids`` holds the T real sentence
+    tokens' ids, packed in instance order; ``rows`` alone describes the
+    padded (B, n_max) layout: the lengths, each token's place and the key
+    mask that hides the padded places from the encoder's and the decoder's
+    cross-attention. The instruction fields, padded with ``PAD_ID``, hold
+    U <= B rows, one per distinct (instruction ids, slot positions) pair in
+    first-seen order, and ``which`` maps each instance to its row.
+    ``decode_instruction`` shares the rows up to layer 0's self-attention,
+    or, when it draws dropout masks, gives each instance its own from the
+    start."""
 
-    tokens: np.ndarray   # (B, n_max) sentence ids
-    n: np.ndarray        # (B,) sentence lengths
-    rows: ad.RowMap      # the real tokens' places in the (B, n_max) layout
-    mask: np.ndarray | None   # (B, 1, 1, n_max) additive mask of the padded tokens, if any
+    ids: np.ndarray      # (T,) packed sentence ids
+    rows: ad.RowMap      # the sentence lengths and the ids' places in the (B, n_max) layout
     instr: np.ndarray    # (U, m_max) instruction ids
     m: np.ndarray        # (U,) instruction lengths
     slots: np.ndarray    # (U, K) slot positions into each row's own instruction
     which: np.ndarray    # (B,) each instance's instruction row
 
 
-def _pad(rows):
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    out = np.full((len(rows), lengths.max()), PAD_ID, dtype=np.int64)
-    for b, r in enumerate(rows):
-        out[b, :len(r)] = r
-    return out, lengths
-
-
 def make_batch(token_ids, instr_ids, slot_positions) -> Batch:
-    """Pad aligned per-instance lists of sentence ids, instruction ids and
-    slot positions into a ``Batch``, each distinct instruction and slots
-    pair kept once."""
+    """Pack aligned per-instance lists of sentence ids, and pad their
+    instruction ids and slot positions, into a ``Batch``, each distinct
+    instruction and slots pair kept once."""
     if min(map(len, [*token_ids, *instr_ids]), default=0) < 1:
         raise ValueError("a batch needs instances with non-empty sentences and instructions")
     if not len(token_ids) == len(instr_ids) == len(slot_positions):
         raise ValueError("a batch needs an instruction and slot positions per instance")
-    rows = {}
-    which = np.array([rows.setdefault((tuple(u), tuple(s)), len(rows))
+    pairs = {}
+    which = np.array([pairs.setdefault((tuple(u), tuple(s)), len(pairs))
                       for u, s in zip(instr_ids, slot_positions)], dtype=np.int64)
-    tokens, n = _pad(token_ids)
-    instr, m = _pad([u for u, _ in rows])
-    slots = np.array([s for _, s in rows], dtype=np.int64)   # ragged slot lists raise here
+    m = np.array([len(u) for u, _ in pairs], dtype=np.int64)
+    instr = np.full((len(pairs), m.max()), PAD_ID, dtype=np.int64)
+    for r, (u, _) in enumerate(pairs):
+        instr[r, :len(u)] = u
+    slots = np.array([s for _, s in pairs], dtype=np.int64)   # ragged slot lists raise here
     if slots.ndim != 2 or np.any(slots < 0) or np.any(slots >= m[:, None]):
         raise ValueError("every instance needs K slot positions inside its own instruction")
-    return Batch(tokens=tokens, n=n, rows=ad.RowMap(n), mask=_mask(n, tokens.shape[1]),
+    return Batch(ids=np.concatenate(token_ids, dtype=np.int64),
+                 rows=ad.RowMap([len(t) for t in token_ids]),
                  instr=instr, m=m, slots=slots, which=which)
 
 
 def _attention(params, prefix, x_q, x_kv, residual, mask=None, rng=None, q_rows=None,
                kv_rows=None):
     """``residual`` plus (B, n_q, d) queries over (B, n_k, d) keys in
-    ``config.heads`` heads; ``mask`` is additive and broadcastable to the
-    (B, heads, n_q, n_k) scores, or None. Packed queries or keys come with
-    their row maps, as ``ad.attention`` takes them. Dropout runs at
+    ``config.heads`` heads; padded keys take ``mask``, additive and
+    broadcastable to the (B, heads, n_q, n_k) scores, or None. Packed
+    queries or keys come with their row maps, as ``ad.attention`` takes
+    them, and packed keys take their mask from theirs. Dropout runs at
     ``config.dropout`` iff ``rng`` is given."""
     heads = params.config.heads
     return ad.attention(x_q, x_kv, *(params[f"{prefix}.w{c}"] for c in "qkvo"),
@@ -355,34 +349,32 @@ def _ln(params, prefix, x):
     return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _mask(lengths, n: int, queries=None):
-    """Additive (B, 1, 1|n_q, n) mask, broadcast by ``ad.attention`` over the
+def _mask(lengths, n: int, queries):
+    """Additive (B, 1, n_q, n) mask, broadcast by ``ad.attention`` over the
     (B, heads, n_q, n) scores, that hides keys past each instance's length
-    and, given query positions ((n_q,) shared or (B, n_q) per instance),
-    causally hides each query's keys after its position; None when it hides
+    and, for query positions ``queries`` ((n_q,) shared or (B, n_q) per
+    instance), each query's keys after its position; None when it hides
     nothing."""
     keys = np.arange(n)
-    hide = keys >= lengths[:, None, None, None]
-    if queries is not None:
-        hide = hide | (keys > np.asarray(queries)[..., None, :, None])
-    return np.where(hide, _MASKED, 0.0) if hide.any() else None
+    hide = (keys >= lengths[:, None, None, None]) \
+        | (keys > np.asarray(queries)[..., None, :, None])
+    return np.where(hide, ad.MASKED, 0.0) if hide.any() else None
 
 
 def encode_sentence(params: Parameters, batch: Batch, rng=None) -> Tensor:
-    """Sentence ids -> (T, d) hidden states of the batch's real tokens,
-    packed as ``batch.rows`` packs them. Attention alone lays them out
+    """Packed sentence ids -> (T, d) hidden states of the batch's real
+    tokens, packed as ``batch.ids`` are. Attention alone lays them out
     padded, and no token attends to a padded one."""
     cfg = params.config
-    n_max = batch.tokens.shape[1]
+    n_max = batch.rows.n
     if n_max > cfg.max_len:
         raise ValueError(f"sentence length {n_max} outside [1, {cfg.max_len}]")
-    x = ad.embedding_lookup(params["embed.tok"], batch.rows.pack(batch.tokens),
-                            params["embed.pos_x"], batch.rows)
+    x = ad.embedding_lookup(params["embed.tok"], batch.ids, params["embed.pos_x"], batch.rows)
     for i in range(cfg.layers_enc):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
-        x = _attention(params, f"{p}.attn", normed, normed, x, mask=batch.mask, rng=rng,
-                       q_rows=batch.rows, kv_rows=batch.rows)
+        x = _attention(params, f"{p}.attn", normed, normed, x, rng=rng, q_rows=batch.rows,
+                       kv_rows=batch.rows)
         x = _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln2", x), x, rng=rng, rows=batch.rows)
     return _ln(params, "enc.norm", x)
 
@@ -432,8 +424,8 @@ def decode_instruction(params: Parameters, h_enc: Tensor, batch: Batch,
                 queries, positions = _ln(params, f"{p}.ln1", u), slots
             u = _attention(params, f"{p}.self", queries, normed, u,
                            mask=_mask(m, m_max, positions), rng=rng)
-        u = _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u), h_enc, u,
-                       mask=batch.mask, rng=rng, kv_rows=batch.rows)
+        u = _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", u), h_enc, u, rng=rng,
+                       kv_rows=batch.rows)
         u = _ffn(params, f"{p}.ffn", _ln(params, f"{p}.ln3", u), u, rng=rng)
     return _ln(params, "dec.norm", u)
 
@@ -470,8 +462,8 @@ def biaffine_score(h_x: Tensor, params: Parameters, rows: ad.RowMap) -> Tensor:
 
 
 def forward(params: Parameters, batch: Batch, rng=None) -> Tensor:
-    """Full pipeline over a padded batch: its (B, n_max, n_max, K) logits.
-    The sentence side runs on the packed real tokens (``batch.rows``).
+    """Full pipeline over a batch: its (B, n_max, n_max, K) logits. The
+    sentence side runs on the packed real tokens (``batch.ids``).
     Each token's state is its encoder state plus its label-attention
     mixture: the mixture alone starves the pair scorer of token identity
     (its rows live on a K-corner simplex) and stalls training at small d.
@@ -488,7 +480,7 @@ def forward(params: Parameters, batch: Batch, rng=None) -> Tensor:
     h_x = label_attention(h_enc, h_slot, params["label_attn.w1"], params["label_attn.w2"],
                           batch.rows)
     logits = biaffine_score(h_x, params, batch.rows)
-    size, n_max = batch.tokens.shape
+    size, n_max = batch.rows.size, batch.rows.n
     assert logits.shape == (size, n_max, n_max, params.num_channels)
     ad.check_finite(logits, "forward logits")
     return logits

@@ -720,7 +720,6 @@ def _key_mask(lengths, n):
 def _packed_cases(rng, lengths):
     rows = ad.RowMap(lengths)
     size, n, total, d = len(lengths), rows.n, int(sum(lengths)), 4
-    mask = _key_mask(lengths, n)
     cases = []
     # packed queries over padded keys that are the values, with a packed
     # residual (label attention's shape); padded queries over packed keys
@@ -737,9 +736,9 @@ def _packed_cases(rng, lengths):
     cases.append(("attention_packed_keys", [rng.normal(size=(size, 3, d)),
                                             rng.normal(size=(total, d)), *w, *biases],
                   lambda t: ad.attention(*t[:6], biases=(t[6], None, *t[7:]), heads=2,
-                                         mask=mask, scale=0.6, kv_rows=rows)))
+                                         scale=0.6, kv_rows=rows)))
     cases.append(("attention_packed_both", [rng.normal(size=(total, d)) for _ in range(3)] + w,
-                  lambda t: ad.attention(t[0], t[1], *t[3:], heads=2, mask=mask, scale=0.6,
+                  lambda t: ad.attention(t[0], t[1], *t[3:], heads=2, scale=0.6,
                                          rate=0.3, rng=np.random.default_rng(3), q_rows=rows,
                                          kv_rows=rows, residual=t[2])))
     k = 2
@@ -774,14 +773,18 @@ def test_packed_ops_match_finite_differences(lengths):
 def test_packed_operands_match_the_padded_op_bit_for_bit(lengths):
     # packed rows give the padded op's real rows, and their gradients the
     # padded operands' real rows, when the padding holds zeros; dropout
-    # draws the padded layout's masks. pair_scores takes packed rows only:
+    # draws the padded layout's masks, and packed keys hide the padded ones
+    # as the padded op's key mask does. pair_scores takes packed rows only:
     # its padded operand is every row, packed through a map that covers them
     rng = np.random.default_rng(32)
     rows = ad.RowMap(lengths)
     size, n, total = len(lengths), rows.n, int(sum(lengths))
     assert rows.flat.tolist() == [b * n + i for b, m in enumerate(lengths) for i in range(m)]
     assert rows.positions.tolist() == [i for m in lengths for i in range(m)]
+    assert rows.lengths.tolist() == lengths
+    # the map's key mask is the padded op's, and None when no row is padded
     mask = _key_mask(lengths, n)
+    assert rows.mask is None if min(lengths) == n else np.array_equal(rows.mask, mask)
     packed = [rng.normal(size=(total, 8)) for _ in range(3)]
     weights = [rng.normal(size=s) for s in ((8, 2, 8), (2, 16), (2, 2), (2,))]
     projections = [rng.normal(size=(8, 8)) for _ in range(4)] + \
@@ -798,8 +801,9 @@ def test_packed_operands_match_the_padded_op_bit_for_bit(lengths):
     # packed operand is padded and packed)
     ops = [
         (lambda t, r: ad.attention(t[0], t[1], *t[3:7], biases=tuple(t[7:]), heads=2,
-                                   mask=mask, scale=0.5, rate=0.25, rng=np.random.default_rng(4),
-                                   q_rows=r, kv_rows=r, residual=t[2]),
+                                   mask=mask if r is None else None, scale=0.5, rate=0.25,
+                                   rng=np.random.default_rng(4), q_rows=r, kv_rows=r,
+                                   residual=t[2]),
          packed, projections, g, True, None, (rows.pad, rows.pack)),
         (lambda t, r: ad.ffn(t[0], *t[2:], 0.25, np.random.default_rng(4), r, t[1]),
          packed[:2], layers, g, True, None, (rows.pad, rows.pack)),
@@ -828,6 +832,10 @@ def test_packed_operand_shape_errors():
     with pytest.raises(ad.ShapeError, match="row map"):
         ad.attention(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 2, 4))),
                      Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), kv_rows=rows)
+    with pytest.raises(ad.ShapeError, match="mask"):   # packed keys' mask is the map's
+        ad.attention(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((3, 4))),
+                     Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), mask=rows.mask,
+                     kv_rows=rows)
     with pytest.raises(ad.ShapeError, match="row map"):
         ad.pair_scores(*(Tensor(np.zeros(s)) for s in ((2, 2, 3), (3, 1, 3), (1, 6), (1, 1),
                                                         (1,))), rows=rows)

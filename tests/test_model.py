@@ -171,7 +171,7 @@ def _full_row_decoder(params, h_enc, batch):
         normed = M._ln(params, f"{p}.ln1", u)
         u = M._attention(params, f"{p}.self", normed, normed, u, mask=self_mask)
         u = M._attention(params, f"{p}.cross", M._ln(params, f"{p}.ln2", u), h_enc, u,
-                         mask=batch.mask, kv_rows=batch.rows)
+                         kv_rows=batch.rows)
         u = M._ffn(params, f"{p}.ffn", M._ln(params, f"{p}.ln3", u), u)
     return M.gather_slots(M._ln(params, "dec.norm", u), slots)
 
@@ -443,7 +443,7 @@ def test_one_attention_block_is_one_tape_record():
     p = toy_params(heads=2)
     x = Tensor(np.random.default_rng(18).normal(size=(2, 3, 8)), requires_grad=True)
     with Tape() as tape:
-        out = M._attention(p, "enc.0.attn", x, x, x, mask=M._mask(np.array([3, 2]), 3))
+        out = M._attention(p, "enc.0.attn", x, x, x, mask=ad.RowMap([3, 2]).mask)
         M._ffn(p, "enc.0.ffn", out, out)
     assert [fn.__qualname__.split(".")[0] for _, fn in tape._records] == ["attention", "ffn"]
 
@@ -538,7 +538,7 @@ def test_make_batch_keeps_each_instruction_once_in_first_seen_order():
     batch = make_batch([[1], [2], [3], [4], [5]],
                        [[7, 8], [5, 6, 7], [7, 8], [5, 6, 7], [7, 8]],
                        [[1, 0], [2, 0], [1, 0], [2, 0], [1, 0]])
-    assert batch.tokens.shape == (5, 1) and list(batch.n) == [1] * 5
+    assert batch.ids.tolist() == [1, 2, 3, 4, 5] and list(batch.rows.lengths) == [1] * 5
     np.testing.assert_array_equal(batch.instr, [[7, 8, 0], [5, 6, 7]])
     assert list(batch.m) == [2, 3] and batch.slots.tolist() == [[1, 0], [2, 0]]
     assert list(batch.which) == [0, 1, 0, 1, 0]
@@ -592,14 +592,15 @@ def test_every_instance_draws_its_own_decoder_dropout(layers):
 
 def test_make_batch_pads_and_validates():
     batch = _mixed_batch()
-    assert batch.tokens.shape == (3, 8) and batch.instr.shape == (3, 7)
-    assert list(batch.n) == [1, 8, 4] and list(batch.m) == [3, 7, 5]
-    assert np.all(batch.tokens[0, 1:] == 0) and np.all(batch.instr[2, 5:] == 0)
+    assert batch.ids.tolist() == [t for tokens, _, _ in MIXED for t in tokens]
+    assert batch.instr.shape == (3, 7) and np.all(batch.instr[2, 5:] == 0)
+    assert list(batch.rows.lengths) == [1, 8, 4] and list(batch.m) == [3, 7, 5]
     # the key mask hides each sentence's padded tokens, and is None when
     # no token is padded
-    assert batch.mask.shape == (3, 1, 1, 8)
-    assert (batch.mask[:, 0, 0] < 0).tolist() == [[i >= n for i in range(8)] for n in (1, 8, 4)]
-    assert one([1, 2]).mask is None
+    mask = batch.rows.mask
+    assert mask.shape == (3, 1, 1, 8)
+    assert (mask[:, 0, 0] < 0).tolist() == [[i >= n for i in range(8)] for n in (1, 8, 4)]
+    assert one([1, 2]).rows.mask is None
     with pytest.raises(ValueError):
         make_batch([[1, 2]], [[3, 4]], [[2]])       # slot past its instruction
     with pytest.raises(ValueError):
@@ -616,7 +617,7 @@ def test_packed_forward_matches_the_padded_reference_on_every_real_cell(layers, 
     p = toy_params(k=3, layers=layers, seed=27, dropout=dropout)
     rng = np.random.default_rng(28)
     for batch in (_mixed_batch(), one(*MIXED[2])):
-        golds = [GoldMatrix.from_grid(rng.random((n, n, 3)) < 0.3) for n in batch.n]
+        golds = [GoldMatrix.from_grid(rng.random((n, n, 3)) < 0.3) for n in batch.rows.lengths]
         results = []
         for run in (M.forward, padded_reference.forward):
             p.zero_grads()
@@ -625,6 +626,6 @@ def test_packed_forward_matches_the_padded_reference_on_every_real_cell(layers, 
                 ad.backward(logits, loss(logits, golds)[1])
             results.append((logits.data, p.grad.copy()))
         (packed, grad), (padded, padded_grad) = results
-        for b, n in enumerate(batch.n):
+        for b, n in enumerate(batch.rows.lengths):
             assert np.array_equal(packed[b, :n, :n], padded[b, :n, :n])
         np.testing.assert_allclose(grad, padded_grad, rtol=1e-12, atol=1e-15)
